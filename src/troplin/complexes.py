@@ -62,6 +62,17 @@ def coordinate_difference(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(a)
 
 
+def chain_cone(n: int, chain: Iterable[Iterable[int]]) -> Polyhedron:
+    """The cone on the negated indicator vectors of a chain's members."""
+    rays = [to_quotient(flat_direction(n, f)) for f in chain]
+    return Polyhedron._minimal(n - 1, [[Fraction(0)] * (n - 1)], rays)
+
+
+def _is_chain(sets: Iterable[Iterable[int]]) -> bool:
+    ordered = sorted(map(frozenset, sets), key=len)
+    return all(a < b for a, b in zip(ordered, ordered[1:]))
+
+
 class Cell:
     """A rational polyhedron in the torus, optionally tagged with the chain
     of subsets whose cone it is."""
@@ -69,9 +80,20 @@ class Cell:
     def __init__(self, n: int, poly: Polyhedron, chain: tuple[GroundSet, ...] | None = None):
         if poly.m != n - 1:
             raise InvalidInputError("cell dimension does not match ambient size")
+        if chain is not None and not (
+            _is_chain(chain) and chain_cone(n, chain) == poly
+        ):
+            raise InvalidInputError("the chain tag is not the chain of this cone")
         self.n = n
         self.poly = poly
         self.chain = chain
+
+    @classmethod
+    def of_chain(cls, n: int, chain: tuple[GroundSet, ...]) -> "Cell":
+        """The cone over a chain of subsets, tagged with it."""
+        cell = cls(n, chain_cone(n, chain))
+        cell.chain = chain
+        return cell
 
     @classmethod
     def from_torus(
@@ -80,7 +102,6 @@ class Cell:
         vertices: Iterable[TropPoint | Sequence],
         rays: Iterable[Sequence] = (),
         lineality: Iterable[Sequence] = (),
-        reduce: bool = True,
         chain: tuple[GroundSet, ...] | None = None,
     ) -> "Cell":
         verts = []
@@ -93,7 +114,7 @@ class Cell:
         qrays = [r for r in qrays if not vec_is_zero(r)]
         qlin = [direction_to_quotient(l) for l in lineality]
         qlin = [l for l in qlin if not vec_is_zero(l)]
-        return cls(n, Polyhedron(n - 1, verts, qrays, qlin, reduce=reduce), chain=chain)
+        return cls(n, Polyhedron(n - 1, verts, qrays, qlin), chain=chain)
 
     @property
     def dim(self) -> int:
@@ -209,12 +230,6 @@ class WeightedComplex:
     def chain_tagged(self) -> bool:
         return all(c.chain is not None for c in self.cells)
 
-    def weight_of(self, cell: Cell) -> int:
-        for c, w in zip(self.cells, self.weights):
-            if c == cell:
-                return w
-        raise InvalidInputError("not a maximal cell of this complex")
-
     def all_cells(self) -> list[Cell]:
         """Face closure of the maximal cells."""
         seen: dict = {}
@@ -238,17 +253,13 @@ class WeightedComplex:
 
 def _minimal_face_containing(poly: Polyhedron, sub: Polyhedron) -> Polyhedron:
     """Smallest face of poly containing the sub-polyhedron."""
-    tight = []
-    for a, b in poly.inequalities:
-        if all(vec_dot(a, v) == b for v in sub.vertices) and all(
-            vec_dot(a, r) == 0 for r in sub.rays
-        ) and all(vec_dot(a, l) == 0 for l in sub.lineality):
-            tight.append((a, b))
-    verts = [
-        v for v in poly.vertices if all(vec_dot(a, v) == b for a, b in tight)
-    ]
-    rays = [r for r in poly.rays if all(vec_dot(a, r) == 0 for a, _ in tight)]
-    return Polyhedron(poly.m, verts, rays, poly.lineality, reduce=False)
+    return poly._face(
+        (a, b)
+        for a, b in poly.inequalities
+        if all(vec_dot(a, v) == b for v in sub.vertices)
+        and all(vec_dot(a, r) == 0 for r in sub.rays)
+        and all(vec_dot(a, l) == 0 for l in sub.lineality)
+    )
 
 
 def point_in_support(complex_: WeightedComplex, x: TropPoint) -> Cell | None:
@@ -293,7 +304,7 @@ def _primitive_normal_quotient(sp: Polyhedron, tp: Polyhedron) -> IntVec:
         if all(vec_dot(a, v) == b for v in tp.vertices) and all(
             vec_dot(a, r) == 0 for r in tp.rays
         ) and all(vec_dot(a, l) == 0 for l in tp.lineality):
-            if sp._tight_face(a, b).canonical_key == tp.canonical_key:
+            if sp._face([(a, b)]).canonical_key == tp.canonical_key:
                 cutting = (a, b)
                 break
     if cutting is None:
@@ -422,17 +433,7 @@ def _repair_fan(cones: list[Polyhedron], budget: int) -> list[Polyhedron]:
             raise InvalidInputError("irreparable cone overlap")
         first, normal, offset = cut
         work.remove(first)
-        for piece in first.split(normal, offset):
-            if piece is not None:
-                work.append(
-                    Polyhedron(
-                        piece.m,
-                        piece.vertices,
-                        piece.rays,
-                        piece.lineality,
-                        reduce=True,
-                    )
-                )
+        work.extend(p for p in first.split(normal, offset) if p is not None)
 
 
 def _dedup(cones: list[Polyhedron]) -> list[Polyhedron]:
@@ -473,15 +474,8 @@ def chain_fan(family: ChainFamily, weight: int = 1) -> WeightedComplex:
     Each maximal chain of proper nonempty members spans a unimodular cone on
     the negated indicator vectors of its members.
     """
-    n = family.n
-    zero = [Fraction(0)] * (n - 1)
-    cells = []
-    for chain in family.maximal_chains():
-        rays = [to_quotient(flat_direction(n, f)) for f in chain]
-        poly = Polyhedron(n - 1, [zero], rays, reduce=False)
-        cells.append(Cell(n, poly, chain=chain))
-    weights = [weight] * len(cells)
-    return WeightedComplex(n, cells, weights, validate=False)
+    cells = [Cell.of_chain(family.n, chain) for chain in family.maximal_chains()]
+    return WeightedComplex(family.n, cells, [weight] * len(cells), validate=False)
 
 
 def chn_cell_of(x: TropPoint) -> tuple[GroundSet, ...]:

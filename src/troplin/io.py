@@ -30,6 +30,21 @@ def parse_frac(s) -> Fraction:
         raise InvalidInputError(f"not a rational: {s!r}") from exc
 
 
+def _arrays(raw, what: str) -> list[list]:
+    """Check that a JSON value is an array of arrays."""
+    if not isinstance(raw, list) or not all(isinstance(x, list) for x in raw):
+        raise InvalidInputError(f"{what} must be an array of arrays")
+    return raw
+
+
+def _int_sets(raw, what: str) -> list[list[int]]:
+    """Check that a JSON value is an array of arrays of integers."""
+    for s in _arrays(raw, what):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in s):
+            raise InvalidInputError(f"{what} must hold arrays of integers")
+    return raw
+
+
 def point_to_json(p: TropPoint) -> list[str]:
     return [frac_str(c) for c in p.coords]
 
@@ -57,7 +72,7 @@ def matroid_from_json(data) -> Matroid:
         bases = data["bases"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError("matroid JSON needs fields 'n' and 'bases'") from exc
-    return Matroid(n, bases)
+    return Matroid(n, _int_sets(bases, "'bases'"))
 
 
 def valuated_to_json(v: ValuatedMatroid) -> dict:
@@ -94,7 +109,7 @@ def chain_family_from_json(data) -> ChainFamily:
         sets = data["sets"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError("family JSON needs fields 'n' and 'sets'") from exc
-    return ChainFamily(n, [frozenset(int(x) for x in s) for s in sets])
+    return ChainFamily(n, [frozenset(s) for s in _int_sets(sets, "'sets'")])
 
 
 def cell_to_json(cell: Cell, weight: int | None = None) -> dict:
@@ -129,19 +144,23 @@ def complex_from_json(data, validate: bool = True) -> WeightedComplex:
     cells = []
     weights = []
     for raw in raw_cells:
-        verts = raw.get("vertices")
+        if not isinstance(raw, dict):
+            raise InvalidInputError("each cell must be a JSON object")
+        verts = _arrays(raw.get("vertices", []), "'vertices'")
         if not verts:
             raise InvalidInputError("each cell needs at least one vertex")
         vertices = [point_from_json(v) for v in verts]
-        rays = [[parse_frac(x) for x in r] for r in raw.get("rays", [])]
-        lineality = [[parse_frac(x) for x in l] for l in raw.get("lineality", [])]
+        rays = [[parse_frac(x) for x in r] for r in _arrays(raw.get("rays", []), "'rays'")]
+        lineality = [
+            [parse_frac(x) for x in l] for l in _arrays(raw.get("lineality", []), "'lineality'")
+        ]
         for vec in list(rays) + list(lineality):
             if len(vec) != n:
                 raise InvalidInputError("direction vectors must have length n")
         weight = raw.get("weight", 1)
-        if not isinstance(weight, int) or weight <= 0:
+        if isinstance(weight, bool) or not isinstance(weight, int) or weight <= 0:
             raise InvalidInputError("cell weights must be positive integers")
-        cells.append(Cell.from_torus(n, vertices, rays, lineality, reduce=True))
+        cells.append(Cell.from_torus(n, vertices, rays, lineality))
         weights.append(weight)
     return WeightedComplex(n, cells, weights, validate=validate)
 

@@ -17,16 +17,8 @@ Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a, s):
-    return tuple(x * s for x in a)
 
 
 def vec_dot(a, b):
@@ -137,14 +129,6 @@ def primitive_direction(vec) -> IntVec:
     return tuple(x // g for x in ints)
 
 
-def sign_normalized(vec: IntVec) -> IntVec:
-    """Flip so the first nonzero entry is positive."""
-    for x in vec:
-        if x != 0:
-            return vec if x > 0 else tuple(-y for y in vec)
-    return vec
-
-
 def hermite_normal_form(rows: list[IntVec]) -> list[IntVec]:
     """Row-style HNF of the integer row lattice: canonical basis."""
     mat = [list(r) for r in rows if not vec_is_zero(r)]
@@ -211,33 +195,36 @@ def diagonalize_integer_matrix(matrix: list[IntVec]):
 
     t = 0
     while t < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+        entries = [
+            (abs(a[i][j]), i, j)
+            for i in range(t, nrows)
+            for j in range(t, ncols)
+            if a[i][j]
+        ]
+        if not entries:
             break
-        pi, pj = pivot
+        _, pi, pj = min(entries)
         a[t], a[pi] = a[pi], a[t]
         col_swap(t, pj)
+        # Euclid down column t, then along row t, each time on the smallest
+        # entry; reducing against a pivot that is not the smallest lets the
+        # other entries grow without bound
         while True:
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-            if all(a[i][t] == 0 for i in range(t + 1, nrows)) and all(
-                a[t][j] == 0 for j in range(t + 1, ncols)
-            ):
+            while any(a[i][t] for i in range(t + 1, nrows)):
+                _, pi = min((abs(a[i][t]), i) for i in range(t, nrows) if a[i][t])
+                a[t], a[pi] = a[pi], a[t]
+                for i in range(t + 1, nrows):
+                    if a[i][t]:
+                        row_op(i, t, a[i][t] // a[t][t])
+            if not any(a[t][j] for j in range(t + 1, ncols)):
                 break
+            # a column swap can refill column t, hence the outer loop
+            while any(a[t][j] for j in range(t + 1, ncols)):
+                _, pj = min((abs(a[t][j]), j) for j in range(t, ncols) if a[t][j])
+                col_swap(t, pj)
+                for j in range(t + 1, ncols):
+                    if a[t][j]:
+                        col_op(j, t, a[t][j] // a[t][t])
         if a[t][t] < 0:
             col_negate(t)
         t += 1

@@ -73,13 +73,6 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
     values: tuple[Fraction, ...]
 
-    def prefix_union(self, j: int) -> frozenset[int]:
-        """Union of the first j blocks."""
-        out: set[int] = set()
-        for b in self.blocks[:j]:
-            out |= b
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class Polytrope:

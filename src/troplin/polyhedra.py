@@ -1,19 +1,24 @@
 """Exact rational polyhedra in R^m, generator based.
 
-A polyhedron is conv(vertices) + cone(rays) + span(lineality).  Vertices are
-projected modulo the lineality space and rays are stored as primitive integer
-directions, so structural equality of the reduced form decides geometric
-equality.  The H-representation (affine hull equations plus facet
-inequalities) is derived on demand by brute-force enumeration over generator
-subsets, which is exact and fast at the small dimensions this package works
-in.  Intersections with halfspaces and hyperplanes are double-description
-steps on the generators; no floating point and, on these paths, no LP.
+A polyhedron is conv(vertices) + cone(rays) + span(lineality).  Only the
+minimal generators are kept: vertices projected modulo the lineality space,
+primitive integer rays and a saturated lineality basis, so structural
+equality of this form decides geometric equality.
+
+All conversions run one integer double-description kernel, `_dd`, on the
+homogenised cone in Z^(m+1), where a vertex v becomes (d*v, d), a ray r
+becomes (r, 0) and a lineality vector l becomes +-(l, 0).  Facets come from
+`_dd` on the generators written in coordinates of their own span; minimal
+generators, and the pieces of every halfspace or hyperplane cut, come from
+`_dd` on the rows of the H-representation.  No floating point and no LP.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -23,11 +28,11 @@ from .linalg import (
     rank,
     rref,
     saturate_rows,
+    solve_exact,
     vec_dot,
     vec_is_zero,
     vec_sub,
 )
-from .lp import lp_feasible
 from .points import _frac
 
 Vec = tuple[Fraction, ...]
@@ -39,6 +44,84 @@ def _fvec(v) -> Vec:
     return tuple(_frac(x) for x in v)
 
 
+def _neg(v) -> tuple:
+    return tuple(-x for x in v)
+
+
+def _mix(s: int, x: IntVec, t: int, y: IntVec) -> IntVec:
+    """The primitive vector along s*x + t*y."""
+    v = [s * p + t * q for p, q in zip(x, y)]
+    g = gcd(*v)
+    return tuple(c // g for c in v)
+
+
+def _dd(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
+    """Lineality basis and extreme rays of {x in Q^dim : r.x <= 0 for every row}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) over the
+    integers, adding one row at a time.  While some lineality vector is not
+    orthogonal to the row, it becomes a ray and the rest of the description
+    is made orthogonal to it.  Otherwise a positive and a negative ray are
+    combined only when adjacent, which is decided combinatorially: no third
+    ray is tight on every row the two share.
+    """
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[IntVec, int]] = []  # (ray, bitmask of its tight rows)
+    for k, r in enumerate(rows):
+        bit = 1 << k
+        vals = [sum(map(mul, r, l)) for l in lin]
+        i = next((i for i, s in enumerate(vals) if s), None)
+        if i is not None:
+            p, s = lin.pop(i), vals.pop(i)
+            if s > 0:
+                p, s = _neg(p), -s
+            lin = [l if not t else _mix(-s, l, t, p) for l, t in zip(lin, vals)]
+            for j, (x, z) in enumerate(rays):
+                t = sum(map(mul, r, x))
+                rays[j] = (x if not t else _mix(-s, x, t, p), z | bit)
+            rays.append((p, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for x, z in rays:
+            s = sum(map(mul, r, x))
+            if s > 0:
+                pos.append((x, z, s))
+            else:
+                kept.append((x, z | bit if s == 0 else z))
+                if s < 0:
+                    neg.append((x, z, s))
+        need = dim - len(lin) - 2
+        for x, zx, sx in pos:
+            for y, zy, sy in neg:
+                common = zx & zy
+                if common.bit_count() < need or any(
+                    z & common == common and w is not x and w is not y
+                    for w, z in rays
+                ):
+                    continue
+                kept.append((_mix(sx, y, -sy, x), common | bit))
+        rays = kept
+    return lin, [x for x, _ in rays]
+
+
+def _row(a, b) -> IntVec:
+    """The primitive integer row of (x, t) -> a.x - b*t, homogenising a.x <= b."""
+    return primitive_direction(tuple(a) + (-_frac(b),))
+
+
+def _from_rows(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]) -> Polyhedron | None:
+    """The polyhedron whose homogenised cone is cut out by the rows, as
+    equations and inequalities, by minimal generators; None if empty."""
+    rows = [s for r in eq_rows for s in (r, _neg(r))]
+    rows.append((0,) * m + (-1,))
+    lin, gens = _dd(rows + ineq_rows, m + 1)
+    verts = [tuple(Fraction(x, g[m]) for x in g[:m]) for g in gens if g[m]]
+    if not verts:
+        return None
+    rays = [g[:m] for g in gens if not g[m]]
+    return Polyhedron._minimal(m, verts, rays, [l[:m] for l in lin])
+
+
 class Polyhedron:
     """A nonempty closed rational polyhedron given by generators."""
 
@@ -48,15 +131,29 @@ class Polyhedron:
         vertices: Iterable[Sequence],
         rays: Iterable[Sequence] = (),
         lineality: Iterable[Sequence] = (),
-        reduce: bool = True,
     ):
+        # redundant generators leave the H-representation unchanged
+        raw = Polyhedron._minimal(m, vertices, rays, lineality)
+        vars(self).update(vars(_from_rows(m, *raw._rows)), hrep=raw.hrep)
+
+    @classmethod
+    def _minimal(cls, m: int, vertices, rays=(), lineality=()) -> Polyhedron:
+        """Build from generators no one of which is redundant; skips reduction."""
+        poly = cls.__new__(cls)
+        poly._set(m, vertices, rays, lineality)
+        return poly
+
+    def _set(self, m: int, vertices, rays, lineality) -> None:
         self.m = m
         lin_rows = [primitive_direction(l) for l in lineality if not vec_is_zero(l)]
         self.lineality: tuple[IntVec, ...] = tuple(saturate_rows(lin_rows))
-        ray_list = self._project_rays(rays)
-        if reduce:
-            ray_list = self._promote_hidden_lineality(ray_list)
-            ray_list = self._reduce_rays(ray_list)
+        ray_list: list[IntVec] = []
+        for r in rays:
+            fr = self._project(tuple(r))
+            if not vec_is_zero(fr):
+                pr = primitive_direction(fr)
+                if pr not in ray_list:
+                    ray_list.append(pr)
         verts = []
         for v in vertices:
             vv = self._project(_fvec(v))
@@ -64,40 +161,8 @@ class Polyhedron:
                 verts.append(vv)
         if not verts:
             raise InvalidInputError("a polyhedron needs at least one vertex generator")
-        if reduce:
-            verts = self._reduce_vertices(verts, ray_list)
         self.vertices: tuple[Vec, ...] = tuple(sorted(verts))
         self.rays: tuple[IntVec, ...] = tuple(sorted(ray_list))
-
-    def _project_rays(self, rays) -> list[IntVec]:
-        out: list[IntVec] = []
-        for r in rays:
-            fr = self._project(_fvec(r))
-            if vec_is_zero(fr):
-                continue
-            pr = primitive_direction(fr)
-            if pr not in out:
-                out.append(pr)
-        return out
-
-    def _promote_hidden_lineality(self, ray_list: list[IntVec]) -> list[IntVec]:
-        """Move any ray whose opposite lies in the cone into the lineality."""
-        while True:
-            promoted = None
-            for r in ray_list:
-                if _in_cone(
-                    tuple(-x for x in r), ray_list, self.lineality, self.m
-                ):
-                    promoted = r
-                    break
-            if promoted is None:
-                return ray_list
-            self.lineality = tuple(
-                saturate_rows(list(self.lineality) + [promoted])
-            )
-            ray_list = self._project_rays(ray_list)
-
-    # -- normalization ------------------------------------------------
 
     def _project(self, v: Vec) -> Vec:
         """Orthogonal projection modulo the lineality span."""
@@ -106,32 +171,12 @@ class Polyhedron:
         lin = self.lineality
         gram = [[Fraction(vec_dot(a, b)) for b in lin] for a in lin]
         rhs = [Fraction(vec_dot(a, v)) for a in lin]
-        from .linalg import solve_exact
-
         coeffs = solve_exact(gram, rhs)
         out = list(v)
         for c, l in zip(coeffs, lin):
             for i, x in enumerate(l):
                 out[i] -= c * x
         return tuple(out)
-
-    def _reduce_rays(self, rays: list[IntVec]) -> list[IntVec]:
-        kept = list(rays)
-        for r in sorted(rays):
-            others = [x for x in kept if x != r]
-            if _in_cone(r, others, self.lineality, self.m):
-                kept = others
-        return kept
-
-    def _reduce_vertices(self, verts: list[Vec], rays: list[IntVec]) -> list[Vec]:
-        kept = list(verts)
-        for v in sorted(verts):
-            if len(kept) == 1:
-                break
-            others = [x for x in kept if x != v]
-            if _in_hull(v, others, rays, self.lineality, self.m):
-                kept = others
-        return kept
 
     # -- basic geometry -----------------------------------------------
 
@@ -180,14 +225,17 @@ class Polyhedron:
     def hrep(self) -> tuple[tuple[HalfSpace, ...], tuple[HalfSpace, ...]]:
         """(equations, facet inequalities); each is (a, b) over primitive a."""
         v0 = self.vertices[0]
-        normals = nullspace(self.direction_rows, self.m) if self.direction_rows else [
-            tuple(Fraction(int(i == j)) for j in range(self.m)) for i in range(self.m)
-        ]
         eqs = []
-        for nrm in normals:
+        for nrm in nullspace(self.direction_rows, self.m):
             a = primitive_direction(nrm)
             eqs.append((a, Fraction(vec_dot(a, v0))))
         return tuple(sorted(eqs)), tuple(sorted(self._facets()))
+
+    @cached_property
+    def _rows(self) -> tuple[list[IntVec], list[IntVec]]:
+        """Homogenised integer rows of the equations and of the facets."""
+        eqs, ineqs = self.hrep
+        return [_row(a, b) for a, b in eqs], [_row(a, b) for a, b in ineqs]
 
     @property
     def equations(self) -> tuple[HalfSpace, ...]:
@@ -197,55 +245,29 @@ class Polyhedron:
     def inequalities(self) -> tuple[HalfSpace, ...]:
         return self.hrep[1]
 
-    def _homogeneous_generators(self) -> list[Vec]:
-        gens = [tuple(v) + (Fraction(1),) for v in self.vertices]
-        gens += [_fvec(r) + (Fraction(0),) for r in self.rays]
-        for l in self.lineality:
-            gens.append(_fvec(l) + (Fraction(0),))
-            gens.append(_fvec(tuple(-x for x in l)) + (Fraction(0),))
-        return gens
-
     def _facets(self) -> list[HalfSpace]:
-        from itertools import combinations
+        """Facets of the homogenised cone, as normals inside its span.
 
-        gens = self._homogeneous_generators()
-        k1 = rank(gens)
-        if k1 <= 1:
-            return []
-        span_basis, _ = rref([list(g) for g in gens])
-        found: set[HalfSpace] = set()
-        for subset in combinations(range(len(gens)), k1 - 1):
-            sub = [gens[i] for i in subset]
-            if rank(sub) != k1 - 1:
+        With an integer basis B of the span, a generator g has coordinates
+        B.g, and a functional f on those coordinates is h.g for h = f.B in
+        the span.  The extreme rays f of the polar cone are the facets; the
+        one tight on no vertex is the face at infinity.
+        """
+        gens = [primitive_direction(tuple(v) + (1,)) for v in self.vertices]
+        nv = len(gens)
+        gens += [r + (0,) for r in self.rays]
+        gens += [s + (0,) for l in self.lineality for s in (l, _neg(l))]
+        basis = [primitive_direction(b) for b in rref(gens)[0]]
+        coords = [tuple(vec_dot(b, g) for b in basis) for g in gens]
+        out = []
+        for f in _dd(coords, len(basis))[1]:
+            if all(vec_dot(f, c) for c in coords[:nv]):
                 continue
-            # normals inside the generator span that vanish on the subset
-            mat = [[vec_dot(b, s) for b in span_basis] for s in sub]
-            kernel = nullspace(mat, len(span_basis))
-            if len(kernel) != 1:
-                continue
-            h = tuple(
-                sum(c * b[i] for c, b in zip(kernel[0], span_basis))
-                for i in range(self.m + 1)
+            h = primitive_direction(
+                [sum(c * b[i] for c, b in zip(f, basis)) for i in range(self.m + 1)]
             )
-            values = [vec_dot(h, g) for g in gens]
-            if all(v <= 0 for v in values):
-                pass
-            elif all(v >= 0 for v in values):
-                h = tuple(-x for x in h)
-                values = [-v for v in values]
-            else:
-                continue
-            if all(v == 0 for v in values):
-                continue
-            # a genuine facet is tight on at least one vertex generator
-            if not any(
-                values[i] == 0 for i in range(len(self.vertices))
-            ):
-                continue
-            scaled = primitive_direction(h)
-            ineq = (scaled[: self.m], -_frac(scaled[self.m]))
-            found.add(ineq)
-        return sorted(found)
+            out.append((h[: self.m], -Fraction(h[self.m])))
+        return out
 
     # -- predicates -----------------------------------------------------
 
@@ -289,16 +311,15 @@ class Polyhedron:
 
     def recession(self) -> Polyhedron:
         zero = [Fraction(0)] * self.m
-        return Polyhedron(self.m, [zero], self.rays, self.lineality, reduce=False)
+        return Polyhedron._minimal(self.m, [zero], self.rays, self.lineality)
 
     def translate(self, vec: Sequence) -> Polyhedron:
         t = _fvec(vec)
-        return Polyhedron(
+        return Polyhedron._minimal(
             self.m,
             [tuple(a + b for a, b in zip(v, t)) for v in self.vertices],
             self.rays,
             self.lineality,
-            reduce=False,
         )
 
     def cone_from(self, apex: Sequence) -> Polyhedron:
@@ -310,19 +331,18 @@ class Polyhedron:
             d = vec_sub(v, p)
             if not vec_is_zero(d):
                 rays.append(primitive_direction(d))
-        return Polyhedron(self.m, [zero], rays, self.lineality, reduce=True)
+        return Polyhedron(self.m, [zero], rays, self.lineality)
+
+    def _face(self, tight: Iterable[HalfSpace]) -> Polyhedron:
+        """The face on which each given valid inequality holds with equality."""
+        tight = list(tight)
+        verts = [v for v in self.vertices if all(vec_dot(a, v) == b for a, b in tight)]
+        rays = [r for r in self.rays if all(vec_dot(a, r) == 0 for a, _ in tight)]
+        return Polyhedron._minimal(self.m, verts, rays, self.lineality)
 
     def faces_of_facets(self) -> list[tuple[Polyhedron, HalfSpace]]:
         """Codimension-one faces, each with its cutting inequality."""
-        out = []
-        for a, b in self.inequalities:
-            out.append((self._tight_face(a, b), (a, b)))
-        return out
-
-    def _tight_face(self, a: IntVec, b: Fraction) -> Polyhedron:
-        verts = [v for v in self.vertices if vec_dot(a, v) == b]
-        rays = [r for r in self.rays if vec_dot(a, r) == 0]
-        return Polyhedron(self.m, verts, rays, self.lineality, reduce=False)
+        return [(self._face([ineq]), ineq) for ineq in self.inequalities]
 
     def all_faces(self) -> list[Polyhedron]:
         """The full face lattice, this polyhedron included."""
@@ -343,68 +363,9 @@ class Polyhedron:
         p = _fvec(point)
         if not self.contains(p):
             raise InvalidInputError("point outside the polyhedron")
-        tight = [(a, b) for a, b in self.inequalities if vec_dot(a, p) == b]
-        verts = [
-            v
-            for v in self.vertices
-            if all(vec_dot(a, v) == b for a, b in tight)
-        ]
-        rays = [
-            r for r in self.rays if all(vec_dot(a, r) == 0 for a, _ in tight)
-        ]
-        return Polyhedron(self.m, verts, rays, self.lineality, reduce=False)
+        return self._face((a, b) for a, b in self.inequalities if vec_dot(a, p) == b)
 
-    # -- double description steps ----------------------------------------
-
-    def _materialized(self, a: IntVec) -> tuple[list[Vec], list, list[IntVec]]:
-        """Split off lineality directions not orthogonal to a as explicit rays."""
-        keep: list[IntVec] = []
-        pivot = None
-        for l in self.lineality:
-            if vec_dot(a, l) != 0:
-                if pivot is None:
-                    pivot = l
-                else:
-                    s = Fraction(vec_dot(a, l), vec_dot(a, pivot))
-                    keep.append(
-                        primitive_direction(
-                            tuple(_frac(x) - s * y for x, y in zip(l, pivot))
-                        )
-                    )
-            else:
-                keep.append(l)
-        rays = list(self.rays)
-        if pivot is not None:
-            rays.append(pivot)
-            rays.append(tuple(-x for x in pivot))
-        return [list(v) for v in self.vertices], rays, keep
-
-    def _split_parts(self, a: IntVec, b: Fraction):
-        verts, rays, lin = self._materialized(a)
-        b = _frac(b)
-        vs = [(v, vec_dot(a, v) - b) for v in verts]
-        rs = [(r, vec_dot(a, r)) for r in rays]
-        cross_verts: list[Vec] = []
-        cross_rays: list[Vec] = []
-        for v1, s1 in vs:
-            for v2, s2 in vs:
-                if s1 > 0 > s2:
-                    t = s1 / (s1 - s2)
-                    cross_verts.append(
-                        tuple(x + t * (y - x) for x, y in zip(v1, v2))
-                    )
-        for v, sv in vs:
-            for r, sr in rs:
-                if sv * sr < 0:
-                    t = -sv / sr
-                    cross_verts.append(tuple(x + t * y for x, y in zip(v, r)))
-        for r1, s1 in rs:
-            for r2, s2 in rs:
-                if s1 > 0 > s2:
-                    cross_rays.append(
-                        tuple(s1 * y - s2 * x for x, y in zip(r1, r2))
-                    )
-        return vs, rs, lin, cross_verts, cross_rays
+    # -- cuts -------------------------------------------------------------
 
     def _halfspace_status(self, a: IntVec, b: Fraction) -> int:
         """-1 if entirely inside a.x <= b, 0 if cut or touching, +1 if entirely
@@ -434,12 +395,8 @@ class Polyhedron:
         b = _frac(b)
         if self._halfspace_status(a, b) == -1:
             return self
-        vs, rs, lin, cross_verts, cross_rays = self._split_parts(a, b)
-        verts = [v for v, s in vs if s <= 0] + cross_verts
-        rays = [r for r, s in rs if s <= 0] + cross_rays
-        if not verts:
-            return None
-        return Polyhedron(self.m, verts, rays, lin, reduce=False)
+        eq_rows, ineq_rows = self._rows
+        return _from_rows(self.m, eq_rows, ineq_rows + [_row(a, b)])
 
     def intersect_hyperplane(self, a: IntVec, b) -> Polyhedron | None:
         """This polyhedron intersected with {x : a.x = b}, or None if empty."""
@@ -448,87 +405,20 @@ class Polyhedron:
             vec_dot(a, r) == 0 for r in self.rays
         ) and all(vec_dot(a, l) == 0 for l in self.lineality):
             return self
-        vs, rs, lin, cross_verts, cross_rays = self._split_parts(a, b)
-        verts = [v for v, s in vs if s == 0] + cross_verts
-        rays = [r for r, s in rs if s == 0] + cross_rays
-        lin = [l for l in lin if vec_dot(a, l) == 0]
-        if not verts:
-            return None
-        return Polyhedron(self.m, verts, rays, lin, reduce=False)
+        eq_rows, ineq_rows = self._rows
+        return _from_rows(self.m, eq_rows + [_row(a, b)], ineq_rows)
 
     def intersection(self, other: Polyhedron) -> Polyhedron | None:
-        """Exact intersection via successive halfspace and hyperplane cuts."""
-        piece: Polyhedron | None = self
-        eqs, ineqs = other.hrep
-        for a, b in eqs:
-            piece = piece.intersect_hyperplane(a, b)
-            if piece is None:
-                return None
-        for a, b in ineqs:
-            piece = piece.intersect_halfspace(a, b)
-            if piece is None:
-                return None
-        return piece
+        """Exact intersection of the two H-representations."""
+        (e1, i1), (e2, i2) = self._rows, other._rows
+        return _from_rows(self.m, e1 + e2, i1 + i2)
 
     def split(self, a: IntVec, b) -> tuple[Polyhedron | None, Polyhedron | None]:
         """Both closed sides of a hyperplane cut."""
         neg = self.intersect_halfspace(a, b)
-        pos = self.intersect_halfspace(tuple(-x for x in a), -_frac(b))
+        pos = self.intersect_halfspace(_neg(a), -_frac(b))
         return neg, pos
 
     def cuts(self, a: IntVec, b) -> bool:
         """Does the hyperplane separate the polyhedron into two full pieces?"""
-        b = _frac(b)
-        has_pos = False
-        has_neg = False
-        for v in self.vertices:
-            s = vec_dot(a, v) - b
-            has_pos |= s > 0
-            has_neg |= s < 0
-        for r in list(self.rays) + [l for l in self.lineality] + [
-            tuple(-x for x in l) for l in self.lineality
-        ]:
-            s = vec_dot(a, r)
-            has_pos |= s > 0
-            has_neg |= s < 0
-        return has_pos and has_neg
-
-
-def _in_cone(target, rays, lineality, m) -> bool:
-    """Is target in cone(rays) + span(lineality)?  Decided by exact LP."""
-    gens = list(rays) + list(lineality) + [tuple(-x for x in l) for l in lineality]
-    if not gens:
-        return vec_is_zero(target)
-    k = len(gens)
-    eqs = []
-    for i in range(m):
-        eqs.append((tuple(Fraction(g[i]) for g in gens), Fraction(target[i])))
-    ineqs = []
-    for j in range(k):
-        row = [Fraction(0)] * k
-        row[j] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    return lp_feasible(k, ineqs, eqs).feasible
-
-
-def _in_hull(target, verts, rays, lineality, m) -> bool:
-    """Is target in conv(verts) + cone(rays) + span(lineality)?"""
-    gens = [_fvec(v) for v in verts] + [_fvec(r) for r in rays] + [
-        _fvec(l) for l in lineality
-    ] + [_fvec(tuple(-x for x in l)) for l in lineality]
-    nv = len(verts)
-    k = len(gens)
-    if k == 0:
-        return False
-    eqs = []
-    for i in range(m):
-        eqs.append((tuple(g[i] for g in gens), _frac(target[i])))
-    eqs.append(
-        (tuple(Fraction(1) if j < nv else Fraction(0) for j in range(k)), Fraction(1))
-    )
-    ineqs = []
-    for j in range(k):
-        row = [Fraction(0)] * k
-        row[j] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    return lp_feasible(k, ineqs, eqs).feasible
+        return self._halfspace_status(a, _frac(b)) == 0

@@ -21,6 +21,7 @@ from .complexes import (
     Cell,
     SegmentCheck,
     WeightedComplex,
+    chain_cone,
     chn_cell_of,
     coordinate_difference,
     from_quotient,
@@ -28,10 +29,8 @@ from .complexes import (
     recession_fan,
     segment_in_support,
     star_fan,
-    to_quotient,
 )
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import vec_dot
 from .matroids import (
     ChainFamily,
     GroundSet,
@@ -183,12 +182,8 @@ def _uncovered_witness(
             return None
         above = current.intersect_halfspace(tuple(-x for x in a), -b)
         if above is not None and above.dim == current.dim:
-            strict = (
-                any(vec_dot(a, v) > b for v in above.vertices)
-                or any(vec_dot(a, r) > 0 for r in above.rays)
-                or any(vec_dot(a, l) != 0 for l in above.lineality)
-            )
-            if strict:
+            # some of it lies strictly outside a.x <= b
+            if above._halfspace_status(a, b) != -1:
                 witness = _uncovered_witness(above, rest, counter, budget)
                 if witness is not None:
                     return witness
@@ -216,10 +211,8 @@ def _support_equal(
     # every maximal chain cone must be covered by the cells
     cell_keys = {c.poly.canonical_key for c in complex_.cells}
     cell_polys = [c.poly for c in complex_.cells]
-    zero = [Fraction(0)] * (n - 1)
     for chain in family.maximal_chains():
-        rays = [to_quotient(flat_direction(n, f)) for f in chain]
-        cone = Polyhedron(n - 1, [zero], rays, reduce=False)
+        cone = chain_cone(n, chain)
         if cone.canonical_key in cell_keys:
             continue
         witness = _uncovered_witness(cone, cell_polys, [0], budget)

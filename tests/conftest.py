@@ -1,4 +1,5 @@
-"""Shared fixtures: small matroids, their fans, and valuated-matroid complexes."""
+"""Shared fixtures: small matroids, their fans, and valuated-matroid complexes,
+plus an LP hull oracle independent of the polyhedron kernel."""
 
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from troplin.complexes import Cell, WeightedComplex, chain_fan
+from troplin.lp import lp_feasible
 from troplin.matroids import ChainFamily, matroid_from_bases
 from troplin.points import TropPoint
 from troplin.valuated import ValuatedMatroid
@@ -89,3 +91,19 @@ def rand_rational(rng: random.Random, span: int = 8, denominators: int = 4) -> F
 
 def rand_point(rng: random.Random, n: int, span: int = 8) -> TropPoint:
     return TropPoint(rand_rational(rng, span) for _ in range(n))
+
+
+def in_hull(target, verts, rays=(), lineality=()) -> bool:
+    """Is target in conv(verts) + cone(rays) + span(lineality)?  Decided by
+    an exact LP over the generator coefficients."""
+    gens = list(verts) + list(rays) + list(lineality)
+    gens += [tuple(-x for x in l) for l in lineality]
+    k = len(gens)
+    eqs = [
+        (tuple(Fraction(g[i]) for g in gens), Fraction(t)) for i, t in enumerate(target)
+    ]
+    eqs.append((tuple(Fraction(int(j < len(verts))) for j in range(k)), Fraction(1)))
+    ineqs = [
+        (tuple(Fraction(-int(i == j)) for j in range(k)), Fraction(0)) for i in range(k)
+    ]
+    return lp_feasible(k, ineqs, eqs).feasible

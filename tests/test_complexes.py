@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from troplin import complexes
 from troplin.complexes import (
     Cell,
     WeightedComplex,
@@ -59,6 +60,28 @@ class TestChainFan:
             rays = list(cell.poly.rays)
             assert hermite_normal_form(rays) == saturate_rows(rays)
             assert len(rays) == cell.dim
+
+    def test_each_chain_cone_is_built_once(self, u24, monkeypatch):
+        built = []
+        real = complexes.chain_cone
+        monkeypatch.setattr(
+            complexes, "chain_cone", lambda n, chain: built.append(chain) or real(n, chain)
+        )
+        family = ChainFamily(4, u24.flats | {u24.ground})
+        fan = chain_fan(family)
+        assert built == family.maximal_chains()
+        assert [c.chain for c in fan.cells] == built
+
+    def test_wrong_chain_tag_is_refused(self):
+        with pytest.raises(InvalidInputError):
+            Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0)], chain=(fs({2}), fs({1, 2, 3})))
+        with pytest.raises(InvalidInputError):
+            # both cones are cone(-e_1, -e_2), but {1} and {2} are not nested
+            Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0), (0, -1, 0)], chain=(fs({1}), fs({2})))
+        cell = Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0)], chain=(fs({1}), fs({1, 2, 3})))
+        fan = WeightedComplex(3, [cell], [1])
+        assert fan.support_contains(TropPoint((-1, 0, 0)))
+        assert not fan.support_contains(TropPoint((0, -1, 0)))
 
 
 class TestPointInSupport:

@@ -223,6 +223,22 @@ class TestCli:
         bad.write_text(json.dumps({"n": 3, "cells": [{"rays": []}]}))
         assert main(["recognize", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("recognize", {"n": 3, "cells": [[1]]}),
+            ("bergman", {"n": 3, "bases": [[1, "a"]]}),
+            ("bergman", {"n": 3, "bases": 5}),
+            ("recognize", {"n": 3, "cells": [{"vertices": [[0, 0, 0]], "weight": True}]}),
+        ],
+    )
+    def test_malformed_structure_is_exit_two(self, capsys, tmp_path, command, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_byte_determinism(self, capsys, files):
         _, first = self.run(
             capsys, "probe", str(files["fan"]), "--samples", "40", "--seed", "9"

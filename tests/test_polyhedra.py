@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from troplin.complexes import DEFAULT_BUDGET, to_quotient
 from troplin.errors import InvalidInputError
 from troplin.linalg import (
     diagonalize_integer_matrix,
@@ -15,7 +16,11 @@ from troplin.linalg import (
     saturate_rows,
     solve_exact,
 )
-from troplin.polyhedra import Polyhedron, _in_hull
+from troplin.points import TropPoint, trop_ball
+from troplin.polyhedra import Polyhedron
+from troplin.recognize import _braid_hyperplanes, _braid_pieces
+
+from conftest import in_hull
 
 F = Fraction
 
@@ -49,6 +54,22 @@ class TestLattices:
                 sol = solve_exact(cols, list(r))
                 assert sol is not None
                 assert all(x.denominator == 1 for x in sol)
+
+    def test_saturation_of_a_hyperplane_with_a_large_normal(self):
+        # reducing against a pivot other than the smallest entry once made
+        # the entries of this diagonalization grow without bound
+        rows = [
+            (4705, 2214, 0, 0, 0),
+            (-75, 0, 82, 0, 0),
+            (-197, 0, 0, 2214, 0),
+            (-2218, 0, 0, 0, 1107),
+        ]
+        assert saturate_rows(rows) == [
+            (1, 0, 0, 2826, -126),
+            (0, 1, 0, 2073, -91),
+            (0, 0, 1, 1611, -72),
+            (0, 0, 0, 4436, -197),
+        ]
 
     def test_diagonalization_rank(self):
         diag, _ = diagonalize_integer_matrix([(2, 4), (1, 3)])
@@ -128,9 +149,7 @@ class TestHRepresentation:
             poly = Polyhedron(m, verts, rays, lin)
             for _ in range(40):
                 q = tuple(F(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(m))
-                assert poly.contains(q) == _in_hull(
-                    q, list(poly.vertices), list(poly.rays), list(poly.lineality), m
-                )
+                assert poly.contains(q) == in_hull(q, poly.vertices, poly.rays, poly.lineality)
 
 
 class TestSplitting:
@@ -230,3 +249,25 @@ class TestFaces:
         eqs, ineqs = cone.hrep
         for a, b in ineqs:
             assert sum(x * y for x, y in zip(a, p)) < b
+
+
+class TestDoubleDescription:
+    def test_generic_braid_refinement_finishes(self):
+        # every cut used to cross all positive/negative generator pairs, so
+        # the generators grew without bound along these six hyperplanes
+        poly = Polyhedron(
+            3,
+            [(F(1, 3), F(-2, 7), F(5, 11))],
+            rays=[(1, 2, -3), (-2, 1, 1), (3, -1, 2)],
+        )
+        pieces = _braid_pieces(poly, 4, DEFAULT_BUDGET)
+        assert pieces and all(p.dim == 3 for p in pieces)
+        for a in _braid_hyperplanes(4):
+            assert not any(p.cuts(a, 0) for p in pieces)
+
+    def test_tropical_ball_in_five_coordinates(self):
+        ball = trop_ball(TropPoint((0,) * 5), 1)
+        poly = Polyhedron(4, [to_quotient(v) for v in ball.vertices])
+        assert len(poly.vertices) == 30
+        assert len(poly.inequalities) == 20
+        assert not poly.equations

@@ -16,9 +16,9 @@ from troplin.complexes import (
 )
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
-from troplin.polyhedra import Polyhedron, _in_hull
+from troplin.polyhedra import Polyhedron
 
-from conftest import rand_rational
+from conftest import in_hull, rand_rational
 
 F = Fraction
 fs = frozenset
@@ -139,9 +139,52 @@ class TestHigherDimensionalDuality:
             poly = Polyhedron(m, verts, rays, lin)
             for _ in range(20):
                 q = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m))
-                assert poly.contains(q) == _in_hull(
-                    q, list(poly.vertices), list(poly.rays), list(poly.lineality), m
-                )
+                assert poly.contains(q) == in_hull(q, poly.vertices, poly.rays, poly.lineality)
+
+
+class TestKernelAgainstHullOracle:
+    @staticmethod
+    def random_polyhedron(rng):
+        m = rng.randint(1, 3)
+        verts = [
+            tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m))
+            for _ in range(rng.randint(1, 6))
+        ]
+        directions = [tuple(rng.randint(-1, 1) for _ in range(m)) for _ in range(4)]
+        rays = [t for t in directions[: rng.randint(0, 3)] if any(t)]
+        lin = [t for t in directions[3:] if any(t) and rng.random() < 0.3]
+        return Polyhedron(m, verts, rays, lin)
+
+    def test_kept_generators_lie_outside_the_hull_of_the_others(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            poly = self.random_polyhedron(rng)
+            zero = [tuple(F(0) for _ in range(poly.m))]
+            verts, rays, lin = poly.vertices, poly.rays, poly.lineality
+            for v in verts:
+                assert not in_hull(v, [w for w in verts if w != v], rays, lin)
+            for r in rays:
+                assert not in_hull(r, zero, [s for s in rays if s != r], lin)
+                assert not in_hull(tuple(-x for x in r), zero, rays, lin)
+
+    def test_split_pieces_agree_with_the_oracle(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            poly = self.random_polyhedron(rng)
+            a = tuple(rng.randint(-2, 2) for _ in range(poly.m))
+            if not any(a):
+                continue
+            b = F(rng.randint(-2, 2), rng.randint(1, 2))
+            neg, pos = poly.split(a, b)
+            for _ in range(6):
+                q = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(poly.m))
+                inside = in_hull(q, poly.vertices, poly.rays, poly.lineality)
+                value = sum(x * y for x, y in zip(a, q))
+                for piece, side in ((neg, value <= b), (pos, value >= b)):
+                    in_piece = piece is not None and in_hull(
+                        q, piece.vertices, piece.rays, piece.lineality
+                    )
+                    assert in_piece == (inside and side)
 
 
 class TestRecessionRepairOracle:
