@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import io as tio
-from .complexes import chain_fan, is_balanced, recession_fan, star_fan
+from .complexes import DEFAULT_BUDGET, chain_fan, is_balanced, recession_fan, star_fan
 from .errors import InvalidInputError, ResourceLimitError
 from .matroids import ChainFamily, enumerate_matroids
 from .points import TropPoint, segment
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recession", help="recession fan with aggregated weights")
     p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_recession)
 
     p = sub.add_parser("star", help="star fan at a support point")
@@ -200,17 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="recognize a matroidal fan")
     p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("decide", help="decide a complex via its recession fan")
     p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("local-check", help="recognize the star at every vertex")
     p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_local_check)
 
     p = sub.add_parser("probe", help="seeded convexity counterexample search")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -68,32 +69,14 @@ def chain_cone(n: int, chain: Iterable[Iterable[int]]) -> Polyhedron:
     return Polyhedron._minimal(n - 1, [[Fraction(0)] * (n - 1)], rays)
 
 
-def _is_chain(sets: Iterable[Iterable[int]]) -> bool:
-    ordered = sorted(map(frozenset, sets), key=len)
-    return all(a < b for a, b in zip(ordered, ordered[1:]))
-
-
 class Cell:
-    """A rational polyhedron in the torus, optionally tagged with the chain
-    of subsets whose cone it is."""
+    """A rational polyhedron in the torus."""
 
-    def __init__(self, n: int, poly: Polyhedron, chain: tuple[GroundSet, ...] | None = None):
+    def __init__(self, n: int, poly: Polyhedron):
         if poly.m != n - 1:
             raise InvalidInputError("cell dimension does not match ambient size")
-        if chain is not None and not (
-            _is_chain(chain) and chain_cone(n, chain) == poly
-        ):
-            raise InvalidInputError("the chain tag is not the chain of this cone")
         self.n = n
         self.poly = poly
-        self.chain = chain
-
-    @classmethod
-    def of_chain(cls, n: int, chain: tuple[GroundSet, ...]) -> "Cell":
-        """The cone over a chain of subsets, tagged with it."""
-        cell = cls(n, chain_cone(n, chain))
-        cell.chain = chain
-        return cell
 
     @classmethod
     def from_torus(
@@ -102,7 +85,6 @@ class Cell:
         vertices: Iterable[TropPoint | Sequence],
         rays: Iterable[Sequence] = (),
         lineality: Iterable[Sequence] = (),
-        chain: tuple[GroundSet, ...] | None = None,
     ) -> "Cell":
         verts = []
         for v in vertices:
@@ -114,7 +96,28 @@ class Cell:
         qrays = [r for r in qrays if not vec_is_zero(r)]
         qlin = [direction_to_quotient(l) for l in lineality]
         qlin = [l for l in qlin if not vec_is_zero(l)]
-        return cls(n, Polyhedron(n - 1, verts, qrays, qlin), chain=chain)
+        return cls(n, Polyhedron(n - 1, verts, qrays, qlin))
+
+    @cached_property
+    def chain(self) -> tuple[GroundSet, ...] | None:
+        """The chain of subsets whose cone this cell is, or None.
+
+        The cell is a cone of the braid fan exactly when it is a pointed cone
+        whose primitive rays are -e_F for nested sets F; a ray lifted to
+        (0,) + r is -e_F up to the all-ones line when it takes two values
+        that differ by 1, and F is where it takes the lower one.
+        """
+        if not self.poly.is_cone or self.poly.lineality:
+            return None
+        sets = []
+        for r in self.poly.rays:
+            lifted = lift_direction(r)
+            low = min(lifted)
+            if set(lifted) != {low, low + 1}:
+                return None
+            sets.append(frozenset(i for i, x in enumerate(lifted, 1) if x == low))
+        chain = tuple(sorted(sets, key=len))
+        return chain if all(a < b for a, b in zip(chain, chain[1:])) else None
 
     @property
     def dim(self) -> int:
@@ -194,25 +197,15 @@ class WeightedComplex:
             self._validate_common_faces()
 
     def _validate_common_faces(self) -> None:
-        for i, a in enumerate(self.cells):
-            for b in self.cells[i + 1 :]:
-                if a.poly.contains_polyhedron(b.poly) or b.poly.contains_polyhedron(
-                    a.poly
-                ):
-                    raise InvalidInputError(
-                        "maximal cells must not contain one another"
-                    )
-        for i, a in enumerate(self.cells):
-            for b in self.cells[i + 1 :]:
-                meet = a.poly.intersection(b.poly)
-                if meet is None:
-                    continue
-                fa = _minimal_face_containing(a.poly, meet)
-                fb = _minimal_face_containing(b.poly, meet)
-                if not (b.poly.contains_polyhedron(fa) and a.poly.contains_polyhedron(fb)):
-                    raise InvalidInputError(
-                        "cells do not intersect in a common face"
-                    )
+        for a, b in combinations(self.cells, 2):
+            if _nested(a, b):
+                raise InvalidInputError("maximal cells must not contain one another")
+        for a, b in combinations(self.cells, 2):
+            # two braid cones meet in the cone of their common sub-chain
+            if (a.chain is None or b.chain is None) and not _meet_in_common_face(
+                a.poly, b.poly
+            ):
+                raise InvalidInputError("cells do not intersect in a common face")
 
     @cached_property
     def dim(self) -> int:
@@ -226,7 +219,7 @@ class WeightedComplex:
     def is_fan(self) -> bool:
         return all(c.poly.is_cone for c in self.cells)
 
-    @property
+    @cached_property
     def chain_tagged(self) -> bool:
         return all(c.chain is not None for c in self.cells)
 
@@ -260,6 +253,24 @@ def _minimal_face_containing(poly: Polyhedron, sub: Polyhedron) -> Polyhedron:
         and all(vec_dot(a, r) == 0 for r in sub.rays)
         and all(vec_dot(a, l) == 0 for l in sub.lineality)
     )
+
+
+def _nested(a: Cell, b: Cell) -> bool:
+    """Does one cell contain the other?  Braid cones are nested exactly
+    when their chains are."""
+    if a.chain is None or b.chain is None:
+        return a.poly.contains_polyhedron(b.poly) or b.poly.contains_polyhedron(a.poly)
+    return set(a.chain) <= set(b.chain) or set(b.chain) <= set(a.chain)
+
+
+def _meet_in_common_face(a: Polyhedron, b: Polyhedron) -> bool:
+    """Is the intersection of two polyhedra empty or a face of both?"""
+    meet = a.intersection(b)
+    if meet is None:
+        return True
+    return b.contains_polyhedron(
+        _minimal_face_containing(a, meet)
+    ) and a.contains_polyhedron(_minimal_face_containing(b, meet))
 
 
 def point_in_support(complex_: WeightedComplex, x: TropPoint) -> Cell | None:
@@ -309,15 +320,19 @@ def _primitive_normal_quotient(sp: Polyhedron, tp: Polyhedron) -> IntVec:
                 break
     if cutting is None:
         raise InvalidInputError("second argument is not a facet of the first")
-    a, _ = cutting
+    u = _inward_normal(sp, tp, cutting[0])
+    assert vec_dot(cutting[0], u) < 0
+    return u
+
+
+def _inward_normal(sp: Polyhedron, tp: Polyhedron, a: IntVec) -> IntVec:
+    """Generator of the lattice of sp modulo that of its facet tp, signed
+    against the facet's outer normal a."""
     if _is_unimodular_simplicial(sp) and set(tp.rays) < set(sp.rays):
         (u,) = set(sp.rays) - set(tp.rays)
     else:
         u = lattice_quotient_generator(sp.lattice_basis, tp.lattice_basis)
-    if vec_dot(a, u) > 0:
-        u = tuple(-x for x in u)
-    assert vec_dot(a, u) < 0
-    return u
+    return tuple(-x for x in u) if vec_dot(a, u) > 0 else u
 
 
 def is_balanced(complex_: WeightedComplex, require_pure: bool = True) -> BalanceCheck:
@@ -333,18 +348,7 @@ def is_balanced(complex_: WeightedComplex, require_pure: bool = True) -> Balance
         for face, ineq in cell.poly.faces_of_facets():
             key = face.canonical_key
             entry = groups.setdefault(key, (face, []))
-            a, _ = ineq
-            if _is_unimodular_simplicial(cell.poly) and set(face.rays) < set(
-                cell.poly.rays
-            ):
-                (u,) = set(cell.poly.rays) - set(face.rays)
-            else:
-                u = lattice_quotient_generator(
-                    cell.poly.lattice_basis, face.lattice_basis
-                )
-            if vec_dot(a, u) > 0:
-                u = tuple(-x for x in u)
-            entry[1].append((weight, u))
+            entry[1].append((weight, _inward_normal(cell.poly, face, ineq[0])))
     for key in sorted(groups):
         face, contributions = groups[key]
         total = [0] * face.m
@@ -400,19 +404,10 @@ def _repair_fan(cones: list[Polyhedron], budget: int) -> list[Polyhedron]:
     work = list(cones)
     steps = 0
     while True:
-        violation = None
-        for i, a in enumerate(work):
-            for b in work[i + 1 :]:
-                meet = a.intersection(b)
-                if meet is None:
-                    continue
-                fa = _minimal_face_containing(a, meet)
-                fb = _minimal_face_containing(b, meet)
-                if not (b.contains_polyhedron(fa) and a.contains_polyhedron(fb)):
-                    violation = (a, b)
-                    break
-            if violation:
-                break
+        violation = next(
+            ((a, b) for a, b in combinations(work, 2) if not _meet_in_common_face(a, b)),
+            None,
+        )
         if violation is None:
             return _drop_contained(_dedup(work))
         a, b = violation
@@ -474,7 +469,7 @@ def chain_fan(family: ChainFamily, weight: int = 1) -> WeightedComplex:
     Each maximal chain of proper nonempty members spans a unimodular cone on
     the negated indicator vectors of its members.
     """
-    cells = [Cell.of_chain(family.n, chain) for chain in family.maximal_chains()]
+    cells = [Cell(family.n, chain_cone(family.n, chain)) for chain in family.maximal_chains()]
     return WeightedComplex(family.n, cells, [weight] * len(cells), validate=False)
 
 

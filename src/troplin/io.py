@@ -133,7 +133,7 @@ def complex_to_json(c: WeightedComplex) -> dict:
     }
 
 
-def complex_from_json(data, validate: bool = True) -> WeightedComplex:
+def complex_from_json(data) -> WeightedComplex:
     try:
         n = int(data["n"])
         raw_cells = data["cells"]
@@ -162,7 +162,7 @@ def complex_from_json(data, validate: bool = True) -> WeightedComplex:
             raise InvalidInputError("cell weights must be positive integers")
         cells.append(Cell.from_torus(n, vertices, rays, lineality))
         weights.append(weight)
-    return WeightedComplex(n, cells, weights, validate=validate)
+    return WeightedComplex(n, cells, weights)
 
 
 def _jsonable(obj):

@@ -209,13 +209,12 @@ def _support_equal(
             if any(f not in members for f in chain):
                 return point
     # every maximal chain cone must be covered by the cells
-    cell_keys = {c.poly.canonical_key for c in complex_.cells}
+    cell_chains = {c.chain for c in complex_.cells}
     cell_polys = [c.poly for c in complex_.cells]
     for chain in family.maximal_chains():
-        cone = chain_cone(n, chain)
-        if cone.canonical_key in cell_keys:
+        if chain in cell_chains:
             continue
-        witness = _uncovered_witness(cone, cell_polys, [0], budget)
+        witness = _uncovered_witness(chain_cone(n, chain), cell_polys, [0], budget)
         if witness is not None:
             return from_quotient(n, witness.relative_interior_point())
     return None

@@ -72,14 +72,15 @@ class TestChainFan:
         assert built == family.maximal_chains()
         assert [c.chain for c in fan.cells] == built
 
-    def test_wrong_chain_tag_is_refused(self):
-        with pytest.raises(InvalidInputError):
-            Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0)], chain=(fs({2}), fs({1, 2, 3})))
-        with pytest.raises(InvalidInputError):
-            # both cones are cone(-e_1, -e_2), but {1} and {2} are not nested
-            Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0), (0, -1, 0)], chain=(fs({1}), fs({2})))
-        cell = Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0)], chain=(fs({1}), fs({1, 2, 3})))
+    def test_chain_is_derived_from_the_cone(self):
+        cell = Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0)])
+        assert cell.chain == (fs({1}),)
+        # cone(-e_1, -e_2) is no braid cone: {1} and {2} are not nested
+        assert Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0), (0, -1, 0)]).chain is None
+        assert Cell.from_torus(3, [(0, 1, 0)], rays=[(-1, 0, 0)]).chain is None
+        assert Cell.from_torus(3, [(0, 0, 0)], lineality=[(-1, 0, 0)]).chain is None
         fan = WeightedComplex(3, [cell], [1])
+        assert fan.chain_tagged
         assert fan.support_contains(TropPoint((-1, 0, 0)))
         assert not fan.support_contains(TropPoint((0, -1, 0)))
 

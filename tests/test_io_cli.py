@@ -2,15 +2,17 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from troplin import io as tio
 from troplin.cli import main
-from troplin.complexes import WeightedComplex
+from troplin.complexes import WeightedComplex, chain_fan
 from troplin.errors import InvalidInputError
-from troplin.matroids import ChainFamily, enumerate_matroids
+from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
+from troplin.polyhedra import Polyhedron
 from troplin.recognize import recognize_fan
 
 F = Fraction
@@ -78,6 +80,23 @@ class TestSchemas:
         data = tio.report_to_json(report)
         assert data["verdict"] == "rejected"
         assert data["reason"]["kind"] == "flat-axiom"
+
+    def test_bergman_fan_chains_survive_json(self, u24):
+        fan = chain_fan(ChainFamily(4, u24.flats | {u24.ground}))
+        rebuilt = tio.complex_from_json(json.loads(tio.dumps(tio.complex_to_json(fan))))
+        assert [c.chain for c in rebuilt.cells] == [c.chain for c in fan.cells]
+        assert rebuilt.chain_tagged
+
+    def test_braid_fan_ingest_needs_no_pairwise_geometry(self, monkeypatch):
+        u46 = matroid_from_bases(6, combinations(range(1, 7), 4))
+        data = tio.complex_to_json(chain_fan(ChainFamily(6, u46.flats | {u46.ground})))
+
+        def refuse(*args):
+            raise AssertionError("pairwise geometry on braid cones")
+
+        monkeypatch.setattr(Polyhedron, "intersection", refuse)
+        monkeypatch.setattr(Polyhedron, "contains_polyhedron", refuse)
+        assert len(tio.complex_from_json(data).cells) == 120
 
     def test_malformed_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -238,6 +257,16 @@ class TestCli:
         assert main([command, str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_nested_braid_cones_are_exit_two(self, capsys, tmp_path):
+        cells = [
+            {"vertices": [[0, 0, 0]], "rays": [[-1, 0, 0]]},
+            {"vertices": [[0, 0, 0]], "rays": [[-1, 0, 0], [-1, -1, 0]]},
+        ]
+        bad = tmp_path / "nested.json"
+        bad.write_text(json.dumps({"n": 3, "cells": cells}))
+        assert main(["recognize", str(bad)]) == 2
+        assert "contain one another" in capsys.readouterr().err
 
     def test_byte_determinism(self, capsys, files):
         _, first = self.run(
