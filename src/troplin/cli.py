@@ -9,6 +9,7 @@ malformed input or exceeded budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -158,6 +159,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="troplin",

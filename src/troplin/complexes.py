@@ -121,7 +121,9 @@ class Cell:
 
     @property
     def dim(self) -> int:
-        return self.poly.dim
+        # the rays of a braid cone are linearly independent
+        chain = self.chain
+        return self.poly.dim if chain is None else len(chain)
 
     @property
     def vertices(self) -> list[TropPoint]:
@@ -320,15 +322,16 @@ def _primitive_normal_quotient(sp: Polyhedron, tp: Polyhedron) -> IntVec:
                 break
     if cutting is None:
         raise InvalidInputError("second argument is not a facet of the first")
-    u = _inward_normal(sp, tp, cutting[0])
+    u = _inward_normal(sp, tp, cutting[0], _is_unimodular_simplicial(sp))
     assert vec_dot(cutting[0], u) < 0
     return u
 
 
-def _inward_normal(sp: Polyhedron, tp: Polyhedron, a: IntVec) -> IntVec:
+def _inward_normal(sp: Polyhedron, tp: Polyhedron, a: IntVec, unimodular: bool) -> IntVec:
     """Generator of the lattice of sp modulo that of its facet tp, signed
-    against the facet's outer normal a."""
-    if _is_unimodular_simplicial(sp) and set(tp.rays) < set(sp.rays):
+    against the facet's outer normal a; `unimodular` says whether sp is a
+    unimodular simplicial cone."""
+    if unimodular and set(tp.rays) < set(sp.rays):
         (u,) = set(sp.rays) - set(tp.rays)
     else:
         u = lattice_quotient_generator(sp.lattice_basis, tp.lattice_basis)
@@ -339,28 +342,61 @@ def is_balanced(complex_: WeightedComplex, require_pure: bool = True) -> Balance
     """Check the balancing equation at every codimension-one face.
 
     At each such face the weighted sum of primitive normal vectors of the
-    adjacent maximal cells must lie in the linear span of the face.
+    adjacent maximal cells must lie in the linear span of the face.  A braid
+    cone is unimodular and simplicial, so dropping one of its rays u gives a
+    facet whose primitive inward normal is u; its faces are read off the
+    rays under the same canonical key the geometric faces of other cells
+    get, and are built only as a witness.
     """
     if require_pure and not complex_.is_pure:
         raise InvalidInputError("balancing is defined for pure complexes")
+    # canonical face key -> [face or None, (weight, normal) pairs, is a braid cone's face]
     groups: dict = {}
     for cell, weight in zip(complex_.cells, complex_.weights):
-        for face, ineq in cell.poly.faces_of_facets():
-            key = face.canonical_key
-            entry = groups.setdefault(key, (face, []))
-            entry[1].append((weight, _inward_normal(cell.poly, face, ineq[0])))
+        poly = cell.poly
+        if cell.chain is not None:
+            for u in poly.rays:
+                rest = tuple(r for r in poly.rays if r != u)
+                entry = groups.setdefault((poly.m, poly.vertices, rest, ()), [None, [], False])
+                entry[1].append((weight, u))
+                entry[2] = True
+            continue
+        unimodular = _is_unimodular_simplicial(poly)
+        for face, ineq in poly.faces_of_facets():
+            entry = groups.setdefault(face.canonical_key, [face, [], False])
+            entry[0] = entry[0] or face
+            entry[1].append((weight, _inward_normal(poly, face, ineq[0], unimodular)))
     for key in sorted(groups):
-        face, contributions = groups[key]
-        total = [0] * face.m
+        face, contributions, braid = groups[key]
+        total = [0] * key[0]
         for weight, u in contributions:
             for i, x in enumerate(u):
                 total[i] += weight * x
-        span_rows = face.direction_rows
         if vec_is_zero(total):
             continue
-        if not in_span(span_rows, tuple(total)):
+        if braid:
+            ok = _in_braid_span(key[2], total)
+        else:
+            ok = in_span(face.direction_rows, tuple(total))
+        if not ok:
+            face = face or Polyhedron._minimal(key[0], key[1], key[2])
             return BalanceCheck(False, Cell(complex_.n, face))
     return BalanceCheck(True)
+
+
+def _in_braid_span(rays: Sequence[IntVec], vec: Sequence[int]) -> bool:
+    """Is vec in the span of the rays of a braid cone?
+
+    Modulo the all-ones line that span is the vectors constant on each block
+    of the ordered partition cut out by the cone's chain, and two positions
+    share a block exactly when every ray takes the same value at both.
+    """
+    lifted = [lift_direction(r) for r in rays]
+    value: dict = {}
+    for i, x in enumerate(lift_direction(vec)):
+        if value.setdefault(tuple(r[i] for r in lifted), x) != x:
+            return False
+    return True
 
 
 def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> WeightedComplex:

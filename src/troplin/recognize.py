@@ -86,10 +86,17 @@ def _reject(kind: str, witness=None) -> RecognitionReport:
 def recover_flat_family(
     complex_: WeightedComplex, bound: int = 12
 ) -> ChainFamily:
-    """Subsets whose negated incidence vector lies in the support."""
+    """Subsets whose negated incidence vector lies in the support.
+
+    For a fan of braid cones these are the members of the cells' chains and
+    the ground set: -e_F lies in the cone of a chain exactly when F does.
+    """
     n = complex_.n
     if n > bound:
         raise ResourceLimitError(f"flat recovery capped at n <= {bound}")
+    if complex_.chain_tagged:
+        members = {f for cell in complex_.cells for f in cell.chain}
+        return ChainFamily(n, members | {frozenset(range(1, n + 1))})
     members = []
     for size in range(1, n + 1):
         for combo in combinations(range(1, n + 1), size):
@@ -242,6 +249,9 @@ def recognize_fan(
         return _reject(REASON_UNBALANCED, balance.witness)
     d = complex_.dim
     for cell in complex_.cells:
+        if cell.chain is not None:
+            # len(chain) + 1 <= d + 1 blocks of the chain's ordered partition
+            continue
         classes = _coordinate_classes(cell)
         if len(classes) > d + 1:
             return _reject(REASON_HET, _generic_point(cell, len(classes)))
@@ -301,7 +311,7 @@ def _components(complex_: WeightedComplex) -> int:
 
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
-            if cells[i].poly.intersection(cells[j].poly) is not None:
+            if find(i) != find(j) and cells[i].poly.intersection(cells[j].poly) is not None:
                 parent[find(i)] = find(j)
     return len({find(i) for i in range(len(cells))})
 

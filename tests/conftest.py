@@ -8,8 +8,9 @@ import pytest
 
 from troplin.complexes import Cell, WeightedComplex, chain_fan
 from troplin.lp import lp_feasible
-from troplin.matroids import ChainFamily, matroid_from_bases
+from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
+from troplin.polyhedra import Polyhedron
 from troplin.valuated import ValuatedMatroid
 
 
@@ -83,6 +84,35 @@ def plus_e_fan():
         Cell.from_torus(3, [TropPoint((0, 0, 0))], rays=[(0, 0, 1)]),
     ]
     return WeightedComplex(3, cells, [1, 1, 1], validate=False)
+
+
+def braid_fan_corpus(max_n: int):
+    """Every matroid fan with n <= max_n, each with one cone dropped, each
+    with its first weight doubled, and each with its first cone of dimension
+    at least two subdivided at the sum of its first two rays, which mixes
+    braid cones with cones that are not."""
+    for n in range(1, max_n + 1):
+        for matroid in enumerate_matroids(n):
+            fan = chain_fan(ChainFamily(n, matroid.flats | {matroid.ground}))
+            cells, weights = list(fan.cells), list(fan.weights)
+            yield fan
+            if len(cells) > 1:
+                for k in range(len(cells)):
+                    yield WeightedComplex(
+                        n, cells[:k] + cells[k + 1 :], weights[:k] + weights[k + 1 :],
+                        validate=False,
+                    )
+            yield WeightedComplex(n, cells, [2] + weights[1:], validate=False)
+            k = next((k for k, c in enumerate(cells) if len(c.poly.rays) >= 2), None)
+            if k is not None:
+                zero, (r1, r2, *rest) = cells[k].poly.vertices, cells[k].poly.rays
+                mid = tuple(a + b for a, b in zip(r1, r2))
+                halves = [
+                    Cell(n, Polyhedron(n - 1, zero, [mid, r2] + rest)),
+                    Cell(n, Polyhedron(n - 1, zero, [r1, mid] + rest)),
+                ]
+                subdivided = cells[:k] + halves + cells[k + 1 :]
+                yield WeightedComplex(n, subdivided, [1] * len(subdivided), validate=False)
 
 
 def rand_rational(rng: random.Random, span: int = 8, denominators: int = 4) -> Fraction:

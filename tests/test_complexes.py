@@ -27,6 +27,8 @@ from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
 from troplin.polyhedra import Polyhedron
 
+from conftest import braid_fan_corpus
+
 F = Fraction
 fs = frozenset
 
@@ -197,6 +199,21 @@ class TestBalancing:
         refined = WeightedComplex(3, pieces, [1] * len(pieces))
         assert len(refined.cells) > len(tripod_complex.cells)
         assert is_balanced(refined).ok
+
+    def test_braid_chain_path_matches_the_geometric_path(self, monkeypatch):
+        # braid cones balance from their rays; the geometric path is the oracle
+        fans = list(braid_fan_corpus(4))
+        chain_checks = [is_balanced(fan) for fan in fans]
+        assert any(not check.ok for check in chain_checks)
+        assert any(
+            c.chain is None for fan in fans for c in fan.cells
+        ), "the corpus mixes braid cones with other cones"
+        dims = [[c.dim for c in fan.cells] for fan in fans]
+        monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        for fan, check, fan_dims in zip(fans, chain_checks, dims):
+            oracle = is_balanced(fan)
+            assert (check.ok, check.witness) == (oracle.ok, oracle.witness)
+            assert fan_dims == [c.dim for c in fan.cells]
 
 
 class TestRecession:

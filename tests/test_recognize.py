@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from troplin import complexes, polyhedra
 from troplin.complexes import (
     Cell,
     WeightedComplex,
@@ -14,10 +15,12 @@ from troplin.complexes import (
     recession_fan,
     star_fan,
 )
-from troplin.errors import InvalidInputError
+from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, flat_direction, trop_combine
+from troplin.polyhedra import Polyhedron
 from troplin.recognize import (
+    _components,
     _support_equal,
     convexity_probe,
     decide_complex,
@@ -26,7 +29,7 @@ from troplin.recognize import (
     recover_flat_family,
 )
 
-from conftest import make_tree_cells, rand_rational
+from conftest import braid_fan_corpus, make_tree_cells, rand_rational
 
 F = Fraction
 fs = frozenset
@@ -63,6 +66,21 @@ class TestRecoverFlatFamily:
         fan = chain_fan(family)
         recovered = recover_flat_family(fan)
         assert recovered.sets == family.sets
+
+    def test_chain_path_matches_support_probes(self, monkeypatch):
+        fans = list(braid_fan_corpus(4))
+        from_chains = [recover_flat_family(fan).sets for fan in fans]
+        monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        for fan, sets in zip(fans, from_chains):
+            # a fresh complex, since chain_tagged is cached on the old one
+            probed = WeightedComplex(fan.n, fan.cells, fan.weights, validate=False)
+            assert recover_flat_family(probed).sets == sets
+
+    def test_bound_holds_for_chain_tagged_fans(self, u24):
+        fan = chain_fan(ChainFamily(4, u24.flats | {u24.ground}))
+        assert fan.chain_tagged
+        with pytest.raises(ResourceLimitError):
+            recover_flat_family(fan, bound=3)
 
 
 class TestRecognizeFan:
@@ -168,6 +186,21 @@ class TestRecognizeFan:
                     (matroid.flats | {matroid.ground}) - {fs()}
                 )
 
+    def test_braid_fan_needs_no_h_representation(self, monkeypatch):
+        u46 = matroid_from_bases(6, combinations(range(1, 7), 4))
+        fan = chain_fan(ChainFamily(6, u46.flats | {u46.ground}))
+
+        def refuse(*args):
+            raise AssertionError("geometry on a braid cone")
+
+        monkeypatch.setattr(Polyhedron, "_facets", refuse)
+        monkeypatch.setattr(polyhedra, "rank", refuse)
+        monkeypatch.setattr(complexes, "hermite_normal_form", refuse)
+        monkeypatch.setattr(complexes, "in_span", refuse)
+        report = recognize_fan(fan)
+        assert report.accepted
+        assert report.matroid == u46
+
     def test_non_fan_precondition(self):
         complex_ = WeightedComplex(
             3, [Cell.from_torus(3, [TropPoint((0, 5, 5))], rays=[(-1, 0, 0)])], [1]
@@ -266,6 +299,16 @@ class TestLocalCheck:
         assert not report.accepted
         assert report.global_report.reason.kind == "support-mismatch"
         assert report.global_report.reason.witness == "disconnected"
+
+    def test_components_skip_pairs_already_joined(self, tree_complex, monkeypatch):
+        calls = []
+        real = Polyhedron.intersection
+        monkeypatch.setattr(
+            Polyhedron, "intersection", lambda a, b: calls.append(1) or real(a, b)
+        )
+        assert _components(tree_complex) == 1
+        # the edge meets every ray, so no pair of rays is intersected
+        assert len(calls) == len(tree_complex.cells) - 1
 
     def test_agrees_with_decide_on_connected_corpus(
         self, tree_complex, tripod_complex, u23_fan
