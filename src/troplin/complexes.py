@@ -29,9 +29,7 @@ from .linalg import (
 )
 from .matroids import ChainFamily, GroundSet
 from .points import TropPoint, _frac, flat_direction, partition, segment
-from .polyhedra import IntVec, Polyhedron, Vec
-
-DEFAULT_BUDGET = 20000
+from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _lift, _neg
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -248,13 +246,7 @@ class WeightedComplex:
 
 def _minimal_face_containing(poly: Polyhedron, sub: Polyhedron) -> Polyhedron:
     """Smallest face of poly containing the sub-polyhedron."""
-    return poly._face(
-        (a, b)
-        for a, b in poly.inequalities
-        if all(vec_dot(a, v) == b for v in sub.vertices)
-        and all(vec_dot(a, r) == 0 for r in sub.rays)
-        and all(vec_dot(a, l) == 0 for l in sub.lineality)
-    )
+    return poly._face(poly._tight(sub._gens))
 
 
 def _nested(a: Cell, b: Cell) -> bool:
@@ -312,18 +304,15 @@ def primitive_normal(sigma: Cell, tau: Cell) -> tuple:
 def _primitive_normal_quotient(sp: Polyhedron, tp: Polyhedron) -> IntVec:
     if sp.dim != tp.dim + 1 or not sp.contains_polyhedron(tp):
         raise InvalidInputError("second argument is not a facet of the first")
-    cutting = None
-    for a, b in sp.inequalities:
-        if all(vec_dot(a, v) == b for v in tp.vertices) and all(
-            vec_dot(a, r) == 0 for r in tp.rays
-        ) and all(vec_dot(a, l) == 0 for l in tp.lineality):
-            if sp._face([(a, b)]).canonical_key == tp.canonical_key:
-                cutting = (a, b)
-                break
+    cutting = next(
+        (r for r in sp._tight(tp._gens) if sp._face([r]).canonical_key == tp.canonical_key),
+        None,
+    )
     if cutting is None:
         raise InvalidInputError("second argument is not a facet of the first")
-    u = _inward_normal(sp, tp, cutting[0], _is_unimodular_simplicial(sp))
-    assert vec_dot(cutting[0], u) < 0
+    a = cutting[:-1]
+    u = _inward_normal(sp, tp, a, _is_unimodular_simplicial(sp))
+    assert vec_dot(a, u) < 0
     return u
 
 
@@ -406,11 +395,7 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
             complex_.n, complex_.cells, complex_.weights, validate=False
         )
     rec_of_cell = [c.poly.recession() for c in complex_.cells]
-    distinct: dict = {}
-    for poly in rec_of_cell:
-        distinct.setdefault(poly.canonical_key, poly)
-    cones = [distinct[k] for k in sorted(distinct)]
-    cones = _drop_contained(cones)
+    cones = _drop_contained(_dedup(rec_of_cell))
     cones = _repair_fan(cones, budget)
     out_cells = []
     out_weights = []
@@ -450,21 +435,21 @@ def _repair_fan(cones: list[Polyhedron], budget: int) -> list[Polyhedron]:
         steps += 1
         if steps > budget:
             raise ResourceLimitError("fan repair exceeded its budget")
-        cut = None
-        for first, second in ((a, b), (b, a)):
-            eqs, ineqs = second.hrep
-            for normal, offset in list(ineqs) + list(eqs):
-                if first.cuts(normal, offset):
-                    cut = (first, normal, offset)
-                    break
-            if cut:
-                break
+        cut = next(
+            (
+                (first, row)
+                for first, second in ((a, b), (b, a))
+                for row in second._constraints
+                if first._halfspace_status(row) == 0
+            ),
+            None,
+        )
         if cut is None:
             # mutually uncut overlap means equality, which is not a violation
             raise InvalidInputError("irreparable cone overlap")
-        first, normal, offset = cut
+        first, row = cut
         work.remove(first)
-        work.extend(p for p in first.split(normal, offset) if p is not None)
+        work.extend(p for p in (first._cut(row), first._cut(_neg(row))) if p is not None)
 
 
 def _dedup(cones: list[Polyhedron]) -> list[Polyhedron]:
@@ -537,6 +522,8 @@ def segment_in_support(
     cell, the closed parameter subinterval mapped into that cell and merging;
     on failure a rational parameter in the first uncovered gap (measured
     along the whole segment, scaled to [0, 1]) is returned with its point.
+    The piece's ends are scaled to one common denominator D, so its point at
+    t is homogenised as (1 - t)*(D*start, D) + t*(D*end, D).
     """
     if x.n != complex_.n or y.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
@@ -549,14 +536,16 @@ def segment_in_support(
     for j in range(pieces):
         start = to_quotient(points[j])
         end = to_quotient(points[j + 1])
-        direction = tuple(e - s for s, e in zip(start, end))
+        lifted = _lift(start + end + (1,))
+        p, q = lifted[: len(start)] + lifted[-1:], lifted[len(start) :]
         intervals = []
         for cell in complex_.cells:
-            iv = _segment_interval(cell.poly, start, direction)
+            iv = _segment_interval(cell.poly, p, q)
             if iv is not None:
                 intervals.append(iv)
         gap = _first_gap(intervals)
         if gap is not None:
+            direction = tuple(e - s for s, e in zip(start, end))
             global_param = Fraction(j, pieces) + gap / pieces
             witness = from_quotient(
                 complex_.n,
@@ -566,31 +555,21 @@ def segment_in_support(
     return SegmentCheck(True)
 
 
-def _segment_interval(poly: Polyhedron, start: Vec, direction: Vec):
-    """Parameters t in [0,1] with start + t*direction inside the polyhedron."""
+def _segment_interval(poly: Polyhedron, p: IntVec, q: IntVec):
+    """Parameters t in [0,1] with (1 - t)*p + t*q in the homogenised cone of
+    the polyhedron, for integer vectors p and q with the same last entry."""
     lo = Fraction(0)
     hi = Fraction(1)
-    eqs, ineqs = poly.hrep
-    for a, b in eqs:
-        base = vec_dot(a, start)
-        slope = vec_dot(a, direction)
-        if slope == 0:
-            if base != b:
+    for r in poly._constraints:
+        # r is <= 0 at t when rp + t*(rq - rp) <= 0
+        rp, rq = _dot(r, p), _dot(r, q)
+        if rp == rq:
+            if rp > 0:
                 return None
+        elif rq > rp:
+            hi = min(hi, Fraction(rp, rp - rq))
         else:
-            t = (b - base) / slope
-            lo = max(lo, t)
-            hi = min(hi, t)
-    for a, b in ineqs:
-        base = vec_dot(a, start)
-        slope = vec_dot(a, direction)
-        if slope == 0:
-            if base > b:
-                return None
-        elif slope > 0:
-            hi = min(hi, (b - base) / slope)
-        else:
-            lo = max(lo, (b - base) / slope)
+            lo = max(lo, Fraction(rp, rp - rq))
     if lo > hi:
         return None
     return (lo, hi)

@@ -5,23 +5,27 @@ minimal generators are kept: vertices projected modulo the lineality space,
 primitive integer rays and a saturated lineality basis, so structural
 equality of this form decides geometric equality.
 
-All conversions run one integer double-description kernel, `_dd`, on the
-homogenised cone in Z^(m+1), where a vertex v becomes (d*v, d), a ray r
-becomes (r, 0) and a lineality vector l becomes +-(l, 0).  Facets come from
-`_dd` on the generators written in coordinates of their own span; minimal
-generators, and the pieces of every halfspace or hyperplane cut, come from
-`_dd` on the rows of the H-representation.  No floating point and no LP.
+Predicates, faces and cuts read one integer form, the homogenised cone in
+Z^(m+1): its generators `_gens`, where a vertex v becomes (d*v, d), a ray r
+becomes (r, 0) and a lineality vector l becomes +-(l, 0), and its rows
+`_rows`, where a constraint a.x <= b becomes the row of (x, t) -> a.x - b*t;
+`hrep` is a view of the rows.  One integer double-description kernel, `_dd`,
+does every conversion: facets come from `_dd` on the generators written in
+coordinates of their own span; minimal generators, and the pieces of every
+halfspace or hyperplane cut, come from `_dd` on the rows.  No floating point
+and no LP.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import compress
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .linalg import (
     nullspace,
     primitive_direction,
@@ -39,6 +43,8 @@ Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 HalfSpace = tuple[IntVec, Fraction]  # (a, b) meaning a.x <= b
 
+DEFAULT_BUDGET = 20000
+
 
 def _fvec(v) -> Vec:
     return tuple(_frac(x) for x in v)
@@ -46,6 +52,18 @@ def _fvec(v) -> Vec:
 
 def _neg(v) -> tuple:
     return tuple(-x for x in v)
+
+
+def _dot(r: IntVec, g: IntVec) -> int:
+    return sum(map(mul, r, g))
+
+
+def _lift(v) -> IntVec:
+    """D*v for the least D > 0 that makes the rational vector v integral;
+    primitive when some entry of v is 1, as in (x, 1)."""
+    v = _fvec(v)
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v)
 
 
 def _mix(s: int, x: IntVec, t: int, y: IntVec) -> IntVec:
@@ -104,22 +122,52 @@ def _dd(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
     return lin, [x for x, _ in rays]
 
 
-def _row(a, b) -> IntVec:
-    """The primitive integer row of (x, t) -> a.x - b*t, homogenising a.x <= b."""
-    return primitive_direction(tuple(a) + (-_frac(b),))
+def _row(a: IntVec, b) -> IntVec:
+    """An integer row of (x, t) -> a.x - b*t, homogenising a.x <= b for an
+    integer vector a."""
+    b = _frac(b)
+    return tuple(b.denominator * x for x in a) + (-b.numerator,)
 
 
-def _from_rows(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]) -> Polyhedron | None:
-    """The polyhedron whose homogenised cone is cut out by the rows, as
-    equations and inequalities, by minimal generators; None if empty."""
+def _halfspace(row: IntVec) -> HalfSpace:
+    """The pair (a, b), a primitive, of the constraint row.(x, 1) <= 0."""
+    g = gcd(*row[:-1])
+    return tuple(x // g for x in row[:-1]), Fraction(-row[-1], g)
+
+
+def _generators(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
+    """Minimal vertices, rays and lineality of the polyhedron whose
+    homogenised cone the rows cut out, as equations and inequalities; None
+    if it is empty."""
     rows = [s for r in eq_rows for s in (r, _neg(r))]
     rows.append((0,) * m + (-1,))
     lin, gens = _dd(rows + ineq_rows, m + 1)
     verts = [tuple(Fraction(x, g[m]) for x in g[:m]) for g in gens if g[m]]
     if not verts:
         return None
-    rays = [g[:m] for g in gens if not g[m]]
-    return Polyhedron._minimal(m, verts, rays, [l[:m] for l in lin])
+    return verts, [g[:m] for g in gens if not g[m]], [l[:m] for l in lin]
+
+
+def _from_rows(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]) -> Polyhedron | None:
+    gens = _generators(m, eq_rows, ineq_rows)
+    return None if gens is None else Polyhedron._minimal(m, *gens)
+
+
+def refine(poly: Polyhedron, hyperplanes: Iterable, budget: int, what: str) -> list[Polyhedron]:
+    """Split every piece along each hyperplane (a, b), a.x = b, in turn; raise
+    ResourceLimitError once the pieces of two consecutive rounds pass the budget."""
+    pieces = [poly]
+    for a, b in hyperplanes:
+        nxt = []
+        for p in pieces:
+            if p.cuts(a, b):
+                nxt.extend(x for x in p.split(a, b) if x is not None)
+            else:
+                nxt.append(p)
+            if len(nxt) + len(pieces) > budget:
+                raise ResourceLimitError(f"{what} exceeded its budget")
+        pieces = nxt
+    return pieces
 
 
 class Polyhedron:
@@ -133,8 +181,8 @@ class Polyhedron:
         lineality: Iterable[Sequence] = (),
     ):
         # redundant generators leave the H-representation unchanged
-        raw = Polyhedron._minimal(m, vertices, rays, lineality)
-        vars(self).update(vars(_from_rows(m, *raw._rows)), hrep=raw.hrep)
+        self._rows = Polyhedron._minimal(m, vertices, rays, lineality)._rows
+        self._set(m, *_generators(m, *self._rows))
 
     @classmethod
     def _minimal(cls, m: int, vertices, rays=(), lineality=()) -> Polyhedron:
@@ -219,23 +267,39 @@ class Polyhedron:
             f"rays={list(self.rays)}, lineality={list(self.lineality)})"
         )
 
-    # -- H-representation ----------------------------------------------
+    # -- homogenised form ----------------------------------------------
+
+    @cached_property
+    def _gens(self) -> list[IntVec]:
+        """Generators of the homogenised cone: (d*v, d) primitive for each
+        vertex, then (r, 0) for each ray and +-(l, 0) for each lineality vector."""
+        gens = [_lift(v + (1,)) for v in self.vertices]
+        gens += [r + (0,) for r in self.rays]
+        gens += [s + (0,) for l in self.lineality for s in (l, _neg(l))]
+        return gens
+
+    @cached_property
+    def _rows(self) -> tuple[list[IntVec], list[IntVec]]:
+        """Primitive integer rows of the equations and of the facets, sorted;
+        a row r stands for r.(x, 1) = 0 or r.(x, 1) <= 0."""
+        g0 = self._gens[0]
+        eqs = []
+        for nrm in nullspace(self.direction_rows, self.m):
+            a = primitive_direction(nrm)
+            eqs.append(primitive_direction(tuple(g0[-1] * x for x in a) + (-_dot(a, g0),)))
+        return sorted(eqs), sorted(self._facets())
+
+    @cached_property
+    def _constraints(self) -> list[IntVec]:
+        """Rows r with the polyhedron {x : r.(x, 1) <= 0 for all r}: the facets,
+        then each equation and its negation."""
+        eqs, ineqs = self._rows
+        return ineqs + [s for r in eqs for s in (r, _neg(r))]
 
     @cached_property
     def hrep(self) -> tuple[tuple[HalfSpace, ...], tuple[HalfSpace, ...]]:
         """(equations, facet inequalities); each is (a, b) over primitive a."""
-        v0 = self.vertices[0]
-        eqs = []
-        for nrm in nullspace(self.direction_rows, self.m):
-            a = primitive_direction(nrm)
-            eqs.append((a, Fraction(vec_dot(a, v0))))
-        return tuple(sorted(eqs)), tuple(sorted(self._facets()))
-
-    @cached_property
-    def _rows(self) -> tuple[list[IntVec], list[IntVec]]:
-        """Homogenised integer rows of the equations and of the facets."""
-        eqs, ineqs = self.hrep
-        return [_row(a, b) for a, b in eqs], [_row(a, b) for a, b in ineqs]
+        return tuple(tuple(sorted(map(_halfspace, rows))) for rows in self._rows)
 
     @property
     def equations(self) -> tuple[HalfSpace, ...]:
@@ -245,54 +309,46 @@ class Polyhedron:
     def inequalities(self) -> tuple[HalfSpace, ...]:
         return self.hrep[1]
 
-    def _facets(self) -> list[HalfSpace]:
-        """Facets of the homogenised cone, as normals inside its span.
+    def _facets(self) -> list[IntVec]:
+        """Facet rows of the homogenised cone, as normals inside its span.
 
         With an integer basis B of the span, a generator g has coordinates
         B.g, and a functional f on those coordinates is h.g for h = f.B in
         the span.  The extreme rays f of the polar cone are the facets; the
         one tight on no vertex is the face at infinity.
         """
-        gens = [primitive_direction(tuple(v) + (1,)) for v in self.vertices]
-        nv = len(gens)
-        gens += [r + (0,) for r in self.rays]
-        gens += [s + (0,) for l in self.lineality for s in (l, _neg(l))]
+        gens = self._gens
+        nv = len(self.vertices)
         basis = [primitive_direction(b) for b in rref(gens)[0]]
         coords = [tuple(vec_dot(b, g) for b in basis) for g in gens]
-        out = []
-        for f in _dd(coords, len(basis))[1]:
-            if all(vec_dot(f, c) for c in coords[:nv]):
-                continue
-            h = primitive_direction(
+        return [
+            primitive_direction(
                 [sum(c * b[i] for c, b in zip(f, basis)) for i in range(self.m + 1)]
             )
-            out.append((h[: self.m], -Fraction(h[self.m])))
-        return out
+            for f in _dd(coords, len(basis))[1]
+            if not all(vec_dot(f, c) for c in coords[:nv])
+        ]
+
+    def _holds(self, g: IntVec) -> bool:
+        """Does the homogenised cone contain the integer vector g?"""
+        eqs, ineqs = self._rows
+        return all(_dot(r, g) == 0 for r in eqs) and all(_dot(r, g) <= 0 for r in ineqs)
+
+    def _tight(self, gens: list[IntVec]) -> list[IntVec]:
+        """The facet rows that vanish on every given generator."""
+        return [r for r in self._rows[1] if all(_dot(r, g) == 0 for g in gens)]
 
     # -- predicates -----------------------------------------------------
 
     def contains(self, point: Sequence) -> bool:
-        p = _fvec(point)
-        eqs, ineqs = self.hrep
-        return all(vec_dot(a, p) == b for a, b in eqs) and all(
-            vec_dot(a, p) <= b for a, b in ineqs
-        )
+        return self._holds(_lift(tuple(point) + (1,)))
 
     def contains_direction(self, direction: Sequence) -> bool:
         """Is the direction in the recession cone?"""
-        d = _fvec(direction)
-        eqs, ineqs = self.hrep
-        return all(vec_dot(a, d) == 0 for a, b in eqs) and all(
-            vec_dot(a, d) <= 0 for a, b in ineqs
-        )
+        return self._holds(_lift(tuple(direction) + (0,)))
 
     def contains_polyhedron(self, other: Polyhedron) -> bool:
-        return all(self.contains(v) for v in other.vertices) and all(
-            self.contains_direction(r) for r in other.rays
-        ) and all(
-            self.contains_direction(l) and self.contains_direction([-x for x in l])
-            for l in other.lineality
-        )
+        return all(map(self._holds, other._gens))
 
     def relative_interior_point(self) -> Vec:
         """A strictly positive combination of all generators lies in the
@@ -333,16 +389,15 @@ class Polyhedron:
                 rays.append(primitive_direction(d))
         return Polyhedron(self.m, [zero], rays, self.lineality)
 
-    def _face(self, tight: Iterable[HalfSpace]) -> Polyhedron:
-        """The face on which each given valid inequality holds with equality."""
-        tight = list(tight)
-        verts = [v for v in self.vertices if all(vec_dot(a, v) == b for a, b in tight)]
-        rays = [r for r in self.rays if all(vec_dot(a, r) == 0 for a, _ in tight)]
-        return Polyhedron._minimal(self.m, verts, rays, self.lineality)
+    def _face(self, tight: list[IntVec]) -> Polyhedron:
+        """The face on which each given valid inequality row is tight."""
+        on = [all(_dot(r, g) == 0 for r in tight) for g in self._gens]
+        rays = compress(self.rays, on[len(self.vertices) :])
+        return Polyhedron._minimal(self.m, compress(self.vertices, on), rays, self.lineality)
 
     def faces_of_facets(self) -> list[tuple[Polyhedron, HalfSpace]]:
         """Codimension-one faces, each with its cutting inequality."""
-        return [(self._face([ineq]), ineq) for ineq in self.inequalities]
+        return [(self._face([r]), _halfspace(r)) for r in self._rows[1]]
 
     def all_faces(self) -> list[Polyhedron]:
         """The full face lattice, this polyhedron included."""
@@ -360,53 +415,39 @@ class Polyhedron:
 
     def minimal_face_containing(self, point: Sequence) -> Polyhedron:
         """The smallest face containing a point of this polyhedron."""
-        p = _fvec(point)
-        if not self.contains(p):
+        p = _lift(tuple(point) + (1,))
+        if not self._holds(p):
             raise InvalidInputError("point outside the polyhedron")
-        return self._face((a, b) for a, b in self.inequalities if vec_dot(a, p) == b)
+        return self._face(self._tight([p]))
 
     # -- cuts -------------------------------------------------------------
 
-    def _halfspace_status(self, a: IntVec, b: Fraction) -> int:
-        """-1 if entirely inside a.x <= b, 0 if cut or touching, +1 if entirely
-        in the strict outside."""
-        has_pos = False
-        has_neg = False
-        for v in self.vertices:
-            s = vec_dot(a, v) - b
+    def _halfspace_status(self, row: IntVec) -> int:
+        """-1 if the polyhedron lies in the halfspace row.(x, 1) <= 0, else +1
+        if it lies in the opposite closed halfspace, else 0 (cut)."""
+        has_pos = has_neg = False
+        for g in self._gens:
+            s = _dot(row, g)
             has_pos |= s > 0
             has_neg |= s < 0
-        for r in self.rays:
-            s = vec_dot(a, r)
-            has_pos |= s > 0
-            has_neg |= s < 0
-        for l in self.lineality:
-            s = vec_dot(a, l)
-            has_pos |= s != 0
-            has_neg |= s != 0
         if not has_pos:
             return -1
-        if not has_neg:
-            return 1
-        return 0
+        return 0 if has_neg else 1
 
-    def intersect_halfspace(self, a: IntVec, b) -> Polyhedron | None:
-        """This polyhedron intersected with {x : a.x <= b}, or None if empty."""
-        b = _frac(b)
-        if self._halfspace_status(a, b) == -1:
+    def _cut(self, row: IntVec) -> Polyhedron | None:
+        """This polyhedron intersected with {x : row.(x, 1) <= 0}, or None if empty."""
+        if self._halfspace_status(row) == -1:
             return self
         eq_rows, ineq_rows = self._rows
-        return _from_rows(self.m, eq_rows, ineq_rows + [_row(a, b)])
+        return _from_rows(self.m, eq_rows, ineq_rows + [row])
 
     def intersect_hyperplane(self, a: IntVec, b) -> Polyhedron | None:
         """This polyhedron intersected with {x : a.x = b}, or None if empty."""
-        b = _frac(b)
-        if all(vec_dot(a, v) == b for v in self.vertices) and all(
-            vec_dot(a, r) == 0 for r in self.rays
-        ) and all(vec_dot(a, l) == 0 for l in self.lineality):
+        row = _row(a, b)
+        if all(_dot(row, g) == 0 for g in self._gens):
             return self
         eq_rows, ineq_rows = self._rows
-        return _from_rows(self.m, eq_rows + [_row(a, b)], ineq_rows)
+        return _from_rows(self.m, eq_rows + [row], ineq_rows)
 
     def intersection(self, other: Polyhedron) -> Polyhedron | None:
         """Exact intersection of the two H-representations."""
@@ -415,10 +456,9 @@ class Polyhedron:
 
     def split(self, a: IntVec, b) -> tuple[Polyhedron | None, Polyhedron | None]:
         """Both closed sides of a hyperplane cut."""
-        neg = self.intersect_halfspace(a, b)
-        pos = self.intersect_halfspace(_neg(a), -_frac(b))
-        return neg, pos
+        row = _row(a, b)
+        return self._cut(row), self._cut(_neg(row))
 
     def cuts(self, a: IntVec, b) -> bool:
         """Does the hyperplane separate the polyhedron into two full pieces?"""
-        return self._halfspace_status(a, _frac(b)) == 0
+        return self._halfspace_status(_row(a, b)) == 0

@@ -40,7 +40,7 @@ from .matroids import (
     verify_flat_family,
 )
 from .points import TropPoint, flat_direction, heterogeneity
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, _neg, refine
 
 REASON_NON_PURE = "non-pure"
 REASON_WEIGHT = "weight-not-one"
@@ -153,19 +153,8 @@ def _braid_hyperplanes(n: int) -> list[tuple[int, ...]]:
 
 def _braid_pieces(poly: Polyhedron, n: int, budget: int) -> list[Polyhedron]:
     """Refine along all coordinate-comparison hyperplanes."""
-    pieces = [poly]
-    for a in _braid_hyperplanes(n):
-        nxt = []
-        for p in pieces:
-            if p.cuts(a, 0):
-                neg, pos = p.split(a, 0)
-                nxt.extend(x for x in (neg, pos) if x is not None)
-            else:
-                nxt.append(p)
-            if len(nxt) + len(pieces) > budget:
-                raise ResourceLimitError("braid refinement exceeded its budget")
-        pieces = nxt
-    return pieces
+    hyperplanes = [(a, 0) for a in _braid_hyperplanes(n)]
+    return refine(poly, hyperplanes, budget, "braid refinement")
 
 
 def _uncovered_witness(
@@ -179,22 +168,17 @@ def _uncovered_witness(
         return piece
     head, rest = cells[0], cells[1:]
     current: Polyhedron | None = piece
-    eqs, ineqs = head.hrep
-    constraints = list(ineqs)
-    for a, b in eqs:
-        constraints.append((a, b))
-        constraints.append((tuple(-x for x in a), -b))
-    for a, b in constraints:
+    for row in head._constraints:
         if current is None:
             return None
-        above = current.intersect_halfspace(tuple(-x for x in a), -b)
+        above = current._cut(_neg(row))
         if above is not None and above.dim == current.dim:
-            # some of it lies strictly outside a.x <= b
-            if above._halfspace_status(a, b) != -1:
+            # some of it lies strictly outside row.(x, 1) <= 0
+            if above._halfspace_status(row) != -1:
                 witness = _uncovered_witness(above, rest, counter, budget)
                 if witness is not None:
                     return witness
-        current = current.intersect_halfspace(a, b)
+        current = current._cut(row)
     return None
 
 

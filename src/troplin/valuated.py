@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .matroids import GroundSet, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
+from .polyhedra import DEFAULT_BUDGET, refine
 
 # index i holds the entry for ground element i+1; None encodes bottom.
 CircuitVector = tuple[Fraction | None, ...]
@@ -213,7 +214,7 @@ def _nmax(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     return a if a >= b else b
 
 
-def certify_cell(valuated: ValuatedMatroid, cell, budget: int = 20000) -> bool:
+def certify_cell(valuated: ValuatedMatroid, cell, budget: int = DEFAULT_BUDGET) -> bool:
     """Exact test that every point of a polyhedral cell is a member.
 
     The cell is refined along the arrangement of comparison hyperplanes
@@ -235,19 +236,7 @@ def certify_cell(valuated: ValuatedMatroid, cell, budget: int = 20000) -> bool:
                 a = coordinate_difference(n, i, j)
                 b = vec[j - 1] - vec[i - 1]
                 hyperplanes.append((a, b))
-    pieces = [cell.poly]
-    for a, b in hyperplanes:
-        nxt = []
-        for piece in pieces:
-            if piece.cuts(a, b):
-                neg, pos = piece.split(a, b)
-                nxt.extend(x for x in (neg, pos) if x is not None)
-            else:
-                nxt.append(piece)
-            if len(nxt) + len(pieces) > budget:
-                raise ResourceLimitError("cell refinement exceeded its budget")
-        pieces = nxt
-    for piece in pieces:
+    for piece in refine(cell.poly, hyperplanes, budget, "cell refinement"):
         point = from_quotient(n, piece.relative_interior_point())
         if not member(valuated, point):
             return False

@@ -1,5 +1,6 @@
 """Shared fixtures: small matroids, their fans, and valuated-matroid complexes,
-plus an LP hull oracle independent of the polyhedron kernel."""
+plus an LP hull oracle independent of the polyhedron kernel and the
+Fraction-valued predicates the kernel's integer form replaced."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from troplin.complexes import Cell, WeightedComplex, chain_fan
+from troplin.linalg import vec_dot
 from troplin.lp import lp_feasible
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
@@ -137,3 +139,82 @@ def in_hull(target, verts, rays=(), lineality=()) -> bool:
         (tuple(Fraction(-int(i == j)) for j in range(k)), Fraction(0)) for i in range(k)
     ]
     return lp_feasible(k, ineqs, eqs).feasible
+
+
+# The predicates below loop over vertices, rays and lineality separately in
+# Fraction arithmetic over hrep's (a, b) pairs; the kernel evaluates integer
+# rows on homogenised integer generators instead.
+
+
+def contains_polyhedron(poly, other) -> bool:
+    eqs, ineqs = poly.hrep
+
+    def contains(p):
+        return all(vec_dot(a, p) == b for a, b in eqs) and all(
+            vec_dot(a, p) <= b for a, b in ineqs
+        )
+
+    def contains_direction(d):
+        return all(vec_dot(a, d) == 0 for a, b in eqs) and all(
+            vec_dot(a, d) <= 0 for a, b in ineqs
+        )
+
+    return all(contains(v) for v in other.vertices) and all(
+        contains_direction(r) for r in other.rays
+    ) and all(
+        contains_direction(l) and contains_direction([-x for x in l])
+        for l in other.lineality
+    )
+
+
+def halfspace_status(poly, a, b) -> int:
+    """-1 if poly lies in a.x <= b, else +1 if it lies in a.x >= b, else 0."""
+    has_pos = False
+    has_neg = False
+    for v in poly.vertices:
+        s = vec_dot(a, v) - b
+        has_pos |= s > 0
+        has_neg |= s < 0
+    for r in poly.rays:
+        s = vec_dot(a, r)
+        has_pos |= s > 0
+        has_neg |= s < 0
+    for l in poly.lineality:
+        s = vec_dot(a, l)
+        has_pos |= s != 0
+        has_neg |= s != 0
+    if not has_pos:
+        return -1
+    if not has_neg:
+        return 1
+    return 0
+
+
+def segment_interval(poly, start, direction):
+    """Parameters t in [0,1] with start + t*direction inside poly."""
+    lo = Fraction(0)
+    hi = Fraction(1)
+    eqs, ineqs = poly.hrep
+    for a, b in eqs:
+        base = vec_dot(a, start)
+        slope = vec_dot(a, direction)
+        if slope == 0:
+            if base != b:
+                return None
+        else:
+            t = (b - base) / slope
+            lo = max(lo, t)
+            hi = min(hi, t)
+    for a, b in ineqs:
+        base = vec_dot(a, start)
+        slope = vec_dot(a, direction)
+        if slope == 0:
+            if base > b:
+                return None
+        elif slope > 0:
+            hi = min(hi, (b - base) / slope)
+        else:
+            lo = max(lo, (b - base) / slope)
+    if lo > hi:
+        return None
+    return (lo, hi)

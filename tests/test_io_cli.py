@@ -15,6 +15,8 @@ from troplin.points import TropPoint
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import recognize_fan
 
+from conftest import braid_fan_corpus
+
 F = Fraction
 fs = frozenset
 
@@ -267,6 +269,19 @@ class TestCli:
         bad.write_text(json.dumps({"n": 3, "cells": cells}))
         assert main(["recognize", str(bad)]) == 2
         assert "contain one another" in capsys.readouterr().err
+
+    def test_refinement_over_budget_is_exit_two(self, capsys, tmp_path):
+        # a subdivided cone is no braid cone, so support equality refines it
+        fan = next(
+            c for c in braid_fan_corpus(3) if any(cell.chain is None for cell in c.cells)
+        )
+        path = tmp_path / "subdivided.json"
+        path.write_text(json.dumps(tio.complex_to_json(fan)))
+        assert main(["recognize", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["recognize", str(path), "--budget", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "braid refinement exceeded" in captured.err
 
     def test_byte_determinism(self, capsys, files):
         _, first = self.run(

@@ -7,18 +7,29 @@ from itertools import combinations
 from troplin.complexes import (
     Cell,
     WeightedComplex,
+    _segment_interval,
     chain_fan,
+    from_quotient,
     is_balanced,
     point_in_support,
     recession_fan,
     segment_in_support,
     star_fan,
+    to_quotient,
 )
+from troplin.linalg import vec_dot
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
-from troplin.polyhedra import Polyhedron
+from troplin.polyhedra import Polyhedron, _lift, _row
 
-from conftest import in_hull, rand_rational
+from conftest import (
+    contains_polyhedron,
+    halfspace_status,
+    in_hull,
+    rand_point,
+    rand_rational,
+    segment_interval,
+)
 
 F = Fraction
 fs = frozenset
@@ -185,6 +196,75 @@ class TestKernelAgainstHullOracle:
                         q, piece.vertices, piece.rays, piece.lineality
                     )
                     assert in_piece == (inside and side)
+
+
+class TestIntegerFormAgainstFractionOracle:
+    """Rows evaluated on homogenised integer generators agree with the
+    Fraction loops over vertices, rays and lineality they replaced."""
+
+    @staticmethod
+    def random_polyhedron(rng, m):
+        verts = [
+            tuple(rand_rational(rng, 3, 3) for _ in range(m))
+            for _ in range(rng.randint(1, 4))
+        ]
+        directions = [tuple(rng.randint(-1, 1) for _ in range(m)) for _ in range(4)]
+        rays = [t for t in directions[: rng.randint(0, 3)] if any(t)]
+        lin = [t for t in directions[3:] if any(t) and rng.random() < 0.3]
+        return Polyhedron(m, verts, rays, lin)
+
+    def test_containment_and_halfspace_status(self):
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(60):
+            m = rng.randint(1, 4)
+            poly = self.random_polyhedron(rng, m)
+            sub = Polyhedron(
+                m,
+                rng.sample(poly.vertices, rng.randint(1, len(poly.vertices))),
+                [r for r in poly.rays if rng.random() < 0.5],
+                poly.lineality if rng.random() < 0.5 else (),
+            )
+            other = self.random_polyhedron(rng, m)
+            for p, q in ((poly, sub), (sub, poly), (poly, other), (other, poly)):
+                expected = contains_polyhedron(p, q)
+                assert p.contains_polyhedron(q) == expected
+                seen.add(expected)
+            for _ in range(5):
+                a = tuple(rng.randint(-2, 2) for _ in range(m))
+                if not any(a):
+                    continue
+                # an offset through a vertex makes the hyperplane touch poly
+                b = rng.choice([rand_rational(rng, 3, 3), vec_dot(a, rng.choice(poly.vertices))])
+                expected = halfspace_status(poly, a, b)
+                assert poly._halfspace_status(_row(a, b)) == expected
+                assert poly.cuts(a, b) == (expected == 0)
+                seen.add(expected)
+            assert poly.contains_direction((0,) * m)
+        assert seen == {True, False, -1, 0, 1}
+
+    def test_segment_intervals(self):
+        rng = random.Random(53)
+        seen = set()
+        fractional = False
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            poly = self.random_polyhedron(rng, m)
+            inner = from_quotient(m + 1, poly.relative_interior_point())
+            for _ in range(4):
+                x = rand_point(rng, m + 1, span=3)
+                y = rng.choice([inner, rand_point(rng, m + 1, span=3)])
+                points = segment(x, y)
+                for s, e in zip(points, points[1:]):
+                    start, end = to_quotient(s), to_quotient(e)
+                    lifted = _lift(start + end + (1,))
+                    p, q = lifted[:m] + lifted[-1:], lifted[m:]
+                    direction = tuple(b - a for a, b in zip(start, end))
+                    got = _segment_interval(poly, p, q)
+                    assert got == segment_interval(poly, start, direction)
+                    seen.add(got is None)
+                    fractional |= any(c.denominator > 1 for c in end)
+        assert seen == {True, False} and fractional
 
 
 class TestRecessionRepairOracle:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from troplin.complexes import Cell
-from troplin.errors import InvalidInputError
+from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.matroids import enumerate_matroids
 from troplin.points import TropPoint, segment, trop_combine
 from troplin.valuated import (
@@ -260,3 +260,7 @@ class TestCertifyCell:
     def test_ray_from_wrong_vertex_fails(self, u24_tree_valuated):
         bad = Cell.from_torus(4, [TropPoint((0, 0, 0, 0))], rays=[(-1, 0, 0, 0)])
         assert not certify_cell(u24_tree_valuated, bad)
+
+    def test_refinement_over_budget_raises(self, u24_tree_valuated, tree_complex):
+        with pytest.raises(ResourceLimitError, match="cell refinement"):
+            certify_cell(u24_tree_valuated, tree_complex.cells[0], budget=1)
