@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -24,11 +24,13 @@ from .linalg import (
     hermite_normal_form,
     in_span,
     lattice_quotient_generator,
+    primitive_direction,
     vec_dot,
     vec_is_zero,
+    vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import TropPoint, _frac, flat_direction, partition, segment
+from .points import TropPoint, _frac, partition, segment
 from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _lift, _neg
 
 
@@ -62,9 +64,27 @@ def coordinate_difference(n: int, i: int, j: int) -> tuple[int, ...]:
 
 
 def chain_cone(n: int, chain: Iterable[Iterable[int]]) -> Polyhedron:
-    """The cone on the negated indicator vectors of a chain's members."""
-    rays = [to_quotient(flat_direction(n, f)) for f in chain]
-    return Polyhedron._minimal(n - 1, [[Fraction(0)] * (n - 1)], rays)
+    """The cone on the negated indicator vectors of a chain's members.
+
+    In quotient coordinates -e_F is the integer vector with entry
+    [1 in F] - [i in F] at position i = 2..n.
+    """
+    rays = [tuple(int(1 in f) - int(i in f) for i in range(2, n + 1)) for f in map(set, chain)]
+    return Polyhedron._minimal(n - 1, [(0,) * (n - 1)], rays)
+
+
+def _cell_of(n: int, vertices, rays=(), lineality=()) -> Cell:
+    """The cell generated in quotient coordinates.
+
+    A braid cone is kept as given: a zero vertex with rays -e_F over nested
+    sets F has linearly independent rays, so no generator is redundant.
+    Every other cell is reduced to its minimal generators.
+    """
+    if not lineality and all(vec_is_zero(v) for v in vertices):
+        cell = Cell(n, Polyhedron._minimal(n - 1, vertices, rays))
+        if cell.chain is not None:
+            return cell
+    return Cell(n, Polyhedron(n - 1, vertices, rays, lineality))
 
 
 class Cell:
@@ -94,7 +114,7 @@ class Cell:
         qrays = [r for r in qrays if not vec_is_zero(r)]
         qlin = [direction_to_quotient(l) for l in lineality]
         qlin = [l for l in qlin if not vec_is_zero(l)]
-        return cls(n, Polyhedron(n - 1, verts, qrays, qlin))
+        return _cell_of(n, verts, qrays, qlin)
 
     @cached_property
     def chain(self) -> tuple[GroundSet, ...] | None:
@@ -197,15 +217,20 @@ class WeightedComplex:
             self._validate_common_faces()
 
     def _validate_common_faces(self) -> None:
-        for a, b in combinations(self.cells, 2):
-            if _nested(a, b):
-                raise InvalidInputError("maximal cells must not contain one another")
-        for a, b in combinations(self.cells, 2):
-            # two braid cones meet in the cone of their common sub-chain
-            if (a.chain is None or b.chain is None) and not _meet_in_common_face(
-                a.poly, b.poly
-            ):
-                raise InvalidInputError("cells do not intersect in a common face")
+        """Braid cones are compared by their chains: one contains another
+        exactly when its chain does, and two meet in the cone of their common
+        sub-chain.  Only pairs with another cell are compared geometrically."""
+        braid = [c for c in self.cells if c.chain is not None]
+        others = [c for c in self.cells if c.chain is None]
+        chains = {c.chain for c in braid}
+        mixed = list(combinations(others, 2)) + list(product(braid, others))
+        if _contained_chains(chains) or any(
+            a.poly.contains_polyhedron(b.poly) or b.poly.contains_polyhedron(a.poly)
+            for a, b in mixed
+        ):
+            raise InvalidInputError("maximal cells must not contain one another")
+        if not all(_meet_in_common_face(a.poly, b.poly) for a, b in mixed):
+            raise InvalidInputError("cells do not intersect in a common face")
 
     @cached_property
     def dim(self) -> int:
@@ -249,12 +274,20 @@ def _minimal_face_containing(poly: Polyhedron, sub: Polyhedron) -> Polyhedron:
     return poly._face(poly._tight(sub._gens))
 
 
-def _nested(a: Cell, b: Cell) -> bool:
-    """Does one cell contain the other?  Braid cones are nested exactly
-    when their chains are."""
-    if a.chain is None or b.chain is None:
-        return a.poly.contains_polyhedron(b.poly) or b.poly.contains_polyhedron(a.poly)
-    return set(a.chain) <= set(b.chain) or set(b.chain) <= set(a.chain)
+def _contained_chains(chains: set) -> set:
+    """The members of a set of chains that are proper sub-chains of another.
+
+    Each chain's sub-chains are looked up in the set, or, when it has more
+    sub-chains than the set has members, the members are compared with it.
+    """
+    out = set()
+    for chain in chains:
+        if 2 ** len(chain) <= len(chains):
+            subs = (s for k in range(len(chain)) for s in combinations(chain, k))
+            out.update(s for s in subs if s in chains)
+        else:
+            out.update(c for c in chains if set(c) < set(chain))
+    return out
 
 
 def _meet_in_common_face(a: Polyhedron, b: Polyhedron) -> bool:
@@ -394,7 +427,14 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
         return WeightedComplex(
             complex_.n, complex_.cells, complex_.weights, validate=False
         )
-    rec_of_cell = [c.poly.recession() for c in complex_.cells]
+    rec_cells = [Cell(complex_.n, c.poly.recession()) for c in complex_.cells]
+    if all(c.chain is not None for c in rec_cells):
+        # braid cones meet in the cone of their common sub-chain, so the fan
+        # needs no repair; a cone goes when its chain lies in another
+        contained = _contained_chains({c.chain for c in rec_cells})
+        kept = zip(rec_cells, complex_.weights)
+        return _merged_fan(complex_.n, [(c, w) for c, w in kept if c.chain not in contained])
+    rec_of_cell = [c.poly for c in rec_cells]
     cones = _drop_contained(_dedup(rec_of_cell))
     cones = _repair_fan(cones, budget)
     out_cells = []
@@ -408,6 +448,17 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
             out_cells.append(Cell(complex_.n, poly))
             out_weights.append(weight)
     return WeightedComplex(complex_.n, out_cells, out_weights, validate=False)
+
+
+def _merged_fan(n: int, weighted: list[tuple[Cell, int]]) -> WeightedComplex:
+    """The cells in canonical order, each once, with the weights of its
+    copies summed."""
+    totals: dict = {}
+    for cell, weight in weighted:
+        key = cell.poly.canonical_key
+        totals[key] = (cell, totals[key][1] + weight if key in totals else weight)
+    kept = [totals[key] for key in sorted(totals)]
+    return WeightedComplex(n, [c for c, _ in kept], [w for _, w in kept], validate=False)
 
 
 def _drop_contained(cones: list[Polyhedron]) -> list[Polyhedron]:
@@ -464,24 +515,21 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     if p.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
     q = to_quotient(p)
-    cones: dict = {}
+    zero = [(0,) * len(q)]
+    cones = []
     for cell, weight in zip(complex_.cells, complex_.weights):
-        if cell.poly.contains(q):
-            local = cell.poly.cone_from(q)
-            key = local.canonical_key
-            if key in cones:
-                cones[key] = (cones[key][0], cones[key][1] + weight)
-            else:
-                cones[key] = (local, weight)
+        poly = cell.poly
+        if poly.contains(q):
+            # the cone of directions from q into the cell
+            rays = list(poly.rays)
+            for v in poly.vertices:
+                d = vec_sub(v, q)
+                if not vec_is_zero(d):
+                    rays.append(primitive_direction(d))
+            cones.append((_cell_of(complex_.n, zero, rays, poly.lineality), weight))
     if not cones:
         raise InvalidInputError("point outside the support")
-    cells = []
-    weights = []
-    for key in sorted(cones):
-        poly, weight = cones[key]
-        cells.append(Cell(complex_.n, poly))
-        weights.append(weight)
-    return WeightedComplex(complex_.n, cells, weights, validate=False)
+    return _merged_fan(complex_.n, cones)
 
 
 def chain_fan(family: ChainFamily, weight: int = 1) -> WeightedComplex:
@@ -558,8 +606,8 @@ def segment_in_support(
 def _segment_interval(poly: Polyhedron, p: IntVec, q: IntVec):
     """Parameters t in [0,1] with (1 - t)*p + t*q in the homogenised cone of
     the polyhedron, for integer vectors p and q with the same last entry."""
-    lo = Fraction(0)
-    hi = Fraction(1)
+    # lo = lo_n/lo_d and hi = hi_n/hi_d with positive denominators
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     for r in poly._constraints:
         # r is <= 0 at t when rp + t*(rq - rp) <= 0
         rp, rq = _dot(r, p), _dot(r, q)
@@ -567,12 +615,15 @@ def _segment_interval(poly: Polyhedron, p: IntVec, q: IntVec):
             if rp > 0:
                 return None
         elif rq > rp:
-            hi = min(hi, Fraction(rp, rp - rq))
-        else:
-            lo = max(lo, Fraction(rp, rp - rq))
-    if lo > hi:
+            # t <= -rp/(rq - rp)
+            if -rp * hi_d < hi_n * (rq - rp):
+                hi_n, hi_d = -rp, rq - rp
+        elif rp * lo_d > lo_n * (rp - rq):
+            # t >= rp/(rp - rq)
+            lo_n, lo_d = rp, rp - rq
+    if lo_n * hi_d > hi_n * lo_d:
         return None
-    return (lo, hi)
+    return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
 
 def _first_gap(intervals) -> Fraction | None:

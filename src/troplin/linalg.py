@@ -124,7 +124,7 @@ def primitive_direction(vec) -> IntVec:
     denom = 1
     for x in fracs:
         denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
+    ints = [x.numerator * (denom // x.denominator) for x in fracs]
     g = content(ints)
     return tuple(x // g for x in ints)
 

@@ -378,17 +378,6 @@ class Polyhedron:
             self.lineality,
         )
 
-    def cone_from(self, apex: Sequence) -> Polyhedron:
-        """The cone of directions from an apex into this polyhedron."""
-        p = _fvec(apex)
-        zero = [Fraction(0)] * self.m
-        rays = [r for r in self.rays]
-        for v in self.vertices:
-            d = vec_sub(v, p)
-            if not vec_is_zero(d):
-                rays.append(primitive_direction(d))
-        return Polyhedron(self.m, [zero], rays, self.lineality)
-
     def _face(self, tight: list[IntVec]) -> Polyhedron:
         """The face on which each given valid inequality row is tight."""
         on = [all(_dot(r, g) == 0 for r in tight) for g in self._gens]

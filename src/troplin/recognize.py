@@ -139,7 +139,7 @@ def _generic_point(cell: Cell, num_classes: int) -> TropPoint:
         pt = from_quotient(cell.n, q)
         if heterogeneity(pt) == num_classes:
             return pt
-    raise AssertionError("could not realize the generic heterogeneity")
+    raise ResourceLimitError("no generic point found within 63 scales")
 
 
 def _braid_hyperplanes(n: int) -> list[tuple[int, ...]]:

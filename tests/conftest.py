@@ -1,14 +1,24 @@
 """Shared fixtures: small matroids, their fans, and valuated-matroid complexes,
-plus an LP hull oracle independent of the polyhedron kernel and the
-Fraction-valued predicates the kernel's integer form replaced."""
+plus an LP hull oracle independent of the polyhedron kernel, the
+Fraction-valued predicates the kernel's integer form replaced, and the
+pairwise complex validation that chain lookup replaced."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from troplin.complexes import Cell, WeightedComplex, chain_fan
-from troplin.linalg import vec_dot
+from troplin.complexes import (
+    Cell,
+    WeightedComplex,
+    _meet_in_common_face,
+    chain_fan,
+    direction_to_quotient,
+    to_quotient,
+)
+from troplin.errors import InvalidInputError
+from troplin.linalg import vec_dot, vec_is_zero
 from troplin.lp import lp_feasible
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
@@ -218,3 +228,33 @@ def segment_interval(poly, start, direction):
     if lo > hi:
         return None
     return (lo, hi)
+
+
+def reference_cell(n, vertices, rays=(), lineality=()) -> Cell:
+    """A cell from torus generators through the normalising constructor,
+    as `Cell.from_torus` built every cell before braid cones were read as
+    given."""
+    verts = [to_quotient(v if isinstance(v, TropPoint) else TropPoint(v)) for v in vertices]
+    qrays = [r for r in map(direction_to_quotient, rays) if not vec_is_zero(r)]
+    qlin = [l for l in map(direction_to_quotient, lineality) if not vec_is_zero(l)]
+    return Cell(n, Polyhedron(n - 1, verts, qrays, qlin))
+
+
+def validate_common_faces(cells) -> None:
+    """Pairwise validation of maximal cells: every nesting test, then every
+    common-face test, over all pairs; braid cones are nested exactly when
+    their chains are, and always meet in a common face."""
+
+    def nested(a, b):
+        if a.chain is None or b.chain is None:
+            return a.poly.contains_polyhedron(b.poly) or b.poly.contains_polyhedron(a.poly)
+        return set(a.chain) <= set(b.chain) or set(b.chain) <= set(a.chain)
+
+    for a, b in combinations(cells, 2):
+        if nested(a, b):
+            raise InvalidInputError("maximal cells must not contain one another")
+    for a, b in combinations(cells, 2):
+        if (a.chain is None or b.chain is None) and not _meet_in_common_face(
+            a.poly, b.poly
+        ):
+            raise InvalidInputError("cells do not intersect in a common face")

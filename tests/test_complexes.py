@@ -1,8 +1,11 @@
 """Weighted complexes: balancing, recession, stars, chain fans, segments."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +30,7 @@ from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
 from troplin.polyhedra import Polyhedron
 
-from conftest import braid_fan_corpus
+from conftest import braid_fan_corpus, make_tree_cells, validate_common_faces
 
 F = Fraction
 fs = frozenset
@@ -285,6 +288,65 @@ class TestRecession:
         WeightedComplex(3, rec.cells, rec.weights, validate=True)
 
 
+def benchmark_valuated_corpus(seed):
+    """The valuated_complexes benchmark's cases and mutants for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look up their module
+    spec.loader.exec_module(workloads)
+    for recipe in workloads.valuated_recipes(seed, small=False):
+        yield recipe.make().complex_
+        if recipe.mutant:
+            yield workloads.mutate(recipe.make().complex_, recipe.mutant)
+
+
+class TestBraidRecessionAndStars:
+    """Recession and star fans of braid cones skip the geometry; with
+    `Cell.chain` forced to None the geometric path is the oracle."""
+
+    @staticmethod
+    def non_fans():
+        shift = (F(5, 2), F(-4, 3), F(3), F(-1, 2))
+        for n in range(2, 5):
+            for matroid in enumerate_matroids(n):
+                fan = chain_fan(ChainFamily(n, matroid.flats | {matroid.ground}))
+                cells = [Cell(n, c.poly.translate(shift[: n - 1])) for c in fan.cells]
+                yield WeightedComplex(n, cells, [1] * len(cells), validate=False)
+                # two translates share every recession cone
+                cells += [Cell(n, c.poly.translate(shift[1:n])) for c in fan.cells]
+                yield WeightedComplex(n, cells, [1] * len(cells), validate=False)
+        yield WeightedComplex(4, make_tree_cells(), [1] * 5)
+        yield WeightedComplex(4, make_tree_cells((0, F(1, 2), -3, 2)), [3, 1, 2, 1, 1])
+        # a ray and a segment along it have one star at their common vertex
+        apex = TropPoint((0, 1, 2))
+        ray = Cell.from_torus(3, [apex], rays=[(0, 0, -1)])
+        edge = Cell.from_torus(3, [apex, TropPoint((0, 1, 1))])
+        yield WeightedComplex(3, [ray, edge], [2, 1], validate=False)
+        yield from benchmark_valuated_corpus(301)
+
+    @staticmethod
+    def summary(fan):
+        return [c.poly.canonical_key for c in fan.cells], list(fan.weights)
+
+    def test_chain_path_matches_the_geometric_path(self, monkeypatch):
+        cases = list(self.non_fans())
+        stars = [{v for c in cx.cells for v in c.vertices} for cx in cases]
+
+        def refuse(*args):
+            raise AssertionError("fan repair on braid cones")
+
+        monkeypatch.setattr(complexes, "_repair_fan", refuse)
+        recs = [self.summary(recession_fan(cx)) for cx in cases]
+        local = [{p: self.summary(star_fan(cx, p)) for p in ps} for cx, ps in zip(cases, stars)]
+        monkeypatch.undo()
+        monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        for cx, ps, rec, expected in zip(cases, stars, recs, local):
+            assert self.summary(recession_fan(cx)) == rec
+            assert {p: self.summary(star_fan(cx, p)) for p in ps} == expected
+        assert len(cases) > 40 and any(len(set(rec[1])) > 1 for rec in recs)
+
+
 class TestStar:
     def test_star_of_fan_at_origin(self, u23_fan):
         star = star_fan(u23_fan, TropPoint((0, 0, 0)))
@@ -314,6 +376,15 @@ class TestStar:
         doubled = WeightedComplex(3, u23_fan.cells, [2, 2, 2], validate=False)
         star = star_fan(doubled, TropPoint((0, -3, 0)))
         assert set(star.weights) == {2}
+
+    def test_equal_local_cones_add_their_weights(self):
+        # a ray and a segment along it leave their common vertex the same way
+        apex = TropPoint((0, 1, 2))
+        ray = Cell.from_torus(3, [apex], rays=[(0, 0, -1)])
+        edge = Cell.from_torus(3, [apex, TropPoint((0, 1, 1))])
+        star = star_fan(WeightedComplex(3, [ray, edge], [2, 1], validate=False), apex)
+        assert star.weights == (3,)
+        assert star.cells[0].chain == (fs({3}),)
 
 
 class TestChnCell:
@@ -432,6 +503,71 @@ class TestComplexValidation:
         )
         with pytest.raises(InvalidInputError):
             WeightedComplex(3, [big, small], [1, 1])
+
+
+class TestValidationAgainstPairwiseOracle:
+    """Chain lookup for braid cones raises what the pairwise check raises."""
+
+    @staticmethod
+    def message(validate):
+        try:
+            validate()
+        except InvalidInputError as exc:
+            return str(exc)
+        return None
+
+    def assert_as_oracle(self, n, cells):
+        got = self.message(lambda: WeightedComplex(n, cells, [1] * len(cells)))
+        assert got == self.message(lambda: validate_common_faces(cells))
+        return got
+
+    def test_a_cone_with_one_of_its_faces(self):
+        seen = set()
+        for fan in braid_fan_corpus(3):
+            for k, cell in enumerate(fan.cells):
+                for face in cell.poly.all_faces()[:-1]:
+                    face = Cell(fan.n, face)
+                    seen.add(self.assert_as_oracle(fan.n, [cell, face]))
+                    rest = list(fan.cells[:k]) + list(fan.cells[k + 1 :])
+                    if face not in rest:
+                        seen.add(self.assert_as_oracle(fan.n, [face] + list(fan.cells)))
+        assert seen == {"maximal cells must not contain one another"}
+
+    def test_the_zero_cone_alongside_other_cones(self, u23_fan):
+        zero = Cell.from_torus(3, [TropPoint((0, 0, 0))])
+        other = Cell.from_torus(3, [TropPoint((0, 0, 0))], rays=[(0, -1, -2)])
+        for cells in (
+            [zero] + list(u23_fan.cells),
+            list(u23_fan.cells) + [zero],
+            [zero, other],
+            [other] + list(u23_fan.cells) + [zero],
+        ):
+            assert self.assert_as_oracle(3, cells) == (
+                "maximal cells must not contain one another"
+            )
+
+    def test_mixed_complexes_with_a_random_cone(self):
+        # add a random cone, maybe translated, to every complex of the corpus
+        rng = random.Random(61)
+        seen = set()
+        for fan in braid_fan_corpus(3):
+            seen.add(self.assert_as_oracle(fan.n, list(fan.cells)))
+            m = fan.n - 1
+            for _ in range(4):
+                rays = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(2)]
+                rays = [r for r in rays[: rng.randint(1, 2)] if any(r)]
+                apex = [(0,) * m] if rng.random() < 0.7 else [(rng.randint(-1, 1),) * m]
+                extra = Cell(fan.n, Polyhedron(m, apex, rays))
+                if extra in fan.cells:
+                    continue
+                cells = list(fan.cells)
+                cells.insert(rng.randint(0, len(cells)), extra)
+                seen.add(self.assert_as_oracle(fan.n, cells))
+        assert seen == {
+            None,
+            "maximal cells must not contain one another",
+            "cells do not intersect in a common face",
+        }
 
 
 class TestHeterogeneityBound:

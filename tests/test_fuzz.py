@@ -1,0 +1,80 @@
+"""Fuzzing complex JSON through the command line: every input, however
+malformed or degenerate, ends in exit 0, 1 or 2 and never in a traceback."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from troplin.cli import main
+
+FUZZ = settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def direction(draw, n):
+    """+-e_F over a random subset F, at scale 1, 2 or 1/2, or a random
+    small integer vector, as JSON rationals."""
+    if draw(st.booleans()):
+        subset = draw(st.sets(st.integers(0, n - 1)))
+        value = draw(st.sampled_from(["-1", "1", "-2", "2", "-1/2", "1/2"]))
+        return [value if i in subset else "0" for i in range(n)]
+    return [str(x) for x in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+
+
+@st.composite
+def complex_json(draw):
+    n = draw(st.integers(2, 4))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        zero = draw(st.booleans())
+        vertices = [
+            [0] * n if zero else draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        cell = {
+            "vertices": vertices,
+            "rays": [draw(direction(n)) for _ in range(draw(st.integers(0, 3)))],
+            "weight": draw(st.sampled_from([1, 1, 1, 2, 0])),
+        }
+        if draw(st.integers(0, 5)) == 0:
+            cell["lineality"] = [draw(direction(n))]
+        cells.append(cell)
+    return {"n": n, "cells": cells}
+
+
+def run_cli(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        json.loads(out.getvalue())
+
+
+@FUZZ
+@given(complex_json())
+def test_recognize_never_crashes(data):
+    run_cli("recognize", data)
+
+
+@FUZZ
+@given(complex_json())
+def test_balanced_never_crashes(data):
+    run_cli("balanced", data)

@@ -7,15 +7,16 @@ from itertools import combinations
 import pytest
 
 from troplin import io as tio
+from troplin import recognize
 from troplin.cli import main
-from troplin.complexes import WeightedComplex, chain_fan
+from troplin.complexes import Cell, WeightedComplex, chain_fan
 from troplin.errors import InvalidInputError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import recognize_fan
 
-from conftest import braid_fan_corpus
+from conftest import braid_fan_corpus, reference_cell, validate_common_faces
 
 F = Fraction
 fs = frozenset
@@ -118,6 +119,83 @@ class TestSchemas:
                     "cells": [{"vertices": [["0", "0", "0"]], "weight": -1}],
                 }
             )
+
+
+class TestBraidFirstIngest:
+    """Braid cones are read as given, every other cell is reduced; either
+    way a cell must come out as the normalising constructor builds it."""
+
+    @staticmethod
+    def assert_as_reference(n, cell_json):
+        raw = json.loads(json.dumps(cell_json))
+        vertices = [tio.point_from_json(v) for v in raw["vertices"]]
+        rays = [[tio.parse_frac(x) for x in r] for r in raw.get("rays", [])]
+        lin = [[tio.parse_frac(x) for x in l] for l in raw.get("lineality", [])]
+        got = Cell.from_torus(n, vertices, rays, lin)
+        expected = reference_cell(n, vertices, rays, lin)
+        assert got.poly.canonical_key == expected.poly.canonical_key
+        assert got.chain == expected.chain
+        (ingested,) = tio.complex_from_json({"n": n, "cells": [raw]}).cells
+        assert ingested.poly.canonical_key == expected.poly.canonical_key
+        return got
+
+    def test_corpus_cells_match_the_normalising_constructor(self):
+        braid = other = 0
+        for fan in braid_fan_corpus(4):
+            for cell in fan.cells:
+                got = self.assert_as_reference(fan.n, tio.cell_to_json(cell))
+                braid += got.chain is not None
+                other += got.chain is None
+            try:
+                rebuilt = tio.complex_from_json(tio.complex_to_json(fan))
+            except InvalidInputError as exc:
+                # subdividing a cone of the full braid fan of U(4,4) breaks
+                # the faces it shares with its neighbours
+                with pytest.raises(InvalidInputError, match=str(exc)):
+                    validate_common_faces(fan.cells)
+                continue
+            assert [c.poly.canonical_key for c in rebuilt.cells] == [
+                c.poly.canonical_key for c in fan.cells
+            ]
+            assert [c.chain for c in rebuilt.cells] == [c.chain for c in fan.cells]
+        assert braid and other
+
+    @pytest.mark.parametrize(
+        "vertices, rays, lineality, is_braid",
+        [
+            # -e_{1}, -e_{1,2} scaled by 2 and by 1/2
+            ([[0, 0, 0, 0]], [[-2, 0, 0, 0], [-2, -2, 0, 0]], [], True),
+            ([[0, 0, 0, 0]], [["-1/2", 0, 0, 0], ["-1/2", "-1/2", 0, 0]], [], True),
+            # a duplicated ray
+            ([[0, 0, 0, 0]], [[-1, 0, 0, 0], [-1, 0, 0, 0], [-1, -1, 0, 0]], [], True),
+            # the zero vertex written as (3,3,3,3), twice
+            ([[3, 3, 3, 3], [3, 3, 3, 3]], [[-1, 0, 0, 0]], [], True),
+            # -e_F written as +e_{F^c}
+            ([[0, 0, 0, 0]], [[0, 1, 1, 1], [0, 0, 1, 1]], [], True),
+            # the zero ray -e_{1,2,3,4} next to a braid ray
+            ([[0, 0, 0, 0]], [[-1, -1, -1, -1], [0, 0, 0, -1]], [], True),
+            # the zero cone
+            ([[0, 0, 0, 0]], [], [], True),
+            # non-nested 0/1 rays, independent and with a redundant one
+            ([[0, 0, 0, 0]], [[-1, 0, 0, 0], [0, -1, 0, 0]], [], False),
+            ([[0, 0, 0, 0]], [[-1, 0, 0, 0], [0, -1, 0, 0], [-1, -1, 0, 0]], [], False),
+            # a non-0/1 ray, redundant and not
+            ([[0, 0, 0, 0]], [[-1, 0, 0, 0], [-1, -1, 0, 0], [-2, -1, 0, 0]], [], True),
+            ([[0, 0, 0, 0]], [[-2, -1, 0, 0]], [], False),
+            # lineality on a braid cone, and a zero lineality vector
+            ([[0, 0, 0, 0]], [[-1, 0, 0, 0]], [[-1, -1, 0, 0]], False),
+            ([[0, 0, 0, 0]], [[-1, 0, 0, 0]], [[1, 1, 1, 1]], True),
+            # a braid-shaped cell at a nonzero vertex
+            ([[0, 1, 0, 0]], [[-1, 0, 0, 0]], [], False),
+            ([[0, 0, 0, 0], [0, -1, 0, 0]], [[-1, 0, 0, 0]], [], False),
+        ],
+    )
+    def test_adversarial_cells(self, vertices, rays, lineality, is_braid):
+        cell = {"vertices": vertices, "rays": rays}
+        if lineality:
+            cell["lineality"] = lineality
+        got = self.assert_as_reference(4, cell)
+        assert (got.chain is not None) == is_braid
 
 
 @pytest.fixture()
@@ -282,6 +360,23 @@ class TestCli:
         assert main(["recognize", str(path), "--budget", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "braid refinement exceeded" in captured.err
+
+    def test_unrealised_generic_point_is_exit_two(self, capsys, tmp_path, monkeypatch):
+        # a line with four distinct coordinates breaks the heterogeneity
+        # bound; with no scale matching, the witness search gives up
+        cells = [
+            {"vertices": [[0, 0, 0, 0]], "rays": [[0, -1, -2, -3]]},
+            {"vertices": [[0, 0, 0, 0]], "rays": [[0, 1, 2, 3]]},
+        ]
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"n": 4, "cells": cells}))
+        assert main(["recognize", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["reason"]["kind"] == "het-bound"
+        monkeypatch.setattr(recognize, "heterogeneity", lambda point: -1)
+        assert main(["recognize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: no generic point")
+        assert "Traceback" not in captured.err
 
     def test_byte_determinism(self, capsys, files):
         _, first = self.run(
