@@ -155,11 +155,6 @@ class Cell:
     def lineality(self) -> list[tuple]:
         return [lift_direction(l) for l in self.poly.lineality]
 
-    def contains_point(self, x: TropPoint) -> bool:
-        if x.n != self.n:
-            raise InvalidInputError("ambient size mismatch")
-        return self.poly.contains(to_quotient(x))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cell)
@@ -257,13 +252,16 @@ class WeightedComplex:
         return sorted(seen.values(), key=lambda c: (c.dim, c.poly.canonical_key))
 
     def support_contains(self, x: TropPoint) -> bool:
+        if x.n != self.n:
+            raise InvalidInputError("ambient size mismatch")
         if self.chain_tagged:
             chain = chn_cell_of(x)
             proper = [f for f in chain if len(f) < self.n]
             return any(
                 all(f in c.chain for f in proper) for c in self.cells
             )
-        return any(c.contains_point(x) for c in self.cells)
+        q = to_quotient(x)
+        return any(c.poly.contains(q) for c in self.cells)
 
     def __repr__(self) -> str:
         return f"WeightedComplex(n={self.n}, dim={self.dim}, cells={len(self.cells)})"
@@ -360,7 +358,7 @@ def _inward_normal(sp: Polyhedron, tp: Polyhedron, a: IntVec, unimodular: bool) 
     return tuple(-x for x in u) if vec_dot(a, u) > 0 else u
 
 
-def is_balanced(complex_: WeightedComplex, require_pure: bool = True) -> BalanceCheck:
+def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
     """Check the balancing equation at every codimension-one face.
 
     At each such face the weighted sum of primitive normal vectors of the
@@ -370,7 +368,7 @@ def is_balanced(complex_: WeightedComplex, require_pure: bool = True) -> Balance
     rays under the same canonical key the geometric faces of other cells
     get, and are built only as a witness.
     """
-    if require_pure and not complex_.is_pure:
+    if not complex_.is_pure:
         raise InvalidInputError("balancing is defined for pure complexes")
     # canonical face key -> [face or None, (weight, normal) pairs, is a braid cone's face]
     groups: dict = {}
@@ -399,7 +397,8 @@ def is_balanced(complex_: WeightedComplex, require_pure: bool = True) -> Balance
         if braid:
             ok = _in_braid_span(key[2], total)
         else:
-            ok = in_span(face.direction_rows, tuple(total))
+            # a direction is 0 in the homogenising coordinate, first in `_span`
+            ok = in_span(face._span, (0, *total))
         if not ok:
             face = face or Polyhedron._minimal(key[0], key[1], key[2])
             return BalanceCheck(False, Cell(complex_.n, face))
@@ -532,14 +531,14 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     return _merged_fan(complex_.n, cones)
 
 
-def chain_fan(family: ChainFamily, weight: int = 1) -> WeightedComplex:
+def chain_fan(family: ChainFamily) -> WeightedComplex:
     """The fan of cones over chains in a subset family containing the ground set.
 
     Each maximal chain of proper nonempty members spans a unimodular cone on
     the negated indicator vectors of its members.
     """
     cells = [Cell(family.n, chain_cone(family.n, chain)) for chain in family.maximal_chains()]
-    return WeightedComplex(family.n, cells, [weight] * len(cells), validate=False)
+    return WeightedComplex(family.n, cells, [1] * len(cells), validate=False)
 
 
 def chn_cell_of(x: TropPoint) -> tuple[GroundSet, ...]:

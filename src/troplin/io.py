@@ -45,6 +45,13 @@ def _int_sets(raw, what: str) -> list[list[int]]:
     return raw
 
 
+def _size(n) -> int:
+    """Check that a JSON 'n' is an integer of at least one."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInputError("'n' must be an integer >= 1")
+    return n
+
+
 def point_to_json(p: TropPoint) -> list[str]:
     return [frac_str(c) for c in p.coords]
 
@@ -68,11 +75,10 @@ def matroid_to_json(m: Matroid) -> dict:
 
 def matroid_from_json(data) -> Matroid:
     try:
-        n = int(data["n"])
-        bases = data["bases"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, bases = data["n"], data["bases"]
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError("matroid JSON needs fields 'n' and 'bases'") from exc
-    return Matroid(n, _int_sets(bases, "'bases'"))
+    return Matroid(_size(n), _int_sets(bases, "'bases'"))
 
 
 def valuated_to_json(v: ValuatedMatroid) -> dict:
@@ -105,11 +111,10 @@ def chain_family_to_json(f: ChainFamily) -> dict:
 
 def chain_family_from_json(data) -> ChainFamily:
     try:
-        n = int(data["n"])
-        sets = data["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, sets = data["n"], data["sets"]
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError("family JSON needs fields 'n' and 'sets'") from exc
-    return ChainFamily(n, [frozenset(s) for s in _int_sets(sets, "'sets'")])
+    return ChainFamily(_size(n), [frozenset(s) for s in _int_sets(sets, "'sets'")])
 
 
 def cell_to_json(cell: Cell, weight: int | None = None) -> dict:
@@ -135,10 +140,10 @@ def complex_to_json(c: WeightedComplex) -> dict:
 
 def complex_from_json(data) -> WeightedComplex:
     try:
-        n = int(data["n"])
-        raw_cells = data["cells"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, raw_cells = data["n"], data["cells"]
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError("complex JSON needs fields 'n' and 'cells'") from exc
+    n = _size(n)
     if not isinstance(raw_cells, list) or not raw_cells:
         raise InvalidInputError("'cells' must be a nonempty array")
     cells = []

@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals and integer lattice utilities.
 
 Everything here is dense and small: ambient dimensions stay in single digits,
-so plain row reduction over Fraction and textbook Smith normal form are both
-fast enough and free of numerical error.
+so a textbook Hermite normal form and diagonalisation over the integers are
+both fast enough and free of numerical error.  Rank, span membership,
+nullspace and solutions are read off the Hermite normal form of the rows
+scaled to integers, by integer back-substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInputError
 from .points import _frac
@@ -33,75 +35,66 @@ def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(map(_frac, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def _lift(v) -> IntVec:
+    """D*v for the least D > 0 that makes the rational vector v integral;
+    primitive when some entry of v is 1, as in (x, 1)."""
+    if all(isinstance(x, int) for x in v):
+        return tuple(v)
+    v = [_frac(x) for x in v]
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v)
+
+
+def _echelon(rows) -> tuple[list[IntVec], list[int]]:
+    """Hermite normal form of the rows scaled to integers, and its pivot columns."""
+    hnf = hermite_normal_form([_lift(r) for r in rows])
+    return hnf, [next(j for j, x in enumerate(r) if x) for r in hnf]
+
+
+def _kernel_vector(hnf: list[IntVec], pivots: list[int], free: int, cols: int) -> IntVec:
+    """The primitive integer solution of hnf . x = 0 along the one that is 1
+    at the free column and 0 at every other free column.  Back-substitution
+    solves for each pivot entry after scaling x by the least factor that
+    keeps it integral, so x ends primitive."""
+    x = [0] * cols
+    x[free] = 1
+    for row, p in zip(reversed(hnf), reversed(pivots)):
+        s = vec_dot(row[p + 1 :], x[p + 1 :])
+        g = gcd(s, row[p])
+        if row[p] != g:
+            x = [row[p] // g * a for a in x]
+        x[p] = -s // g
+    return tuple(x)
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref([list(r) for r in rows])[0])
+    return len(_echelon(rows)[0])
 
 
 def in_span(rows, target) -> bool:
     """Is target in the rational row span?"""
-    if vec_is_zero(target):
-        return True
-    if not rows:
-        return False
-    return rank(list(rows)) == rank(list(rows) + [list(target)])
+    return rank(rows) == rank(list(rows) + [target])
 
 
-def nullspace(rows, cols: int) -> list[Vec]:
-    """Canonical basis of {x : rows . x = 0}."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(cols)) for i in range(cols)]
-    red, pivots = rref([list(r) for r in rows])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
+def nullspace(rows, cols: int) -> list[IntVec]:
+    """Basis of {x : rows . x = 0}: for each free column of the echelon form,
+    the primitive integer vector along the solution that is 1 there and 0 at
+    the other free columns."""
+    hnf, pivots = _echelon(rows)
+    return [_kernel_vector(hnf, pivots, f, cols) for f in range(cols) if f not in pivots]
 
 
 def solve_exact(rows, rhs) -> Vec | None:
-    """One solution of rows . x = rhs, or None if inconsistent."""
-    cols = len(rows[0]) if rows else 0
-    aug = [list(map(_frac, r)) + [_frac(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for r in red:
-        if all(x == 0 for x in r[:-1]) and r[-1] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        if p == cols:
-            return None
-        x[p] = red[r][-1]
-    return tuple(x)
+    """One solution of rows . x = rhs, or None if inconsistent: the solution
+    that is 0 at every free column, read off the kernel of (rows | -rhs)."""
+    if not rows:
+        return ()
+    cols = len(rows[0])
+    hnf, pivots = _echelon([tuple(r) + (-b,) for r, b in zip(rows, rhs)])
+    if cols in pivots:
+        return None
+    x = _kernel_vector(hnf, pivots, cols, cols + 1)
+    return tuple(Fraction(a, x[-1]) for a in x[:-1])
 
 
 def content(vec) -> int:

@@ -21,6 +21,9 @@ from .errors import (
 
 GroundSet = frozenset[int]
 
+# exhaustive enumeration is doubly exponential in n
+ENUMERATION_LIMIT = 5
+
 
 def _sorted_sets(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
@@ -268,14 +271,14 @@ def matroid_from_flats(family: ChainFamily) -> Matroid:
     return Matroid(family.n, bases)
 
 
-def enumerate_matroids(n: int, limit: int = 5) -> list[Matroid]:
+def enumerate_matroids(n: int) -> list[Matroid]:
     """Every loopfree matroid on {1..n}, by exhaustive exchange filtering.
 
     No isomorphism reduction is performed; output order is fixed by rank and
     then by the sorted basis family.
     """
-    if n > limit:
-        raise ResourceLimitError(f"enumeration capped at n <= {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
     ground = list(range(1, n + 1))
     out: list[Matroid] = []
     for rank in range(1, n + 1):

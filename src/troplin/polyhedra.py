@@ -9,7 +9,9 @@ Predicates, faces and cuts read one integer form, the homogenised cone in
 Z^(m+1): its generators `_gens`, where a vertex v becomes (d*v, d), a ray r
 becomes (r, 0) and a lineality vector l becomes +-(l, 0), and its rows
 `_rows`, where a constraint a.x <= b becomes the row of (x, t) -> a.x - b*t;
-`hrep` is a view of the rows.  One integer double-description kernel, `_dd`,
+`hrep` is a view of the rows.  One Hermite normal form of the generators,
+`_span`, gives the dimension, the equations and the basis of the span in
+which the facets are found.  One integer double-description kernel, `_dd`,
 does every conversion: facets come from `_dd` on the generators written in
 coordinates of their own span; minimal generators, and the pieces of every
 halfspace or hyperplane cut, come from `_dd` on the rows.  No floating point
@@ -21,21 +23,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import (
+    _lift,
+    hermite_normal_form,
     nullspace,
     primitive_direction,
-    rank,
-    rref,
     saturate_rows,
     solve_exact,
     vec_dot,
     vec_is_zero,
-    vec_sub,
 )
 from .points import _frac
 
@@ -56,14 +57,6 @@ def _neg(v) -> tuple:
 
 def _dot(r: IntVec, g: IntVec) -> int:
     return sum(map(mul, r, g))
-
-
-def _lift(v) -> IntVec:
-    """D*v for the least D > 0 that makes the rational vector v integral;
-    primitive when some entry of v is 1, as in (x, 1)."""
-    v = _fvec(v)
-    d = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (d // x.denominator) for x in v)
 
 
 def _mix(s: int, x: IntVec, t: int, y: IntVec) -> IntVec:
@@ -229,22 +222,13 @@ class Polyhedron:
     # -- basic geometry -----------------------------------------------
 
     @cached_property
-    def direction_rows(self) -> list[IntVec]:
-        """Primitive integer spanning set of the direction space."""
-        rows = [list(r) for r in self.rays] + [list(l) for l in self.lineality]
-        v0 = self.vertices[0]
-        for v in self.vertices[1:]:
-            rows.append(list(primitive_direction(vec_sub(v, v0))))
-        return [tuple(r) for r in rows]
-
-    @cached_property
     def dim(self) -> int:
-        return rank(self.direction_rows)
+        return len(self._span) - 1
 
     @cached_property
     def lattice_basis(self) -> list[IntVec]:
         """Saturated basis of the direction span intersected with Z^m."""
-        return saturate_rows(self.direction_rows)
+        return saturate_rows([r[1:] for r in self._span[1:]])
 
     @property
     def is_cone(self) -> bool:
@@ -279,14 +263,22 @@ class Polyhedron:
         return gens
 
     @cached_property
+    def _span(self) -> list[IntVec]:
+        """Hermite normal form of the generators with the homogenising
+        coordinate moved first.  Every vertex has d > 0 there, so only the
+        first row is nonzero in it, and the other rows with it dropped are a
+        basis of the direction space."""
+        return hermite_normal_form([g[-1:] + g[:-1] for g in self._gens])
+
+    @cached_property
     def _rows(self) -> tuple[list[IntVec], list[IntVec]]:
         """Primitive integer rows of the equations and of the facets, sorted;
         a row r stands for r.(x, 1) = 0 or r.(x, 1) <= 0."""
         g0 = self._gens[0]
-        eqs = []
-        for nrm in nullspace(self.direction_rows, self.m):
-            a = primitive_direction(nrm)
-            eqs.append(primitive_direction(tuple(g0[-1] * x for x in a) + (-_dot(a, g0),)))
+        eqs = [
+            primitive_direction(tuple(g0[-1] * x for x in a) + (-_dot(a, g0),))
+            for a in nullspace([r[1:] for r in self._span[1:]], self.m)
+        ]
         return sorted(eqs), sorted(self._facets())
 
     @cached_property
@@ -312,14 +304,15 @@ class Polyhedron:
     def _facets(self) -> list[IntVec]:
         """Facet rows of the homogenised cone, as normals inside its span.
 
-        With an integer basis B of the span, a generator g has coordinates
-        B.g, and a functional f on those coordinates is h.g for h = f.B in
-        the span.  The extreme rays f of the polar cone are the facets; the
-        one tight on no vertex is the face at infinity.
+        With the integer basis B of the span, the rows of `_span` rotated
+        back, a generator g has coordinates B.g, and a functional f on those
+        coordinates is h.g for h = f.B in the span.  The extreme rays f of
+        the polar cone are the facets; the one tight on no vertex is the
+        face at infinity.
         """
         gens = self._gens
         nv = len(self.vertices)
-        basis = [primitive_direction(b) for b in rref(gens)[0]]
+        basis = [b[1:] + b[:1] for b in self._span]
         coords = [tuple(vec_dot(b, g) for b in basis) for g in gens]
         return [
             primitive_direction(

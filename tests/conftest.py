@@ -1,7 +1,8 @@
 """Shared fixtures: small matroids, their fans, and valuated-matroid complexes,
 plus an LP hull oracle independent of the polyhedron kernel, the
-Fraction-valued predicates the kernel's integer form replaced, and the
-pairwise complex validation that chain lookup replaced."""
+Fraction-valued predicates the kernel's integer form replaced, the Fraction
+row reduction the Hermite normal form replaced, and the pairwise complex
+validation that chain lookup replaced."""
 
 import random
 from fractions import Fraction
@@ -149,6 +150,64 @@ def in_hull(target, verts, rays=(), lineality=()) -> bool:
         (tuple(Fraction(-int(i == j)) for j in range(k)), Fraction(0)) for i in range(k)
     ]
     return lp_feasible(k, ineqs, eqs).feasible
+
+
+# Gauss-Jordan elimination over Fraction, and the rank, nullspace and
+# solution it gave before linalg read them off the integer Hermite normal form.
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def rref_rank(rows) -> int:
+    return len(rref(rows)[0])
+
+
+def rref_nullspace(rows, cols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : rows . x = 0}, one vector per free column: 1 there and
+    0 at the other free columns."""
+    red, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def rref_solve(rows, rhs) -> tuple[Fraction, ...] | None:
+    """The solution of rows . x = rhs that is 0 at every free column, or None."""
+    cols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][-1]
+    return tuple(x)
 
 
 # The predicates below loop over vertices, rays and lineality separately in

@@ -106,6 +106,13 @@ class TestPointInSupport:
         # the negated indicator of a non-flat misses the support
         assert point_in_support(u23_fan, flat_direction(3, {2, 3})) is None
 
+    def test_ambient_size_is_checked_on_both_paths(self, u23_fan, tripod_complex):
+        # a fan of braid cones reads the point's chain, any other complex its cells
+        assert u23_fan.chain_tagged and not tripod_complex.chain_tagged
+        for complex_ in (u23_fan, tripod_complex):
+            with pytest.raises(InvalidInputError):
+                complex_.support_contains(TropPoint((0, -1, -1, -1, -1)))
+
 
 class TestPrimitiveNormal:
     def test_ray_over_origin(self):

@@ -329,6 +329,13 @@ class TestCli:
             ("bergman", {"n": 3, "bases": [[1, "a"]]}),
             ("bergman", {"n": 3, "bases": 5}),
             ("recognize", {"n": 3, "cells": [{"vertices": [[0, 0, 0]], "weight": True}]}),
+            # 'n' is a JSON integer >= 1: no float, bool or string is rounded or cast
+            ("recognize", {"n": 3.9, "cells": [{"vertices": [[0, 0, 0]], "rays": [[-1, 0, 0]]}]}),
+            ("balanced", {"n": True, "cells": [{"vertices": [[0]]}]}),
+            ("bergman", {"n": "3", "bases": [[1, 2], [1, 3], [2, 3]]}),
+            ("bergman", {"n": 2.0, "bases": [[1], [2]]}),
+            ("chains", {"n": 0, "sets": [[]]}),
+            ("chains", {"n": -2, "sets": [[]]}),
         ],
     )
     def test_malformed_structure_is_exit_two(self, capsys, tmp_path, command, data):

@@ -17,7 +17,15 @@ from troplin.complexes import (
     star_fan,
     to_quotient,
 )
-from troplin.linalg import vec_dot
+from troplin.linalg import (
+    in_span,
+    nullspace,
+    primitive_direction,
+    rank,
+    solve_exact,
+    vec_dot,
+    vec_sub,
+)
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
 from troplin.polyhedra import Polyhedron, _lift, _row
@@ -28,6 +36,9 @@ from conftest import (
     in_hull,
     rand_point,
     rand_rational,
+    rref_nullspace,
+    rref_rank,
+    rref_solve,
     segment_interval,
 )
 
@@ -265,6 +276,80 @@ class TestIntegerFormAgainstFractionOracle:
                     seen.add(got is None)
                     fractional |= any(c.denominator > 1 for c in end)
         assert seen == {True, False} and fractional
+
+
+class TestHermiteAgainstRowReduction:
+    """rank, in_span, nullspace and solve_exact, read off the integer Hermite
+    normal form, agree with the Fraction Gauss-Jordan elimination, and so
+    does the dimension read off a polyhedron's `_span`."""
+
+    @staticmethod
+    def random_matrix(rng, rational):
+        cols = rng.randint(1, 5)
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            return rand_rational(rng, 4, 3) if rational else rng.randint(-4, 4)
+
+        mat = [[entry() for _ in range(cols)] for _ in range(rng.randint(0, 4))]
+        if len(mat) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(mat, 2)
+            s, t = entry(), entry()
+            mat.append([s * x + t * y for x, y in zip(a, b)])
+        if rng.random() < 0.3:
+            mat.insert(rng.randint(0, len(mat)), [0] * cols)
+        return mat, cols, entry
+
+    def test_matrices_agree_with_the_oracle(self):
+        rng = random.Random(59)
+        seen = set()
+        for k in range(400):
+            mat, cols, entry = self.random_matrix(rng, rational=k % 2 == 1)
+            r = rref_rank(mat)
+            assert rank(mat) == r
+            x0 = [entry() for _ in range(cols)]
+            image = [sum(a * x for a, x in zip(row, x0)) for row in mat]
+            for target in (x0, [0] * cols, mat[0] if mat else x0):
+                expected = not any(target) or rref_rank(mat + [target]) == r
+                assert in_span(mat, target) == expected
+                seen.add(("in span", expected))
+            assert nullspace(mat, cols) == [
+                primitive_direction(v) for v in rref_nullspace(mat, cols)
+            ]
+            for rhs in (image, [entry() for _ in mat]):
+                expected = rref_solve(mat, rhs)
+                assert solve_exact(mat, rhs) == expected
+                seen.add(("solvable", expected is not None))
+            seen.add(("rows", len(mat) > 0, r == len(mat)))
+            seen.add(("zero row", [0] * cols in mat))
+        assert seen == {
+            ("in span", True),
+            ("in span", False),
+            ("solvable", True),
+            ("solvable", False),
+            ("rows", False, True),
+            ("rows", True, True),
+            ("rows", True, False),
+            ("zero row", True),
+            ("zero row", False),
+        }
+
+    def test_dimension_is_the_rank_of_the_directions(self):
+        rng = random.Random(61)
+        polys = [TestKernelAgainstHullOracle.random_polyhedron(rng) for _ in range(40)]
+        polys += [
+            TestIntegerFormAgainstFractionOracle.random_polyhedron(rng, rng.randint(1, 4))
+            for _ in range(40)
+        ]
+        dims = set()
+        for poly in polys:
+            for face in poly.all_faces():
+                v0 = face.vertices[0]
+                directions = [vec_sub(v, v0) for v in face.vertices[1:]]
+                assert face.dim == rref_rank(directions + list(face.rays + face.lineality))
+                dims.add(face.dim)
+        assert dims == {0, 1, 2, 3, 4}
 
 
 class TestRecessionRepairOracle:

@@ -194,7 +194,7 @@ class TestRecognizeFan:
             raise AssertionError("geometry on a braid cone")
 
         monkeypatch.setattr(Polyhedron, "_facets", refuse)
-        monkeypatch.setattr(polyhedra, "rank", refuse)
+        monkeypatch.setattr(polyhedra, "hermite_normal_form", refuse)
         monkeypatch.setattr(complexes, "hermite_normal_form", refuse)
         monkeypatch.setattr(complexes, "in_span", refuse)
         report = recognize_fan(fan)
