@@ -8,7 +8,12 @@ weights on their maximal cells.
 
 The operations here are the tropical-variety toolkit: primitive normal
 vectors and the balancing test, recession and star fans, fans of chains of
-subsets, and exact coverage tests for tropical segments.
+subsets, and exact coverage tests for tropical segments.  A cell that is a
+braid cone apex + cone(-e_F over a chain) is recognised from its
+generators (`Cell.braid`), and balancing, dimension and star containment
+read the chain instead of an H-representation.  Segment coverage reads one
+table per complex of the cells' distinct constraint rows, each evaluated
+once at every integer breakpoint of the segment.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -30,8 +36,8 @@ from .linalg import (
     vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import TropPoint, _frac, partition, segment
-from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _lift, _neg
+from .points import TropPoint, _frac, partition
+from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _neg
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -117,15 +123,16 @@ class Cell:
         return _cell_of(n, verts, qrays, qlin)
 
     @cached_property
-    def chain(self) -> tuple[GroundSet, ...] | None:
-        """The chain of subsets whose cone this cell is, or None.
+    def braid(self) -> tuple[Vec, tuple[GroundSet, ...]] | None:
+        """The apex and chain of subsets of the translated braid cone this
+        cell is, or None.
 
-        The cell is a cone of the braid fan exactly when it is a pointed cone
-        whose primitive rays are -e_F for nested sets F; a ray lifted to
-        (0,) + r is -e_F up to the all-ones line when it takes two values
-        that differ by 1, and F is where it takes the lower one.
+        The cell is apex + cone(-e_F over a chain) exactly when it has one
+        vertex, no lineality and primitive rays -e_F for nested sets F; a ray
+        lifted to (0,) + r is -e_F up to the all-ones line when it takes two
+        values that differ by 1, and F is where it takes the lower one.
         """
-        if not self.poly.is_cone or self.poly.lineality:
+        if len(self.poly.vertices) != 1 or self.poly.lineality:
             return None
         sets = []
         for r in self.poly.rays:
@@ -135,13 +142,22 @@ class Cell:
                 return None
             sets.append(frozenset(i for i, x in enumerate(lifted, 1) if x == low))
         chain = tuple(sorted(sets, key=len))
-        return chain if all(a < b for a, b in zip(chain, chain[1:])) else None
+        if any(not a < b for a, b in zip(chain, chain[1:])):
+            return None
+        return self.poly.vertices[0], chain
+
+    @cached_property
+    def chain(self) -> tuple[GroundSet, ...] | None:
+        """The chain of subsets whose cone this cell is, or None: the chain
+        of `braid` when the apex is the origin."""
+        braid = self.braid
+        return braid[1] if braid is not None and vec_is_zero(braid[0]) else None
 
     @property
     def dim(self) -> int:
         # the rays of a braid cone are linearly independent
-        chain = self.chain
-        return self.poly.dim if chain is None else len(chain)
+        braid = self.braid
+        return self.poly.dim if braid is None else len(braid[1])
 
     @property
     def vertices(self) -> list[TropPoint]:
@@ -263,6 +279,21 @@ class WeightedComplex:
         q = to_quotient(x)
         return any(c.poly.contains(q) for c in self.cells)
 
+    @cached_property
+    def _row_table(self) -> tuple[list[IntVec], list[list[tuple[int, int]]]]:
+        """The distinct `_constraints` rows of the cells up to sign, each with
+        its first nonzero entry positive, and for each cell its rows as
+        (index, sign) pairs: the row is sign times the distinct row."""
+        index: dict[IntVec, int] = {}
+        cell_rows = []
+        for cell in self.cells:
+            pairs = []
+            for r in cell.poly._constraints:
+                s = 1 if next(x for x in r if x) > 0 else -1
+                pairs.append((index.setdefault(r if s > 0 else _neg(r), len(index)), s))
+            cell_rows.append(pairs)
+        return list(index), cell_rows
+
     def __repr__(self) -> str:
         return f"WeightedComplex(n={self.n}, dim={self.dim}, cells={len(self.cells)})"
 
@@ -362,11 +393,12 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
     """Check the balancing equation at every codimension-one face.
 
     At each such face the weighted sum of primitive normal vectors of the
-    adjacent maximal cells must lie in the linear span of the face.  A braid
-    cone is unimodular and simplicial, so dropping one of its rays u gives a
-    facet whose primitive inward normal is u; its faces are read off the
-    rays under the same canonical key the geometric faces of other cells
-    get, and are built only as a witness.
+    adjacent maximal cells must lie in the linear span of the face.  A
+    braid cone, at the origin or translated to an apex v, is unimodular and
+    simplicial, so dropping one of its rays u gives a facet whose primitive
+    inward normal is u; that facet's canonical key is (m, (v,), the other
+    rays, ()), the key the geometric faces of other cells get, and it is
+    built only as a witness.
     """
     if not complex_.is_pure:
         raise InvalidInputError("balancing is defined for pure complexes")
@@ -374,7 +406,7 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
     groups: dict = {}
     for cell, weight in zip(complex_.cells, complex_.weights):
         poly = cell.poly
-        if cell.chain is not None:
+        if cell.braid is not None:
             for u in poly.rays:
                 rest = tuple(r for r in poly.rays if r != u)
                 entry = groups.setdefault((poly.m, poly.vertices, rest, ()), [None, [], False])
@@ -518,7 +550,7 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     cones = []
     for cell, weight in zip(complex_.cells, complex_.weights):
         poly = cell.poly
-        if poly.contains(q):
+        if _cell_contains(cell, q):
             # the cone of directions from q into the cell
             rays = list(poly.rays)
             for v in poly.vertices:
@@ -529,6 +561,20 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     if not cones:
         raise InvalidInputError("point outside the support")
     return _merged_fan(complex_.n, cones)
+
+
+def _cell_contains(cell: Cell, q: Vec) -> bool:
+    """Does the cell contain the quotient point q?  A braid cone apex +
+    cone(chain) does when the chain of q - apex lies in its chain: with
+    w = (0, q - apex), that is the sets {i : w_i <= v} for each value v of
+    w but the largest."""
+    if cell.braid is None:
+        return cell.poly.contains(q)
+    apex, chain = cell.braid
+    w = (0, *vec_sub(q, apex))
+    return all(
+        frozenset(i for i, x in enumerate(w, 1) if x <= v) in chain for v in sorted(set(w))[:-1]
+    )
 
 
 def chain_fan(family: ChainFamily) -> WeightedComplex:
@@ -565,51 +611,73 @@ def segment_in_support(
 ) -> SegmentCheck:
     """Is the tropical segment between two points inside the support?
 
-    Each ordinary piece of the segment is tested by computing, per maximal
-    cell, the closed parameter subinterval mapped into that cell and merging;
-    on failure a rational parameter in the first uncovered gap (measured
-    along the whole segment, scaled to [0, 1]) is returned with its point.
-    The piece's ends are scaled to one common denominator D, so its point at
-    t is homogenised as (1 - t)*(D*start, D) + t*(D*end, D).
+    Both points are lifted to one common denominator d, and the integer
+    breakpoints b are computed as `points.segment` does: the coordinates
+    with the largest y - x values grow first.  Each distinct constraint row
+    of the complex (`WeightedComplex._row_table`) is evaluated once at every
+    homogenised breakpoint (b, d).  A piece is the convex combination of two
+    breakpoints, so a cell with a row positive at every breakpoint misses
+    the whole segment; for the other cells the closed parameter subinterval
+    of each piece inside the cell is read off the row values at the piece's
+    ends, and the union is swept in integers.  On failure a rational
+    parameter in the first uncovered gap (measured along the whole segment,
+    scaled to [0, 1]) is returned with its point.
     """
     if x.n != complex_.n or y.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
-    points = segment(x, y)
-    if len(points) == 1:
+    d = lcm(*(c.denominator for c in x.coords + y.coords))
+    point = [c.numerator * (d // c.denominator) for c in x.coords]
+    delta = [c.numerator * (d // c.denominator) - p for c, p in zip(y.coords, point)]
+    steps = sorted(set(delta), reverse=True)
+    if len(steps) == 1:
         if complex_.support_contains(x):
             return SegmentCheck(True)
         return SegmentCheck(False, Fraction(0), x)
-    pieces = len(points) - 1
+    ends = [point]
+    for hi, lo in zip(steps, steps[1:]):
+        point = [p + hi - lo if e >= hi else p for p, e in zip(point, delta)]
+        ends.append(point)
+    ends = [tuple(p - b[0] for p in b[1:]) + (d,) for b in ends]
+    rows, cell_rows = complex_._row_table
+    values = [[_dot(r, b) for r in rows] for b in ends]
+    low = list(map(min, zip(*values)))
+    high = list(map(max, zip(*values)))
+    meeting = [
+        pairs
+        for pairs in cell_rows
+        if not any(low[i] > 0 if s > 0 else high[i] < 0 for i, s in pairs)
+    ]
+    pieces = len(ends) - 1
     for j in range(pieces):
-        start = to_quotient(points[j])
-        end = to_quotient(points[j + 1])
-        lifted = _lift(start + end + (1,))
-        p, q = lifted[: len(start)] + lifted[-1:], lifted[len(start) :]
         intervals = []
-        for cell in complex_.cells:
-            iv = _segment_interval(cell.poly, p, q)
+        for pairs in meeting:
+            iv = _cell_interval(pairs, values[j], values[j + 1])
             if iv is not None:
                 intervals.append(iv)
-        gap = _first_gap(intervals)
-        if gap is not None:
-            direction = tuple(e - s for s, e in zip(start, end))
-            global_param = Fraction(j, pieces) + gap / pieces
-            witness = from_quotient(
-                complex_.n,
-                tuple(s + gap * d for s, d in zip(start, direction)),
-            )
-            return SegmentCheck(False, global_param, witness)
+        if _covers(intervals):
+            continue
+        gap = _first_gap(
+            [(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) for lo_n, lo_d, hi_n, hi_d in intervals]
+        )
+        start = [Fraction(c, d) for c in ends[j][:-1]]
+        end = [Fraction(c, d) for c in ends[j + 1][:-1]]
+        global_param = Fraction(j, pieces) + gap / pieces
+        witness = from_quotient(
+            complex_.n, tuple(s + gap * (e - s) for s, e in zip(start, end))
+        )
+        return SegmentCheck(False, global_param, witness)
     return SegmentCheck(True)
 
 
-def _segment_interval(poly: Polyhedron, p: IntVec, q: IntVec):
-    """Parameters t in [0,1] with (1 - t)*p + t*q in the homogenised cone of
-    the polyhedron, for integer vectors p and q with the same last entry."""
-    # lo = lo_n/lo_d and hi = hi_n/hi_d with positive denominators
+def _cell_interval(pairs, start: Sequence[int], end: Sequence[int]):
+    """Parameters t in [0, 1] on a segment piece with every row of a cell
+    <= 0 at (1 - t)*p + t*q, as (lo_n, lo_d, hi_n, hi_d) with positive
+    denominators, or None.  Row (i, s) is s times the distinct row i, whose
+    values at the homogenised ends p and q are start[i] and end[i]."""
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
-    for r in poly._constraints:
-        # r is <= 0 at t when rp + t*(rq - rp) <= 0
-        rp, rq = _dot(r, p), _dot(r, q)
+    for i, s in pairs:
+        # the row is <= 0 at t when rp + t*(rq - rp) <= 0
+        rp, rq = s * start[i], s * end[i]
         if rp == rq:
             if rp > 0:
                 return None
@@ -622,7 +690,27 @@ def _segment_interval(poly: Polyhedron, p: IntVec, q: IntVec):
             lo_n, lo_d = rp, rp - rq
     if lo_n * hi_d > hi_n * lo_d:
         return None
-    return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+    return lo_n, lo_d, hi_n, hi_d
+
+
+def _covers(intervals) -> bool:
+    """Do the closed intervals (lo_n, lo_d, hi_n, hi_d) cover [0, 1]?
+
+    With [0, reach] covered, some interval starting at or before reach must
+    end beyond it; reach starts at -1, when only 0 may start one.
+    """
+    reach_n, reach_d = -1, 1
+    while reach_n < reach_d:
+        bound = max(reach_n, 0)
+        best = None
+        for lo_n, lo_d, hi_n, hi_d in intervals:
+            if lo_n * reach_d <= bound * lo_d and hi_n * reach_d > reach_n * hi_d:
+                if best is None or hi_n * best[1] > best[0] * hi_d:
+                    best = hi_n, hi_d
+        if best is None:
+            return False
+        reach_n, reach_d = best
+    return True
 
 
 def _first_gap(intervals) -> Fraction | None:

@@ -277,6 +277,8 @@ def enumerate_matroids(n: int) -> list[Matroid]:
     No isomorphism reduction is performed; output order is fixed by rank and
     then by the sorted basis family.
     """
+    if n < 1:
+        raise InvalidInputError("enumeration needs n >= 1")
     if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_LIMIT}")
     ground = list(range(1, n + 1))

@@ -284,7 +284,10 @@ class LocalCheckReport:
 
 
 def _components(complex_: WeightedComplex) -> int:
+    """Connected components of the support.  Two cells meet when they share
+    a vertex generator, and otherwise when their intersection is nonempty."""
     cells = complex_.cells
+    vertices = [set(c.poly.vertices) for c in cells]
     parent = list(range(len(cells)))
 
     def find(i):
@@ -295,7 +298,10 @@ def _components(complex_: WeightedComplex) -> int:
 
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
-            if find(i) != find(j) and cells[i].poly.intersection(cells[j].poly) is not None:
+            if find(i) != find(j) and (
+                not vertices[i].isdisjoint(vertices[j])
+                or cells[i].poly.intersection(cells[j].poly) is not None
+            ):
                 parent[find(i)] = find(j)
     return len({find(i) for i in range(len(cells))})
 
@@ -385,8 +391,11 @@ def convexity_probe(
     """Sound, incomplete convexity rejection by seeded segment sampling.
 
     Any failure certifies that the support is not tropically convex; running
-    clean only reports that no counterexample was found.
+    clean only reports that no counterexample was found.  With no samples
+    only the segments between vertex generators are checked.
     """
+    if samples < 0:
+        raise InvalidInputError("the number of samples must be >= 0")
     pairs: list[tuple[TropPoint, TropPoint]] = []
     verts: list[TropPoint] = []
     for cell in complex_.cells:

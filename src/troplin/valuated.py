@@ -57,6 +57,9 @@ def check_pluecker(matroid: Matroid, weights: Mapping[GroundSet, Rational]) -> P
 def _normalized_weights(
     matroid: Matroid, weights: Mapping[GroundSet, Rational]
 ) -> dict[GroundSet, Fraction]:
+    for key in weights:
+        if frozenset(key) not in matroid.bases:
+            raise InvalidInputError(f"valuation given on {sorted(key)}, which is not a basis")
     out: dict[GroundSet, Fraction] = {}
     for b in matroid.bases:
         key = frozenset(b)

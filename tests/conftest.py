@@ -1,29 +1,36 @@
 """Shared fixtures: small matroids, their fans, and valuated-matroid complexes,
 plus an LP hull oracle independent of the polyhedron kernel, the
 Fraction-valued predicates the kernel's integer form replaced, the Fraction
-row reduction the Hermite normal form replaced, and the pairwise complex
-validation that chain lookup replaced."""
+row reduction the Hermite normal form replaced, the pairwise complex
+validation that chain lookup replaced, and the per-cell segment coverage
+test that the row table of a complex replaced."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from troplin.complexes import (
     Cell,
+    SegmentCheck,
     WeightedComplex,
+    _first_gap,
     _meet_in_common_face,
     chain_fan,
     direction_to_quotient,
+    from_quotient,
     to_quotient,
 )
 from troplin.errors import InvalidInputError
 from troplin.linalg import vec_dot, vec_is_zero
 from troplin.lp import lp_feasible
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
-from troplin.points import TropPoint
-from troplin.polyhedra import Polyhedron
+from troplin.points import TropPoint, segment
+from troplin.polyhedra import Polyhedron, _dot, _lift
 from troplin.valuated import ValuatedMatroid
 
 
@@ -126,6 +133,19 @@ def braid_fan_corpus(max_n: int):
                 ]
                 subdivided = cells[:k] + halves + cells[k + 1 :]
                 yield WeightedComplex(n, subdivided, [1] * len(subdivided), validate=False)
+
+
+def benchmark_valuated_corpus(seed):
+    """The valuated_complexes benchmark's cases and mutants for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look up their module
+    spec.loader.exec_module(workloads)
+    for recipe in workloads.valuated_recipes(seed, small=False):
+        yield recipe.make().complex_
+        if recipe.mutant:
+            yield workloads.mutate(recipe.make().complex_, recipe.mutant)
 
 
 def rand_rational(rng: random.Random, span: int = 8, denominators: int = 4) -> Fraction:
@@ -317,3 +337,57 @@ def validate_common_faces(cells) -> None:
             a.poly, b.poly
         ):
             raise InvalidInputError("cells do not intersect in a common face")
+
+
+# Segment coverage piece by piece over `points.segment`: every constraint row
+# of every cell evaluated at both ends of every piece, with the parameter
+# interval of each cell built in Fraction.
+
+
+def segment_interval_of_rows(poly, p, q):
+    """Parameters t in [0,1] with (1 - t)*p + t*q in the homogenised cone of
+    the polyhedron, for integer vectors p and q with the same last entry."""
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+    for r in poly._constraints:
+        rp, rq = _dot(r, p), _dot(r, q)
+        if rp == rq:
+            if rp > 0:
+                return None
+        elif rq > rp:
+            if -rp * hi_d < hi_n * (rq - rp):
+                hi_n, hi_d = -rp, rq - rp
+        elif rp * lo_d > lo_n * (rp - rq):
+            lo_n, lo_d = rp, rp - rq
+    if lo_n * hi_d > hi_n * lo_d:
+        return None
+    return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+def segment_in_support_per_cell(complex_, x, y) -> SegmentCheck:
+    """Is the tropical segment between two points inside the support?"""
+    points = segment(x, y)
+    if len(points) == 1:
+        if complex_.support_contains(x):
+            return SegmentCheck(True)
+        return SegmentCheck(False, Fraction(0), x)
+    pieces = len(points) - 1
+    for j in range(pieces):
+        start = to_quotient(points[j])
+        end = to_quotient(points[j + 1])
+        lifted = _lift(start + end + (1,))
+        p, q = lifted[: len(start)] + lifted[-1:], lifted[len(start) :]
+        intervals = []
+        for cell in complex_.cells:
+            iv = segment_interval_of_rows(cell.poly, p, q)
+            if iv is not None:
+                intervals.append(iv)
+        gap = _first_gap(intervals)
+        if gap is not None:
+            direction = tuple(e - s for s, e in zip(start, end))
+            global_param = Fraction(j, pieces) + gap / pieces
+            witness = from_quotient(
+                complex_.n,
+                tuple(s + gap * d for s, d in zip(start, direction)),
+            )
+            return SegmentCheck(False, global_param, witness)
+    return SegmentCheck(True)

@@ -1,11 +1,8 @@
 """Weighted complexes: balancing, recession, stars, chain fans, segments."""
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +14,7 @@ from troplin.complexes import (
     chn_cell_of,
     coordinate_difference,
     direction_to_quotient,
+    from_quotient,
     is_balanced,
     point_in_support,
     primitive_normal,
@@ -30,7 +28,12 @@ from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
 from troplin.polyhedra import Polyhedron
 
-from conftest import braid_fan_corpus, make_tree_cells, validate_common_faces
+from conftest import (
+    benchmark_valuated_corpus,
+    braid_fan_corpus,
+    make_tree_cells,
+    validate_common_faces,
+)
 
 F = Fraction
 fs = frozenset
@@ -225,6 +228,20 @@ class TestBalancing:
             assert (check.ok, check.witness) == (oracle.ok, oracle.witness)
             assert fan_dims == [c.dim for c in fan.cells]
 
+    def test_translated_braid_path_matches_the_geometric_path(self, monkeypatch):
+        # translated braid cones balance from their apex and rays too
+        cases = list(braid_fan_corpus(4)) + list(TestBraidRecessionAndStars.non_fans())
+        checks = [is_balanced(cx) for cx in cases]
+        assert any(not check.ok for check in checks)
+        assert any(
+            c.braid is not None and c.chain is None for cx in cases for c in cx.cells
+        ), "the corpus has braid cones away from the origin"
+        monkeypatch.setattr(Cell, "braid", property(lambda self: None))
+        monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        for cx, check in zip(cases, checks):
+            oracle = is_balanced(cx)
+            assert (check.ok, check.witness) == (oracle.ok, oracle.witness)
+
 
 class TestRecession:
     def test_fan_is_its_own_recession(self, u23_fan):
@@ -295,19 +312,6 @@ class TestRecession:
         WeightedComplex(3, rec.cells, rec.weights, validate=True)
 
 
-def benchmark_valuated_corpus(seed):
-    """The valuated_complexes benchmark's cases and mutants for a seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look up their module
-    spec.loader.exec_module(workloads)
-    for recipe in workloads.valuated_recipes(seed, small=False):
-        yield recipe.make().complex_
-        if recipe.mutant:
-            yield workloads.mutate(recipe.make().complex_, recipe.mutant)
-
-
 class TestBraidRecessionAndStars:
     """Recession and star fans of braid cones skip the geometry; with
     `Cell.chain` forced to None the geometric path is the oracle."""
@@ -352,6 +356,38 @@ class TestBraidRecessionAndStars:
             assert self.summary(recession_fan(cx)) == rec
             assert {p: self.summary(star_fan(cx, p)) for p in ps} == expected
         assert len(cases) > 40 and any(len(set(rec[1])) > 1 for rec in recs)
+
+    def test_braid_containment_matches_the_geometric_path(self, monkeypatch):
+        # stars at vertices, inside cells and off the support, with a braid
+        # cone's containment read off chains and then off its rows
+        rng = random.Random(71)
+        cases = list(self.non_fans())
+        points = []
+        for cx in cases:
+            ps = {v for c in cx.cells for v in c.vertices}
+            for cell in rng.sample(cx.cells, min(4, len(cx.cells))):
+                q = list(cell.poly.vertices[0])
+                for r in cell.poly.rays:
+                    q = [a + F(rng.randint(0, 3), rng.randint(1, 2)) * x for a, x in zip(q, r)]
+                ps.add(from_quotient(cx.n, q))
+            ps.add(TropPoint([F(rng.randint(-4, 4), 3) for _ in range(cx.n)]))
+            points.append(sorted(ps, key=lambda p: p.coords))
+
+        def stars(cx, ps):
+            out = []
+            for p in ps:
+                try:
+                    out.append(self.summary(star_fan(cx, p)))
+                except InvalidInputError as exc:
+                    out.append(str(exc))
+            return out
+
+        expected = [stars(cx, ps) for cx, ps in zip(cases, points)]
+        assert any("outside" in s for e in expected for s in e if isinstance(s, str))
+        monkeypatch.setattr(Cell, "braid", property(lambda self: None))
+        monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        for cx, ps, star_list in zip(cases, points, expected):
+            assert stars(cx, ps) == star_list
 
 
 class TestStar:

@@ -345,6 +345,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "0"],
+            ["enumerate", "--n", "-1"],
+            ["probe", "FAN", "--samples", "-3"],
+        ],
+    )
+    def test_count_below_its_bound_is_exit_two(self, capsys, files, argv):
+        assert main([str(files["fan"]) if a == "FAN" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_probe_without_samples_checks_vertex_pairs(self, capsys, files, tmp_path):
+        code, out = self.run(capsys, "probe", str(files["fan"]), "--samples", "0")
+        assert code == 0 and json.loads(out)["counterexample"] is None
+        two = tmp_path / "two_points.json"
+        cells = [{"vertices": [[0, 0, 0]]}, {"vertices": [[0, 1, 2]]}]
+        two.write_text(json.dumps({"n": 3, "cells": cells}))
+        code, out = self.run(capsys, "probe", str(two), "--samples", "0")
+        assert code == 1
+        found = json.loads(out)["counterexample"]
+        assert [found["from"], found["to"]] == [["0", "0", "0"], ["0", "1", "2"]]
+
+    def test_weight_on_a_non_basis_is_exit_two(self, capsys, tmp_path):
+        bases = [[1, 2], [1, 3], [2, 3]]
+        weights = {"1,2": "0", "1,3": "0", "2,3": "0", "1,4": "3"}
+        bad = tmp_path / "extra.json"
+        bad.write_text(json.dumps({"n": 3, "bases": bases, "weights": weights}))
+        assert main(["member", str(bad), "--point", "0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "[1, 4]" in captured.err
+
     def test_nested_braid_cones_are_exit_two(self, capsys, tmp_path):
         cells = [
             {"vertices": [[0, 0, 0]], "rays": [[-1, 0, 0]]},

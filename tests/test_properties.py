@@ -7,7 +7,7 @@ from itertools import combinations
 from troplin.complexes import (
     Cell,
     WeightedComplex,
-    _segment_interval,
+    _cell_interval,
     chain_fan,
     from_quotient,
     is_balanced,
@@ -28,9 +28,10 @@ from troplin.linalg import (
 )
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
-from troplin.polyhedra import Polyhedron, _lift, _row
+from troplin.polyhedra import Polyhedron, _dot, _lift, _row
 
 from conftest import (
+    benchmark_valuated_corpus,
     contains_polyhedron,
     halfspace_status,
     in_hull,
@@ -39,6 +40,7 @@ from conftest import (
     rref_nullspace,
     rref_rank,
     rref_solve,
+    segment_in_support_per_cell,
     segment_interval,
 )
 
@@ -271,10 +273,81 @@ class TestIntegerFormAgainstFractionOracle:
                     lifted = _lift(start + end + (1,))
                     p, q = lifted[:m] + lifted[-1:], lifted[m:]
                     direction = tuple(b - a for a, b in zip(start, end))
-                    got = _segment_interval(poly, p, q)
+                    # the polyhedron's rows as a one-cell row table
+                    cell = WeightedComplex(m + 1, [Cell(m + 1, poly)], [1], validate=False)
+                    rows, (pairs,) = cell._row_table
+                    got = _cell_interval(
+                        pairs, [_dot(r, p) for r in rows], [_dot(r, q) for r in rows]
+                    )
+                    if got is not None:
+                        got = (F(got[0], got[1]), F(got[2], got[3]))
                     assert got == segment_interval(poly, start, direction)
                     seen.add(got is None)
                     fractional |= any(c.denominator > 1 for c in end)
+        assert seen == {True, False} and fractional
+
+
+class TestSegmentCoverageAgainstPerCellOracle:
+    """The row table's segment test returns the SegmentCheck of the per-cell
+    test over `points.segment`, gap parameter and point included."""
+
+    @staticmethod
+    def random_complexes(rng):
+        for k in range(30):
+            m = rng.randint(1, 3)
+            cells = {}
+            for _ in range(rng.randint(1, 5)):
+                if k % 2:
+                    poly = TestIntegerFormAgainstFractionOracle.random_polyhedron(rng, m)
+                else:
+                    poly = TestKernelAgainstHullOracle.random_polyhedron(rng)
+                    if poly.m != m:
+                        continue
+                cells.setdefault(poly.canonical_key, Cell(m + 1, poly))
+            if cells:
+                yield WeightedComplex(m + 1, list(cells.values()), [1] * len(cells), validate=False)
+
+    @staticmethod
+    def valuated_complexes():
+        for cx in benchmark_valuated_corpus(301):
+            yield cx
+            if len(cx.cells) == 1:
+                continue
+            # a cell dropped from the middle leaves holes inside the support
+            k = len(cx.cells) // 2
+            keep = [i for i in range(len(cx.cells)) if i != k]
+            yield WeightedComplex(
+                cx.n, [cx.cells[i] for i in keep], [cx.weights[i] for i in keep], validate=False
+            )
+
+    @staticmethod
+    def cell_point(rng, cell):
+        q = list(rng.choice(cell.poly.vertices))
+        for r in cell.poly.rays + cell.poly.lineality:
+            c = F(rng.randint(-2 if r in cell.poly.lineality else 0, 4), rng.randint(1, 4))
+            q = [a + c * x for a, x in zip(q, r)]
+        return from_quotient(cell.n, q)
+
+    def test_segment_check_matches_the_oracle(self):
+        rng = random.Random(67)
+        seen = set()
+        fractional = False
+        complexes = list(self.random_complexes(rng)) + list(self.valuated_complexes())
+        for cx in complexes:
+            verts = sorted({v for c in cx.cells for v in c.vertices}, key=lambda p: p.coords)
+            pairs = list(combinations(verts, 2))[:6]
+            for _ in range(8):
+                a, b = rng.choice(cx.cells), rng.choice(cx.cells)
+                pairs.append((self.cell_point(rng, a), self.cell_point(rng, b)))
+            pairs.append((rand_point(rng, cx.n, span=3), self.cell_point(rng, cx.cells[0])))
+            pairs.append((verts[0], verts[0]))
+            for x, y in pairs:
+                got = segment_in_support(cx, x, y)
+                assert got == segment_in_support_per_cell(cx, x, y), (cx, x, y)
+                seen.add(got.covered)
+                fractional |= any(
+                    c.denominator > 1 for p in segment(x, y)[1:-1] for c in p.coords
+                )
         assert seen == {True, False} and fractional
 
 

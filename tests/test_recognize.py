@@ -307,8 +307,25 @@ class TestLocalCheck:
             Polyhedron, "intersection", lambda a, b: calls.append(1) or real(a, b)
         )
         assert _components(tree_complex) == 1
-        # the edge meets every ray, so no pair of rays is intersected
-        assert len(calls) == len(tree_complex.cells) - 1
+        # the edge shares a vertex with every ray, so nothing is intersected
+        assert len(calls) == 0
+
+    def test_components_intersect_cells_without_a_common_vertex(self, monkeypatch):
+        calls = []
+        real = Polyhedron.intersection
+        monkeypatch.setattr(
+            Polyhedron, "intersection", lambda a, b: calls.append(1) or real(a, b)
+        )
+        # two segments crossing at the origin, and one far from both
+        cells = [
+            Cell.from_torus(3, [TropPoint((0, -1, 0)), TropPoint((0, 1, 0))]),
+            Cell.from_torus(3, [TropPoint((0, 0, -1)), TropPoint((0, 0, 1))]),
+        ]
+        assert _components(WeightedComplex(3, cells, [1, 1], validate=False)) == 1
+        assert len(calls) == 1
+        far = Cell.from_torus(3, [TropPoint((0, 5, 5)), TropPoint((0, 6, 5))])
+        crossing = WeightedComplex(3, cells + [far], [1, 1, 1], validate=False)
+        assert _components(crossing) == 2
 
     def test_agrees_with_decide_on_connected_corpus(
         self, tree_complex, tripod_complex, u23_fan
