@@ -36,7 +36,7 @@ from .linalg import (
     vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import TropPoint, _frac, partition
+from .points import TropPoint, partition
 from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _neg
 
 
@@ -49,9 +49,9 @@ def from_quotient(n: int, q: Sequence) -> TropPoint:
     return TropPoint((0,) + tuple(q))
 
 
-def direction_to_quotient(vec: Sequence) -> tuple[Fraction, ...]:
-    v = [_frac(c) for c in vec]
-    return tuple(c - v[0] for c in v[1:])
+def direction_to_quotient(vec: Sequence) -> Vec:
+    """A direction modulo the all-ones line, in quotient coordinates."""
+    return to_quotient(TropPoint(vec))
 
 
 def lift_direction(d: Sequence) -> tuple:

@@ -1,6 +1,8 @@
 """JSON serialization for points, matroids, complexes, and reports.
 
-Rationals travel as strings like "3" or "-1/2" so nothing is ever rounded.
+Rationals travel as strings like "3" or "-1/2" so nothing is ever rounded;
+reading gives the canonical number of `troplin.points`, an int for both "3"
+and "4/2".
 Ground elements are 1-indexed and listed ascending.  Reading canonicalizes:
 points get their first coordinate subtracted and basis valuations are checked
 against the Pluecker relations.
@@ -9,23 +11,32 @@ against the Pluecker relations.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .complexes import Cell, WeightedComplex
 from .errors import InvalidInputError
 from .matroids import ChainFamily, Matroid, _sorted_sets
-from .points import TropPoint
+from .points import Rational, TropPoint, _frac
 from .recognize import LocalCheckReport, ProbeResult, Reason, RecognitionReport
 from .valuated import ValuatedMatroid
 
 
-def frac_str(x: Fraction) -> str:
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def frac_str(x: Rational) -> str:
     return str(x)
 
 
-def parse_frac(s) -> Fraction:
+def parse_frac(s) -> Rational:
+    """The rational that `Fraction(str(s))` reads, as a canonical number;
+    plain ASCII integers skip the Fraction parser."""
+    text = str(s)
     try:
-        return Fraction(str(s))
+        if _INTEGER.fullmatch(text):
+            return int(text)
+        return _frac(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"not a rational: {s!r}") from exc
 
@@ -63,7 +74,7 @@ def point_from_json(data) -> TropPoint:
 
 
 def vector_to_json(v) -> list[str]:
-    return [frac_str(Fraction(c)) for c in v]
+    return [frac_str(c) for c in v]
 
 
 def matroid_to_json(m: Matroid) -> dict:

@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidInputError
-from .points import _frac
+from .points import Rational, _frac
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[Rational, ...]
 IntVec = tuple[int, ...]
 
 
@@ -94,7 +94,7 @@ def solve_exact(rows, rhs) -> Vec | None:
     if cols in pivots:
         return None
     x = _kernel_vector(hnf, pivots, cols, cols + 1)
-    return tuple(Fraction(a, x[-1]) for a in x[:-1])
+    return tuple(_frac(Fraction(a, x[-1])) for a in x[:-1])
 
 
 def content(vec) -> int:

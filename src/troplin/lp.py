@@ -5,15 +5,14 @@ nonnegative variables, inequalities get slacks and every row a phase-one
 artificial.  Pivoting uses Bland's rule throughout, which guarantees
 termination without any tolerance.  Infeasibility comes with a Farkas
 certificate: multipliers lam >= 0 on the inequalities and mu on the
-equalities with lam.A + mu.E = 0 and lam.b + mu.f < 0.
+equalities with lam.A + mu.E = 0 and lam.b + mu.f < 0.  Every coefficient
+is coerced to a `Fraction`, so the pivot's true divisions stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .points import _frac
 
 Constraint = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x <= b or a.x == b
 
@@ -36,8 +35,8 @@ class Feasibility:
 class _Tableau:
     def __init__(self, num_vars: int, ineqs, eqs):
         self.n = num_vars
-        self.ineqs = [(tuple(map(_frac, a)), _frac(b)) for a, b in ineqs]
-        self.eqs = [(tuple(map(_frac, a)), _frac(b)) for a, b in eqs]
+        self.ineqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in ineqs]
+        self.eqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in eqs]
         rows = len(self.ineqs) + len(self.eqs)
         self.num_slacks = len(self.ineqs)
         self.cols = 2 * num_vars + self.num_slacks + rows  # + artificials
@@ -129,7 +128,7 @@ def solve_lp(num_vars, objective, ineqs=(), eqs=(), maximize=False) -> LPResult:
     for j in range(tab.art0, tab.cols):
         allowed[j] = False
     cost = [Fraction(0)] * tab.cols
-    obj = [_frac(c) for c in objective]
+    obj = [Fraction(c) for c in objective]
     for j, c in enumerate(obj):
         sign = -1 if maximize else 1
         cost[j] = sign * c

@@ -1,9 +1,13 @@
 """Exact arithmetic in the tropical projective torus R^n modulo (1,...,1).
 
 Points are stored through a canonical representative whose first coordinate
-is zero, so equality and hashing are structural.  All coordinates are
-`fractions.Fraction`; nothing in this module touches floating point, which
-makes every identity below exact rather than approximate.
+is zero, so equality and hashing are structural.  Every coordinate is one
+canonical exact number, `Rational`: an `int` when it is integral and a
+`fractions.Fraction` with denominator > 1 otherwise.  The two compare, hash
+and print alike for integral values, so the choice changes no key, order or
+output, and the integral coordinates of braid cones stay on the fast integer
+paths.  Nothing in this module touches floating point, which makes every
+identity below exact rather than approximate.
 
 Tropical addition is max, tropical multiplication is ordinary +.
 """
@@ -20,8 +24,14 @@ from .errors import InvalidInputError
 Rational = Fraction | int
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x) -> Rational:
+    """The canonical exact number equal to x: an int when x is integral,
+    else a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -32,14 +42,16 @@ class TropPoint:
     coordinate so that two equal torus points compare and hash equal.
     """
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
     def __init__(self, coords: Iterable[Rational]):
-        raw = tuple(_frac(c) for c in coords)
+        raw = tuple(map(_frac, coords))
         if not raw:
             raise InvalidInputError("a torus point needs at least one coordinate")
         base = raw[0]
-        object.__setattr__(self, "coords", tuple(c - base for c in raw))
+        if base:
+            raw = tuple(_frac(c - base) for c in raw)
+        object.__setattr__(self, "coords", raw)
 
     @property
     def n(self) -> int:
@@ -71,7 +83,7 @@ class Partition:
     """Coordinate blocks of a point, ordered by strictly decreasing value."""
 
     blocks: tuple[frozenset[int], ...]
-    values: tuple[Fraction, ...]
+    values: tuple[Rational, ...]
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,7 @@ class Polytrope:
     """A tropical ball: classically convex and tropically convex."""
 
     center: TropPoint
-    radius: Fraction
+    radius: Rational
     vertices: tuple[TropPoint, ...]
 
     def contains(self, y: TropPoint) -> bool:
@@ -112,7 +124,7 @@ def trop_combine(terms: Sequence[tuple[Rational, TropPoint]]) -> TropPoint:
     if not terms:
         raise InvalidInputError("empty combination")
     n = terms[0][1].n
-    acc: list[Fraction] | None = None
+    acc: list[Rational] | None = None
     for lam, pt in terms:
         if pt.n != n:
             raise InvalidInputError("ambient size mismatch")
@@ -136,7 +148,7 @@ def partition(x: TropPoint) -> Partition:
 
     Indices are 1-based; ties inside a block are kept sorted ascending.
     """
-    by_value: dict[Fraction, list[int]] = {}
+    by_value: dict[Rational, list[int]] = {}
     for i, c in enumerate(x.coords, start=1):
         by_value.setdefault(c, []).append(i)
     values = sorted(by_value, reverse=True)
@@ -188,7 +200,7 @@ def tconv_contains(generators: Sequence[TropPoint], z: TropPoint) -> bool:
     return trop_combine(terms) == z
 
 
-def trop_norm(x: TropPoint) -> Fraction:
+def trop_norm(x: TropPoint) -> Rational:
     """Max coordinate minus min coordinate of any representative."""
     return max(x.coords) - min(x.coords)
 

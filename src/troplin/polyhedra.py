@@ -38,9 +38,9 @@ from .linalg import (
     vec_dot,
     vec_is_zero,
 )
-from .points import _frac
+from .points import Rational, _frac
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[Rational, ...]
 IntVec = tuple[int, ...]
 HalfSpace = tuple[IntVec, Fraction]  # (a, b) meaning a.x <= b
 
@@ -210,14 +210,14 @@ class Polyhedron:
         if not self.lineality:
             return v
         lin = self.lineality
-        gram = [[Fraction(vec_dot(a, b)) for b in lin] for a in lin]
-        rhs = [Fraction(vec_dot(a, v)) for a in lin]
+        gram = [[vec_dot(a, b) for b in lin] for a in lin]
+        rhs = [vec_dot(a, v) for a in lin]
         coeffs = solve_exact(gram, rhs)
         out = list(v)
         for c, l in zip(coeffs, lin):
             for i, x in enumerate(l):
                 out[i] -= c * x
-        return tuple(out)
+        return _fvec(out)
 
     # -- basic geometry -----------------------------------------------
 
@@ -232,8 +232,7 @@ class Polyhedron:
 
     @property
     def is_cone(self) -> bool:
-        zero = tuple(Fraction(0) for _ in range(self.m))
-        return self.vertices == (zero,)
+        return self.vertices == ((0,) * self.m,)
 
     @cached_property
     def canonical_key(self):
@@ -347,20 +346,15 @@ class Polyhedron:
         """A strictly positive combination of all generators lies in the
         relative interior regardless of generator redundancy."""
         k = len(self.vertices)
-        acc = [Fraction(0)] * self.m
-        for v in self.vertices:
-            for i, x in enumerate(v):
-                acc[i] += Fraction(x, k)
+        acc = [Fraction(sum(c), k) for c in zip(*self.vertices)]
         for r in self.rays:
-            for i, x in enumerate(r):
-                acc[i] += x
-        return tuple(acc)
+            acc = [a + x for a, x in zip(acc, r)]
+        return _fvec(acc)
 
     # -- derived polyhedra ----------------------------------------------
 
     def recession(self) -> Polyhedron:
-        zero = [Fraction(0)] * self.m
-        return Polyhedron._minimal(self.m, [zero], self.rays, self.lineality)
+        return Polyhedron._minimal(self.m, [(0,) * self.m], self.rays, self.lineality)
 
     def translate(self, vec: Sequence) -> Polyhedron:
         t = _fvec(vec)

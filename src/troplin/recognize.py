@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .complexes import (
     DEFAULT_BUDGET,
@@ -373,16 +373,20 @@ class ProbeResult:
 
 
 def _sample_point(cell: Cell, rng: random.Random) -> TropPoint:
-    q = list(cell.poly.vertices[rng.randrange(len(cell.poly.vertices))])
+    """A seeded vertex plus a/b times each ray (a in 0..6) and lineality
+    vector (a in -6..6), b in 1..3, accumulated as the integer vector 6*d*q
+    for the vertex denominator d; 6 = lcm(1, 2, 3) clears every b."""
+    v = cell.poly.vertices[rng.randrange(len(cell.poly.vertices))]
+    d = lcm(*(x.denominator for x in v))
+    scale = 6 * d
+    q = [x.numerator * (scale // x.denominator) for x in v]
     for r in cell.poly.rays:
-        c = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-        for i, x in enumerate(r):
-            q[i] += c * x
+        c = rng.randint(0, 6) * (6 // rng.randint(1, 3)) * d
+        q = [a + c * x for a, x in zip(q, r)]
     for l in cell.poly.lineality:
-        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        for i, x in enumerate(l):
-            q[i] += c * x
-    return from_quotient(cell.n, q)
+        c = rng.randint(-6, 6) * (6 // rng.randint(1, 3)) * d
+        q = [a + c * x for a, x in zip(q, l)]
+    return from_quotient(cell.n, [Fraction(a, scale) for a in q])
 
 
 def convexity_probe(

@@ -11,7 +11,6 @@ for every circuit, the maximum of x_i + (v_C)_i is attained at least twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -21,7 +20,7 @@ from .points import Rational, TropPoint, _frac
 from .polyhedra import DEFAULT_BUDGET, refine
 
 # index i holds the entry for ground element i+1; None encodes bottom.
-CircuitVector = tuple[Fraction | None, ...]
+CircuitVector = tuple[Rational | None, ...]
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,11 @@ def check_pluecker(matroid: Matroid, weights: Mapping[GroundSet, Rational]) -> P
 
 def _normalized_weights(
     matroid: Matroid, weights: Mapping[GroundSet, Rational]
-) -> dict[GroundSet, Fraction]:
+) -> dict[GroundSet, Rational]:
     for key in weights:
         if frozenset(key) not in matroid.bases:
             raise InvalidInputError(f"valuation given on {sorted(key)}, which is not a basis")
-    out: dict[GroundSet, Fraction] = {}
+    out: dict[GroundSet, Rational] = {}
     for b in matroid.bases:
         key = frozenset(b)
         if key not in weights:
@@ -69,14 +68,14 @@ def _normalized_weights(
     return out
 
 
-def normalize_circuit_vector(vec: Iterable[Fraction | None]) -> CircuitVector:
+def normalize_circuit_vector(vec: Iterable[Rational | None]) -> CircuitVector:
     """Shift so the minimum finite entry is zero."""
     entries = tuple(vec)
     finite = [e for e in entries if e is not None]
     if not finite:
         raise InvalidInputError("circuit vector with empty support")
     low = min(finite)
-    return tuple(None if e is None else e - low for e in entries)
+    return tuple(None if e is None else _frac(e - low) for e in entries)
 
 
 class ValuatedMatroid:
@@ -112,8 +111,8 @@ class ValuatedMatroid:
 
     def circuit_valuation_from(self, circuit: GroundSet, basis: GroundSet, element: int) -> CircuitVector:
         """Valuation vector of a circuit derived from one (basis, element) pair."""
-        entries: list[Fraction | None] = [None] * self.n
-        entries[element - 1] = Fraction(0)
+        entries: list[Rational | None] = [None] * self.n
+        entries[element - 1] = 0
         base_weight = self.weights[basis]
         for j in circuit - {element}:
             exchanged = (basis - {j}) | {element}
@@ -155,7 +154,7 @@ class CircuitAxiomCheck:
 
 
 def check_circuit_axioms(
-    n: int, circuit_vectors: Mapping[GroundSet, Iterable[Fraction | None]]
+    n: int, circuit_vectors: Mapping[GroundSet, Iterable[Rational | None]]
 ) -> CircuitAxiomCheck:
     """Support and elimination axioms for a circuit valuation.
 
@@ -209,7 +208,7 @@ def _eliminates(vectors, vc, vc2, c, c2, i, j) -> bool:
     return False
 
 
-def _nmax(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+def _nmax(a: Rational | None, b: Rational | None) -> Rational | None:
     if a is None:
         return b
     if b is None:

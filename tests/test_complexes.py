@@ -222,6 +222,7 @@ class TestBalancing:
             c.chain is None for fan in fans for c in fan.cells
         ), "the corpus mixes braid cones with other cones"
         dims = [[c.dim for c in fan.cells] for fan in fans]
+        monkeypatch.setattr(Cell, "braid", property(lambda self: None))
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         for fan, check, fan_dims in zip(fans, chain_checks, dims):
             oracle = is_balanced(fan)
@@ -351,6 +352,7 @@ class TestBraidRecessionAndStars:
         recs = [self.summary(recession_fan(cx)) for cx in cases]
         local = [{p: self.summary(star_fan(cx, p)) for p in ps} for cx, ps in zip(cases, stars)]
         monkeypatch.undo()
+        monkeypatch.setattr(Cell, "braid", property(lambda self: None))
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         for cx, ps, rec, expected in zip(cases, stars, recs, local):
             assert self.summary(recession_fan(cx)) == rec
