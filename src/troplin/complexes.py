@@ -27,16 +27,14 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import (
-    hermite_normal_form,
     in_span,
     lattice_quotient_generator,
     primitive_direction,
-    vec_dot,
     vec_is_zero,
     vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import TropPoint, partition
+from .points import Rational, TropPoint, _frac, partition
 from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _neg
 
 
@@ -194,7 +192,7 @@ class BalanceCheck:
 @dataclass(frozen=True)
 class SegmentCheck:
     covered: bool
-    gap_param: Fraction | None = None
+    gap_param: Rational | None = None
     gap_point: TropPoint | None = None
 
 
@@ -270,14 +268,8 @@ class WeightedComplex:
     def support_contains(self, x: TropPoint) -> bool:
         if x.n != self.n:
             raise InvalidInputError("ambient size mismatch")
-        if self.chain_tagged:
-            chain = chn_cell_of(x)
-            proper = [f for f in chain if len(f) < self.n]
-            return any(
-                all(f in c.chain for f in proper) for c in self.cells
-            )
         q = to_quotient(x)
-        return any(c.poly.contains(q) for c in self.cells)
+        return any(_cell_contains(c, q) for c in self.cells)
 
     @cached_property
     def _row_table(self) -> tuple[list[IntVec], list[list[tuple[int, int]]]]:
@@ -343,14 +335,6 @@ def point_in_support(complex_: WeightedComplex, x: TropPoint) -> Cell | None:
     return None if best is None else Cell(complex_.n, best)
 
 
-def _is_unimodular_simplicial(poly: Polyhedron) -> bool:
-    if poly.lineality or not poly.is_cone:
-        return False
-    if len(poly.rays) != poly.dim:
-        return False
-    return hermite_normal_form(list(poly.rays)) == poly.lattice_basis
-
-
 def primitive_normal(sigma: Cell, tau: Cell) -> tuple:
     """Primitive generator of the lattice quotient of a cell by a facet.
 
@@ -372,21 +356,7 @@ def _primitive_normal_quotient(sp: Polyhedron, tp: Polyhedron) -> IntVec:
     )
     if cutting is None:
         raise InvalidInputError("second argument is not a facet of the first")
-    a = cutting[:-1]
-    u = _inward_normal(sp, tp, a, _is_unimodular_simplicial(sp))
-    assert vec_dot(a, u) < 0
-    return u
-
-
-def _inward_normal(sp: Polyhedron, tp: Polyhedron, a: IntVec, unimodular: bool) -> IntVec:
-    """Generator of the lattice of sp modulo that of its facet tp, signed
-    against the facet's outer normal a; `unimodular` says whether sp is a
-    unimodular simplicial cone."""
-    if unimodular and set(tp.rays) < set(sp.rays):
-        (u,) = set(sp.rays) - set(tp.rays)
-    else:
-        u = lattice_quotient_generator(sp.lattice_basis, tp.lattice_basis)
-    return tuple(-x for x in u) if vec_dot(a, u) > 0 else u
+    return lattice_quotient_generator(sp.lattice_basis, cutting[:-1])
 
 
 def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
@@ -413,11 +383,10 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
                 entry[1].append((weight, u))
                 entry[2] = True
             continue
-        unimodular = _is_unimodular_simplicial(poly)
-        for face, ineq in poly.faces_of_facets():
+        for face, (a, _) in poly.faces_of_facets():
             entry = groups.setdefault(face.canonical_key, [face, [], False])
             entry[0] = entry[0] or face
-            entry[1].append((weight, _inward_normal(poly, face, ineq[0], unimodular)))
+            entry[1].append((weight, lattice_quotient_generator(poly.lattice_basis, a)))
     for key in sorted(groups):
         face, contributions, braid = groups[key]
         total = [0] * key[0]
@@ -632,7 +601,7 @@ def segment_in_support(
     if len(steps) == 1:
         if complex_.support_contains(x):
             return SegmentCheck(True)
-        return SegmentCheck(False, Fraction(0), x)
+        return SegmentCheck(False, 0, x)
     ends = [point]
     for hi, lo in zip(steps, steps[1:]):
         point = [p + hi - lo if e >= hi else p for p, e in zip(point, delta)]
@@ -654,18 +623,14 @@ def segment_in_support(
             iv = _cell_interval(pairs, values[j], values[j + 1])
             if iv is not None:
                 intervals.append(iv)
-        if _covers(intervals):
+        gap = _first_gap(intervals)
+        if gap is None:
             continue
-        gap = _first_gap(
-            [(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) for lo_n, lo_d, hi_n, hi_d in intervals]
-        )
-        start = [Fraction(c, d) for c in ends[j][:-1]]
-        end = [Fraction(c, d) for c in ends[j + 1][:-1]]
-        global_param = Fraction(j, pieces) + gap / pieces
         witness = from_quotient(
-            complex_.n, tuple(s + gap * (e - s) for s, e in zip(start, end))
+            complex_.n,
+            tuple(Fraction(s + gap * (e - s), d) for s, e in zip(ends[j][:-1], ends[j + 1][:-1])),
         )
-        return SegmentCheck(False, global_param, witness)
+        return SegmentCheck(False, _frac(Fraction(j + gap, pieces)), witness)
     return SegmentCheck(True)
 
 
@@ -693,11 +658,14 @@ def _cell_interval(pairs, start: Sequence[int], end: Sequence[int]):
     return lo_n, lo_d, hi_n, hi_d
 
 
-def _covers(intervals) -> bool:
-    """Do the closed intervals (lo_n, lo_d, hi_n, hi_d) cover [0, 1]?
+def _first_gap(intervals) -> Rational | None:
+    """The first gap of the closed intervals (lo_n, lo_d, hi_n, hi_d) in
+    [0, 1], or None if they cover it.
 
-    With [0, reach] covered, some interval starting at or before reach must
-    end beyond it; reach starts at -1, when only 0 may start one.
+    With [0, reach] covered, the interval starting at or before reach that
+    ends furthest beyond it extends it; reach starts at -1, when only 0 may
+    start one.  When none does, the gap is 0 if reach is still -1, else the
+    midpoint of reach and the next start, or of reach and 1.
     """
     reach_n, reach_d = -1, 1
     while reach_n < reach_d:
@@ -708,25 +676,12 @@ def _covers(intervals) -> bool:
                 if best is None or hi_n * best[1] > best[0] * hi_d:
                     best = hi_n, hi_d
         if best is None:
-            return False
+            if reach_n < 0:
+                return 0
+            next_n, next_d = 1, 1
+            for lo_n, lo_d, _, _ in intervals:
+                if lo_n * reach_d > reach_n * lo_d and lo_n * next_d < next_n * lo_d:
+                    next_n, next_d = lo_n, lo_d
+            return Fraction(reach_n * next_d + next_n * reach_d, 2 * reach_d * next_d)
         reach_n, reach_d = best
-    return True
-
-
-def _first_gap(intervals) -> Fraction | None:
-    """A rational in the earliest part of [0,1] not covered by the intervals."""
-    covered_to: Fraction | None = None
-    for lo, hi in sorted(intervals):
-        if covered_to is None:
-            if lo > 0:
-                return Fraction(0)
-            covered_to = hi
-        elif lo > covered_to:
-            return (covered_to + lo) / 2
-        else:
-            covered_to = max(covered_to, hi)
-        if covered_to >= 1:
-            return None
-    if covered_to is None:
-        return Fraction(0)
-    return (covered_to + 1) / 2
+    return None

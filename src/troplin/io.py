@@ -25,10 +25,6 @@ from .valuated import ValuatedMatroid
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def frac_str(x: Rational) -> str:
-    return str(x)
-
-
 def parse_frac(s) -> Rational:
     """The rational that `Fraction(str(s))` reads, as a canonical number;
     plain ASCII integers skip the Fraction parser."""
@@ -64,7 +60,7 @@ def _size(n) -> int:
 
 
 def point_to_json(p: TropPoint) -> list[str]:
-    return [frac_str(c) for c in p.coords]
+    return [str(c) for c in p.coords]
 
 
 def point_from_json(data) -> TropPoint:
@@ -74,7 +70,7 @@ def point_from_json(data) -> TropPoint:
 
 
 def vector_to_json(v) -> list[str]:
-    return [frac_str(c) for c in v]
+    return [str(c) for c in v]
 
 
 def matroid_to_json(m: Matroid) -> dict:
@@ -95,7 +91,7 @@ def matroid_from_json(data) -> Matroid:
 def valuated_to_json(v: ValuatedMatroid) -> dict:
     out = matroid_to_json(v.matroid)
     out["weights"] = {
-        ",".join(str(i) for i in sorted(b)): frac_str(v.weights[b])
+        ",".join(str(i) for i in sorted(b)): str(v.weights[b])
         for b in _sorted_sets(v.matroid.bases)
     }
     return out
@@ -184,8 +180,6 @@ def complex_from_json(data) -> WeightedComplex:
 def _jsonable(obj):
     if obj is None or isinstance(obj, (str, int, bool)):
         return obj
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
     if isinstance(obj, TropPoint):
         return point_to_json(obj)
     if isinstance(obj, Matroid):
@@ -235,7 +229,7 @@ def probe_to_json(result: ProbeResult) -> dict:
         "counterexample": {
             "from": point_to_json(x),
             "to": point_to_json(y),
-            "gap_parameter": frac_str(result.segment_check.gap_param),
+            "gap_parameter": str(result.segment_check.gap_param),
             "gap_point": point_to_json(result.segment_check.gap_point),
         },
         "verdict": "not tropically convex",

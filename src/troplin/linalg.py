@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals and integer lattice utilities.
 
 Everything here is dense and small: ambient dimensions stay in single digits,
-so a textbook Hermite normal form and diagonalisation over the integers are
-both fast enough and free of numerical error.  Rank, span membership,
-nullspace and solutions are read off the Hermite normal form of the rows
-scaled to integers, by integer back-substitution.
+so a textbook Hermite normal form over the integers is fast enough and free
+of numerical error.  It is the only integer lattice algorithm: rank, span
+membership, nullspace and solutions are read off the Hermite normal form of
+the rows scaled to integers, by integer back-substitution, and the
+saturation of a row lattice off the Hermite normal form of its nullspace.
+Primitive normals of facets come from the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -97,28 +99,12 @@ def solve_exact(rows, rhs) -> Vec | None:
     return tuple(_frac(Fraction(a, x[-1])) for a in x[:-1])
 
 
-def content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
 def primitive_direction(vec) -> IntVec:
     """Scale a rational direction to a primitive integer vector, keeping orientation."""
-    if all(isinstance(x, int) for x in vec):
-        if all(x == 0 for x in vec):
-            raise InvalidInputError("zero vector has no direction")
-        g = content(vec)
-        return tuple(x // g for x in vec)
-    fracs = [_frac(x) for x in vec]
-    if all(x == 0 for x in fracs):
+    ints = _lift(vec)
+    g = gcd(*ints)
+    if not g:
         raise InvalidInputError("zero vector has no direction")
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [x.numerator * (denom // x.denominator) for x in fracs]
-    g = content(ints)
     return tuple(x // g for x in ints)
 
 
@@ -155,114 +141,43 @@ def hermite_normal_form(rows: list[IntVec]) -> list[IntVec]:
     return [tuple(row) for row in mat[:r]]
 
 
-def diagonalize_integer_matrix(matrix: list[IntVec]):
-    """Diagonalize over Z by unimodular row/column operations.
-
-    Returns (diag, Vinv) where U @ A @ V is diagonal with positive entries
-    `diag` and Vinv is the inverse of the accumulated column transform.  The
-    divisibility chain of full Smith normal form is not enforced; saturation
-    and torsion detection only need diagonality.
-    """
-    a = [list(r) for r in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_negate(i):
-        for row in a:
-            row[i] = -row[i]
-        vinv[i] = [-x for x in vinv[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        entries = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, nrows)
-            for j in range(t, ncols)
-            if a[i][j]
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        a[t], a[pi] = a[pi], a[t]
-        col_swap(t, pj)
-        # Euclid down column t, then along row t, each time on the smallest
-        # entry; reducing against a pivot that is not the smallest lets the
-        # other entries grow without bound
-        while True:
-            while any(a[i][t] for i in range(t + 1, nrows)):
-                _, pi = min((abs(a[i][t]), i) for i in range(t, nrows) if a[i][t])
-                a[t], a[pi] = a[pi], a[t]
-                for i in range(t + 1, nrows):
-                    if a[i][t]:
-                        row_op(i, t, a[i][t] // a[t][t])
-            if not any(a[t][j] for j in range(t + 1, ncols)):
-                break
-            # a column swap can refill column t, hence the outer loop
-            while any(a[t][j] for j in range(t + 1, ncols)):
-                _, pj = min((abs(a[t][j]), j) for j in range(t, ncols) if a[t][j])
-                col_swap(t, pj)
-                for j in range(t + 1, ncols):
-                    if a[t][j]:
-                        col_op(j, t, a[t][j] // a[t][t])
-        if a[t][t] < 0:
-            col_negate(t)
-        t += 1
-    diag = [a[i][i] for i in range(t)]
-    return diag, vinv
-
-
 def saturate_rows(rows: list[IntVec]) -> list[IntVec]:
-    """Basis of (rational row span) intersected with the integer lattice."""
-    mat = [tuple(int(x) for x in r) for r in rows if not vec_is_zero(r)]
+    """Basis of (rational row span) intersected with the integer lattice,
+    in Hermite normal form.
+
+    That lattice is the integer kernel of the nullspace K of the rows.  The
+    Hermite normal form of (K^T | I) has row lattice {(K.x, x) : x integer};
+    its rows zero in the K part are a basis, already in Hermite normal form,
+    of those with K.x = 0 (Cohen 1993, 2.4.3).
+    """
+    mat = [r for r in rows if not vec_is_zero(r)]
     if not mat:
         return []
-    diag, vinv = diagonalize_integer_matrix(mat)
-    k = len([d for d in diag if d != 0])
-    return hermite_normal_form([tuple(vinv[i]) for i in range(k)])
+    cols = len(mat[0])
+    kernel = nullspace(mat, cols)
+    k = len(kernel)
+    stacked = [
+        tuple(v[i] for v in kernel) + tuple(int(i == j) for j in range(cols)) for i in range(cols)
+    ]
+    return [r[k:] for r in hermite_normal_form(stacked) if vec_is_zero(r[:k])]
 
 
-def lattice_quotient_generator(big_basis: list[IntVec], sub_basis: list[IntVec]) -> IntVec:
-    """Generator of Lambda_big / Lambda_sub when the quotient is infinite cyclic.
+def lattice_quotient_generator(basis: list[IntVec], a: IntVec) -> IntVec:
+    """Generator u of a lattice modulo its sublattice orthogonal to a, signed
+    so that a.u < 0.
 
-    Both inputs must be saturated bases with ranks d and d-1.
+    For a saturated basis of a cell's lattice and an outer normal a of a
+    facet, the sublattice is the facet's lattice, and x -> a.x maps the
+    quotient onto g*Z, g the gcd of the values of a on the basis.  The
+    extended Euclidean algorithm over those values, carrying a lattice
+    vector with each, ends with a vector on which a takes the value +-g.
     """
-    d = len(big_basis)
-    if len(sub_basis) != d - 1:
-        raise InvalidInputError("quotient is not of rank one")
-    if not sub_basis:
-        return tuple(big_basis[0])
-    # sub-basis coordinates in the big basis; integral for saturated inputs
-    coord_rows = []
-    for s in sub_basis:
-        sol = solve_exact([list(col) for col in zip(*big_basis)], list(s))
-        if sol is None:
-            raise InvalidInputError("sub lattice not contained in big lattice")
-        ints = []
-        for x in sol:
-            if x.denominator != 1:
-                raise InvalidInputError("sub lattice not saturated in big lattice")
-            ints.append(int(x))
-        coord_rows.append(tuple(ints))
-    diag, vinv = diagonalize_integer_matrix(coord_rows)
-    if any(x != 1 for x in diag):
-        raise InvalidInputError("quotient has torsion; face lattice not saturated")
-    gen_coords = vinv[d - 1]
-    out = [0] * len(big_basis[0])
-    for coef, row in zip(gen_coords, big_basis):
-        for idx, val in enumerate(row):
-            out[idx] += coef * val
-    return tuple(out)
+    g, u = 0, (0,) * len(a)
+    for b in basis:
+        v = vec_dot(a, b)
+        while v:
+            q = g // v
+            g, u, v, b = v, b, g - q * v, tuple(x - q * y for x, y in zip(u, b))
+    if not g:
+        raise InvalidInputError("the normal vanishes on the lattice")
+    return u if g < 0 else tuple(-x for x in u)

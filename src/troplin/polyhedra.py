@@ -135,7 +135,11 @@ def _generators(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
     rows = [s for r in eq_rows for s in (r, _neg(r))]
     rows.append((0,) * m + (-1,))
     lin, gens = _dd(rows + ineq_rows, m + 1)
-    verts = [tuple(Fraction(x, g[m]) for x in g[:m]) for g in gens if g[m]]
+    verts = [
+        tuple(x // g[m] if x % g[m] == 0 else Fraction(x, g[m]) for x in g[:m])
+        for g in gens
+        if g[m]
+    ]
     if not verts:
         return None
     return verts, [g[:m] for g in gens if not g[m]], [l[:m] for l in lin]

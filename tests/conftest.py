@@ -1,9 +1,10 @@
 """Shared fixtures: small matroids, their fans, and valuated-matroid complexes,
 plus an LP hull oracle independent of the polyhedron kernel, the
 Fraction-valued predicates the kernel's integer form replaced, the Fraction
-row reduction the Hermite normal form replaced, the pairwise complex
-validation that chain lookup replaced, and the per-cell segment coverage
-test that the row table of a complex replaced."""
+row reduction and the integer diagonalisation the Hermite normal form
+replaced, the pairwise complex validation that chain lookup replaced, and the
+per-cell segment coverage test, with its Fraction gap sweep, that the row
+table of a complex replaced."""
 
 import importlib.util
 import random
@@ -18,7 +19,6 @@ from troplin.complexes import (
     Cell,
     SegmentCheck,
     WeightedComplex,
-    _first_gap,
     _meet_in_common_face,
     chain_fan,
     direction_to_quotient,
@@ -26,7 +26,7 @@ from troplin.complexes import (
     to_quotient,
 )
 from troplin.errors import InvalidInputError
-from troplin.linalg import vec_dot, vec_is_zero
+from troplin.linalg import hermite_normal_form, solve_exact, vec_dot, vec_is_zero
 from troplin.lp import lp_feasible
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, segment
@@ -230,6 +230,119 @@ def rref_solve(rows, rhs) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
+# Diagonalisation over Z, and the saturation and lattice quotient generator it
+# gave before linalg read them off the Hermite normal form and the extended
+# Euclidean algorithm.
+
+
+def diagonalize_integer_matrix(matrix):
+    """Diagonalize over Z by unimodular row/column operations.
+
+    Returns (diag, Vinv) where U @ A @ V is diagonal with positive entries
+    `diag` and Vinv is the inverse of the accumulated column transform.  The
+    divisibility chain of full Smith normal form is not enforced; saturation
+    and torsion detection only need diagonality.
+    """
+    a = [list(r) for r in matrix]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in a:
+            row[i] -= q * row[j]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_negate(i):
+        for row in a:
+            row[i] = -row[i]
+        vinv[i] = [-x for x in vinv[i]]
+
+    t = 0
+    while t < min(nrows, ncols):
+        entries = [
+            (abs(a[i][j]), i, j)
+            for i in range(t, nrows)
+            for j in range(t, ncols)
+            if a[i][j]
+        ]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        a[t], a[pi] = a[pi], a[t]
+        col_swap(t, pj)
+        # Euclid down column t, then along row t, each time on the smallest
+        # entry; reducing against a pivot that is not the smallest lets the
+        # other entries grow without bound
+        while True:
+            while any(a[i][t] for i in range(t + 1, nrows)):
+                _, pi = min((abs(a[i][t]), i) for i in range(t, nrows) if a[i][t])
+                a[t], a[pi] = a[pi], a[t]
+                for i in range(t + 1, nrows):
+                    if a[i][t]:
+                        row_op(i, t, a[i][t] // a[t][t])
+            if not any(a[t][j] for j in range(t + 1, ncols)):
+                break
+            # a column swap can refill column t, hence the outer loop
+            while any(a[t][j] for j in range(t + 1, ncols)):
+                _, pj = min((abs(a[t][j]), j) for j in range(t, ncols) if a[t][j])
+                col_swap(t, pj)
+                for j in range(t + 1, ncols):
+                    if a[t][j]:
+                        col_op(j, t, a[t][j] // a[t][t])
+        if a[t][t] < 0:
+            col_negate(t)
+        t += 1
+    diag = [a[i][i] for i in range(t)]
+    return diag, vinv
+
+
+def diagonal_saturate_rows(rows):
+    """Basis of (rational row span) intersected with the integer lattice."""
+    mat = [tuple(int(x) for x in r) for r in rows if not vec_is_zero(r)]
+    if not mat:
+        return []
+    diag, vinv = diagonalize_integer_matrix(mat)
+    k = len([d for d in diag if d != 0])
+    return hermite_normal_form([tuple(vinv[i]) for i in range(k)])
+
+
+def diagonal_quotient_generator(big_basis, sub_basis):
+    """Generator of Lambda_big / Lambda_sub when the quotient is infinite
+    cyclic, for saturated bases of ranks d and d-1; unsigned."""
+    d = len(big_basis)
+    if len(sub_basis) != d - 1:
+        raise InvalidInputError("quotient is not of rank one")
+    if not sub_basis:
+        return tuple(big_basis[0])
+    # sub-basis coordinates in the big basis; integral for saturated inputs
+    coord_rows = []
+    for s in sub_basis:
+        sol = solve_exact([list(col) for col in zip(*big_basis)], list(s))
+        if sol is None:
+            raise InvalidInputError("sub lattice not contained in big lattice")
+        if any(Fraction(x).denominator != 1 for x in sol):
+            raise InvalidInputError("sub lattice not saturated in big lattice")
+        coord_rows.append(tuple(int(x) for x in sol))
+    diag, vinv = diagonalize_integer_matrix(coord_rows)
+    if any(x != 1 for x in diag):
+        raise InvalidInputError("quotient has torsion; face lattice not saturated")
+    gen_coords = vinv[d - 1]
+    out = [0] * len(big_basis[0])
+    for coef, row in zip(gen_coords, big_basis):
+        for idx, val in enumerate(row):
+            out[idx] += coef * val
+    return tuple(out)
+
+
 # The predicates below loop over vertices, rays and lineality separately in
 # Fraction arithmetic over hrep's (a, b) pairs; the kernel evaluates integer
 # rows on homogenised integer generators instead.
@@ -361,6 +474,25 @@ def segment_interval_of_rows(poly, p, q):
     if lo_n * hi_d > hi_n * lo_d:
         return None
     return (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+def _first_gap(intervals) -> Fraction | None:
+    """A rational in the earliest part of [0,1] not covered by the intervals."""
+    covered_to: Fraction | None = None
+    for lo, hi in sorted(intervals):
+        if covered_to is None:
+            if lo > 0:
+                return Fraction(0)
+            covered_to = hi
+        elif lo > covered_to:
+            return (covered_to + lo) / 2
+        else:
+            covered_to = max(covered_to, hi)
+        if covered_to >= 1:
+            return None
+    if covered_to is None:
+        return Fraction(0)
+    return (covered_to + 1) / 2
 
 
 def segment_in_support_per_cell(complex_, x, y) -> SegmentCheck:

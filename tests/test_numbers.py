@@ -280,7 +280,7 @@ class TestJsonCoordinatesAreStrings:
         assert bare_numbers(data) == [], argv
         coords = coordinates(data)
         for s in coords:
-            assert isinstance(s, str) and tio.frac_str(tio.parse_frac(s)) == s, (argv, s)
+            assert isinstance(s, str) and str(tio.parse_frac(s)) == s, (argv, s)
         return code, data, coords
 
     def test_emitted_coordinates(self, capsys, tmp_path, inputs):

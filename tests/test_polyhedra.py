@@ -8,19 +8,19 @@ import pytest
 from troplin.complexes import DEFAULT_BUDGET, to_quotient
 from troplin.errors import InvalidInputError
 from troplin.linalg import (
-    diagonalize_integer_matrix,
     hermite_normal_form,
     lattice_quotient_generator,
     primitive_direction,
     rank,
     saturate_rows,
     solve_exact,
+    vec_dot,
 )
 from troplin.points import TropPoint, trop_ball
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import _braid_hyperplanes, _braid_pieces
 
-from conftest import in_hull
+from conftest import diagonalize_integer_matrix, in_hull
 
 F = Fraction
 
@@ -78,11 +78,21 @@ class TestLattices:
 
     def test_quotient_generator(self):
         big = saturate_rows([(1, 1), (0, 1)])
-        sub = saturate_rows([(0, 1)])
-        gen = lattice_quotient_generator(big, sub)
-        # generator plus the sub-lattice spans the big lattice over Z
-        combined = saturate_rows([gen] + sub)
-        assert hermite_normal_form(combined) == hermite_normal_form(big)
+        sub = [(0, 1)]
+        for a, g in (((1, 0), 1), ((-3, 0), 3)):
+            gen = lattice_quotient_generator(big, a)
+            assert vec_dot(a, gen) == -g
+            # generator plus the sub-lattice orthogonal to a spans the big
+            # lattice over Z
+            assert hermite_normal_form([gen] + sub) == hermite_normal_form(big)
+        # a plane in Z^3 whose values under a have gcd 1 but no value 1
+        plane = saturate_rows([(1, 2, 0), (0, 0, 1)])
+        a = (1, 1, 2)
+        gen = lattice_quotient_generator(plane, a)
+        assert sorted(vec_dot(a, b) for b in plane) == [2, 3]
+        assert vec_dot(a, gen) == -1
+        with pytest.raises(InvalidInputError):
+            lattice_quotient_generator(sub, (1, 0))
 
 
 class TestConstruction:

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from troplin.complexes import (
     Cell,
     WeightedComplex,
     _cell_interval,
+    _first_gap,
     chain_fan,
     from_quotient,
     is_balanced,
@@ -18,10 +20,13 @@ from troplin.complexes import (
     to_quotient,
 )
 from troplin.linalg import (
+    hermite_normal_form,
     in_span,
+    lattice_quotient_generator,
     nullspace,
     primitive_direction,
     rank,
+    saturate_rows,
     solve_exact,
     vec_dot,
     vec_sub,
@@ -31,8 +36,11 @@ from troplin.points import TropPoint, flat_direction, segment, tconv_contains, t
 from troplin.polyhedra import Polyhedron, _dot, _lift, _row
 
 from conftest import (
+    _first_gap as fraction_first_gap,
     benchmark_valuated_corpus,
     contains_polyhedron,
+    diagonal_quotient_generator,
+    diagonal_saturate_rows,
     halfspace_status,
     in_hull,
     rand_point,
@@ -328,6 +336,24 @@ class TestSegmentCoverageAgainstPerCellOracle:
             q = [a + c * x for a, x in zip(q, r)]
         return from_quotient(cell.n, q)
 
+    def test_first_gap_matches_the_fraction_sweep(self):
+        rng = random.Random(79)
+        seen = set()
+        for _ in range(2000):
+            intervals = []
+            for _ in range(rng.randint(0, 5)):
+                d = rng.randint(1, 4)
+                lo = rng.randint(0, d)
+                hi = rng.randint(lo, d)
+                intervals.append((lo, d, hi, d))
+            got = _first_gap(intervals)
+            expected = fraction_first_gap([(F(a, b), F(c, e)) for a, b, c, e in intervals])
+            assert got == expected, intervals
+            # a gap parameter is a canonical number: an int when integral
+            assert got is None or isinstance(got, int) or got.denominator > 1
+            seen.add("covered" if got is None else "start" if got == 0 else "later")
+        assert seen == {"covered", "start", "later"}
+
     def test_segment_check_matches_the_oracle(self):
         rng = random.Random(67)
         seen = set()
@@ -423,6 +449,80 @@ class TestHermiteAgainstRowReduction:
                 assert face.dim == rref_rank(directions + list(face.rays + face.lineality))
                 dims.add(face.dim)
         assert dims == {0, 1, 2, 3, 4}
+
+
+class TestLatticeAgainstDiagonalisation:
+    """Saturation read off the Hermite normal form of the nullspace equals
+    the saturation the integer diagonalisation gave, and the facet normals
+    of the extended Euclidean algorithm generate the same lattice quotients
+    as the diagonalisation's generators."""
+
+    LARGE_NORMAL = [
+        (4705, 2214, 0, 0, 0),
+        (-75, 0, 82, 0, 0),
+        (-197, 0, 0, 2214, 0),
+        (-2218, 0, 0, 0, 1107),
+    ]
+
+    def test_saturation_matches_the_oracle(self):
+        rng = random.Random(71)
+        seen = set()
+        matrices = [self.LARGE_NORMAL, [], [(0, 0, 0)]]
+        for _ in range(600):
+            cols = rng.randint(1, 5)
+            span = rng.choice([1, 3, 9])
+            mat = [
+                tuple(rng.randint(-span, span) if rng.random() < 0.7 else 0 for _ in range(cols))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if len(mat) >= 2 and rng.random() < 0.4:
+                a, b = rng.sample(mat, 2)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat.append(tuple(s * x + t * y for x, y in zip(a, b)))
+            if rng.random() < 0.2:
+                mat.insert(rng.randint(0, len(mat)), (0,) * cols)
+            matrices.append(mat)
+        for mat in matrices:
+            got = saturate_rows(mat)
+            assert got == diagonal_saturate_rows(mat), mat
+            r = rank(mat)
+            nonzero = [row for row in mat if any(row)]
+            seen.add(("zero row", len(nonzero) < len(mat)))
+            seen.add(("rank deficient", r < len(nonzero)))
+            # the row lattice itself is saturated or not
+            seen.add(("saturated", hermite_normal_form(mat) == got))
+        assert seen == {
+            ("zero row", True),
+            ("zero row", False),
+            ("rank deficient", True),
+            ("rank deficient", False),
+            ("saturated", True),
+            ("saturated", False),
+        }
+
+    @staticmethod
+    def polyhedra():
+        rng = random.Random(73)
+        for _ in range(40):
+            yield TestKernelAgainstHullOracle.random_polyhedron(rng)
+            yield TestIntegerFormAgainstFractionOracle.random_polyhedron(rng, rng.randint(1, 4))
+
+    def test_facet_normals_match_the_oracle(self):
+        seen = set()
+        for poly in self.polyhedra():
+            for cell in poly.all_faces():
+                basis = cell.lattice_basis
+                directions = [r[1:] for r in cell._span[1:]]
+                assert basis == diagonal_saturate_rows(directions)
+                for face, (a, _) in cell.faces_of_facets():
+                    u = lattice_quotient_generator(basis, a)
+                    assert vec_dot(a, u) == -gcd(*(vec_dot(a, b) for b in basis))
+                    expected = diagonal_quotient_generator(basis, face.lattice_basis)
+                    if vec_dot(a, expected) > 0:
+                        expected = tuple(-x for x in expected)
+                    assert in_span(face.lattice_basis, vec_sub(u, expected))
+                    seen.add((u == expected, abs(vec_dot(a, u)) > 1))
+        assert seen == {(True, False), (False, False), (True, True), (False, True)}
 
 
 class TestRecessionRepairOracle:

@@ -195,7 +195,7 @@ class TestRecognizeFan:
 
         monkeypatch.setattr(Polyhedron, "_facets", refuse)
         monkeypatch.setattr(polyhedra, "hermite_normal_form", refuse)
-        monkeypatch.setattr(complexes, "hermite_normal_form", refuse)
+        monkeypatch.setattr(complexes, "lattice_quotient_generator", refuse)
         monkeypatch.setattr(complexes, "in_span", refuse)
         report = recognize_fan(fan)
         assert report.accepted
