@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -30,12 +29,13 @@ from .linalg import (
     in_span,
     lattice_quotient_generator,
     primitive_direction,
+    vec_dot,
     vec_is_zero,
     vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import Rational, TropPoint, _frac, partition
-from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _dot, _neg
+from .points import Rational, TropPoint, _breakpoints, _frac, partition
+from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -290,11 +290,6 @@ class WeightedComplex:
         return f"WeightedComplex(n={self.n}, dim={self.dim}, cells={len(self.cells)})"
 
 
-def _minimal_face_containing(poly: Polyhedron, sub: Polyhedron) -> Polyhedron:
-    """Smallest face of poly containing the sub-polyhedron."""
-    return poly._face(poly._tight(sub._gens))
-
-
 def _contained_chains(chains: set) -> set:
     """The members of a set of chains that are proper sub-chains of another.
 
@@ -316,9 +311,10 @@ def _meet_in_common_face(a: Polyhedron, b: Polyhedron) -> bool:
     meet = a.intersection(b)
     if meet is None:
         return True
-    return b.contains_polyhedron(
-        _minimal_face_containing(a, meet)
-    ) and a.contains_polyhedron(_minimal_face_containing(b, meet))
+    # the smallest face of each containing the meet must lie in the other
+    return b.contains_polyhedron(a._face(a._tight(meet._gens))) and a.contains_polyhedron(
+        b._face(b._tight(meet._gens))
+    )
 
 
 def point_in_support(complex_: WeightedComplex, x: TropPoint) -> Cell | None:
@@ -383,10 +379,10 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
                 entry[1].append((weight, u))
                 entry[2] = True
             continue
-        for face, (a, _) in poly.faces_of_facets():
+        for face, row in poly.faces_of_facets():
             entry = groups.setdefault(face.canonical_key, [face, [], False])
             entry[0] = entry[0] or face
-            entry[1].append((weight, lattice_quotient_generator(poly.lattice_basis, a)))
+            entry[1].append((weight, lattice_quotient_generator(poly.lattice_basis, row[:-1])))
     for key in sorted(groups):
         face, contributions, braid = groups[key]
         total = [0] * key[0]
@@ -580,9 +576,8 @@ def segment_in_support(
 ) -> SegmentCheck:
     """Is the tropical segment between two points inside the support?
 
-    Both points are lifted to one common denominator d, and the integer
-    breakpoints b are computed as `points.segment` does: the coordinates
-    with the largest y - x values grow first.  Each distinct constraint row
+    The integer breakpoints b over one common denominator d come from
+    `points._breakpoints`, as for `points.segment`.  Each distinct constraint row
     of the complex (`WeightedComplex._row_table`) is evaluated once at every
     homogenised breakpoint (b, d).  A piece is the convex combination of two
     breakpoints, so a cell with a row positive at every breakpoint misses
@@ -594,21 +589,14 @@ def segment_in_support(
     """
     if x.n != complex_.n or y.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
-    d = lcm(*(c.denominator for c in x.coords + y.coords))
-    point = [c.numerator * (d // c.denominator) for c in x.coords]
-    delta = [c.numerator * (d // c.denominator) - p for c, p in zip(y.coords, point)]
-    steps = sorted(set(delta), reverse=True)
-    if len(steps) == 1:
+    d, ends = _breakpoints(x, y)
+    if len(ends) == 1:
         if complex_.support_contains(x):
             return SegmentCheck(True)
         return SegmentCheck(False, 0, x)
-    ends = [point]
-    for hi, lo in zip(steps, steps[1:]):
-        point = [p + hi - lo if e >= hi else p for p, e in zip(point, delta)]
-        ends.append(point)
     ends = [tuple(p - b[0] for p in b[1:]) + (d,) for b in ends]
     rows, cell_rows = complex_._row_table
-    values = [[_dot(r, b) for r in rows] for b in ends]
+    values = [[vec_dot(r, b) for r in rows] for b in ends]
     low = list(map(min, zip(*values)))
     high = list(map(max, zip(*values)))
     meeting = [

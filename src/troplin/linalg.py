@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvalidInputError
 from .points import Rational, _frac
@@ -26,11 +27,7 @@ def vec_sub(a, b):
 
 
 def vec_dot(a, b):
-    total = 0
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
+    return sum(map(mul, a, b))
 
 
 def vec_is_zero(a) -> bool:

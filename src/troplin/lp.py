@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Constraint = tuple[tuple[Fraction, ...], Fraction]  # (a, b) meaning a.x <= b or a.x == b
-
 
 @dataclass(frozen=True)
 class LPResult:

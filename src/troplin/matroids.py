@@ -121,14 +121,6 @@ class Matroid:
                     out.add(s)
         return frozenset(out)
 
-    def fundamental_circuit(self, basis: GroundSet, element: int) -> GroundSet:
-        """The unique circuit inside basis + element, for element not in basis."""
-        if basis not in self.bases or element in basis:
-            raise InvalidInputError("need a basis and an element outside it")
-        return frozenset({element}) | frozenset(
-            j for j in basis if (basis - {j}) | {element} in self.bases
-        )
-
 
 def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Validate a basis family and build the matroid, or raise with a witness."""

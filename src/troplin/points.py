@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -158,6 +159,25 @@ def partition(x: TropPoint) -> Partition:
     )
 
 
+def _breakpoints(x: TropPoint, y: TropPoint) -> tuple[int, list[list[int]]]:
+    """The common denominator d of x and y, and the breakpoints b of the
+    tropical segment from x to y as the integer vectors d*b, from d*x on.
+
+    The coordinates with the largest y - x values grow first: between
+    consecutive distinct values hi > lo of d*(y - x), every coordinate with
+    a value of at least hi grows by hi - lo.
+    """
+    d = lcm(*(c.denominator for c in x.coords + y.coords))
+    point = [c.numerator * (d // c.denominator) for c in x.coords]
+    delta = [c.numerator * (d // c.denominator) - p for c, p in zip(y.coords, point)]
+    steps = sorted(set(delta), reverse=True)
+    ends = [point]
+    for hi, lo in zip(steps, steps[1:]):
+        point = [p + hi - lo if e >= hi else p for p, e in zip(point, delta)]
+        ends.append(point)
+    return d, ends
+
+
 def segment(x: TropPoint, y: TropPoint) -> list[TropPoint]:
     """Breakpoints of the tropical segment from x to y.
 
@@ -167,19 +187,8 @@ def segment(x: TropPoint, y: TropPoint) -> list[TropPoint]:
     """
     if x.n != y.n:
         raise InvalidInputError("ambient size mismatch")
-    delta = y.minus(x)
-    part = partition(delta)
-    points = [x]
-    current = list(x.coords)
-    grown: set[int] = set()
-    for j in range(1, len(part.blocks)):
-        grown |= part.blocks[j - 1]
-        step = part.values[j - 1] - part.values[j]
-        current = [
-            c + step if i in grown else c for i, c in enumerate(current, start=1)
-        ]
-        points.append(TropPoint(current))
-    return points
+    d, ends = _breakpoints(x, y)
+    return [TropPoint(Fraction(c, d) for c in b) for b in ends]
 
 
 def tconv_contains(generators: Sequence[TropPoint], z: TropPoint) -> bool:

@@ -8,12 +8,14 @@ equality of this form decides geometric equality.
 Predicates, faces and cuts read one integer form, the homogenised cone in
 Z^(m+1): its generators `_gens`, where a vertex v becomes (d*v, d), a ray r
 becomes (r, 0) and a lineality vector l becomes +-(l, 0), and its rows
-`_rows`, where a constraint a.x <= b becomes the row of (x, t) -> a.x - b*t;
-`hrep` is a view of the rows.  One Hermite normal form of the generators,
-`_span`, gives the dimension, the equations and the basis of the span in
-which the facets are found.  One integer double-description kernel, `_dd`,
-does every conversion: facets come from `_dd` on the generators written in
-coordinates of their own span; minimal generators, and the pieces of every
+`_rows`, where a constraint a.x <= b becomes the row of (x, t) -> a.x - b*t.
+Faces come with the integer rows that cut them out.  `hrep`, the (a, b)
+pairs with a primitive, is a view of the rows that no code here reads; the
+test oracles and the benchmark's tracer do.  One Hermite normal form of the
+generators, `_span`, gives the dimension, the equations and the basis of the
+span in which the facets are found.  One integer double-description kernel,
+`_dd`, does every conversion: facets come from `_dd` on the generators written
+in coordinates of their own span; minimal generators, and the pieces of every
 halfspace or hyperplane cut, come from `_dd` on the rows.  No floating point
 and no LP.
 """
@@ -29,6 +31,8 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import (
+    IntVec,
+    Vec,
     _lift,
     hermite_normal_form,
     nullspace,
@@ -40,9 +44,7 @@ from .linalg import (
 )
 from .points import Rational, _frac
 
-Vec = tuple[Rational, ...]
-IntVec = tuple[int, ...]
-HalfSpace = tuple[IntVec, Fraction]  # (a, b) meaning a.x <= b
+HalfSpace = tuple[IntVec, Rational]  # (a, b) meaning a.x <= b
 
 DEFAULT_BUDGET = 20000
 
@@ -53,10 +55,6 @@ def _fvec(v) -> Vec:
 
 def _neg(v) -> tuple:
     return tuple(-x for x in v)
-
-
-def _dot(r: IntVec, g: IntVec) -> int:
-    return sum(map(mul, r, g))
 
 
 def _mix(s: int, x: IntVec, t: int, y: IntVec) -> IntVec:
@@ -120,12 +118,6 @@ def _row(a: IntVec, b) -> IntVec:
     integer vector a."""
     b = _frac(b)
     return tuple(b.denominator * x for x in a) + (-b.numerator,)
-
-
-def _halfspace(row: IntVec) -> HalfSpace:
-    """The pair (a, b), a primitive, of the constraint row.(x, 1) <= 0."""
-    g = gcd(*row[:-1])
-    return tuple(x // g for x in row[:-1]), Fraction(-row[-1], g)
 
 
 def _generators(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
@@ -279,7 +271,7 @@ class Polyhedron:
         a row r stands for r.(x, 1) = 0 or r.(x, 1) <= 0."""
         g0 = self._gens[0]
         eqs = [
-            primitive_direction(tuple(g0[-1] * x for x in a) + (-_dot(a, g0),))
+            primitive_direction(tuple(g0[-1] * x for x in a) + (-vec_dot(a, g0),))
             for a in nullspace([r[1:] for r in self._span[1:]], self.m)
         ]
         return sorted(eqs), sorted(self._facets())
@@ -293,16 +285,14 @@ class Polyhedron:
 
     @cached_property
     def hrep(self) -> tuple[tuple[HalfSpace, ...], tuple[HalfSpace, ...]]:
-        """(equations, facet inequalities); each is (a, b) over primitive a."""
-        return tuple(tuple(sorted(map(_halfspace, rows))) for rows in self._rows)
+        """(equations, facet inequalities); each is (a, b) over primitive a,
+        with b canonical, for a row r of r.(x, 1) = 0 or <= 0."""
 
-    @property
-    def equations(self) -> tuple[HalfSpace, ...]:
-        return self.hrep[0]
+        def pair(r: IntVec) -> HalfSpace:
+            g = gcd(*r[:-1])
+            return tuple(x // g for x in r[:-1]), _frac(Fraction(-r[-1], g))
 
-    @property
-    def inequalities(self) -> tuple[HalfSpace, ...]:
-        return self.hrep[1]
+        return tuple(tuple(sorted(map(pair, rows))) for rows in self._rows)
 
     def _facets(self) -> list[IntVec]:
         """Facet rows of the homogenised cone, as normals inside its span.
@@ -328,20 +318,16 @@ class Polyhedron:
     def _holds(self, g: IntVec) -> bool:
         """Does the homogenised cone contain the integer vector g?"""
         eqs, ineqs = self._rows
-        return all(_dot(r, g) == 0 for r in eqs) and all(_dot(r, g) <= 0 for r in ineqs)
+        return all(vec_dot(r, g) == 0 for r in eqs) and all(vec_dot(r, g) <= 0 for r in ineqs)
 
     def _tight(self, gens: list[IntVec]) -> list[IntVec]:
         """The facet rows that vanish on every given generator."""
-        return [r for r in self._rows[1] if all(_dot(r, g) == 0 for g in gens)]
+        return [r for r in self._rows[1] if all(vec_dot(r, g) == 0 for g in gens)]
 
     # -- predicates -----------------------------------------------------
 
     def contains(self, point: Sequence) -> bool:
         return self._holds(_lift(tuple(point) + (1,)))
-
-    def contains_direction(self, direction: Sequence) -> bool:
-        """Is the direction in the recession cone?"""
-        return self._holds(_lift(tuple(direction) + (0,)))
 
     def contains_polyhedron(self, other: Polyhedron) -> bool:
         return all(map(self._holds, other._gens))
@@ -371,13 +357,14 @@ class Polyhedron:
 
     def _face(self, tight: list[IntVec]) -> Polyhedron:
         """The face on which each given valid inequality row is tight."""
-        on = [all(_dot(r, g) == 0 for r in tight) for g in self._gens]
+        on = [all(vec_dot(r, g) == 0 for r in tight) for g in self._gens]
         rays = compress(self.rays, on[len(self.vertices) :])
         return Polyhedron._minimal(self.m, compress(self.vertices, on), rays, self.lineality)
 
-    def faces_of_facets(self) -> list[tuple[Polyhedron, HalfSpace]]:
-        """Codimension-one faces, each with its cutting inequality."""
-        return [(self._face([r]), _halfspace(r)) for r in self._rows[1]]
+    def faces_of_facets(self) -> list[tuple[Polyhedron, IntVec]]:
+        """Codimension-one faces, each with its primitive integer facet row r:
+        the face is where r.(x, 1) = 0, and r[:-1] is an outer normal."""
+        return [(self._face([r]), r) for r in self._rows[1]]
 
     def all_faces(self) -> list[Polyhedron]:
         """The full face lattice, this polyhedron included."""
@@ -407,7 +394,7 @@ class Polyhedron:
         if it lies in the opposite closed halfspace, else 0 (cut)."""
         has_pos = has_neg = False
         for g in self._gens:
-            s = _dot(row, g)
+            s = vec_dot(row, g)
             has_pos |= s > 0
             has_neg |= s < 0
         if not has_pos:
@@ -420,14 +407,6 @@ class Polyhedron:
             return self
         eq_rows, ineq_rows = self._rows
         return _from_rows(self.m, eq_rows, ineq_rows + [row])
-
-    def intersect_hyperplane(self, a: IntVec, b) -> Polyhedron | None:
-        """This polyhedron intersected with {x : a.x = b}, or None if empty."""
-        row = _row(a, b)
-        if all(_dot(row, g) == 0 for g in self._gens):
-            return self
-        eq_rows, ineq_rows = self._rows
-        return _from_rows(self.m, eq_rows + [row], ineq_rows)
 
     def intersection(self, other: Polyhedron) -> Polyhedron | None:
         """Exact intersection of the two H-representations."""

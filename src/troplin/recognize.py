@@ -83,6 +83,10 @@ def _reject(kind: str, witness=None) -> RecognitionReport:
     return RecognitionReport("rejected", reason=Reason(kind, witness))
 
 
+def _non_pure(complex_: WeightedComplex) -> RecognitionReport:
+    return _reject(REASON_NON_PURE, sorted({c.dim for c in complex_.cells}))
+
+
 def recover_flat_family(
     complex_: WeightedComplex, bound: int = 12
 ) -> ChainFamily:
@@ -106,24 +110,11 @@ def recover_flat_family(
     return ChainFamily(n, members)
 
 
-def _coordinate_classes(cell: Cell) -> list[frozenset[int]]:
-    """Group torus coordinates that agree identically on the cell."""
-    n = cell.n
-    gens: list[tuple] = [tuple(v.coords) for v in cell.vertices]
-    gens += [tuple(r) for r in cell.rays]
-    gens += [tuple(l) for l in cell.lineality]
-    classes: list[list[int]] = []
-    for i in range(1, n + 1):
-        placed = False
-        for cls in classes:
-            j = cls[0]
-            if all(g[i - 1] == g[j - 1] for g in gens):
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-    return [frozenset(c) for c in classes]
+def _coordinate_classes(cell: Cell) -> int:
+    """The number of classes of torus coordinates that agree identically on
+    the cell: the distinct coordinate columns of its generators."""
+    gens = [v.coords for v in cell.vertices] + cell.rays + cell.lineality
+    return len(set(zip(*gens)))
 
 
 def _generic_point(cell: Cell, num_classes: int) -> TropPoint:
@@ -223,8 +214,7 @@ def recognize_fan(
     if not complex_.is_fan:
         raise InvalidInputError("input complex is not a fan")
     if not complex_.is_pure:
-        dims = sorted({c.dim for c in complex_.cells})
-        return _reject(REASON_NON_PURE, dims)
+        return _non_pure(complex_)
     if any(w != 1 for w in complex_.weights):
         bad = next(w for w in complex_.weights if w != 1)
         return _reject(REASON_WEIGHT, bad)
@@ -237,8 +227,8 @@ def recognize_fan(
             # len(chain) + 1 <= d + 1 blocks of the chain's ordered partition
             continue
         classes = _coordinate_classes(cell)
-        if len(classes) > d + 1:
-            return _reject(REASON_HET, _generic_point(cell, len(classes)))
+        if classes > d + 1:
+            return _reject(REASON_HET, _generic_point(cell, classes))
     family = recover_flat_family(complex_)
     check = verify_flat_family(complex_.n, family.sets)
     if not check.ok:
@@ -260,8 +250,7 @@ def decide_complex(
     weights.
     """
     if not complex_.is_pure:
-        dims = sorted({c.dim for c in complex_.cells})
-        return _reject(REASON_NON_PURE, dims)
+        return _non_pure(complex_)
     balance = is_balanced(complex_)
     if not balance.ok:
         return _reject(REASON_UNBALANCED, balance.witness)
@@ -325,8 +314,7 @@ def local_check(
     connected and the gcd multiplier to agree across vertices.
     """
     if not complex_.is_pure:
-        dims = sorted({c.dim for c in complex_.cells})
-        return LocalCheckReport(_reject(REASON_NON_PURE, dims), (), ())
+        return LocalCheckReport(_non_pure(complex_), (), ())
     if _components(complex_) > 1:
         return LocalCheckReport(_reject(REASON_SUPPORT, "disconnected"), (), ())
     vertex_reports = []
@@ -400,15 +388,7 @@ def convexity_probe(
     """
     if samples < 0:
         raise InvalidInputError("the number of samples must be >= 0")
-    pairs: list[tuple[TropPoint, TropPoint]] = []
-    verts: list[TropPoint] = []
-    for cell in complex_.cells:
-        for v in cell.vertices:
-            if v not in verts:
-                verts.append(v)
-    verts.sort(key=lambda p: p.coords)
-    for a, b in combinations(verts, 2):
-        pairs.append((a, b))
+    pairs = list(combinations(_structure_vertices(complex_), 2))
     rng = random.Random(seed)
     for _ in range(samples):
         ca = complex_.cells[rng.randrange(len(complex_.cells))]

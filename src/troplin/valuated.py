@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .complexes import coordinate_difference, from_quotient
 from .errors import InvalidInputError
 from .matroids import GroundSet, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
@@ -105,8 +106,8 @@ class ValuatedMatroid:
             rest = circuit - {i}
             for b in _sorted_sets(self.matroid.bases):
                 if rest <= b and i not in b:
-                    if self.matroid.fundamental_circuit(b, i) == circuit:
-                        pairs.append((b, i))
+                    # b + i holds this circuit, the only circuit it holds
+                    pairs.append((b, i))
         return pairs
 
     def circuit_valuation_from(self, circuit: GroundSet, basis: GroundSet, element: int) -> CircuitVector:
@@ -225,8 +226,6 @@ def certify_cell(valuated: ValuatedMatroid, cell, budget: int = DEFAULT_BUDGET) 
     relative-interior point per piece decides the whole cell.  Membership is
     a closed condition, which settles the piece boundaries as well.
     """
-    from .complexes import coordinate_difference, from_quotient
-
     if cell.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
     n = valuated.n

@@ -2,9 +2,9 @@
 plus an LP hull oracle independent of the polyhedron kernel, the
 Fraction-valued predicates the kernel's integer form replaced, the Fraction
 row reduction and the integer diagonalisation the Hermite normal form
-replaced, the pairwise complex validation that chain lookup replaced, and the
+replaced, the pairwise complex validation that chain lookup replaced, the
 per-cell segment coverage test, with its Fraction gap sweep, that the row
-table of a complex replaced."""
+table of a complex replaced, and the fundamental circuit by basis exchange."""
 
 import importlib.util
 import random
@@ -30,7 +30,7 @@ from troplin.linalg import hermite_normal_form, solve_exact, vec_dot, vec_is_zer
 from troplin.lp import lp_feasible
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, segment
-from troplin.polyhedra import Polyhedron, _dot, _lift
+from troplin.polyhedra import Polyhedron, _lift
 from troplin.valuated import ValuatedMatroid
 
 
@@ -404,7 +404,7 @@ def segment_interval(poly, start, direction):
             if base != b:
                 return None
         else:
-            t = (b - base) / slope
+            t = Fraction(b - base) / slope
             lo = max(lo, t)
             hi = min(hi, t)
     for a, b in ineqs:
@@ -414,9 +414,9 @@ def segment_interval(poly, start, direction):
             if base > b:
                 return None
         elif slope > 0:
-            hi = min(hi, (b - base) / slope)
+            hi = min(hi, Fraction(b - base) / slope)
         else:
-            lo = max(lo, (b - base) / slope)
+            lo = max(lo, Fraction(b - base) / slope)
     if lo > hi:
         return None
     return (lo, hi)
@@ -462,7 +462,7 @@ def segment_interval_of_rows(poly, p, q):
     the polyhedron, for integer vectors p and q with the same last entry."""
     lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     for r in poly._constraints:
-        rp, rq = _dot(r, p), _dot(r, q)
+        rp, rq = vec_dot(r, p), vec_dot(r, q)
         if rp == rq:
             if rp > 0:
                 return None
@@ -523,3 +523,11 @@ def segment_in_support_per_cell(complex_, x, y) -> SegmentCheck:
             )
             return SegmentCheck(False, global_param, witness)
     return SegmentCheck(True)
+
+
+def fundamental_circuit(matroid, basis, element):
+    """The unique circuit inside basis + element, for element not in basis:
+    the element and every j of the basis that it can replace."""
+    return frozenset({element}) | frozenset(
+        j for j in basis if (basis - {j}) | {element} in matroid.bases
+    )

@@ -410,8 +410,9 @@ class TestStar:
         star = star_fan(u23_fan, TropPoint((0, -3, 0)))
         assert len(star.cells) == 1
         cell = star.cells[0]
-        assert cell.poly.contains_direction(direction_to_quotient((0, -1, 0)))
-        assert cell.poly.contains_direction(direction_to_quotient((0, 1, 0)))
+        for d in ((0, -1, 0), (0, 1, 0)):
+            ray = Polyhedron(2, [(0, 0)], rays=[direction_to_quotient(d)])
+            assert cell.poly.contains_polyhedron(ray)
 
     def test_point_outside(self, u23_fan):
         with pytest.raises(InvalidInputError):

@@ -49,6 +49,10 @@ def assert_polyhedron(poly):
         assert_canonical(v)
     for r in poly.rays + poly.lineality:
         assert all(type(x) is int for x in r), r
+    for rows in poly.hrep:
+        for a, b in rows:
+            assert all(type(x) is int for x in a), a
+            assert_canonical([b])
 
 
 class TestParseFrac:

@@ -124,13 +124,15 @@ class TestConstruction:
 class TestHRepresentation:
     def test_ray(self):
         ray = Polyhedron(1, [(0,)], rays=[(1,)])
-        assert ray.inequalities == (((-1,), F(0)),)
-        assert not ray.equations
+        eqs, ineqs = ray.hrep
+        assert ineqs == (((-1,), F(0)),)
+        assert not eqs
 
     def test_point(self):
         pt = Polyhedron(1, [(3,)])
-        assert pt.inequalities == ()
-        assert pt.equations == (((1,), F(3)),)
+        eqs, ineqs = pt.hrep
+        assert ineqs == ()
+        assert eqs == (((1,), F(3)),)
 
     def test_agreement_with_hull_oracle(self):
         rng = random.Random(11)
@@ -177,7 +179,7 @@ class TestSplitting:
 
     def test_hyperplane_slice(self):
         square = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-        mid = square.intersect_hyperplane((1, 0), F(1, 2))
+        mid = square.intersection(Polyhedron(2, [(F(1, 2), 0)], lineality=[(0, 1)]))
         assert mid.dim == 1
         assert mid.contains((F(1, 2), F(1, 2)))
         assert not mid.contains((0, 0))
@@ -279,5 +281,6 @@ class TestDoubleDescription:
         ball = trop_ball(TropPoint((0,) * 5), 1)
         poly = Polyhedron(4, [to_quotient(v) for v in ball.vertices])
         assert len(poly.vertices) == 30
-        assert len(poly.inequalities) == 20
-        assert not poly.equations
+        eqs, ineqs = poly.hrep
+        assert len(ineqs) == 20
+        assert not eqs

@@ -20,6 +20,7 @@ from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, flat_direction, trop_combine
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import (
+    Reason,
     _components,
     _support_equal,
     convexity_probe,
@@ -121,14 +122,18 @@ class TestRecognizeFan:
             3,
             [
                 origin_cell(3, [(-1, 0, 0)]),
+                origin_cell(3, [(0, 0, -1)]),
                 origin_cell(3, [(0, -1, 0), (0, -1, -1)]),
             ],
-            [1, 1],
+            [1, 1, 1],
             validate=False,
         )
         report = recognize_fan(fan)
         assert not report.accepted
         assert report.reason.kind == "non-pure"
+        # the witness is the sorted set of cell dimensions, on every route
+        for r in (report, decide_complex(fan), local_check(fan).global_report):
+            assert r.reason == Reason("non-pure", [1, 2])
 
     def test_heterogeneity_bound_rejection(self):
         # the line through (0,-1,-2,-3) is balanced with unit weights but a

@@ -7,7 +7,7 @@ import pytest
 
 from troplin.complexes import Cell
 from troplin.errors import InvalidInputError, ResourceLimitError
-from troplin.matroids import enumerate_matroids
+from troplin.matroids import _sorted_sets, enumerate_matroids
 from troplin.points import TropPoint, segment, trop_combine
 from troplin.valuated import (
     ValuatedMatroid,
@@ -18,7 +18,7 @@ from troplin.valuated import (
     normalize_circuit_vector,
 )
 
-from conftest import rand_rational
+from conftest import fundamental_circuit, rand_rational
 
 F = Fraction
 fs = frozenset
@@ -100,6 +100,21 @@ class TestCircuitValuation:
                     expected = vm.circuit_valuation(c)
                     for basis, elem in vm.derivations(c):
                         assert vm.circuit_valuation_from(c, basis, elem) == expected
+
+    def test_derivations_are_the_pairs_with_that_fundamental_circuit(self):
+        seen = 0
+        for matroid in enumerate_matroids(4):
+            vm = trivial(matroid)
+            for c in matroid.circuits:
+                expected = [
+                    (b, i)
+                    for i in sorted(matroid.ground)
+                    for b in _sorted_sets(matroid.bases)
+                    if i not in b and fundamental_circuit(matroid, b, i) == c
+                ]
+                assert vm.derivations(c) == expected
+                seen += len(expected)
+        assert seen > 0
 
     def test_not_a_circuit(self, u23_valuated):
         with pytest.raises(InvalidInputError):
