@@ -34,7 +34,7 @@ from .linalg import (
     vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import Rational, TropPoint, _breakpoints, _frac, partition
+from .points import Rational, TropPoint, _breakpoints, _frac
 from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg
 
 
@@ -528,18 +528,20 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     return _merged_fan(complex_.n, cones)
 
 
+def _level_sets(w: Sequence[Rational]) -> list[GroundSet]:
+    """The sets {i : w_i <= v} (1-based) for the values v of w in ascending
+    order; the last is the ground set."""
+    return [frozenset(i for i, x in enumerate(w, 1) if x <= v) for v in sorted(set(w))]
+
+
 def _cell_contains(cell: Cell, q: Vec) -> bool:
     """Does the cell contain the quotient point q?  A braid cone apex +
     cone(chain) does when the chain of q - apex lies in its chain: with
-    w = (0, q - apex), that is the sets {i : w_i <= v} for each value v of
-    w but the largest."""
+    w = (0, q - apex), that is the level sets of w but the ground set."""
     if cell.braid is None:
         return cell.poly.contains(q)
     apex, chain = cell.braid
-    w = (0, *vec_sub(q, apex))
-    return all(
-        frozenset(i for i, x in enumerate(w, 1) if x <= v) in chain for v in sorted(set(w))[:-1]
-    )
+    return all(f in chain for f in _level_sets((0, *vec_sub(q, apex)))[:-1])
 
 
 def chain_fan(family: ChainFamily) -> WeightedComplex:
@@ -555,20 +557,11 @@ def chain_fan(family: ChainFamily) -> WeightedComplex:
 def chn_cell_of(x: TropPoint) -> tuple[GroundSet, ...]:
     """The chain of subsets whose cone minimally contains x.
 
-    Reading the partition of -x in ascending order of the coordinate values of
-    x yields nested prefix unions F_1 through F_{s-1}; the returned chain ends
-    with the full ground set and has the cone dimension het(x) - 1.
+    The level sets of x in ascending order of its coordinate values are the
+    nested sets F_1 through F_{s-1} and then the full ground set; the cone of
+    the chain has dimension het(x) - 1.
     """
-    neg = TropPoint(tuple(-c for c in x.coords))
-    part = partition(neg)
-    ground = frozenset(range(1, x.n + 1))
-    chain: list[GroundSet] = []
-    acc: set[int] = set()
-    for block in part.blocks[:-1]:
-        acc |= block
-        chain.append(frozenset(acc))
-    chain.append(ground)
-    return tuple(chain)
+    return tuple(_level_sets(x.coords))
 
 
 def segment_in_support(

@@ -2,7 +2,9 @@
 
 Ground sets are {1..n}.  Derived data (circuits, flats, closure) is computed
 by direct enumeration; ground sets stay small enough that the brute force
-doubles as the test oracle for everything downstream.
+doubles as the test oracle for everything downstream.  One cover relation,
+`_covers`, gives the maximal chains of a family, the partition axiom of
+flats and the rank of a lattice of flats.
 """
 
 from __future__ import annotations
@@ -23,10 +25,26 @@ GroundSet = frozenset[int]
 
 # exhaustive enumeration is doubly exponential in n
 ENUMERATION_LIMIT = 5
+# flat recovery probes all 2^n - 1 nonempty subsets of the ground set
+FLAT_RECOVERY_LIMIT = 12
 
 
 def _sorted_sets(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+def _covers(sets: Iterable[frozenset[int]]) -> dict[GroundSet, list[GroundSet]]:
+    """Each member, in `_sorted_sets` order, with the minimal members that
+    properly contain it, in the same order."""
+    ordered = _sorted_sets(sets)
+    out: dict[GroundSet, list[GroundSet]] = {}
+    for i, f in enumerate(ordered):
+        # a member between f and g comes before g, so some cover of f is below g
+        out[f] = covers = []
+        for g in ordered[i + 1 :]:
+            if f < g and not any(h < g for h in covers):
+                covers.append(g)
+    return out
 
 
 def _check_exchange(bases: frozenset[GroundSet]) -> tuple[GroundSet, GroundSet, int] | None:
@@ -149,44 +167,21 @@ class ChainFamily:
     def ground(self) -> GroundSet:
         return frozenset(range(1, self.n + 1))
 
-    def proper_members(self) -> list[GroundSet]:
-        return _sorted_sets(s for s in self.sets if s and s != self.ground)
-
-    def chains(self) -> list[tuple[GroundSet, ...]]:
-        """All chains of proper nonempty members, in deterministic order.
-
-        The empty chain is included; every chain implicitly ends at the
-        ground set.
-        """
-        proper = self.proper_members()
+    def maximal_chains(self) -> list[tuple[GroundSet, ...]]:
+        """Maximal chains of proper nonempty members in lexicographic order:
+        the paths of covers from the empty set to the ground set, ends dropped."""
+        covers = _covers(self.sets | {frozenset()})
+        ground = self.ground
         out: list[tuple[GroundSet, ...]] = []
 
-        def extend(prefix: tuple[GroundSet, ...], start: int) -> None:
-            out.append(prefix)
-            for idx in range(start, len(proper)):
-                cand = proper[idx]
-                if not prefix or prefix[-1] < cand:
-                    extend(prefix + (cand,), idx + 1)
+        def walk(path: tuple[GroundSet, ...]) -> None:
+            if path[-1] == ground:
+                out.append(path[1:-1])
+            for g in covers[path[-1]]:
+                walk(path + (g,))
 
-        extend((), 0)
+        walk((frozenset(),))
         return out
-
-    def maximal_chains(self) -> list[tuple[GroundSet, ...]]:
-        """Chains that admit no single-member insertion."""
-        proper = self.proper_members()
-
-        def extendable(chain: tuple[GroundSet, ...]) -> bool:
-            bounds = [(frozenset(), chain[0] if chain else None)]
-            for i in range(len(chain)):
-                upper = chain[i + 1] if i + 1 < len(chain) else None
-                bounds.append((chain[i], upper))
-            for lo, hi in bounds:
-                for g in proper:
-                    if lo < g and (hi is None or g < hi):
-                        return True
-            return False
-
-        return [c for c in self.chains() if not extendable(c)]
 
 
 @dataclass(frozen=True)
@@ -213,11 +208,9 @@ def verify_flat_family(n: int, sets: Iterable[Iterable[int]]) -> FlatFamilyCheck
     for f, g in combinations(ordered, 2):
         if f & g not in family:
             return FlatFamilyCheck(False, "intersection", (f, g))
-    for f in ordered:
+    for f, minimal in _covers(ordered).items():
         if f == ground:
             continue
-        above = [g for g in ordered if f < g]
-        minimal = [g for g in above if not any(h < g for h in above if h != g)]
         seen: set[int] = set()
         for g in minimal:
             diff = g - f
@@ -230,27 +223,28 @@ def verify_flat_family(n: int, sets: Iterable[Iterable[int]]) -> FlatFamilyCheck
 
 
 def matroid_from_flats(family: ChainFamily) -> Matroid:
-    """Reconstruct the unique loopfree matroid with the given flat family.
-
-    The rank of a flat is its height in the flat lattice; a set is a basis
-    exactly when it has full-rank cardinality and closes up to the ground set.
-    """
+    """Reconstruct the unique loopfree matroid with the given flat family."""
     check = verify_flat_family(family.n, family.sets)
     if not check.ok:
         raise InvalidInputError(
             f"not a flat family: axiom {check.axiom}, witness {check.witness}"
         )
+    return _flat_matroid(family)
+
+
+def _flat_matroid(family: ChainFamily) -> Matroid:
+    """The matroid of a verified flat family: the rank is the length of a
+    path of covers from the empty set to the ground set (flat lattices are
+    graded), and the bases are the rank-sized sets that close up to the ground set."""
     ground = family.ground
-    flats = _sorted_sets(set(family.sets) | {frozenset()})
-    height: dict[GroundSet, int] = {}
-    for f in flats:
-        below = [height[g] for g in flats if g < f and g in height]
-        height[f] = 1 + max(below) if below else 0
-    rank = height[ground]
+    covers = _covers(family.sets | {frozenset()})
+    rank, flat = 0, frozenset()
+    while flat != ground:
+        rank, flat = rank + 1, covers[flat][0]
 
     def closure(s: frozenset[int]) -> GroundSet:
         out = ground
-        for f in flats:
+        for f in covers:
             if s <= f:
                 out &= f
         return out
@@ -283,9 +277,10 @@ def enumerate_matroids(n: int) -> list[Matroid]:
             )
             if frozenset().union(*family) != frozenset(ground):
                 continue
-            if _check_exchange(family) is not None:
+            try:
+                out.append(Matroid(n, family))
+            except NotAMatroidError:
                 continue
-            out.append(Matroid(n, family))
     out.sort(
         key=lambda m: (
             m.rank,

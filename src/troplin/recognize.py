@@ -32,11 +32,12 @@ from .complexes import (
 )
 from .errors import InvalidInputError, ResourceLimitError
 from .matroids import (
+    FLAT_RECOVERY_LIMIT,
     ChainFamily,
     GroundSet,
     Matroid,
+    _flat_matroid,
     _sorted_sets,
-    matroid_from_flats,
     verify_flat_family,
 )
 from .points import TropPoint, flat_direction, heterogeneity
@@ -87,17 +88,15 @@ def _non_pure(complex_: WeightedComplex) -> RecognitionReport:
     return _reject(REASON_NON_PURE, sorted({c.dim for c in complex_.cells}))
 
 
-def recover_flat_family(
-    complex_: WeightedComplex, bound: int = 12
-) -> ChainFamily:
+def recover_flat_family(complex_: WeightedComplex) -> ChainFamily:
     """Subsets whose negated incidence vector lies in the support.
 
     For a fan of braid cones these are the members of the cells' chains and
     the ground set: -e_F lies in the cone of a chain exactly when F does.
     """
     n = complex_.n
-    if n > bound:
-        raise ResourceLimitError(f"flat recovery capped at n <= {bound}")
+    if n > FLAT_RECOVERY_LIMIT:
+        raise ResourceLimitError(f"flat recovery capped at n <= {FLAT_RECOVERY_LIMIT}")
     if complex_.chain_tagged:
         members = {f for cell in complex_.cells for f in cell.chain}
         return ChainFamily(n, members | {frozenset(range(1, n + 1))})
@@ -236,8 +235,7 @@ def recognize_fan(
     witness = _support_equal(complex_, family, budget)
     if witness is not None:
         return _reject(REASON_SUPPORT, witness)
-    matroid = matroid_from_flats(family)
-    return _accept(matroid, family.sets)
+    return _accept(_flat_matroid(family), family.sets)
 
 
 def decide_complex(

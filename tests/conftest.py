@@ -4,7 +4,9 @@ Fraction-valued predicates the kernel's integer form replaced, the Fraction
 row reduction and the integer diagonalisation the Hermite normal form
 replaced, the pairwise complex validation that chain lookup replaced, the
 per-cell segment coverage test, with its Fraction gap sweep, that the row
-table of a complex replaced, and the fundamental circuit by basis exchange."""
+table of a complex replaced, the fundamental circuit by basis exchange, and
+the chain enumeration, flat-axiom check and height-table rank that the cover
+relation of `matroids._covers` replaced."""
 
 import importlib.util
 import random
@@ -28,7 +30,13 @@ from troplin.complexes import (
 from troplin.errors import InvalidInputError
 from troplin.linalg import hermite_normal_form, solve_exact, vec_dot, vec_is_zero
 from troplin.lp import lp_feasible
-from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
+from troplin.matroids import (
+    ChainFamily,
+    FlatFamilyCheck,
+    _sorted_sets,
+    enumerate_matroids,
+    matroid_from_bases,
+)
 from troplin.points import TropPoint, segment
 from troplin.polyhedra import Polyhedron, _lift
 from troplin.valuated import ValuatedMatroid
@@ -530,4 +538,98 @@ def fundamental_circuit(matroid, basis, element):
     the element and every j of the basis that it can replace."""
     return frozenset({element}) | frozenset(
         j for j in basis if (basis - {j}) | {element} in matroid.bases
+    )
+
+
+def proper_members(family):
+    return _sorted_sets(s for s in family.sets if s and s != family.ground)
+
+
+def all_chains(family):
+    """All chains of proper nonempty members, in deterministic order.
+
+    The empty chain is included; every chain implicitly ends at the
+    ground set.
+    """
+    proper = proper_members(family)
+    out = []
+
+    def extend(prefix, start):
+        out.append(prefix)
+        for idx in range(start, len(proper)):
+            cand = proper[idx]
+            if not prefix or prefix[-1] < cand:
+                extend(prefix + (cand,), idx + 1)
+
+    extend((), 0)
+    return out
+
+
+def filtered_maximal_chains(family):
+    """The chains of `all_chains` that admit no single-member insertion."""
+    proper = proper_members(family)
+
+    def extendable(chain):
+        bounds = [(frozenset(), chain[0] if chain else None)]
+        for i in range(len(chain)):
+            upper = chain[i + 1] if i + 1 < len(chain) else None
+            bounds.append((chain[i], upper))
+        for lo, hi in bounds:
+            for g in proper:
+                if lo < g and (hi is None or g < hi):
+                    return True
+        return False
+
+    return [c for c in all_chains(family) if not extendable(c)]
+
+
+def flat_family_check(n, sets):
+    """The flat axioms with the minimal members above each member found by
+    scanning all members above it."""
+    ground = frozenset(range(1, n + 1))
+    family = {frozenset(s) for s in sets} | {frozenset()}
+    if ground not in family:
+        return FlatFamilyCheck(False, "ground-set", ground)
+    ordered = _sorted_sets(family)
+    for f, g in combinations(ordered, 2):
+        if f & g not in family:
+            return FlatFamilyCheck(False, "intersection", (f, g))
+    for f in ordered:
+        if f == ground:
+            continue
+        above = [g for g in ordered if f < g]
+        minimal = [g for g in above if not any(h < g for h in above if h != g)]
+        seen = set()
+        for g in minimal:
+            diff = g - f
+            if diff & seen:
+                return FlatFamilyCheck(False, "partition", (f, g))
+            seen |= diff
+        if seen != ground - f:
+            return FlatFamilyCheck(False, "partition", (f, frozenset(ground - f - seen)))
+    return FlatFamilyCheck(True)
+
+
+def height_table_bases(family):
+    """The bases of a valid flat family: the rank of the ground set is its
+    height in the flat lattice, and a basis is a rank-sized set that closes
+    up to the ground set."""
+    ground = family.ground
+    flats = _sorted_sets(set(family.sets) | {frozenset()})
+    height = {}
+    for f in flats:
+        below = [height[g] for g in flats if g < f and g in height]
+        height[f] = 1 + max(below) if below else 0
+
+    def closure(s):
+        out = ground
+        for f in flats:
+            if s <= f:
+                out &= f
+        return out
+
+    return frozenset(
+        frozenset(c)
+        for c in combinations(sorted(ground), height[ground])
+        if closure(frozenset(c)) == ground
     )

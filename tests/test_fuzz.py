@@ -1,10 +1,12 @@
-"""Fuzzing complex JSON through the command line: every input, however
-malformed or degenerate, ends in exit 0, 1 or 2 and never in a traceback."""
+"""Fuzzing complex, set-family and matroid JSON through the command line:
+every input, however malformed or degenerate, ends in exit 0, 1 or 2 and
+never in a traceback."""
 
 import contextlib
 import io
 import json
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -53,6 +55,35 @@ def complex_json(draw):
     return {"n": n, "cells": cells}
 
 
+@st.composite
+def family_json(draw):
+    """Subsets of {0..n+1}, so some fall outside the ground set {1..n}, and
+    often the ground set itself."""
+    n = draw(st.integers(1, 5))
+    subset = st.lists(st.integers(0, n + 1), max_size=n, unique=True)
+    sets = draw(st.lists(subset, max_size=8))
+    if draw(st.booleans()):
+        sets.append(list(range(1, n + 1)))
+    return {"n": n, "sets": sets}
+
+
+@st.composite
+def matroid_json(draw):
+    """All r-subsets of {1..n} (a uniform matroid), a random family of
+    r-subsets, or a family of random subsets."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, n))
+    r_subsets = [list(c) for c in combinations(range(1, n + 1), r)]
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        bases = r_subsets
+    elif kind == 1:
+        bases = draw(st.lists(st.sampled_from(r_subsets), min_size=1, max_size=6))
+    else:
+        bases = draw(st.lists(st.lists(st.integers(0, n + 1), max_size=n), max_size=4))
+    return {"n": n, "bases": bases}
+
+
 def run_cli(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "complex.json"
@@ -78,3 +109,15 @@ def test_recognize_never_crashes(data):
 @given(complex_json())
 def test_balanced_never_crashes(data):
     run_cli("balanced", data)
+
+
+@FUZZ
+@given(family_json())
+def test_chains_never_crashes(data):
+    run_cli("chains", data)
+
+
+@FUZZ
+@given(matroid_json())
+def test_bergman_never_crashes(data):
+    run_cli("bergman", data)

@@ -402,6 +402,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "braid refinement exceeded" in captured.err
 
+    def test_flat_recovery_over_its_limit_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "n13.json"
+        fan = chain_fan(ChainFamily(13, [range(1, 14)]))
+        path.write_text(json.dumps(tio.complex_to_json(fan)))
+        assert main(["recognize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "flat recovery capped at n <= 12" in captured.err
+
     def test_unrealised_generic_point_is_exit_two(self, capsys, tmp_path, monkeypatch):
         # a line with four distinct coordinates breaks the heterogeneity
         # bound; with no scale matching, the witness search gives up

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from troplin import matroids
 from troplin.errors import (
     InvalidInputError,
     LoopyMatroidError,
@@ -18,6 +19,8 @@ from troplin.matroids import (
     matroid_from_flats,
     verify_flat_family,
 )
+
+from conftest import all_chains
 
 fs = frozenset
 
@@ -174,6 +177,15 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_matroids(6)
 
+    def test_exchange_checked_once_per_candidate(self, monkeypatch):
+        calls = []
+        check = matroids._check_exchange
+        monkeypatch.setattr(
+            matroids, "_check_exchange", lambda bases: calls.append(bases) or check(bases)
+        )
+        assert len(enumerate_matroids(5)) == 185
+        assert len(calls) == 1754
+
 
 class TestChainFamily:
     def test_requires_ground_set(self):
@@ -182,7 +194,7 @@ class TestChainFamily:
 
     def test_chains_of_u23_flats(self, u23):
         family = ChainFamily(3, u23.flats | {u23.ground})
-        chains = family.chains()
+        chains = all_chains(family)
         # empty chain plus one chain per singleton
         assert len(chains) == 4
         assert family.maximal_chains() == [

@@ -31,7 +31,7 @@ from troplin.linalg import (
     vec_dot,
     vec_sub,
 )
-from troplin.matroids import ChainFamily, enumerate_matroids
+from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_flats, verify_flat_family
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
 from troplin.polyhedra import Polyhedron, _lift, _row
 
@@ -41,7 +41,10 @@ from conftest import (
     contains_polyhedron,
     diagonal_quotient_generator,
     diagonal_saturate_rows,
+    filtered_maximal_chains,
+    flat_family_check,
     halfspace_status,
+    height_table_bases,
     in_hull,
     rand_point,
     rand_rational,
@@ -525,6 +528,36 @@ class TestLatticeAgainstDiagonalisation:
                     assert in_span(face.lattice_basis, vec_sub(u, expected))
                     seen.add((u == expected, abs(vec_dot(a, u)) > 1))
         assert seen == {(True, False), (False, False), (True, True), (False, True)}
+
+
+class TestCoversAgainstChainEnumeration:
+    """Maximal chains as paths of covers, the flat axioms read from the
+    covers and the rank as a path length agree with enumerating every chain,
+    scanning all members above each member and a height table."""
+
+    @staticmethod
+    def families():
+        for n in range(1, 6):
+            for matroid in enumerate_matroids(n):
+                yield n, list(matroid.flats)
+        rng = random.Random(79)
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            p = rng.choice([0.1, 0.3, 0.6])
+            subsets = [fs(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+            yield n, [s for s in subsets if rng.random() < p]
+
+    def test_chains_axioms_and_bases_match_the_oracles(self):
+        seen = set()
+        for n, sets in self.families():
+            family = ChainFamily(n, sets + [range(1, n + 1)])
+            assert family.maximal_chains() == filtered_maximal_chains(family), (n, sets)
+            check = verify_flat_family(n, sets)
+            assert check == flat_family_check(n, sets), (n, sets)
+            if check.ok:
+                assert matroid_from_flats(family).bases == height_table_bases(family)
+            seen.add(check.axiom)
+        assert seen == {None, "ground-set", "intersection", "partition"}
 
 
 class TestRecessionRepairOracle:

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from troplin import complexes, polyhedra
+from troplin import complexes, matroids, polyhedra, recognize
 from troplin.complexes import (
     Cell,
     WeightedComplex,
@@ -77,14 +77,29 @@ class TestRecoverFlatFamily:
             probed = WeightedComplex(fan.n, fan.cells, fan.weights, validate=False)
             assert recover_flat_family(probed).sets == sets
 
-    def test_bound_holds_for_chain_tagged_fans(self, u24):
-        fan = chain_fan(ChainFamily(4, u24.flats | {u24.ground}))
+    def test_bound_holds_for_chain_tagged_fans(self):
+        fan = chain_fan(ChainFamily(13, [range(1, 14)]))
         assert fan.chain_tagged
-        with pytest.raises(ResourceLimitError):
-            recover_flat_family(fan, bound=3)
+        with pytest.raises(ResourceLimitError, match="flat recovery capped at n <= 12"):
+            recover_flat_family(fan)
 
 
 class TestRecognizeFan:
+    def test_flat_axioms_checked_once_per_fan(self, monkeypatch):
+        calls = []
+        verify = matroids.verify_flat_family
+
+        def counted(n, sets):
+            calls.append(n)
+            return verify(n, sets)
+
+        # matroid_from_flats reads the name from matroids
+        monkeypatch.setattr(matroids, "verify_flat_family", counted)
+        monkeypatch.setattr(recognize, "verify_flat_family", counted)
+        for m in enumerate_matroids(4):
+            assert recognize_fan(chain_fan(ChainFamily(4, m.flats | {m.ground}))).accepted
+        assert len(calls) == 27
+
     def test_round_trip_u23(self, u23_fan, u23):
         report = recognize_fan(u23_fan)
         assert report.accepted
