@@ -1,8 +1,10 @@
 """Loopfree matroids given by bases, plus flat-family verification.
 
-Ground sets are {1..n}.  Derived data (circuits, flats, closure) is computed
-by direct enumeration; ground sets stay small enough that the brute force
-doubles as the test oracle for everything downstream.  One cover relation,
+Ground sets are {1..n}.  Circuits and closures are computed by direct
+enumeration over the bases.  Flats are not: they are found from the empty
+flat upwards, one cover at a time, since the covers of a flat F are the
+closures of F + e and partition the complement of F (Oxley, *Matroid
+Theory*, ch. 1), so no work grows with the 2^n subsets.  One cover relation,
 `_covers`, gives the maximal chains of a family, the partition axiom of
 flats and the rank of a lattice of flats.
 """
@@ -47,13 +49,27 @@ def _covers(sets: Iterable[frozenset[int]]) -> dict[GroundSet, list[GroundSet]]:
     return out
 
 
+def _mask(s: Iterable[int]) -> int:
+    return sum(1 << (i - 1) for i in s)
+
+
 def _check_exchange(bases: frozenset[GroundSet]) -> tuple[GroundSet, GroundSet, int] | None:
-    """Return a violating (B1, B2, u) triple, or None if the axiom holds."""
+    """Return the first violating (B1, B2, u) triple, B1 and B2 in
+    `_sorted_sets` order and u ascending, or None if the axiom holds."""
     ordered = _sorted_sets(bases)
-    for b1 in ordered:
-        for b2 in ordered:
-            for u in sorted(b1 - b2):
-                if not any(b1 - {u} | {v} in bases for v in b2 - b1):
+    masks = [_mask(b) for b in ordered]
+    family = set(masks)
+    elements = sorted(frozenset().union(*bases))
+    for b1, m1 in zip(ordered, masks):
+        # for each u of b1, the v with b1 - u + v a basis, as one mask
+        swaps = []
+        for u in sorted(b1):
+            rest = m1 & ~(1 << (u - 1))
+            swap = _mask(v for v in elements if rest | 1 << (v - 1) in family)
+            swaps.append((u, 1 << (u - 1), swap & ~m1))
+        for b2, m2 in zip(ordered, masks):
+            for u, bit, swap in swaps:
+                if not m2 & bit and not m2 & swap:
                     return b1, b2, u
     return None
 
@@ -78,10 +94,20 @@ class Matroid:
         covered = frozenset().union(*basis_family)
         if covered != ground:
             raise LoopyMatroidError(ground - covered)
+        self._set(n, basis_family)
+
+    @classmethod
+    def _verified(cls, n: int, bases: frozenset[GroundSet]) -> Matroid:
+        """Build from a basis family known to be a loopfree matroid's; skips the checks."""
+        matroid = cls.__new__(cls)
+        matroid._set(n, bases)
+        return matroid
+
+    def _set(self, n: int, bases: frozenset[GroundSet]) -> None:
         self.n = n
-        self.ground = ground
-        self.bases = basis_family
-        self.rank = len(next(iter(basis_family)))
+        self.ground = frozenset(range(1, n + 1))
+        self.bases = bases
+        self.rank = len(next(iter(bases)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,15 +155,34 @@ class Matroid:
 
     @cached_property
     def flats(self) -> frozenset[GroundSet]:
-        """All closed sets, including the empty set and the ground set."""
-        out = set()
-        elements = sorted(self.ground)
-        for size in range(0, self.n + 1):
-            for combo in combinations(elements, size):
-                s = frozenset(combo)
-                if self.closure(s) == s:
-                    out.add(s)
-        return frozenset(out)
+        """All closed sets, including the empty set and the ground set: the
+        empty flat and its covers, theirs, and so on, on bitmask bases.  The
+        covers of F are the closures of F + e, and they partition E - F."""
+        masks = [_mask(b) for b in self.bases]
+        full = (1 << self.n) - 1
+
+        def closure(s: int) -> int:
+            # e outside s raises the rank exactly when a basis meeting s most holds e
+            r = max((b & s).bit_count() for b in masks)
+            raising = 0
+            for b in masks:
+                if (b & s).bit_count() == r:
+                    raising |= b
+            return s | (full & ~raising)
+
+        seen, todo = {0}, [0]
+        while todo:
+            f = todo.pop()
+            rest = full & ~f
+            while rest:
+                g = closure(f | (rest & -rest))
+                rest &= ~g
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+        return frozenset(
+            frozenset(i + 1 for i in range(self.n) if mask >> i & 1) for mask in seen
+        )
 
 
 def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
@@ -249,12 +294,13 @@ def _flat_matroid(family: ChainFamily) -> Matroid:
                 out &= f
         return out
 
-    bases = [
+    bases = frozenset(
         frozenset(c)
         for c in combinations(sorted(ground), rank)
         if closure(frozenset(c)) == ground
-    ]
-    return Matroid(family.n, bases)
+    )
+    # the flat axioms were verified, so the bases need no exchange check
+    return Matroid._verified(family.n, bases)
 
 
 def enumerate_matroids(n: int) -> list[Matroid]:

@@ -272,9 +272,10 @@ class LocalCheckReport:
 
 def _components(complex_: WeightedComplex) -> int:
     """Connected components of the support.  Two cells meet when they share
-    a vertex generator, and otherwise when their intersection is nonempty."""
+    a vertex generator, or else when their intersection is nonempty.  All
+    shared vertices are joined first, so only the pairs that they leave in
+    different components are intersected."""
     cells = complex_.cells
-    vertices = [set(c.poly.vertices) for c in cells]
     parent = list(range(len(cells)))
 
     def find(i):
@@ -283,12 +284,13 @@ def _components(complex_: WeightedComplex) -> int:
             i = parent[i]
         return i
 
+    first_cell = {}
+    for i, cell in enumerate(cells):
+        for v in cell.poly.vertices:
+            parent[find(i)] = find(first_cell.setdefault(v, i))
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
-            if find(i) != find(j) and (
-                not vertices[i].isdisjoint(vertices[j])
-                or cells[i].poly.intersection(cells[j].poly) is not None
-            ):
+            if find(i) != find(j) and cells[i].poly.intersection(cells[j].poly) is not None:
                 parent[find(i)] = find(j)
     return len({find(i) for i in range(len(cells))})
 

@@ -128,11 +128,30 @@ class ValuatedMatroid:
 
     @cached_property
     def circuit_valuations(self) -> dict[GroundSet, CircuitVector]:
+        """Each circuit's vector from its first derivation, the first
+        (basis, element) pair in the order of `derivations`."""
+        bases = _sorted_sets(self.matroid.bases)
         out: dict[GroundSet, CircuitVector] = {}
         for c in _sorted_sets(self.matroid.circuits):
-            basis, element = self.derivations(c)[0]
+            basis, element = next(
+                (b, i) for i in sorted(c) for b in bases if c - {i} <= b and i not in b
+            )
             out[c] = self.circuit_valuation_from(c, basis, element)
         return out
+
+    @cached_property
+    def comparison_hyperplanes(self) -> list[tuple[tuple[int, ...], Rational]]:
+        """The distinct hyperplanes x_i + (v_C)_i = x_j + (v_C)_j, for i < j
+        in a circuit C, as (a, b) with a.x = b in quotient coordinates, in
+        the order of their first appearance over the circuits."""
+        n = self.n
+        out: dict[tuple[tuple[int, ...], Rational], None] = {}
+        for circuit, vec in self.circuit_valuations.items():
+            members = sorted(circuit)
+            for idx, i in enumerate(members):
+                for j in members[idx + 1 :]:
+                    out[coordinate_difference(n, i, j), vec[j - 1] - vec[i - 1]] = None
+        return list(out)
 
 
 def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
@@ -220,8 +239,8 @@ def _nmax(a: Rational | None, b: Rational | None) -> Rational | None:
 def certify_cell(valuated: ValuatedMatroid, cell, budget: int = DEFAULT_BUDGET) -> bool:
     """Exact test that every point of a polyhedral cell is a member.
 
-    The cell is refined along the arrangement of comparison hyperplanes
-    x_i + (v_C)_i = x_j + (v_C)_j over all circuits; on each refined
+    The cell is refined along the arrangement of the distinct comparison
+    hyperplanes x_i + (v_C)_i = x_j + (v_C)_j over all circuits; on each refined
     full-dimensional piece the winner pattern is constant, so testing one
     relative-interior point per piece decides the whole cell.  Membership is
     a closed condition, which settles the piece boundaries as well.
@@ -229,15 +248,7 @@ def certify_cell(valuated: ValuatedMatroid, cell, budget: int = DEFAULT_BUDGET) 
     if cell.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
     n = valuated.n
-    hyperplanes = []
-    for circuit, vec in valuated.circuit_valuations.items():
-        members = sorted(circuit)
-        for idx, i in enumerate(members):
-            for j in members[idx + 1 :]:
-                a = coordinate_difference(n, i, j)
-                b = vec[j - 1] - vec[i - 1]
-                hyperplanes.append((a, b))
-    for piece in refine(cell.poly, hyperplanes, budget, "cell refinement"):
+    for piece in refine(cell.poly, valuated.comparison_hyperplanes, budget, "cell refinement"):
         point = from_quotient(n, piece.relative_interior_point())
         if not member(valuated, point):
             return False

@@ -6,7 +6,9 @@ replaced, the pairwise complex validation that chain lookup replaced, the
 per-cell segment coverage test, with its Fraction gap sweep, that the row
 table of a complex replaced, the fundamental circuit by basis exchange, and
 the chain enumeration, flat-axiom check and height-table rank that the cover
-relation of `matroids._covers` replaced."""
+relation of `matroids._covers` replaced, and the flats of a matroid by the
+closure of every subset, which the walk up the covers of `Matroid.flats`
+replaced."""
 
 import importlib.util
 import random
@@ -143,17 +145,29 @@ def braid_fan_corpus(max_n: int):
                 yield WeightedComplex(n, subdivided, [1] * len(subdivided), validate=False)
 
 
-def benchmark_valuated_corpus(seed):
-    """The valuated_complexes benchmark's cases and mutants for a seed."""
+def _benchmark_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look up their module
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def benchmark_valuated_corpus(seed):
+    """The valuated_complexes benchmark's cases and mutants for a seed."""
+    workloads = _benchmark_workloads()
     for recipe in workloads.valuated_recipes(seed, small=False):
         yield recipe.make().complex_
         if recipe.mutant:
             yield workloads.mutate(recipe.make().complex_, recipe.mutant)
+
+
+def benchmark_valuated_matroids(seed):
+    """The valuated matroids of the valuated_complexes benchmark's cases."""
+    workloads = _benchmark_workloads()
+    for recipe in workloads.valuated_recipes(seed, small=False):
+        yield recipe.make().valuated
 
 
 def rand_rational(rng: random.Random, span: int = 8, denominators: int = 4) -> Fraction:
@@ -531,6 +545,16 @@ def segment_in_support_per_cell(complex_, x, y) -> SegmentCheck:
             )
             return SegmentCheck(False, global_param, witness)
     return SegmentCheck(True)
+
+
+def closure_flats(matroid):
+    """All flats of a matroid, by closing every subset of its ground set."""
+    return frozenset(
+        s
+        for size in range(matroid.n + 1)
+        for s in map(frozenset, combinations(sorted(matroid.ground), size))
+        if matroid.closure(s) == s
+    )
 
 
 def fundamental_circuit(matroid, basis, element):

@@ -1,6 +1,7 @@
 """JSON schemas and the command-line interface."""
 
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -232,6 +233,25 @@ class TestCli:
         rebuilt = tio.complex_from_json(data)
         assert {c.poly.canonical_key for c in rebuilt.cells} == {
             c.poly.canonical_key for c in u23_fan.cells
+        }
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_bergman_of_a_uniform_matroid_on_thirty_elements(self, capsys, tmp_path, rank):
+        # the flats are the sets of size below the rank and the ground set;
+        # closing all 2^30 subsets to find them would never finish
+        ground = range(1, 31)
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"n": 30, "bases": [list(c) for c in combinations(ground, rank)]}))
+        start = time.perf_counter()
+        code, out = self.run(capsys, "bergman", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        flats = [fs(c) for k in range(1, rank) for c in combinations(ground, k)]
+        expected = chain_fan(ChainFamily(30, flats + [fs(ground)]))
+        got = tio.complex_from_json(json.loads(out))
+        assert len(got.cells) == len(expected.cells) == (1 if rank == 1 else 30)
+        assert {c.poly.canonical_key for c in got.cells} == {
+            c.poly.canonical_key for c in expected.cells
         }
 
     def test_segment(self, capsys):

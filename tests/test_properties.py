@@ -31,13 +31,22 @@ from troplin.linalg import (
     vec_dot,
     vec_sub,
 )
-from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_flats, verify_flat_family
+from troplin.matroids import (
+    ChainFamily,
+    Matroid,
+    _flat_matroid,
+    enumerate_matroids,
+    matroid_from_bases,
+    matroid_from_flats,
+    verify_flat_family,
+)
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
 from troplin.polyhedra import Polyhedron, _lift, _row
 
 from conftest import (
     _first_gap as fraction_first_gap,
     benchmark_valuated_corpus,
+    closure_flats,
     contains_polyhedron,
     diagonal_quotient_generator,
     diagonal_saturate_rows,
@@ -558,6 +567,61 @@ class TestCoversAgainstChainEnumeration:
                 assert matroid_from_flats(family).bases == height_table_bases(family)
             seen.add(check.axiom)
         assert seen == {None, "ground-set", "intersection", "partition"}
+
+
+class TestFlatsAgainstSubsetClosure:
+    """Flats found one cover at a time agree with closing every subset, and
+    the matroid of a verified flat family, built without the exchange check,
+    equals the one built with it."""
+
+    @staticmethod
+    def uniform(rank, n):
+        return matroid_from_bases(n, combinations(range(1, n + 1), rank))
+
+    def test_flats_match_the_oracle(self):
+        matroids = [m for n in range(1, 6) for m in enumerate_matroids(n)]
+        assert len(matroids) == 221
+        matroids += [self.uniform(r, n) for r, n in ((3, 6), (4, 6), (2, 8), (4, 7), (6, 6))]
+        for m in matroids:
+            assert m.flats == closure_flats(m), m
+
+    def test_flat_matroid_matches_the_exchange_checked_one(self):
+        for n in range(1, 6):
+            for m in enumerate_matroids(n):
+                built = _flat_matroid(ChainFamily(n, m.flats | {m.ground}))
+                checked = Matroid(n, built.bases)
+                assert built == checked == m
+                assert hash(built) == hash(checked)
+                assert built.rank == checked.rank
+                assert built.flats == checked.flats
+
+
+class TestCutExtentsAgainstHalfspaceStatus:
+    def test_cuts_match_the_halfspace_status(self):
+        # several offsets per functional, so most answers come from the
+        # cached extent; offsets at vertex values touch without cutting
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            verts = [
+                tuple(rand_rational(rng, 3, 3) for _ in range(m))
+                for _ in range(rng.randint(1, 4))
+            ]
+            rays = [
+                tuple(rand_rational(rng, 2, 3) for _ in range(m))
+                for _ in range(rng.randint(0, 2))
+            ]
+            lin = [tuple(rand_rational(rng, 2, 3) for _ in range(m))] if rng.random() < 0.3 else []
+            poly = Polyhedron(m, verts, rays, lin)
+            for _ in range(4):
+                a = tuple(rng.randint(-2, 2) for _ in range(m))
+                values = [vec_dot(a, v) for v in poly.vertices]
+                for b in values + [min(values) - 1, max(values) + 1, rand_rational(rng, 3, 3)]:
+                    expected = poly._halfspace_status(_row(a, b)) == 0
+                    assert poly.cuts(a, b) == expected, (poly, a, b)
+                    seen.add((expected, b in values))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestRecessionRepairOracle:

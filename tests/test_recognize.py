@@ -330,6 +330,17 @@ class TestLocalCheck:
         # the edge shares a vertex with every ray, so nothing is intersected
         assert len(calls) == 0
 
+    def test_components_join_shared_vertices_before_intersecting(self, monkeypatch):
+        calls = []
+        real = Polyhedron.intersection
+        monkeypatch.setattr(
+            Polyhedron, "intersection", lambda a, b: calls.append(1) or real(a, b)
+        )
+        # the four rays come first, and only the edge joins their two vertices
+        leaves_first = WeightedComplex(4, make_tree_cells()[::-1], [1] * 5, validate=False)
+        assert _components(leaves_first) == 1
+        assert len(calls) == 0
+
     def test_components_intersect_cells_without_a_common_vertex(self, monkeypatch):
         calls = []
         real = Polyhedron.intersection

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from troplin.complexes import Cell
+from troplin.complexes import Cell, coordinate_difference
 from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.matroids import _sorted_sets, enumerate_matroids
 from troplin.points import TropPoint, segment, trop_combine
@@ -18,7 +18,7 @@ from troplin.valuated import (
     normalize_circuit_vector,
 )
 
-from conftest import fundamental_circuit, rand_rational
+from conftest import benchmark_valuated_matroids, fundamental_circuit, rand_rational
 
 F = Fraction
 fs = frozenset
@@ -115,6 +115,31 @@ class TestCircuitValuation:
                 assert vm.derivations(c) == expected
                 seen += len(expected)
         assert seen > 0
+
+    def test_each_vector_comes_from_the_first_derivation(self, u23_valuated, u24_tree_valuated):
+        rng = random.Random(7)
+        corpus = [u23_valuated, u24_tree_valuated]
+        corpus += [
+            linear_valuation(m, [rand_rational(rng, 3) for _ in range(n)])
+            for n in range(2, 6)
+            for m in enumerate_matroids(n)
+        ]
+        corpus += list(benchmark_valuated_matroids(301))
+        for vm in corpus:
+            assert list(vm.circuit_valuations) == _sorted_sets(vm.matroid.circuits)
+            for c, vec in vm.circuit_valuations.items():
+                assert vec == vm.circuit_valuation_from(c, *vm.derivations(c)[0])
+
+    def test_comparison_hyperplanes_are_the_distinct_circuit_pairs(self):
+        for vm in benchmark_valuated_matroids(301):
+            pairs = [
+                (coordinate_difference(vm.n, i, j), vec[j - 1] - vec[i - 1])
+                for c, vec in vm.circuit_valuations.items()
+                for i in sorted(c)
+                for j in sorted(c)
+                if i < j
+            ]
+            assert vm.comparison_hyperplanes == list(dict.fromkeys(pairs))
 
     def test_not_a_circuit(self, u23_valuated):
         with pytest.raises(InvalidInputError):
