@@ -13,7 +13,9 @@ braid cone apex + cone(-e_F over a chain) is recognised from its
 generators (`Cell.braid`), and balancing, dimension and star containment
 read the chain instead of an H-representation.  Segment coverage reads one
 table per complex of the cells' distinct constraint rows, each evaluated
-once at every integer breakpoint of the segment.
+once at every integer breakpoint of the segment; a braid cone's rows come
+from its chain, as coordinate differences x_i - x_j bounded by the apex's,
+so no double description runs for it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .linalg import (
 )
 from .matroids import ChainFamily, GroundSet
 from .points import Rational, TropPoint, _breakpoints, _frac
-from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg
+from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg, _row
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -150,6 +152,35 @@ class Cell:
         of `braid` when the apex is the origin."""
         braid = self.braid
         return braid[1] if braid is not None and vec_is_zero(braid[0]) else None
+
+    @cached_property
+    def _constraints(self) -> list[IntVec]:
+        """Rows r with the cell {x : r.(x, 1) <= 0 for all r}.
+
+        A braid cone apex + cone(-e_F over F_1 < ... < F_k) is read from its
+        chain: with A = (0, apex) and the blocks F_1, F_2 - F_1, ...,
+        E - F_k, its points are the x with x - A constant on each block and
+        nondecreasing from block to block.  So x_i - x_j <= A_i - A_j for
+        the least elements i and j of consecutive blocks, then x_i - x_j =
+        A_i - A_j, as a row and its negation, for the least element i of a
+        block and each other member j.  Every other cell has the rows of
+        its polyhedron.
+        """
+        braid = self.braid
+        if braid is None:
+            return self.poly._constraints
+        apex, chain = braid
+        a = (0, *apex)
+        ground = frozenset(range(1, self.n + 1))
+        blocks = [sorted(f - e) for e, f in zip((frozenset(),) + chain, chain + (ground,))]
+
+        def row(i: int, j: int) -> IntVec:
+            return _row(coordinate_difference(self.n, i, j), a[i - 1] - a[j - 1])
+
+        ineqs = [row(s[0], t[0]) for s, t in zip(blocks, blocks[1:])]
+        return ineqs + [
+            r for b in blocks for j in b[1:] for r in (row(b[0], j), row(j, b[0]))
+        ]
 
     @property
     def dim(self) -> int:
@@ -273,14 +304,16 @@ class WeightedComplex:
 
     @cached_property
     def _row_table(self) -> tuple[list[IntVec], list[list[tuple[int, int]]]]:
-        """The distinct `_constraints` rows of the cells up to sign, each with
-        its first nonzero entry positive, and for each cell its rows as
-        (index, sign) pairs: the row is sign times the distinct row."""
+        """The distinct `Cell._constraints` rows of the cells up to sign,
+        each with its first nonzero entry positive, and for each cell its
+        rows as (index, sign) pairs: the row is sign times the distinct row.
+        A braid cone's rows come from its chain, so braid cones that share
+        an apex share their rows."""
         index: dict[IntVec, int] = {}
         cell_rows = []
         for cell in self.cells:
             pairs = []
-            for r in cell.poly._constraints:
+            for r in cell._constraints:
                 s = 1 if next(x for x in r if x) > 0 else -1
                 pairs.append((index.setdefault(r if s > 0 else _neg(r), len(index)), s))
             cell_rows.append(pairs)

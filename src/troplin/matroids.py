@@ -1,12 +1,12 @@
 """Loopfree matroids given by bases, plus flat-family verification.
 
-Ground sets are {1..n}.  Circuits and closures are computed by direct
-enumeration over the bases.  Flats are not: they are found from the empty
-flat upwards, one cover at a time, since the covers of a flat F are the
-closures of F + e and partition the complement of F (Oxley, *Matroid
-Theory*, ch. 1), so no work grows with the 2^n subsets.  One cover relation,
-`_covers`, gives the maximal chains of a family, the partition axiom of
-flats and the rank of a lattice of flats.
+Ground sets are {1..n}.  Closures are computed by direct enumeration over
+the bases.  Circuits are the fundamental circuits of the bases, and flats
+are found from the empty flat upwards, one cover at a time, since the
+covers of a flat F are the closures of F + e and partition the complement
+of F (Oxley, *Matroid Theory*, ch. 1), so neither walks the 2^n subsets.
+One cover relation, `_covers`, gives the maximal chains of a family, the
+partition axiom of flats and the rank of a lattice of flats.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ def _covers(sets: Iterable[frozenset[int]]) -> dict[GroundSet, list[GroundSet]]:
 
 def _mask(s: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in s)
+
+
+def _members(mask: int) -> GroundSet:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _check_exchange(bases: frozenset[GroundSet]) -> tuple[GroundSet, GroundSet, int] | None:
@@ -140,18 +144,25 @@ class Matroid:
 
     @cached_property
     def circuits(self) -> frozenset[GroundSet]:
-        """Minimal dependent sets, of size at most rank + 1."""
-        found: list[GroundSet] = []
-        elements = sorted(self.ground)
-        for size in range(1, self.rank + 2):
-            for combo in combinations(elements, size):
-                c = frozenset(combo)
-                if self.is_independent(c):
+        """Minimal dependent sets: the fundamental circuits e + {b in B :
+        B - b + e is a basis} over every basis B and every e outside it, on
+        bitmask bases.  Every circuit C is one: for e in C, C - e extends to
+        a basis B, and C is the only circuit in B + e."""
+        family = {_mask(b) for b in self.bases}
+        found = set()
+        for b in family:
+            for e in range(self.n):
+                bit = 1 << e
+                if b & bit:
                     continue
-                if any(prev <= c for prev in found):
-                    continue
-                found.append(c)
-        return frozenset(found)
+                c, rest = bit, b
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if b ^ low ^ bit in family:
+                        c |= low
+                found.add(c)
+        return frozenset(map(_members, found))
 
     @cached_property
     def flats(self) -> frozenset[GroundSet]:
@@ -180,9 +191,7 @@ class Matroid:
                 if g not in seen:
                     seen.add(g)
                     todo.append(g)
-        return frozenset(
-            frozenset(i + 1 for i in range(self.n) if mask >> i & 1) for mask in seen
-        )
+        return frozenset(map(_members, seen))
 
 
 def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:

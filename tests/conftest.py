@@ -6,9 +6,12 @@ replaced, the pairwise complex validation that chain lookup replaced, the
 per-cell segment coverage test, with its Fraction gap sweep, that the row
 table of a complex replaced, the fundamental circuit by basis exchange, and
 the chain enumeration, flat-axiom check and height-table rank that the cover
-relation of `matroids._covers` replaced, and the flats of a matroid by the
+relation of `matroids._covers` replaced, the flats of a matroid by the
 closure of every subset, which the walk up the covers of `Matroid.flats`
-replaced."""
+replaced, the circuits of a matroid by a scan of the small subsets, which
+the fundamental circuits of `Matroid.circuits` replaced, and the row table
+of a complex from its polyhedra's rows, which the chain rows of braid cones
+in `Cell._constraints` replaced."""
 
 import importlib.util
 import random
@@ -40,7 +43,7 @@ from troplin.matroids import (
     matroid_from_bases,
 )
 from troplin.points import TropPoint, segment
-from troplin.polyhedra import Polyhedron, _lift
+from troplin.polyhedra import Polyhedron, _lift, _neg
 from troplin.valuated import ValuatedMatroid
 
 
@@ -555,6 +558,31 @@ def closure_flats(matroid):
         for s in map(frozenset, combinations(sorted(matroid.ground), size))
         if matroid.closure(s) == s
     )
+
+
+def subset_circuits(matroid):
+    """The minimal dependent sets of a matroid, by testing every subset of
+    size at most rank + 1 in increasing size."""
+    found = []
+    for size in range(1, matroid.rank + 2):
+        for c in map(frozenset, combinations(sorted(matroid.ground), size)):
+            if not matroid.is_independent(c) and not any(prev <= c for prev in found):
+                found.append(c)
+    return frozenset(found)
+
+
+def constraint_row_table(complex_):
+    """`WeightedComplex._row_table` over every cell's `poly._constraints`,
+    braid cones included."""
+    index = {}
+    cell_rows = []
+    for cell in complex_.cells:
+        pairs = []
+        for r in cell.poly._constraints:
+            s = 1 if next(x for x in r if x) > 0 else -1
+            pairs.append((index.setdefault(r if s > 0 else _neg(r), len(index)), s))
+        cell_rows.append(pairs)
+    return list(index), cell_rows
 
 
 def fundamental_circuit(matroid, basis, element):

@@ -10,6 +10,7 @@ from troplin import complexes
 from troplin.complexes import (
     Cell,
     WeightedComplex,
+    chain_cone,
     chain_fan,
     chn_cell_of,
     coordinate_difference,
@@ -26,7 +27,7 @@ from troplin.errors import InvalidInputError
 from troplin.linalg import hermite_normal_form, in_span, saturate_rows
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
-from troplin.polyhedra import Polyhedron
+from troplin.polyhedra import Polyhedron, _from_rows
 
 from conftest import (
     benchmark_valuated_corpus,
@@ -390,6 +391,43 @@ class TestBraidRecessionAndStars:
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         for cx, ps, star_list in zip(cases, points, expected):
             assert stars(cx, ps) == star_list
+
+
+class TestBraidRowsFromChains:
+    """The rows a braid cone reads from its chain cut out its polyhedron, and
+    every other cell has its polyhedron's rows."""
+
+    @staticmethod
+    def rows_give_the_cell(cell):
+        poly = _from_rows(cell.n - 1, [], cell._constraints)
+        return poly.canonical_key == cell.poly.canonical_key
+
+    def test_corpus_cells(self):
+        seen = set()
+        for seed in (301, 302):
+            for cx in benchmark_valuated_corpus(seed):
+                for cell in cx.cells:
+                    if cell.braid is None:
+                        assert cell._constraints is cell.poly._constraints
+                    else:
+                        assert self.rows_give_the_cell(cell), cell
+                    seen.add(cell.braid is None)
+        assert seen == {True, False}
+
+    def test_random_chains(self):
+        rng = random.Random(89)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            order = rng.sample(range(1, n + 1), n)
+            sizes = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            chain = tuple(fs(order[:k]) for k in sizes)
+            apex = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 1))
+            cell = Cell(n, chain_cone(n, chain).translate(apex))
+            assert cell.braid == (apex, chain)
+            assert self.rows_give_the_cell(cell), cell
+            seen.add("empty" if not chain else "flag" if len(chain) == n - 1 else "partial")
+        assert seen == {"empty", "flag", "partial"}
 
 
 class TestStar:

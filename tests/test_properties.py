@@ -1,6 +1,7 @@
 """Cross-cutting structural properties checked against independent oracles."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -62,6 +63,7 @@ from conftest import (
     rref_solve,
     segment_in_support_per_cell,
     segment_interval,
+    subset_circuits,
 )
 
 F = Fraction
@@ -594,6 +596,26 @@ class TestFlatsAgainstSubsetClosure:
                 assert hash(built) == hash(checked)
                 assert built.rank == checked.rank
                 assert built.flats == checked.flats
+
+
+class TestCircuitsAgainstSubsetScan:
+    """The fundamental circuits of the bases are the minimal dependent sets
+    that a scan of the subsets of size at most rank + 1 finds."""
+
+    def test_circuits_match_the_oracle(self):
+        matroids = [m for n in range(1, 6) for m in enumerate_matroids(n)]
+        assert len(matroids) == 221
+        matroids += [TestFlatsAgainstSubsetClosure.uniform(r, n) for r, n in ((1, 30), (3, 12))]
+        for m in matroids:
+            assert m.circuits == subset_circuits(m), m
+
+    def test_rank_two_on_thirty_elements(self):
+        # the scan takes about a second here; the circuits are the 3-subsets
+        m = TestFlatsAgainstSubsetClosure.uniform(2, 30)
+        start = time.perf_counter()
+        circuits = m.circuits
+        assert time.perf_counter() - start < 0.2
+        assert circuits == frozenset(map(frozenset, combinations(range(1, 31), 3)))
 
 
 class TestCutExtentsAgainstHalfspaceStatus:

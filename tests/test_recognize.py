@@ -13,6 +13,7 @@ from troplin.complexes import (
     chain_fan,
     point_in_support,
     recession_fan,
+    segment_in_support,
     star_fan,
 )
 from troplin.errors import InvalidInputError, ResourceLimitError
@@ -30,7 +31,13 @@ from troplin.recognize import (
     recover_flat_family,
 )
 
-from conftest import braid_fan_corpus, make_tree_cells, rand_rational
+from conftest import (
+    benchmark_valuated_corpus,
+    braid_fan_corpus,
+    constraint_row_table,
+    make_tree_cells,
+    rand_rational,
+)
 
 F = Fraction
 fs = frozenset
@@ -450,6 +457,62 @@ class TestConvexityProbe:
     def test_accepted_complexes_probe_clean(self, tree_complex, tripod_complex):
         for complex_ in (tree_complex, tripod_complex):
             assert convexity_probe(complex_, samples=100, seed=9).ok
+
+
+class TestProbeAgainstPolyhedronRows:
+    """Segment coverage over the rows braid cones read from their chains
+    gives the results it gives over every cell's polyhedron rows."""
+
+    @staticmethod
+    def complexes():
+        for seed in (301, 302):
+            for cx in benchmark_valuated_corpus(seed):
+                yield cx
+                if len(cx.cells) == 1:
+                    continue
+                # a cell dropped from the middle leaves a hole inside the support
+                keep = [i for i in range(len(cx.cells)) if i != len(cx.cells) // 2]
+                yield WeightedComplex(
+                    cx.n, [cx.cells[i] for i in keep], [cx.weights[i] for i in keep],
+                    validate=False,
+                )
+
+    def test_results_match_the_polyhedron_row_table(self):
+        rng = random.Random(97)
+        seen = set()
+        fewer_rows = 0
+        for cx in self.complexes():
+            verts = recognize._structure_vertices(cx)
+            pairs = list(combinations(verts, 2))[:4]
+            for _ in range(6):
+                a, b = rng.choice(cx.cells), rng.choice(cx.cells)
+                pairs.append((recognize._sample_point(a, rng), recognize._sample_point(b, rng)))
+
+            def results():
+                probe = convexity_probe(cx, samples=10, seed=len(cx.cells))
+                return probe, [segment_in_support(cx, a, b) for a, b in pairs]
+
+            got = results()
+            rows = cx._row_table[0]
+            cx.__dict__["_row_table"] = constraint_row_table(cx)
+            assert results() == got, cx
+            fewer_rows += len(rows) < len(cx._row_table[0])
+            seen.add(("probe found", got[0].counterexample_found))
+            seen.update(("segment covered", check.covered) for check in got[1])
+        assert len(seen) == 4 and fewer_rows > 0
+
+    def test_translated_bergman_fan_probe_runs_no_double_description(self, monkeypatch):
+        cx = next(cx for cx in benchmark_valuated_corpus(301) if cx.n == 5 and len(cx.cells) == 60)
+        calls = []
+        dd = polyhedra._dd
+
+        def counted(*args):
+            calls.append(args)
+            return dd(*args)
+
+        monkeypatch.setattr(polyhedra, "_dd", counted)
+        assert convexity_probe(cx, samples=30, seed=7).ok
+        assert len(calls) == 0
 
 
 class TestEdgeCases:
