@@ -79,6 +79,17 @@ def chain_cone(n: int, chain: Iterable[Iterable[int]]) -> Polyhedron:
     return Polyhedron._minimal(n - 1, [(0,) * (n - 1)], rays)
 
 
+def ray_set(r: Sequence[int]) -> GroundSet | None:
+    """The F with -e_F spanning the primitive quotient ray r, or None: lifted
+    to (0,) + r, it is -e_F up to the all-ones line when it takes two values
+    that differ by 1, and F is where it takes the lower one."""
+    lifted = lift_direction(r)
+    low = min(lifted)
+    if set(lifted) != {low, low + 1}:
+        return None
+    return frozenset(i for i, x in enumerate(lifted, 1) if x == low)
+
+
 def _cell_of(n: int, vertices, rays=(), lineality=()) -> Cell:
     """The cell generated in quotient coordinates.
 
@@ -128,19 +139,13 @@ class Cell:
         cell is, or None.
 
         The cell is apex + cone(-e_F over a chain) exactly when it has one
-        vertex, no lineality and primitive rays -e_F for nested sets F; a ray
-        lifted to (0,) + r is -e_F up to the all-ones line when it takes two
-        values that differ by 1, and F is where it takes the lower one.
+        vertex, no lineality and rays -e_F (`ray_set`) for nested sets F.
         """
         if len(self.poly.vertices) != 1 or self.poly.lineality:
             return None
-        sets = []
-        for r in self.poly.rays:
-            lifted = lift_direction(r)
-            low = min(lifted)
-            if set(lifted) != {low, low + 1}:
-                return None
-            sets.append(frozenset(i for i, x in enumerate(lifted, 1) if x == low))
+        sets = [ray_set(r) for r in self.poly.rays]
+        if None in sets:
+            return None
         chain = tuple(sorted(sets, key=len))
         if any(not a < b for a, b in zip(chain, chain[1:])):
             return None
@@ -286,6 +291,8 @@ class WeightedComplex:
 
     @cached_property
     def chain_tagged(self) -> bool:
+        """Is every cell a braid cone at the origin?  Only the benchmark's traced
+        mode still reads this."""
         return all(c.chain is not None for c in self.cells)
 
     def all_cells(self) -> list[Cell]:

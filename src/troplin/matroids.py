@@ -27,8 +27,6 @@ GroundSet = frozenset[int]
 
 # exhaustive enumeration is doubly exponential in n
 ENUMERATION_LIMIT = 5
-# flat recovery probes all 2^n - 1 nonempty subsets of the ground set
-FLAT_RECOVERY_LIMIT = 12
 
 
 def _sorted_sets(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:

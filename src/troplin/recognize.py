@@ -1,11 +1,11 @@
 """Deciding whether weighted complexes are supported on tropical linear spaces.
 
-The fan decision recovers the candidate flat family from incidence-vector
-membership, verifies the flat axioms, and compares supports with the fan of
-chains of that family.  Complexes are decided through their recession fan;
-the local route recognizes the star at every vertex.  A seeded segment
-sampler provides sound (never complete) convexity rejection for arbitrary
-complexes.
+A fan is cut once into braid pieces, each inside one closed braid cone.  The
+candidate flat family is read off their rays; after the flat axioms, the same
+pieces show that the support lies in the fan of chains of that family, and
+which maximal chain cones are pieces already.  Complexes are decided through
+their recession fan; the local route recognizes the star at every vertex.  A
+seeded segment sampler provides sound (never complete) convexity rejection.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from .complexes import (
     coordinate_difference,
     from_quotient,
     is_balanced,
+    ray_set,
     recession_fan,
     segment_in_support,
     star_fan,
 )
 from .errors import InvalidInputError, ResourceLimitError
 from .matroids import (
-    FLAT_RECOVERY_LIMIT,
     ChainFamily,
     GroundSet,
     Matroid,
@@ -40,7 +40,7 @@ from .matroids import (
     _sorted_sets,
     verify_flat_family,
 )
-from .points import TropPoint, flat_direction, heterogeneity
+from .points import TropPoint, heterogeneity
 from .polyhedra import Polyhedron, _neg, refine
 
 REASON_NON_PURE = "non-pure"
@@ -89,24 +89,19 @@ def _non_pure(complex_: WeightedComplex) -> RecognitionReport:
 
 
 def recover_flat_family(complex_: WeightedComplex) -> ChainFamily:
-    """Subsets whose negated incidence vector lies in the support.
+    """The ground set and every F with -e_F in the support of a fan: each of
+    its `_braid_pieces` lies in a closed braid cone, whose only -e_F span its
+    rays, so these are the F with -e_F spanning a ray of a piece."""
+    if not complex_.is_fan:
+        raise InvalidInputError("input complex is not a fan")
+    return _piece_family(complex_.n, _braid_pieces(complex_, DEFAULT_BUDGET))
 
-    For a fan of braid cones these are the members of the cells' chains and
-    the ground set: -e_F lies in the cone of a chain exactly when F does.
-    """
-    n = complex_.n
-    if n > FLAT_RECOVERY_LIMIT:
-        raise ResourceLimitError(f"flat recovery capped at n <= {FLAT_RECOVERY_LIMIT}")
-    if complex_.chain_tagged:
-        members = {f for cell in complex_.cells for f in cell.chain}
-        return ChainFamily(n, members | {frozenset(range(1, n + 1))})
-    members = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            f = frozenset(combo)
-            if complex_.support_contains(flat_direction(n, f)):
-                members.append(f)
-    return ChainFamily(n, members)
+
+def _piece_family(n: int, pieces: list[Cell]) -> ChainFamily:
+    """The ground set and every F with -e_F spanning a ray of a piece; those
+    of a braid cone at the origin are its chain."""
+    sets = {f for p in pieces for f in p.chain or map(ray_set, p.poly.rays)}
+    return ChainFamily(n, (sets - {None}) | {frozenset(range(1, n + 1))})
 
 
 def _coordinate_classes(cell: Cell) -> int:
@@ -141,10 +136,19 @@ def _braid_hyperplanes(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _braid_pieces(poly: Polyhedron, n: int, budget: int) -> list[Polyhedron]:
-    """Refine along all coordinate-comparison hyperplanes."""
-    hyperplanes = [(a, 0) for a in _braid_hyperplanes(n)]
-    return refine(poly, hyperplanes, budget, "braid refinement")
+def _braid_pieces(complex_: WeightedComplex, budget: int) -> list[Cell]:
+    """The cells cut into pieces that each lie in one closed braid cone: a
+    cell that is a braid cone at the origin is its own piece, and any other
+    is refined along every hyperplane x_i = x_j."""
+    hyperplanes = [(a, 0) for a in _braid_hyperplanes(complex_.n)]
+    pieces = []
+    for cell in complex_.cells:
+        if cell.chain is not None:
+            pieces.append(cell)
+        else:
+            cut = refine(cell.poly, hyperplanes, budget, "braid refinement")
+            pieces.extend(Cell(complex_.n, p) for p in cut)
+    return pieces
 
 
 def _uncovered_witness(
@@ -173,27 +177,21 @@ def _uncovered_witness(
 
 
 def _support_equal(
-    complex_: WeightedComplex,
-    family: ChainFamily,
-    budget: int,
+    complex_: WeightedComplex, pieces: list[Cell], family: ChainFamily, budget: int
 ) -> TropPoint | None:
-    """Witness point in the symmetric difference of |X| and |Ch_X|, or None."""
+    """Witness point in the symmetric difference of |X| and |Ch_X|, or None:
+    the `_braid_pieces` that are no braid cone must sit on chains of the
+    family, and only maximal chains that are no piece are tested for cover."""
     n = complex_.n
-    members = set(family.sets)
-    # every refined piece of every cell must sit on a chain of the family
-    for cell in complex_.cells:
-        if cell.chain is not None and all(f in members for f in cell.chain):
-            continue
-        for piece in _braid_pieces(cell.poly, n, budget):
-            point = from_quotient(n, piece.relative_interior_point())
-            chain = chn_cell_of(point)
-            if any(f not in members for f in chain):
+    covered = {piece.chain for piece in pieces}
+    for piece in pieces:
+        if piece.chain is None:
+            point = from_quotient(n, piece.poly.relative_interior_point())
+            if any(f not in family.sets for f in chn_cell_of(point)):
                 return point
-    # every maximal chain cone must be covered by the cells
-    cell_chains = {c.chain for c in complex_.cells}
     cell_polys = [c.poly for c in complex_.cells]
     for chain in family.maximal_chains():
-        if chain in cell_chains:
+        if chain in covered:
             continue
         witness = _uncovered_witness(chain_cone(n, chain), cell_polys, [0], budget)
         if witness is not None:
@@ -228,11 +226,12 @@ def recognize_fan(
         classes = _coordinate_classes(cell)
         if classes > d + 1:
             return _reject(REASON_HET, _generic_point(cell, classes))
-    family = recover_flat_family(complex_)
+    pieces = _braid_pieces(complex_, budget)
+    family = _piece_family(complex_.n, pieces)
     check = verify_flat_family(complex_.n, family.sets)
     if not check.ok:
         return _reject(REASON_FLAT_AXIOM, (check.axiom, check.witness))
-    witness = _support_equal(complex_, family, budget)
+    witness = _support_equal(complex_, pieces, family, budget)
     if witness is not None:
         return _reject(REASON_SUPPORT, witness)
     return _accept(_flat_matroid(family), family.sets)

@@ -11,7 +11,8 @@ closure of every subset, which the walk up the covers of `Matroid.flats`
 replaced, the circuits of a matroid by a scan of the small subsets, which
 the fundamental circuits of `Matroid.circuits` replaced, and the row table
 of a complex from its polyhedra's rows, which the chain rows of braid cones
-in `Cell._constraints` replaced."""
+in `Cell._constraints` replaced, and the flat family of a fan by probing
+every subset, which reading the rays of its braid pieces replaced."""
 
 import importlib.util
 import random
@@ -42,7 +43,7 @@ from troplin.matroids import (
     enumerate_matroids,
     matroid_from_bases,
 )
-from troplin.points import TropPoint, segment
+from troplin.points import TropPoint, flat_direction, segment
 from troplin.polyhedra import Polyhedron, _lift, _neg
 from troplin.valuated import ValuatedMatroid
 
@@ -148,6 +149,46 @@ def braid_fan_corpus(max_n: int):
                 yield WeightedComplex(n, subdivided, [1] * len(subdivided), validate=False)
 
 
+def coarse_uniform_fan(rank: int, n: int) -> WeightedComplex:
+    """The Bergman fan of U(rank, n) in its coarse structure: the cones over
+    rank - 1 of the rays -e_i.  From rank 3 on, no cell is a braid cone."""
+    origin = TropPoint((0,) * n)
+    rays = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
+    cells = [Cell.from_torus(n, [origin], rays=c) for c in combinations(rays, rank - 1)]
+    return WeightedComplex(n, cells, [1] * len(cells), validate=False)
+
+
+def dropped_cones(fan: WeightedComplex):
+    """The fan with each one of its cones dropped in turn, if it has two or more."""
+    cells = fan.cells
+    for k in range(len(cells) if len(cells) > 1 else 0):
+        rest = cells[:k] + cells[k + 1 :]
+        yield WeightedComplex(fan.n, rest, [1] * len(rest), validate=False)
+
+
+def coarse_uniform_corpus(max_n: int):
+    """Every coarse uniform fan with n <= max_n, each followed by its
+    one-cone-dropped mutants."""
+    for n in range(1, max_n + 1):
+        for rank in range(1, n + 1):
+            fan = coarse_uniform_fan(rank, n)
+            yield fan
+            yield from dropped_cones(fan)
+
+
+def probed_flat_family(complex_) -> ChainFamily:
+    """The nonempty subsets F with -e_F in the support, found by probing all
+    2^n - 1 of them."""
+    n = complex_.n
+    members = [
+        frozenset(c)
+        for size in range(1, n + 1)
+        for c in combinations(range(1, n + 1), size)
+        if complex_.support_contains(flat_direction(n, c))
+    ]
+    return ChainFamily(n, members)
+
+
 def _benchmark_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -164,6 +205,11 @@ def benchmark_valuated_corpus(seed):
         yield recipe.make().complex_
         if recipe.mutant:
             yield workloads.mutate(recipe.make().complex_, recipe.mutant)
+
+
+def benchmark_tree_line(n):
+    """The valuated_complexes benchmark's tree line with leaves 1..n in order."""
+    return _benchmark_workloads().tree_line(n, list(range(1, n + 1))).complex_
 
 
 def benchmark_valuated_matroids(seed):

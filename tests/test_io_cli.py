@@ -17,7 +17,12 @@ from troplin.points import TropPoint
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import recognize_fan
 
-from conftest import braid_fan_corpus, reference_cell, validate_common_faces
+from conftest import (
+    benchmark_tree_line,
+    braid_fan_corpus,
+    reference_cell,
+    validate_common_faces,
+)
 
 F = Fraction
 fs = frozenset
@@ -422,13 +427,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "braid refinement exceeded" in captured.err
 
-    def test_flat_recovery_over_its_limit_is_exit_two(self, capsys, tmp_path):
-        path = tmp_path / "n13.json"
-        fan = chain_fan(ChainFamily(13, [range(1, 14)]))
-        path.write_text(json.dumps(tio.complex_to_json(fan)))
-        assert main(["recognize", str(path)]) == 2
+    def test_coarse_fan_off_the_flat_axioms_is_refined_first(self, capsys, tmp_path):
+        # cones over two of the rays +e_i; refining them gives -e_F for every
+        # F of size 2 or 3, which is not closed under intersection
+        rays = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        origin = [TropPoint((0,) * 4)]
+        cells = [Cell.from_torus(4, origin, rays=pair) for pair in combinations(rays, 2)]
+        path = tmp_path / "positive.json"
+        path.write_text(json.dumps(tio.complex_to_json(WeightedComplex(4, cells, [1] * 6))))
+        assert main(["recognize", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["reason"]["kind"] == "flat-axiom"
+        assert main(["recognize", str(path), "--budget", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "flat recovery capped at n <= 12" in captured.err
+        assert captured.out == "" and "braid refinement exceeded" in captured.err
+
+    def test_bergman_recognize_round_trip_of_u2_30(self, capsys, tmp_path):
+        u230 = matroid_from_bases(30, combinations(range(1, 31), 2))
+        mpath = tmp_path / "u230.json"
+        mpath.write_text(json.dumps(tio.matroid_to_json(u230)))
+        assert main(["bergman", str(mpath)]) == 0
+        fan_path = tmp_path / "u230_fan.json"
+        fan_path.write_text(capsys.readouterr().out)
+        assert main(["recognize", str(fan_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["matroid"] == tio.matroid_to_json(u230)
+
+    def test_tree_line_with_thirteen_leaves(self, capsys, tmp_path):
+        line = benchmark_tree_line(13)
+        path = tmp_path / "tree13.json"
+        path.write_text(json.dumps(tio.complex_to_json(line)))
+        assert main(["decide", str(path)]) == 0
+        u213 = matroid_from_bases(13, combinations(range(1, 14), 2))
+        assert json.loads(capsys.readouterr().out)["matroid"] == tio.matroid_to_json(u213)
+        assert main(["local-check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["global"]["verdict"] == "accepted"
 
     def test_unrealised_generic_point_is_exit_two(self, capsys, tmp_path, monkeypatch):
         # a line with four distinct coordinates breaks the heterogeneity

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from troplin.complexes import DEFAULT_BUDGET, to_quotient
+from troplin.complexes import DEFAULT_BUDGET, Cell, WeightedComplex, to_quotient
 from troplin.errors import InvalidInputError
 from troplin.linalg import (
     hermite_normal_form,
@@ -272,7 +272,8 @@ class TestDoubleDescription:
             [(F(1, 3), F(-2, 7), F(5, 11))],
             rays=[(1, 2, -3), (-2, 1, 1), (3, -1, 2)],
         )
-        pieces = _braid_pieces(poly, 4, DEFAULT_BUDGET)
+        cells = _braid_pieces(WeightedComplex(4, [Cell(4, poly)], [1]), DEFAULT_BUDGET)
+        pieces = [c.poly for c in cells]
         assert pieces and all(p.dim == 3 for p in pieces)
         for a in _braid_hyperplanes(4):
             assert not any(p.cuts(a, 0) for p in pieces)

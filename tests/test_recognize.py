@@ -22,6 +22,7 @@ from troplin.points import TropPoint, flat_direction, trop_combine
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import (
     Reason,
+    _braid_pieces,
     _components,
     _support_equal,
     convexity_probe,
@@ -34,8 +35,12 @@ from troplin.recognize import (
 from conftest import (
     benchmark_valuated_corpus,
     braid_fan_corpus,
+    coarse_uniform_corpus,
+    coarse_uniform_fan,
     constraint_row_table,
+    dropped_cones,
     make_tree_cells,
+    probed_flat_family,
     rand_rational,
 )
 
@@ -80,15 +85,37 @@ class TestRecoverFlatFamily:
         from_chains = [recover_flat_family(fan).sets for fan in fans]
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         for fan, sets in zip(fans, from_chains):
-            # a fresh complex, since chain_tagged is cached on the old one
-            probed = WeightedComplex(fan.n, fan.cells, fan.weights, validate=False)
-            assert recover_flat_family(probed).sets == sets
+            # no cell is a braid cone now, so every cell is refined
+            family = recover_flat_family(fan)
+            assert family.sets == sets
+            assert family == probed_flat_family(fan)
 
-    def test_bound_holds_for_chain_tagged_fans(self):
+    def test_thirteen_coordinates_are_u1_13(self):
         fan = chain_fan(ChainFamily(13, [range(1, 14)]))
-        assert fan.chain_tagged
-        with pytest.raises(ResourceLimitError, match="flat recovery capped at n <= 12"):
-            recover_flat_family(fan)
+        assert recover_flat_family(fan).sets == {fs(range(1, 14))}
+        report = recognize_fan(fan)
+        assert report.accepted
+        assert report.matroid == matroid_from_bases(13, [[i] for i in range(1, 14)])
+
+    def test_translated_bergman_fan_is_refused(self, tripod_complex):
+        with pytest.raises(InvalidInputError, match="input complex is not a fan"):
+            recover_flat_family(tripod_complex)
+
+    def test_random_cones_match_the_probes(self):
+        rng = random.Random(1501)
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            cells = {}
+            def vector():
+                return [rng.choice((-2, -1, 0)) for _ in range(n)]
+
+            for _ in range(rng.randint(1, 3)):
+                rays = [vector() for _ in range(rng.randint(1, 3))]
+                lineality = [vector()] if rng.random() < 0.2 else []
+                cell = Cell.from_torus(n, [TropPoint((0,) * n)], rays=rays, lineality=lineality)
+                cells[cell.poly.canonical_key] = cell
+            fan = WeightedComplex(n, list(cells.values()), [1] * len(cells), validate=False)
+            assert recover_flat_family(fan) == probed_flat_family(fan)
 
 
 class TestRecognizeFan:
@@ -242,13 +269,78 @@ class TestSupportEquality:
             3, u23_fan.cells[:2], [1, 1], validate=False
         )
         family = ChainFamily(3, u23.flats | {u23.ground})
-        witness = _support_equal(sub, family, budget=20000)
+        witness = _support_equal(sub, _braid_pieces(sub, 20000), family, budget=20000)
         assert witness is not None
         assert point_in_support(sub, witness) is None
 
     def test_equal_supports_pass(self, u23_fan, u23):
         family = ChainFamily(3, u23.flats | {u23.ground})
-        assert _support_equal(u23_fan, family, budget=20000) is None
+        pieces = _braid_pieces(u23_fan, 20000)
+        assert _support_equal(u23_fan, pieces, family, budget=20000) is None
+
+
+class TestChainLookup:
+    """A maximal chain that is a braid piece is covered without
+    `_uncovered_witness`, and each coarse cell is refined once."""
+
+    def test_refine_runs_once_per_cell_that_is_no_braid_cone(self, monkeypatch):
+        calls = []
+        real = recognize.refine
+
+        def counted(poly, *args):
+            calls.append(poly)
+            return real(poly, *args)
+
+        monkeypatch.setattr(recognize, "refine", counted)
+        refined = 0
+        for fan in [*braid_fan_corpus(4), *coarse_uniform_corpus(5)]:
+            calls.clear()
+            report = recognize_fan(fan)
+            coarse = [c.poly for c in fan.cells if c.chain is None]
+            if report.accepted or report.reason.kind in ("flat-axiom", "support-mismatch"):
+                assert len(calls) == len(coarse)
+                assert all(a is b for a, b in zip(calls, coarse))
+                refined += len(calls)
+            else:
+                assert calls == []
+        assert refined > 50
+
+    def test_accepted_coarse_fans_cover_every_chain_by_lookup(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chain went through the coverage test")
+
+        monkeypatch.setattr(recognize, "_uncovered_witness", refuse)
+        for n in range(1, 7):
+            for rank in range(1, n + 1):
+                assert recognize_fan(coarse_uniform_fan(rank, n)).accepted
+
+    def test_lookup_matches_coverage_of_every_chain(self, monkeypatch):
+        # with no lookup every maximal chain goes through _uncovered_witness;
+        # at n = 6 that takes seconds per fan, so only a first mutant is run
+        budget = 20000
+        cases = []
+        for n in range(1, 7):
+            for rank in range(1, n + 1):
+                fan = coarse_uniform_fan(rank, n)
+                family = recover_flat_family(fan)
+                mutants = list(dropped_cones(fan))
+                kept = mutants[:1] if n == 6 else [fan, *mutants]
+                cases += [(cx, family) for cx in kept]
+
+        def run():
+            return [
+                (
+                    recognize_fan(cx, budget),
+                    _support_equal(cx, _braid_pieces(cx, budget), family, budget),
+                )
+                for cx, family in cases
+            ]
+
+        looked_up = run()
+        assert {r.verdict for r, _ in looked_up} == {"accepted", "rejected"}
+        assert sum(w is not None for _, w in looked_up) > 20
+        monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        assert run() == looked_up
 
 
 class TestDecideComplex:
