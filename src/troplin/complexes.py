@@ -12,10 +12,14 @@ subsets, and exact coverage tests for tropical segments.  A cell that is a
 braid cone apex + cone(-e_F over a chain) is recognised from its
 generators (`Cell.braid`), and balancing, dimension and star containment
 read the chain instead of an H-representation.  Segment coverage reads one
-table per complex of the cells' distinct constraint rows, each evaluated
-once at every integer breakpoint of the segment; a braid cone's rows come
-from its chain, as coordinate differences x_i - x_j bounded by the apex's,
-so no double description runs for it.
+`RowTable` per complex of the cells' distinct constraint rows, each
+evaluated once at every integer breakpoint of the segment.  Most rows are
+coordinate differences q*(x_i - x_j) + c, read from two coordinates: all of
+a braid cone's, which come from its apex and chain with no double
+description, and most of the other cells' (the cells of a tropical linear
+space are alcoved).  Which cells meet the segment, and which contain a
+whole piece, are set tests on the keys of the rows positive at each
+breakpoint; only the pieces that no cell contains are swept in intervals.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import (
+    _lift,
     in_span,
     lattice_quotient_generator,
     primitive_direction,
@@ -37,7 +43,7 @@ from .linalg import (
 )
 from .matroids import ChainFamily, GroundSet
 from .points import Rational, TropPoint, _breakpoints, _frac
-from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg, _row
+from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -157,35 +163,6 @@ class Cell:
         of `braid` when the apex is the origin."""
         braid = self.braid
         return braid[1] if braid is not None and vec_is_zero(braid[0]) else None
-
-    @cached_property
-    def _constraints(self) -> list[IntVec]:
-        """Rows r with the cell {x : r.(x, 1) <= 0 for all r}.
-
-        A braid cone apex + cone(-e_F over F_1 < ... < F_k) is read from its
-        chain: with A = (0, apex) and the blocks F_1, F_2 - F_1, ...,
-        E - F_k, its points are the x with x - A constant on each block and
-        nondecreasing from block to block.  So x_i - x_j <= A_i - A_j for
-        the least elements i and j of consecutive blocks, then x_i - x_j =
-        A_i - A_j, as a row and its negation, for the least element i of a
-        block and each other member j.  Every other cell has the rows of
-        its polyhedron.
-        """
-        braid = self.braid
-        if braid is None:
-            return self.poly._constraints
-        apex, chain = braid
-        a = (0, *apex)
-        ground = frozenset(range(1, self.n + 1))
-        blocks = [sorted(f - e) for e, f in zip((frozenset(),) + chain, chain + (ground,))]
-
-        def row(i: int, j: int) -> IntVec:
-            return _row(coordinate_difference(self.n, i, j), a[i - 1] - a[j - 1])
-
-        ineqs = [row(s[0], t[0]) for s, t in zip(blocks, blocks[1:])]
-        return ineqs + [
-            r for b in blocks for j in b[1:] for r in (row(b[0], j), row(j, b[0]))
-        ]
 
     @property
     def dim(self) -> int:
@@ -310,21 +287,34 @@ class WeightedComplex:
         return any(_cell_contains(c, q) for c in self.cells)
 
     @cached_property
-    def _row_table(self) -> tuple[list[IntVec], list[list[tuple[int, int]]]]:
-        """The distinct `Cell._constraints` rows of the cells up to sign,
-        each with its first nonzero entry positive, and for each cell its
-        rows as (index, sign) pairs: the row is sign times the distinct row.
-        A braid cone's rows come from its chain, so braid cones that share
-        an apex share their rows."""
-        index: dict[IntVec, int] = {}
+    def _row_table(self) -> RowTable:
+        """The distinct constraint rows of the cells up to sign.  A braid
+        cone's rows come from its apex and chain (`_braid_differences`), each
+        distinct (i, j, a_i - a_j) made a row once, so braid cones that share
+        an apex share their rows; every other cell has its polyhedron's rows,
+        kept dense only when they are no coordinate difference."""
+        diffs: dict[tuple[int, int, int, int], int] = {}
+        dense: dict[IntVec, int] = {}
         cell_rows = []
         for cell in self.cells:
-            pairs = []
-            for r in cell._constraints:
-                s = 1 if next(x for x in r if x) > 0 else -1
-                pairs.append((index.setdefault(r if s > 0 else _neg(r), len(index)), s))
-            cell_rows.append(pairs)
-        return list(index), cell_rows
+            if cell.braid is not None:
+                cell_rows.append(
+                    [_add_difference(diffs, *r) for r in _braid_differences(self.n, *cell.braid)]
+                )
+                continue
+            rows = []
+            for r in cell.poly._constraints:
+                form = _difference(r)
+                if form is not None:
+                    rows.append(_add_difference(diffs, *form))
+                else:
+                    # marked by ~, and placed after the differences below
+                    s = 1 if next(x for x in r if x) > 0 else -1
+                    rows.append((~dense.setdefault(r if s > 0 else _neg(r), len(dense)), s))
+            cell_rows.append(rows)
+        offset = len(diffs)
+        pairs = [[(k if k >= 0 else offset + ~k, s) for k, s in rows] for rows in cell_rows]
+        return RowTable(list(diffs), list(dense), pairs)
 
     def __repr__(self) -> str:
         return f"WeightedComplex(n={self.n}, dim={self.dim}, cells={len(self.cells)})"
@@ -604,55 +594,143 @@ def chn_cell_of(x: TropPoint) -> tuple[GroundSet, ...]:
     return tuple(_level_sets(x.coords))
 
 
+class RowTable:
+    """Distinct constraint rows of a complex's cells up to sign, as
+    functionals r(x, t) whose cell is {x : r(x, 1) <= 0}, and each cell's
+    rows.
+
+    A difference (i, j, q, c) in `diffs`, with torus positions i < j
+    (0-based) and q > 0, is q*(x_i - x_j) + c*t; a row that is no coordinate
+    difference is an integer row in quotient coordinates in `dense`, first
+    nonzero entry positive, indexed after the differences.  Each cell's rows
+    are (index, sign) pairs, sign times the distinct row, and its `keys` the
+    same pairs as ints, index for sign 1 and ~index for -1.
+    """
+
+    def __init__(self, diffs: list, dense: list[IntVec], pairs: list[list[tuple[int, int]]]):
+        self.diffs = diffs
+        self.dense = dense
+        self.pairs = pairs
+        self.keys = [frozenset(k if s > 0 else ~k for k, s in p) for p in pairs]
+
+    def values(self, b: Sequence[int], d: int) -> list[int]:
+        """Every distinct row at the homogenised point (b, d) for a torus
+        vector b, indexed as the rows."""
+        vals = [q * (b[i] - b[j]) + c * d for i, j, q, c in self.diffs]
+        if self.dense:
+            h = [x - b[0] for x in b[1:]] + [d]
+            vals += [vec_dot(r, h) for r in self.dense]
+        return vals
+
+    @staticmethod
+    def positive(vals: Sequence[int]) -> set[int]:
+        """The keys of the rows positive at a point, from their values."""
+        return {k if v > 0 else ~k for k, v in enumerate(vals) if v}
+
+
+def _braid_differences(n: int, apex: Vec, chain: tuple[GroundSet, ...]) -> list:
+    """The rows of apex + cone(-e_F over F_1 < ... < F_k) as primitive
+    (i, j, q, c) for q*(x_i - x_j) + c <= 0, torus positions i and j
+    0-based: x_i - x_j <= a_i - a_j times the denominator of the right side.
+
+    With a = (0, apex) and the blocks F_1, F_2 - F_1, ..., E - F_k, its
+    points are the x with x - a constant on each block and nondecreasing
+    from block to block: so the rows are those of the least elements of
+    consecutive blocks, then, for the least element i of a block and each
+    other member j, x_i - x_j = a_i - a_j as two rows.  They are computed
+    on D*a, integral over the common denominator D.
+    """
+    *a, big_d = _lift((0, *apex, 1))
+    ground = frozenset(range(1, n + 1))
+    blocks = [sorted(f - e) for e, f in zip((frozenset(),) + chain, chain + (ground,))]
+    pairs = [(s[0] - 1, t[0] - 1) for s, t in zip(blocks, blocks[1:])]
+    pairs += [p for b in blocks for j in b[1:] for p in ((b[0] - 1, j - 1), (j - 1, b[0] - 1))]
+    rows = []
+    for i, j in pairs:
+        g = gcd(big_d, a[i] - a[j])
+        rows.append((i, j, big_d // g, (a[j] - a[i]) // g))
+    return rows
+
+
+def _difference(r: IntVec) -> tuple[int, int, int, int] | None:
+    """The quotient row r as (i, j, q, c) with r.(x, t) = q*(x_i - x_j) + c*t
+    at torus positions i and j, or None: x_1 is 0 in quotient coordinates,
+    so one nonzero entry q at quotient position p is q*(x_(p+1) - x_0)."""
+    nz = [(i, x) for i, x in enumerate(r[:-1], 1) if x]
+    if len(nz) == 1:
+        return nz[0][0], 0, nz[0][1], r[-1]
+    if len(nz) == 2 and nz[0][1] == -nz[1][1]:
+        return nz[0][0], nz[1][0], nz[0][1], r[-1]
+    return None
+
+
+def _add_difference(index: dict, i: int, j: int, q: int, c: int) -> tuple[int, int]:
+    """The (index, sign) pair of q*(x_i - x_j) + c*t, entering its distinct
+    row (i < j, q > 0) into the index."""
+    if i > j:
+        i, j, q = j, i, -q
+    if q < 0:
+        return index.setdefault((i, j, -q, -c), len(index)), -1
+    return index.setdefault((i, j, q, c), len(index)), 1
+
+
 def segment_in_support(
     complex_: WeightedComplex, x: TropPoint, y: TropPoint
 ) -> SegmentCheck:
     """Is the tropical segment between two points inside the support?
 
     The integer breakpoints b over one common denominator d come from
-    `points._breakpoints`, as for `points.segment`.  Each distinct constraint row
-    of the complex (`WeightedComplex._row_table`) is evaluated once at every
-    homogenised breakpoint (b, d).  A piece is the convex combination of two
-    breakpoints, so a cell with a row positive at every breakpoint misses
-    the whole segment; for the other cells the closed parameter subinterval
-    of each piece inside the cell is read off the row values at the piece's
-    ends, and the union is swept in integers.  On failure a rational
+    `points._breakpoints`, as for `points.segment`, and `_uncovered_piece`
+    tests them against the complex's `RowTable`.  On failure a rational
     parameter in the first uncovered gap (measured along the whole segment,
     scaled to [0, 1]) is returned with its point.
     """
     if x.n != complex_.n or y.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
     d, ends = _breakpoints(x, y)
+    found = _uncovered_piece(complex_._row_table, d, ends)
+    if found is None:
+        return SegmentCheck(True)
     if len(ends) == 1:
-        if complex_.support_contains(x):
-            return SegmentCheck(True)
         return SegmentCheck(False, 0, x)
-    ends = [tuple(p - b[0] for p in b[1:]) + (d,) for b in ends]
-    rows, cell_rows = complex_._row_table
-    values = [[vec_dot(r, b) for r in rows] for b in ends]
-    low = list(map(min, zip(*values)))
-    high = list(map(max, zip(*values)))
-    meeting = [
-        pairs
-        for pairs in cell_rows
-        if not any(low[i] > 0 if s > 0 else high[i] < 0 for i, s in pairs)
-    ]
-    pieces = len(ends) - 1
-    for j in range(pieces):
+    j, gap = found
+    witness = TropPoint(Fraction(s + gap * (e - s), d) for s, e in zip(ends[j], ends[j + 1]))
+    return SegmentCheck(False, _frac(Fraction(j + gap, len(ends) - 1)), witness)
+
+
+def _uncovered_piece(table: RowTable, d: int, ends: list[list[int]]) -> tuple[int, Rational] | None:
+    """The first piece j of a tropical segment with a point outside the
+    cells, and the parameter in [0, 1] of the first such point on it, or
+    None; the breakpoints are the integer torus vectors of `ends` over d.
+
+    Each distinct row is evaluated once at every homogenised breakpoint, and
+    the keys of the rows positive there are collected.  A piece is the
+    convex hull of two breakpoints, so a cell meets the segment only when
+    none of its keys is positive at every breakpoint, and it contains the
+    piece when none is positive at either end.  Only on a piece that no
+    meeting cell contains are the cells' closed parameter subintervals read
+    off the row values at its ends and their union swept in integers.  A
+    single breakpoint is covered when some cell meets it.
+    """
+    values = [table.values(b, d) for b in ends]
+    positive = [table.positive(v) for v in values]
+    everywhere = set.intersection(*positive)
+    meeting = [c for c, keys in enumerate(table.keys) if keys.isdisjoint(everywhere)]
+    if len(ends) == 1:
+        return None if meeting else (0, 0)
+    for j in range(len(ends) - 1):
+        outside = positive[j] | positive[j + 1]
+        if any(table.keys[c].isdisjoint(outside) for c in meeting):
+            continue
         intervals = []
-        for pairs in meeting:
-            iv = _cell_interval(pairs, values[j], values[j + 1])
+        for c in meeting:
+            iv = _cell_interval(table.pairs[c], values[j], values[j + 1])
             if iv is not None:
                 intervals.append(iv)
         gap = _first_gap(intervals)
-        if gap is None:
-            continue
-        witness = from_quotient(
-            complex_.n,
-            tuple(Fraction(s + gap * (e - s), d) for s, e in zip(ends[j][:-1], ends[j + 1][:-1])),
-        )
-        return SegmentCheck(False, _frac(Fraction(j + gap, pieces)), witness)
-    return SegmentCheck(True)
+        if gap is not None:
+            return j, gap
+    return None
 
 
 def _cell_interval(pairs, start: Sequence[int], end: Sequence[int]):

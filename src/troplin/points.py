@@ -161,21 +161,27 @@ def partition(x: TropPoint) -> Partition:
 
 def _breakpoints(x: TropPoint, y: TropPoint) -> tuple[int, list[list[int]]]:
     """The common denominator d of x and y, and the breakpoints b of the
-    tropical segment from x to y as the integer vectors d*b, from d*x on.
-
-    The coordinates with the largest y - x values grow first: between
-    consecutive distinct values hi > lo of d*(y - x), every coordinate with
-    a value of at least hi grows by hi - lo.
-    """
+    tropical segment from x to y as the integer vectors d*b, from d*x on."""
     d = lcm(*(c.denominator for c in x.coords + y.coords))
     point = [c.numerator * (d // c.denominator) for c in x.coords]
-    delta = [c.numerator * (d // c.denominator) - p for c, p in zip(y.coords, point)]
+    return d, _integer_breakpoints(point, [c.numerator * (d // c.denominator) for c in y.coords])
+
+
+def _integer_breakpoints(point: list[int], target: Sequence[int]) -> list[list[int]]:
+    """The breakpoints of the tropical segment between two integer vectors,
+    from the first on.
+
+    The coordinates with the largest target - point values grow first:
+    between consecutive distinct values hi > lo of target - point, every
+    coordinate with a value of at least hi grows by hi - lo.
+    """
+    delta = [t - p for t, p in zip(target, point)]
     steps = sorted(set(delta), reverse=True)
     ends = [point]
     for hi, lo in zip(steps, steps[1:]):
         point = [p + hi - lo if e >= hi else p for p, e in zip(point, delta)]
         ends.append(point)
-    return d, ends
+    return ends
 
 
 def segment(x: TropPoint, y: TropPoint) -> list[TropPoint]:

@@ -21,6 +21,7 @@ from .complexes import (
     Cell,
     SegmentCheck,
     WeightedComplex,
+    _uncovered_piece,
     chain_cone,
     chn_cell_of,
     coordinate_difference,
@@ -40,7 +41,7 @@ from .matroids import (
     _sorted_sets,
     verify_flat_family,
 )
-from .points import TropPoint, heterogeneity
+from .points import TropPoint, _integer_breakpoints, heterogeneity
 from .polyhedra import Polyhedron, _neg, refine
 
 REASON_NON_PURE = "non-pure"
@@ -359,10 +360,11 @@ class ProbeResult:
         return not self.counterexample_found
 
 
-def _sample_point(cell: Cell, rng: random.Random) -> TropPoint:
+def _sample(cell: Cell, rng: random.Random) -> tuple[int, list[int]]:
     """A seeded vertex plus a/b times each ray (a in 0..6) and lineality
-    vector (a in -6..6), b in 1..3, accumulated as the integer vector 6*d*q
-    for the vertex denominator d; 6 = lcm(1, 2, 3) clears every b."""
+    vector (a in -6..6), b in 1..3, as its scale 6*d for the vertex
+    denominator d and the integer vector 6*d*q; 6 = lcm(1, 2, 3) clears
+    every b."""
     v = cell.poly.vertices[rng.randrange(len(cell.poly.vertices))]
     d = lcm(*(x.denominator for x in v))
     scale = 6 * d
@@ -373,7 +375,16 @@ def _sample_point(cell: Cell, rng: random.Random) -> TropPoint:
     for l in cell.poly.lineality:
         c = rng.randint(-6, 6) * (6 // rng.randint(1, 3)) * d
         q = [a + c * x for a, x in zip(q, l)]
-    return from_quotient(cell.n, [Fraction(a, scale) for a in q])
+    return scale, q
+
+
+def _sample_point(cell: Cell, rng: random.Random) -> TropPoint:
+    """The point `_sample` draws."""
+    return _scaled_point(cell.n, *_sample(cell, rng))
+
+
+def _scaled_point(n: int, scale: int, q: list[int]) -> TropPoint:
+    return from_quotient(n, [Fraction(a, scale) for a in q])
 
 
 def convexity_probe(
@@ -382,19 +393,33 @@ def convexity_probe(
     """Sound, incomplete convexity rejection by seeded segment sampling.
 
     Any failure certifies that the support is not tropically convex; running
-    clean only reports that no counterexample was found.  With no samples
-    only the segments between vertex generators are checked.
+    clean only reports that no counterexample was found.  The segments
+    between vertex generators are checked first, then one pair of points
+    drawn from seeded cells at a time.  A drawn point stays an integer
+    vector over its scale (`_sample`), and the pair's breakpoints are taken
+    over the lcm of the two scales, which changes no sign of a row value;
+    they are tested with the complex's `RowTable` as in
+    `segment_in_support`, which gives a counterexample's `SegmentCheck`.
+    With no samples only the vertex segments are checked.
     """
     if samples < 0:
         raise InvalidInputError("the number of samples must be >= 0")
-    pairs = list(combinations(_structure_vertices(complex_), 2))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ca = complex_.cells[rng.randrange(len(complex_.cells))]
-        cb = complex_.cells[rng.randrange(len(complex_.cells))]
-        pairs.append((_sample_point(ca, rng), _sample_point(cb, rng)))
-    for a, b in pairs:
+    for a, b in combinations(_structure_vertices(complex_), 2):
         check = segment_in_support(complex_, a, b)
         if not check.covered:
             return ProbeResult(True, (a, b), check)
+    table = complex_._row_table
+    cells = complex_.cells
+    rng = random.Random(seed)
+    for _ in range(samples):
+        ca = cells[rng.randrange(len(cells))]
+        cb = cells[rng.randrange(len(cells))]
+        (sa, qa), (sb, qb) = _sample(ca, rng), _sample(cb, rng)
+        d = lcm(sa, sb)
+        ends = _integer_breakpoints(
+            [0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb]
+        )
+        if _uncovered_piece(table, d, ends) is not None:
+            pair = (_scaled_point(complex_.n, sa, qa), _scaled_point(complex_.n, sb, qb))
+            return ProbeResult(True, pair, segment_in_support(complex_, *pair))
     return ProbeResult(False)

@@ -9,10 +9,12 @@ the chain enumeration, flat-axiom check and height-table rank that the cover
 relation of `matroids._covers` replaced, the flats of a matroid by the
 closure of every subset, which the walk up the covers of `Matroid.flats`
 replaced, the circuits of a matroid by a scan of the small subsets, which
-the fundamental circuits of `Matroid.circuits` replaced, and the row table
-of a complex from its polyhedra's rows, which the chain rows of braid cones
-in `Cell._constraints` replaced, and the flat family of a fan by probing
-every subset, which reading the rays of its braid pieces replaced."""
+the fundamental circuits of `Matroid.circuits` replaced, the row table of a
+complex from its polyhedra's rows, all dense, which the difference rows of
+braid cones read from their apex and chain replaced, the flat family of a
+fan by probing every subset, which reading the rays of its braid pieces
+replaced, and the convexity probe that drew every sample before checking a
+pair, which drawing integer samples one pair at a time replaced."""
 
 import importlib.util
 import random
@@ -25,6 +27,7 @@ import pytest
 
 from troplin.complexes import (
     Cell,
+    RowTable,
     SegmentCheck,
     WeightedComplex,
     _meet_in_common_face,
@@ -45,6 +48,7 @@ from troplin.matroids import (
 )
 from troplin.points import TropPoint, flat_direction, segment
 from troplin.polyhedra import Polyhedron, _lift, _neg
+from troplin.recognize import ProbeResult, _sample_point, _structure_vertices
 from troplin.valuated import ValuatedMatroid
 
 
@@ -210,6 +214,15 @@ def benchmark_valuated_corpus(seed):
 def benchmark_tree_line(n):
     """The valuated_complexes benchmark's tree line with leaves 1..n in order."""
     return _benchmark_workloads().tree_line(n, list(range(1, n + 1))).complex_
+
+
+def holed_tree_line(n):
+    """`benchmark_tree_line(n)` with its first bounded cell dropped, so the
+    segment between that cell's vertices leaves the support."""
+    tree = benchmark_tree_line(n)
+    gone = next(c for c in tree.cells if not c.poly.rays)
+    keep = [c for c in tree.cells if c is not gone]
+    return WeightedComplex(n, keep, [1] * len(keep), validate=False)
 
 
 def benchmark_valuated_matroids(seed):
@@ -619,7 +632,8 @@ def subset_circuits(matroid):
 
 def constraint_row_table(complex_):
     """`WeightedComplex._row_table` over every cell's `poly._constraints`,
-    braid cones included."""
+    braid cones included, with every row dense: each is evaluated by a dot
+    product over all quotient coordinates."""
     index = {}
     cell_rows = []
     for cell in complex_.cells:
@@ -628,7 +642,41 @@ def constraint_row_table(complex_):
             s = 1 if next(x for x in r if x) > 0 else -1
             pairs.append((index.setdefault(r if s > 0 else _neg(r), len(index)), s))
         cell_rows.append(pairs)
-    return list(index), cell_rows
+    return RowTable([], list(index), cell_rows)
+
+
+def table_rows(table, c, n):
+    """The rows of cell c of a `RowTable` as integer rows in quotient
+    coordinates, each r standing for r.(x, 1) <= 0."""
+    rows = []
+    for k, s in table.pairs[c]:
+        if k < len(table.diffs):
+            i, j, q, const = table.diffs[k]
+            r = [0] * n
+            r[i] += q
+            r[j] -= q
+            r = r[1:] + [const]
+        else:
+            r = list(table.dense[k - len(table.diffs)])
+        rows.append(tuple(s * x for x in r))
+    return rows
+
+
+def probe_drawing_first(complex_, samples, seed):
+    """`convexity_probe` with every sample drawn before any pair is checked,
+    each as a point from `_sample_point`, and every pair, vertex pairs
+    first, checked with `segment_in_support_per_cell`."""
+    pairs = list(combinations(_structure_vertices(complex_), 2))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        ca = complex_.cells[rng.randrange(len(complex_.cells))]
+        cb = complex_.cells[rng.randrange(len(complex_.cells))]
+        pairs.append((_sample_point(ca, rng), _sample_point(cb, rng)))
+    for a, b in pairs:
+        check = segment_in_support_per_cell(complex_, a, b)
+        if not check.covered:
+            return ProbeResult(True, (a, b), check)
+    return ProbeResult(False)
 
 
 def fundamental_circuit(matroid, basis, element):

@@ -33,6 +33,7 @@ from conftest import (
     benchmark_valuated_corpus,
     braid_fan_corpus,
     make_tree_cells,
+    table_rows,
     validate_common_faces,
 )
 
@@ -394,25 +395,28 @@ class TestBraidRecessionAndStars:
 
 
 class TestBraidRowsFromChains:
-    """The rows a braid cone reads from its chain cut out its polyhedron, and
-    every other cell has its polyhedron's rows."""
+    """The rows a complex's row table holds for each cell cut out the cell:
+    a braid cone's differences read from its apex and chain, and any other
+    cell's polyhedron rows, as differences where they are ones."""
 
     @staticmethod
-    def rows_give_the_cell(cell):
-        poly = _from_rows(cell.n - 1, [], cell._constraints)
-        return poly.canonical_key == cell.poly.canonical_key
+    def rows_give_the_cell(cx, c):
+        poly = _from_rows(cx.n - 1, [], table_rows(cx._row_table, c, cx.n))
+        return poly.canonical_key == cx.cells[c].poly.canonical_key
 
     def test_corpus_cells(self):
         seen = set()
+        fans = 0
         for seed in (301, 302):
             for cx in benchmark_valuated_corpus(seed):
-                for cell in cx.cells:
-                    if cell.braid is None:
-                        assert cell._constraints is cell.poly._constraints
-                    else:
-                        assert self.rows_give_the_cell(cell), cell
+                for c, cell in enumerate(cx.cells):
+                    assert self.rows_give_the_cell(cx, c), cell
                     seen.add(cell.braid is None)
-        assert seen == {True, False}
+                if all(cell.braid is not None for cell in cx.cells):
+                    # a translated Bergman fan: every row is a difference
+                    assert cx._row_table.dense == [] and cx._row_table.diffs
+                    fans += 1
+        assert seen == {True, False} and fans > 0
 
     def test_random_chains(self):
         rng = random.Random(89)
@@ -425,7 +429,9 @@ class TestBraidRowsFromChains:
             apex = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 1))
             cell = Cell(n, chain_cone(n, chain).translate(apex))
             assert cell.braid == (apex, chain)
-            assert self.rows_give_the_cell(cell), cell
+            cx = WeightedComplex(n, [cell], [1], validate=False)
+            assert cx._row_table.dense == []
+            assert self.rows_give_the_cell(cx, 0), cell
             seen.add("empty" if not chain else "flag" if len(chain) == n - 1 else "partial")
         assert seen == {"empty", "flag", "partial"}
 

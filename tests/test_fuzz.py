@@ -84,13 +84,13 @@ def matroid_json(draw):
     return {"n": n, "bases": bases}
 
 
-def run_cli(command, data):
+def run_cli(command, data, args=()):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "complex.json"
         path.write_text(json.dumps(data))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path)])
+            code = main([command, str(path), *args])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
@@ -109,6 +109,14 @@ def test_recognize_never_crashes(data):
 @given(complex_json())
 def test_balanced_never_crashes(data):
     run_cli("balanced", data)
+
+
+# more examples than the other commands: most drawn complexes fail
+# validation, and with 30 none of the valid ones has a lineality cell
+@settings(FUZZ, max_examples=100)
+@given(complex_json(), st.integers(0, 2**32))
+def test_probe_never_crashes(data, seed):
+    run_cli("probe", data, ["--samples", "20", "--seed", str(seed)])
 
 
 @FUZZ

@@ -20,6 +20,7 @@ from troplin.recognize import recognize_fan
 from conftest import (
     benchmark_tree_line,
     braid_fan_corpus,
+    holed_tree_line,
     reference_cell,
     validate_common_faces,
 )
@@ -393,6 +394,15 @@ class TestCli:
         assert code == 1
         found = json.loads(out)["counterexample"]
         assert [found["from"], found["to"]] == [["0", "0", "0"], ["0", "1", "2"]]
+
+    def test_probe_draws_samples_lazily(self, capsys, tmp_path):
+        path = tmp_path / "holed_tree.json"
+        path.write_text(json.dumps(tio.complex_to_json(holed_tree_line(6))))
+        code, out = self.run(capsys, "probe", str(path), "--samples", "200")
+        assert code == 1 and json.loads(out)["counterexample"] is not None
+        start = time.perf_counter()
+        assert self.run(capsys, "probe", str(path), "--samples", "1000000") == (1, out)
+        assert time.perf_counter() - start < 1
 
     def test_weight_on_a_non_basis_is_exit_two(self, capsys, tmp_path):
         bases = [[1, 2], [1, 3], [2, 3]]

@@ -42,7 +42,7 @@ from troplin.matroids import (
     verify_flat_family,
 )
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
-from troplin.polyhedra import Polyhedron, _lift, _row
+from troplin.polyhedra import Polyhedron, _from_rows, _lift, _row
 
 from conftest import (
     _first_gap as fraction_first_gap,
@@ -64,6 +64,7 @@ from conftest import (
     segment_in_support_per_cell,
     segment_interval,
     subset_circuits,
+    table_rows,
 )
 
 F = Fraction
@@ -296,11 +297,15 @@ class TestIntegerFormAgainstFractionOracle:
                     lifted = _lift(start + end + (1,))
                     p, q = lifted[:m] + lifted[-1:], lifted[m:]
                     direction = tuple(b - a for a, b in zip(start, end))
-                    # the polyhedron's rows as a one-cell row table
+                    # the polyhedron's rows as a one-cell row table, read at
+                    # the torus vectors (0, d*start) and (0, d*end) over d
                     cell = WeightedComplex(m + 1, [Cell(m + 1, poly)], [1], validate=False)
-                    rows, (pairs,) = cell._row_table
+                    table = cell._row_table
+                    (pairs,) = table.pairs
                     got = _cell_interval(
-                        pairs, [vec_dot(r, p) for r in rows], [vec_dot(r, q) for r in rows]
+                        pairs,
+                        table.values((0, *p[:-1]), p[-1]),
+                        table.values((0, *q[:-1]), q[-1]),
                     )
                     if got is not None:
                         got = (F(got[0], got[1]), F(got[2], got[3]))
@@ -308,6 +313,20 @@ class TestIntegerFormAgainstFractionOracle:
                     seen.add(got is None)
                     fractional |= any(c.denominator > 1 for c in end)
         assert seen == {True, False} and fractional
+
+    def test_table_rows_give_the_cell(self):
+        # a cell's difference and dense rows in its row table cut it out
+        rng = random.Random(59)
+        kinds = set()
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            poly = self.random_polyhedron(rng, m)
+            cx = WeightedComplex(m + 1, [Cell(m + 1, poly)], [1], validate=False)
+            table = cx._row_table
+            got = _from_rows(m, [], table_rows(table, 0, m + 1))
+            assert got.canonical_key == poly.canonical_key, poly
+            kinds.update(kind for kind in ("diffs", "dense") if getattr(table, kind))
+        assert kinds == {"diffs", "dense"}
 
 
 class TestSegmentCoverageAgainstPerCellOracle:

@@ -1,6 +1,7 @@
 """Fan recognition, complex decision, local checks, and the convexity probe."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,7 +40,9 @@ from conftest import (
     coarse_uniform_fan,
     constraint_row_table,
     dropped_cones,
+    holed_tree_line,
     make_tree_cells,
+    probe_drawing_first,
     probed_flat_family,
     rand_rational,
 )
@@ -552,8 +555,9 @@ class TestConvexityProbe:
 
 
 class TestProbeAgainstPolyhedronRows:
-    """Segment coverage over the rows braid cones read from their chains
-    gives the results it gives over every cell's polyhedron rows."""
+    """Segment coverage over the difference rows braid cones read from their
+    apex and chain gives the results it gives over every cell's polyhedron
+    rows, all evaluated as dense rows."""
 
     @staticmethod
     def complexes():
@@ -585,10 +589,10 @@ class TestProbeAgainstPolyhedronRows:
                 return probe, [segment_in_support(cx, a, b) for a, b in pairs]
 
             got = results()
-            rows = cx._row_table[0]
+            table = cx._row_table
             cx.__dict__["_row_table"] = constraint_row_table(cx)
             assert results() == got, cx
-            fewer_rows += len(rows) < len(cx._row_table[0])
+            fewer_rows += len(table.diffs) + len(table.dense) < len(cx._row_table.dense)
             seen.add(("probe found", got[0].counterexample_found))
             seen.update(("segment covered", check.covered) for check in got[1])
         assert len(seen) == 4 and fewer_rows > 0
@@ -605,6 +609,33 @@ class TestProbeAgainstPolyhedronRows:
         monkeypatch.setattr(polyhedra, "_dd", counted)
         assert convexity_probe(cx, samples=30, seed=7).ok
         assert len(calls) == 0
+
+
+class TestProbeAgainstDrawFirstOracle:
+    """The probe that draws integer samples one pair at a time returns the
+    result of drawing every sample as a point first and checking each pair
+    with the per-cell segment test."""
+
+    def test_corpora_dropped_cells_and_plus_e_fan(self, plus_e_fan):
+        found = set()
+        sampled = 0
+        cases = list(TestProbeAgainstPolyhedronRows.complexes()) + [plus_e_fan]
+        for k, cx in enumerate(cases):
+            result = convexity_probe(cx, samples=12, seed=k)
+            assert result == probe_drawing_first(cx, 12, k), cx
+            found.add(result.counterexample_found)
+            vertex_pairs = set(combinations(recognize._structure_vertices(cx), 2))
+            sampled += result.counterexample_found and result.pair not in vertex_pairs
+        assert found == {True, False} and sampled > 0
+
+    def test_samples_are_drawn_lazily(self):
+        # the counterexample is a vertex pair, so a million samples are never drawn
+        cx = holed_tree_line(6)
+        expected = convexity_probe(cx, samples=200)
+        assert expected.counterexample_found
+        start = time.perf_counter()
+        assert convexity_probe(cx, samples=10**6) == expected
+        assert time.perf_counter() - start < 1
 
 
 class TestEdgeCases:
