@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .complexes import Cell, WeightedComplex
@@ -23,15 +24,23 @@ from .valuated import ValuatedMatroid
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_frac(s) -> Rational:
     """The rational that `Fraction(str(s))` reads, as a canonical number;
-    plain ASCII integers skip the Fraction parser."""
+    plain ASCII integers skip the Fraction parser.  An exponent larger in
+    magnitude than `sys.get_int_max_str_digits()`, the limit that refuses
+    integer strings that long, is refused before Fraction builds its power
+    of ten."""
     text = str(s)
     try:
         if _INTEGER.fullmatch(text):
             return int(text)
+        limit = sys.get_int_max_str_digits()
+        exponent = _EXPONENT.search(text)
+        if limit and exponent and int(exponent[1]) > limit:
+            raise ValueError("exponent past the digit limit")
         return _frac(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"not a rational: {s!r}") from exc

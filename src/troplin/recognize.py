@@ -1,11 +1,13 @@
 """Deciding whether weighted complexes are supported on tropical linear spaces.
 
-A fan is cut once into braid pieces, each inside one closed braid cone.  The
-candidate flat family is read off their rays; after the flat axioms, the same
-pieces show that the support lies in the fan of chains of that family, and
-which maximal chain cones are pieces already.  Complexes are decided through
-their recession fan; the local route recognizes the star at every vertex.  A
-seeded segment sampler provides sound (never complete) convexity rejection.
+A fan is cut once into braid pieces, each inside one closed braid chamber.
+The candidate flat family is read off their rays; after the flat axioms, the
+support equals the fan of chains of that family exactly when every maximal
+chain is the chamber of some piece, since a balanced fan within the
+heterogeneity bound fills each chamber it meets (`_support_equal`).
+Complexes are decided through their recession fan; the local route
+recognizes the star at every vertex.  A seeded segment sampler provides
+sound (never complete) convexity rejection.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .complexes import (
     SegmentCheck,
     WeightedComplex,
     _uncovered_piece,
-    chain_cone,
     chn_cell_of,
     coordinate_difference,
     from_quotient,
@@ -42,7 +43,7 @@ from .matroids import (
     verify_flat_family,
 )
 from .points import TropPoint, _integer_breakpoints, heterogeneity
-from .polyhedra import Polyhedron, _neg, refine
+from .polyhedra import refine
 
 REASON_NON_PURE = "non-pure"
 REASON_WEIGHT = "weight-not-one"
@@ -152,51 +153,38 @@ def _braid_pieces(complex_: WeightedComplex, budget: int) -> list[Cell]:
     return pieces
 
 
-def _uncovered_witness(
-    piece: Polyhedron, cells: list[Polyhedron], counter: list[int], budget: int
-) -> Polyhedron | None:
-    """A sub-piece not covered by the union of the cells, or None."""
-    counter[0] += 1
-    if counter[0] > budget:
-        raise ResourceLimitError("coverage check exceeded its budget")
-    if not cells:
-        return piece
-    head, rest = cells[0], cells[1:]
-    current: Polyhedron | None = piece
-    for row in head._constraints:
-        if current is None:
-            return None
-        above = current._cut(_neg(row))
-        if above is not None and above.dim == current.dim:
-            # some of it lies strictly outside row.(x, 1) <= 0
-            if above._halfspace_status(row) != -1:
-                witness = _uncovered_witness(above, rest, counter, budget)
-                if witness is not None:
-                    return witness
-        current = current._cut(row)
-    return None
-
-
 def _support_equal(
-    complex_: WeightedComplex, pieces: list[Cell], family: ChainFamily, budget: int
+    complex_: WeightedComplex, pieces: list[Cell], family: ChainFamily
 ) -> TropPoint | None:
-    """Witness point in the symmetric difference of |X| and |Ch_X|, or None:
-    the `_braid_pieces` that are no braid cone must sit on chains of the
-    family, and only maximal chains that are no piece are tested for cover."""
+    """A point of |Ch_X| outside |X|, or None, for a fan X that `recognize_fan`
+    has found pure of dimension d, balanced with unit weights and within the
+    heterogeneity bound, with `_braid_pieces` and their family.
+
+    Lemma: the support of such a fan is a union of closed d-dimensional braid
+    cones.  By the heterogeneity bound each cell lies in a d-dimensional
+    braid flat L, cut out by the equations x_i = x_j that hold on all of it.
+    A wall inside an open braid chamber of L has points of heterogeneity
+    d + 1, so every cell through that wall lies in L, and weight-one
+    balancing puts a cell on each side of it.  So the support meets each chamber in all of its interior or
+    in none of it.
+
+    Each piece lies in one chamber: a braid cone at the origin in that of its
+    chain, any other in that of its relative interior point.  The rays -e_F
+    of a chamber met are rays of pieces, so |X| lies in |Ch_X|, and the two
+    are equal exactly when every maximal chain of the family is a chamber
+    met.  The first that is not has the relative interior point
+    -sum(e_F for F in it) of its cone as witness.
+    """
     n = complex_.n
-    covered = {piece.chain for piece in pieces}
-    for piece in pieces:
-        if piece.chain is None:
-            point = from_quotient(n, piece.poly.relative_interior_point())
-            if any(f not in family.sets for f in chn_cell_of(point)):
-                return point
-    cell_polys = [c.poly for c in complex_.cells]
+    chambers = {
+        piece.chain
+        if piece.chain is not None
+        else chn_cell_of(from_quotient(n, piece.poly.relative_interior_point()))[:-1]
+        for piece in pieces
+    }
     for chain in family.maximal_chains():
-        if chain in covered:
-            continue
-        witness = _uncovered_witness(chain_cone(n, chain), cell_polys, [0], budget)
-        if witness is not None:
-            return from_quotient(n, witness.relative_interior_point())
+        if chain not in chambers:
+            return TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
     return None
 
 
@@ -232,7 +220,7 @@ def recognize_fan(
     check = verify_flat_family(complex_.n, family.sets)
     if not check.ok:
         return _reject(REASON_FLAT_AXIOM, (check.axiom, check.witness))
-    witness = _support_equal(complex_, pieces, family, budget)
+    witness = _support_equal(complex_, pieces, family)
     if witness is not None:
         return _reject(REASON_SUPPORT, witness)
     return _accept(_flat_matroid(family), family.sets)

@@ -97,19 +97,6 @@ class ValuatedMatroid:
     def n(self) -> int:
         return self.matroid.n
 
-    def derivations(self, circuit: GroundSet) -> list[tuple[GroundSet, int]]:
-        """All (basis, element) pairs whose fundamental circuit is the given one."""
-        if circuit not in self.matroid.circuits:
-            raise InvalidInputError(f"{sorted(circuit)} is not a circuit")
-        pairs = []
-        for i in sorted(circuit):
-            rest = circuit - {i}
-            for b in _sorted_sets(self.matroid.bases):
-                if rest <= b and i not in b:
-                    # b + i holds this circuit, the only circuit it holds
-                    pairs.append((b, i))
-        return pairs
-
     def circuit_valuation_from(self, circuit: GroundSet, basis: GroundSet, element: int) -> CircuitVector:
         """Valuation vector of a circuit derived from one (basis, element) pair."""
         entries: list[Rational | None] = [None] * self.n
@@ -128,8 +115,9 @@ class ValuatedMatroid:
 
     @cached_property
     def circuit_valuations(self) -> dict[GroundSet, CircuitVector]:
-        """Each circuit's vector from its first derivation, the first
-        (basis, element) pair in the order of `derivations`."""
+        """Each circuit's vector from its first (basis, element) pair whose
+        fundamental circuit it is, with elements of the circuit ascending,
+        then bases in sorted order."""
         bases = _sorted_sets(self.matroid.bases)
         out: dict[GroundSet, CircuitVector] = {}
         for c in _sorted_sets(self.matroid.circuits):

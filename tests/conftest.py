@@ -13,8 +13,11 @@ the fundamental circuits of `Matroid.circuits` replaced, the row table of a
 complex from its polyhedra's rows, all dense, which the difference rows of
 braid cones read from their apex and chain replaced, the flat family of a
 fan by probing every subset, which reading the rays of its braid pieces
-replaced, and the convexity probe that drew every sample before checking a
-pair, which drawing integer samples one pair at a time replaced."""
+replaced, the convexity probe that drew every sample before checking a
+pair, which drawing integer samples one pair at a time replaced, support
+equality by recursive polyhedral subtraction of the cells from every maximal
+chain cone, which looking up each chain among the chambers of the braid
+pieces replaced, and the circuit derivations of a valuated matroid."""
 
 import importlib.util
 import random
@@ -31,12 +34,14 @@ from troplin.complexes import (
     SegmentCheck,
     WeightedComplex,
     _meet_in_common_face,
+    chain_cone,
     chain_fan,
+    chn_cell_of,
     direction_to_quotient,
     from_quotient,
     to_quotient,
 )
-from troplin.errors import InvalidInputError
+from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.linalg import hermite_normal_form, solve_exact, vec_dot, vec_is_zero
 from troplin.lp import lp_feasible
 from troplin.matroids import (
@@ -178,6 +183,76 @@ def coarse_uniform_corpus(max_n: int):
             fan = coarse_uniform_fan(rank, n)
             yield fan
             yield from dropped_cones(fan)
+
+
+def skeleton_fan_corpus():
+    """For every loopfree matroid with 3 <= n <= 5 and every 1 <= d <= rank - 2,
+    the fan of the cones over all d-chains of proper nonempty flats, then
+    that fan without its first cone."""
+    for n in range(3, 6):
+        for matroid in enumerate_matroids(n):
+            proper = _sorted_sets(f for f in matroid.flats if f and f != matroid.ground)
+            for d in range(1, matroid.rank - 1):
+                chains = [
+                    c for c in combinations(proper, d) if all(a < b for a, b in zip(c, c[1:]))
+                ]
+                cells = [Cell(n, chain_cone(n, c)) for c in chains]
+                for kept in (cells, cells[1:]):
+                    yield WeightedComplex(n, kept, [1] * len(kept), validate=False)
+
+
+def off_chain_point(complex_, pieces, family) -> TropPoint | None:
+    """The relative interior point of the first braid piece that is no braid
+    cone and does not sit on a chain of the family, or None."""
+    for piece in pieces:
+        if piece.chain is None:
+            point = from_quotient(complex_.n, piece.poly.relative_interior_point())
+            if any(f not in family.sets for f in chn_cell_of(point)):
+                return point
+    return None
+
+
+def _uncovered_witness(piece, cells, counter, budget):
+    """A sub-piece not covered by the union of the cells, or None."""
+    counter[0] += 1
+    if counter[0] > budget:
+        raise ResourceLimitError("coverage check exceeded its budget")
+    if not cells:
+        return piece
+    head, rest = cells[0], cells[1:]
+    current = piece
+    for row in head._constraints:
+        if current is None:
+            return None
+        above = current._cut(_neg(row))
+        if above is not None and above.dim == current.dim:
+            # some of it lies strictly outside row.(x, 1) <= 0
+            if above._halfspace_status(row) != -1:
+                witness = _uncovered_witness(above, rest, counter, budget)
+                if witness is not None:
+                    return witness
+        current = current._cut(row)
+    return None
+
+
+def support_equal_by_coverage(complex_, pieces, family, budget=20000) -> TropPoint | None:
+    """A point in the symmetric difference of |X| and |Ch_X|, or None: a
+    braid piece off the chains of the family (`off_chain_point`), or a point
+    of a maximal chain cone that is no piece and that the cells do not
+    cover, found by subtracting the cells one by one."""
+    n = complex_.n
+    point = off_chain_point(complex_, pieces, family)
+    if point is not None:
+        return point
+    covered = {piece.chain for piece in pieces}
+    cell_polys = [c.poly for c in complex_.cells]
+    for chain in family.maximal_chains():
+        if chain in covered:
+            continue
+        witness = _uncovered_witness(chain_cone(n, chain), cell_polys, [0], budget)
+        if witness is not None:
+            return from_quotient(n, witness.relative_interior_point())
+    return None
 
 
 def probed_flat_family(complex_) -> ChainFamily:
@@ -677,6 +752,21 @@ def probe_drawing_first(complex_, samples, seed):
         if not check.covered:
             return ProbeResult(True, (a, b), check)
     return ProbeResult(False)
+
+
+def derivations(valuated, circuit):
+    """All (basis, element) pairs whose fundamental circuit is the given one."""
+    matroid = valuated.matroid
+    if circuit not in matroid.circuits:
+        raise InvalidInputError(f"{sorted(circuit)} is not a circuit")
+    pairs = []
+    for i in sorted(circuit):
+        rest = circuit - {i}
+        for b in _sorted_sets(matroid.bases):
+            if rest <= b and i not in b:
+                # b + i holds this circuit, the only circuit it holds
+                pairs.append((b, i))
+    return pairs
 
 
 def fundamental_circuit(matroid, basis, element):

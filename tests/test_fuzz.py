@@ -111,6 +111,18 @@ def test_balanced_never_crashes(data):
     run_cli("balanced", data)
 
 
+@FUZZ
+@given(complex_json())
+def test_decide_never_crashes(data):
+    run_cli("decide", data)
+
+
+@FUZZ
+@given(complex_json())
+def test_local_check_never_crashes(data):
+    run_cli("local-check", data)
+
+
 # more examples than the other commands: most drawn complexes fail
 # validation, and with 30 none of the valid ones has a lineality cell
 @settings(FUZZ, max_examples=100)

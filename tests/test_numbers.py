@@ -2,8 +2,11 @@
 Fraction with denominator > 1 otherwise, from JSON through points and
 polyhedra, and no float arises anywhere."""
 
+import fractions
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,11 +62,19 @@ class TestParseFrac:
     ODD = [
         "+3", " 3", "3\n", "3_0", "٣", "-0", "007", "1e2", "1.0", "4/2", "",
         "1/0", "-4/6", " -1/2 ", "0/5", "--1", "3/", "/3", "1/-2", "x", "9" * 5000,
+        "1e4300", "1E-4300", " 2.5e1_0 ", "\u0663e\u0663",
     ]
     JSON_NUMBERS = [0, 3, -7, 10**30, 2.5, -0.125, 1e2, 1e-3, True, None]
 
+    HUGE_EXPONENTS = ["1e9999999", "1e99999999", "1e" + "\u0669" * 7, "1e-9999999", "1E+4301"]
+
     @staticmethod
     def reference(s):
+        """`Fraction(str(s))`, with an exponent past the integer digit limit
+        refused: Fraction would build a power of ten that long."""
+        match = fractions._RATIONAL_FORMAT.match(str(s))
+        if match and match["exp"] and abs(int(match["exp"])) > sys.get_int_max_str_digits():
+            return None
         try:
             return Fraction(str(s))
         except (ValueError, ZeroDivisionError):
@@ -94,6 +105,22 @@ class TestParseFrac:
                 assert got == expected and is_canonical(got), (s, got)
                 kinds.add(type(got))
         assert kinds == {int, Fraction}
+
+    def test_huge_exponents_are_refused_at_once(self, tmp_path, capsys):
+        assert tio.parse_frac("1e4300") == 10**4300
+        assert tio.parse_frac("-1e-4300") == Fraction(-1, 10**4300)
+        for s in self.HUGE_EXPONENTS:
+            assert self.reference(s) is None
+            path = tmp_path / "complex.json"
+            cell = {"vertices": [["0", s]], "weight": 1}
+            path.write_text(json.dumps({"n": 2, "cells": [cell]}))
+            start = time.perf_counter()
+            with pytest.raises(InvalidInputError):
+                tio.parse_frac(s)
+            assert main(["balanced", str(path)]) == 2
+            assert main(["segment", "--from", "0," + s, "--to", "0,0"]) == 2
+            assert time.perf_counter() - start < 1, s
+            assert "not a rational" in capsys.readouterr().err
 
     def test_integral_values_come_back_as_ints(self):
         for s in ["4/2", "-0", "007", "1e2", "1.0", 3, 2.0, "-6/3"]:

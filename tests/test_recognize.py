@@ -12,6 +12,7 @@ from troplin.complexes import (
     Cell,
     WeightedComplex,
     chain_fan,
+    chn_cell_of,
     point_in_support,
     recession_fan,
     segment_in_support,
@@ -42,9 +43,12 @@ from conftest import (
     dropped_cones,
     holed_tree_line,
     make_tree_cells,
+    off_chain_point,
     probe_drawing_first,
     probed_flat_family,
     rand_rational,
+    skeleton_fan_corpus,
+    support_equal_by_coverage,
 )
 
 F = Fraction
@@ -272,19 +276,19 @@ class TestSupportEquality:
             3, u23_fan.cells[:2], [1, 1], validate=False
         )
         family = ChainFamily(3, u23.flats | {u23.ground})
-        witness = _support_equal(sub, _braid_pieces(sub, 20000), family, budget=20000)
+        witness = _support_equal(sub, _braid_pieces(sub, 20000), family)
         assert witness is not None
         assert point_in_support(sub, witness) is None
 
     def test_equal_supports_pass(self, u23_fan, u23):
         family = ChainFamily(3, u23.flats | {u23.ground})
         pieces = _braid_pieces(u23_fan, 20000)
-        assert _support_equal(u23_fan, pieces, family, budget=20000) is None
+        assert _support_equal(u23_fan, pieces, family) is None
 
 
 class TestChainLookup:
-    """A maximal chain that is a braid piece is covered without
-    `_uncovered_witness`, and each coarse cell is refined once."""
+    """Support equality looks each maximal chain up among the chambers of the
+    braid pieces, and each coarse cell is refined once."""
 
     def test_refine_runs_once_per_cell_that_is_no_braid_cone(self, monkeypatch):
         calls = []
@@ -309,17 +313,28 @@ class TestChainLookup:
         assert refined > 50
 
     def test_accepted_coarse_fans_cover_every_chain_by_lookup(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a chain went through the coverage test")
+        calls = []
+        real = recognize._support_equal
 
-        monkeypatch.setattr(recognize, "_uncovered_witness", refuse)
+        def refuse(*args):
+            raise AssertionError("support equality cut a polyhedron")
+
+        def uncut(*args):
+            calls.append(args)
+            with monkeypatch.context() as patch:
+                patch.setattr(Polyhedron, "_cut", refuse)
+                return real(*args)
+
+        monkeypatch.setattr(recognize, "_support_equal", uncut)
         for n in range(1, 7):
             for rank in range(1, n + 1):
                 assert recognize_fan(coarse_uniform_fan(rank, n)).accepted
+        assert len(calls) == 21
 
     def test_lookup_matches_coverage_of_every_chain(self, monkeypatch):
-        # with no lookup every maximal chain goes through _uncovered_witness;
-        # at n = 6 that takes seconds per fan, so only a first mutant is run
+        # against the source family, so the one-cone-dropped mutants, which
+        # are unbalanced, get witnesses too; refining every cone of an n = 6
+        # fan takes seconds, so only a first mutant is run there
         budget = 20000
         cases = []
         for n in range(1, 7):
@@ -334,7 +349,7 @@ class TestChainLookup:
             return [
                 (
                     recognize_fan(cx, budget),
-                    _support_equal(cx, _braid_pieces(cx, budget), family, budget),
+                    _support_equal(cx, _braid_pieces(cx, budget), family),
                 )
                 for cx, family in cases
             ]
@@ -342,8 +357,36 @@ class TestChainLookup:
         looked_up = run()
         assert {r.verdict for r, _ in looked_up} == {"accepted", "rejected"}
         assert sum(w is not None for _, w in looked_up) > 20
+        for (cx, family), (_, witness) in zip(cases, looked_up):
+            pieces = _braid_pieces(cx, budget)
+            oracle = support_equal_by_coverage(cx, pieces, family, budget)
+            assert (witness is None) == (oracle is None)
+            if witness is not None:
+                assert point_in_support(cx, witness) is None
+                assert set(chn_cell_of(witness)) <= family.sets
+        # with no chains every piece's chamber comes from its interior point
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         assert run() == looked_up
+
+    def test_lookup_matches_the_coverage_oracle(self):
+        seen = set()
+        corpus = [*skeleton_fan_corpus(), *braid_fan_corpus(4), *coarse_uniform_corpus(5)]
+        for fan in corpus:
+            report = recognize_fan(fan)
+            if not (report.accepted or report.reason.kind == "support-mismatch"):
+                continue
+            pieces = _braid_pieces(fan, 20000)
+            family = recognize._piece_family(fan.n, pieces)
+            # the lemma of `_support_equal`: every piece sits on a chain
+            assert off_chain_point(fan, pieces, family) is None
+            witness = _support_equal(fan, pieces, family)
+            assert (witness is None) == (support_equal_by_coverage(fan, pieces, family) is None)
+            if witness is not None:
+                assert report.reason == Reason("support-mismatch", witness)
+                assert point_in_support(fan, witness) is None
+                assert set(chn_cell_of(witness)) <= family.sets
+            seen.add(witness is None)
+        assert seen == {True, False}
 
 
 class TestDecideComplex:
