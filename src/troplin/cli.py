@@ -32,7 +32,7 @@ def _load(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past the digit limit
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -62,7 +62,7 @@ def _render_scalar(x) -> str:
         return "-"
     if isinstance(x, list):
         return "[" + ", ".join(_render_scalar(v) for v in x) + "]"
-    return str(x)
+    return tio.number_to_json(x)
 
 
 def _emit(data, pretty: bool) -> None:

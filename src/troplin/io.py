@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .complexes import Cell, WeightedComplex
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .matroids import ChainFamily, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
 from .recognize import LocalCheckReport, ProbeResult, Reason, RecognitionReport
@@ -25,6 +25,7 @@ from .valuated import ValuatedMatroid
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_TOO_LONG = "a number to print has more than {} digits"
 
 
 def parse_frac(s) -> Rational:
@@ -68,8 +69,16 @@ def _size(n) -> int:
     return n
 
 
+def number_to_json(x) -> str:
+    """`str(x)`, or ResourceLimitError past `sys.get_int_max_str_digits()`."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise ResourceLimitError(_TOO_LONG.format(sys.get_int_max_str_digits())) from exc
+
+
 def point_to_json(p: TropPoint) -> list[str]:
-    return [str(c) for c in p.coords]
+    return [number_to_json(c) for c in p.coords]
 
 
 def point_from_json(data) -> TropPoint:
@@ -79,7 +88,7 @@ def point_from_json(data) -> TropPoint:
 
 
 def vector_to_json(v) -> list[str]:
-    return [str(c) for c in v]
+    return [number_to_json(c) for c in v]
 
 
 def matroid_to_json(m: Matroid) -> dict:
@@ -203,7 +212,7 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    return str(obj)
+    return number_to_json(obj)
 
 
 def report_to_json(report: RecognitionReport) -> dict:
@@ -238,7 +247,7 @@ def probe_to_json(result: ProbeResult) -> dict:
         "counterexample": {
             "from": point_to_json(x),
             "to": point_to_json(y),
-            "gap_parameter": str(result.segment_check.gap_param),
+            "gap_parameter": number_to_json(result.segment_check.gap_param),
             "gap_point": point_to_json(result.segment_check.gap_point),
         },
         "verdict": "not tropically convex",
@@ -247,4 +256,7 @@ def probe_to_json(result: ProbeResult) -> dict:
 
 def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:  # an int past the digit limit, such as a summed weight
+        raise ResourceLimitError(_TOO_LONG.format(sys.get_int_max_str_digits())) from exc

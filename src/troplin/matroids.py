@@ -219,17 +219,21 @@ class ChainFamily:
     def ground(self) -> GroundSet:
         return frozenset(range(1, self.n + 1))
 
+    @cached_property
+    def covers(self) -> dict[GroundSet, list[GroundSet]]:
+        """`_covers` of the members and the empty set, computed once."""
+        return _covers(self.sets | {frozenset()})
+
     def maximal_chains(self) -> list[tuple[GroundSet, ...]]:
         """Maximal chains of proper nonempty members in lexicographic order:
         the paths of covers from the empty set to the ground set, ends dropped."""
-        covers = _covers(self.sets | {frozenset()})
         ground = self.ground
         out: list[tuple[GroundSet, ...]] = []
 
         def walk(path: tuple[GroundSet, ...]) -> None:
             if path[-1] == ground:
                 out.append(path[1:-1])
-            for g in covers[path[-1]]:
+            for g in self.covers[path[-1]]:
                 walk(path + (g,))
 
         walk((frozenset(),))
@@ -289,7 +293,7 @@ def _flat_matroid(family: ChainFamily) -> Matroid:
     path of covers from the empty set to the ground set (flat lattices are
     graded), and the bases are the rank-sized sets that close up to the ground set."""
     ground = family.ground
-    covers = _covers(family.sets | {frozenset()})
+    covers = family.covers
     rank, flat = 0, frozenset()
     while flat != ground:
         rank, flat = rank + 1, covers[flat][0]

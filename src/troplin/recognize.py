@@ -1,10 +1,12 @@
 """Deciding whether weighted complexes are supported on tropical linear spaces.
 
-A fan is cut once into braid pieces, each inside one closed braid chamber.
-The candidate flat family is read off their rays; after the flat axioms, the
-support equals the fan of chains of that family exactly when every maximal
-chain is the chamber of some piece, since a balanced fan within the
-heterogeneity bound fills each chamber it meets (`_support_equal`).
+A fan is cut once into braid pieces, and one pass reads the closed braid
+chamber of each: a braid cone's chain, or the chain of a relative interior
+point, which has the piece's largest heterogeneity.  A chamber longer than
+the fan's dimension breaks the heterogeneity bound.  Otherwise the chambers'
+members and the ground set are the candidate flat family, and after the
+flat axioms the support equals the fan of chains of that family exactly
+when every maximal chain is a chamber, by the lemma in `recognize_fan`.
 Complexes are decided through their recession fan; the local route
 recognizes the star at every vertex.  A seeded segment sampler provides
 sound (never complete) convexity rejection.
@@ -33,7 +35,7 @@ from .complexes import (
     segment_in_support,
     star_fan,
 )
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .matroids import (
     ChainFamily,
     GroundSet,
@@ -42,7 +44,7 @@ from .matroids import (
     _sorted_sets,
     verify_flat_family,
 )
-from .points import TropPoint, _integer_breakpoints, heterogeneity
+from .points import TropPoint, _integer_breakpoints
 from .polyhedra import refine
 
 REASON_NON_PURE = "non-pure"
@@ -96,37 +98,10 @@ def recover_flat_family(complex_: WeightedComplex) -> ChainFamily:
     rays, so these are the F with -e_F spanning a ray of a piece."""
     if not complex_.is_fan:
         raise InvalidInputError("input complex is not a fan")
-    return _piece_family(complex_.n, _braid_pieces(complex_, DEFAULT_BUDGET))
-
-
-def _piece_family(n: int, pieces: list[Cell]) -> ChainFamily:
-    """The ground set and every F with -e_F spanning a ray of a piece; those
-    of a braid cone at the origin are its chain."""
+    n = complex_.n
+    pieces = _braid_pieces(complex_, DEFAULT_BUDGET)
     sets = {f for p in pieces for f in p.chain or map(ray_set, p.poly.rays)}
     return ChainFamily(n, (sets - {None}) | {frozenset(range(1, n + 1))})
-
-
-def _coordinate_classes(cell: Cell) -> int:
-    """The number of classes of torus coordinates that agree identically on
-    the cell: the distinct coordinate columns of its generators."""
-    gens = [v.coords for v in cell.vertices] + cell.rays + cell.lineality
-    return len(set(zip(*gens)))
-
-
-def _generic_point(cell: Cell, num_classes: int) -> TropPoint:
-    """A cell point realizing the cell's maximal heterogeneity."""
-    base = list(cell.poly.vertices[0])
-    directions = list(cell.poly.rays) + list(cell.poly.lineality)
-    for scale in range(1, 64):
-        coeffs = [Fraction(scale**k, scale + k + 1) for k in range(len(directions))]
-        q = list(base)
-        for c, r in zip(coeffs, directions):
-            for i, x in enumerate(r):
-                q[i] += c * x
-        pt = from_quotient(cell.n, q)
-        if heterogeneity(pt) == num_classes:
-            return pt
-    raise ResourceLimitError("no generic point found within 63 scales")
 
 
 def _braid_hyperplanes(n: int) -> list[tuple[int, ...]]:
@@ -153,41 +128,6 @@ def _braid_pieces(complex_: WeightedComplex, budget: int) -> list[Cell]:
     return pieces
 
 
-def _support_equal(
-    complex_: WeightedComplex, pieces: list[Cell], family: ChainFamily
-) -> TropPoint | None:
-    """A point of |Ch_X| outside |X|, or None, for a fan X that `recognize_fan`
-    has found pure of dimension d, balanced with unit weights and within the
-    heterogeneity bound, with `_braid_pieces` and their family.
-
-    Lemma: the support of such a fan is a union of closed d-dimensional braid
-    cones.  By the heterogeneity bound each cell lies in a d-dimensional
-    braid flat L, cut out by the equations x_i = x_j that hold on all of it.
-    A wall inside an open braid chamber of L has points of heterogeneity
-    d + 1, so every cell through that wall lies in L, and weight-one
-    balancing puts a cell on each side of it.  So the support meets each chamber in all of its interior or
-    in none of it.
-
-    Each piece lies in one chamber: a braid cone at the origin in that of its
-    chain, any other in that of its relative interior point.  The rays -e_F
-    of a chamber met are rays of pieces, so |X| lies in |Ch_X|, and the two
-    are equal exactly when every maximal chain of the family is a chamber
-    met.  The first that is not has the relative interior point
-    -sum(e_F for F in it) of its cone as witness.
-    """
-    n = complex_.n
-    chambers = {
-        piece.chain
-        if piece.chain is not None
-        else chn_cell_of(from_quotient(n, piece.poly.relative_interior_point()))[:-1]
-        for piece in pieces
-    }
-    for chain in family.maximal_chains():
-        if chain not in chambers:
-            return TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
-    return None
-
-
 def recognize_fan(
     complex_: WeightedComplex, budget: int = DEFAULT_BUDGET
 ) -> RecognitionReport:
@@ -207,22 +147,35 @@ def recognize_fan(
     balance = is_balanced(complex_)
     if not balance.ok:
         return _reject(REASON_UNBALANCED, balance.witness)
-    d = complex_.dim
-    for cell in complex_.cells:
-        if cell.chain is not None:
-            # len(chain) + 1 <= d + 1 blocks of the chain's ordered partition
-            continue
-        classes = _coordinate_classes(cell)
-        if classes > d + 1:
-            return _reject(REASON_HET, _generic_point(cell, classes))
-    pieces = _braid_pieces(complex_, budget)
-    family = _piece_family(complex_.n, pieces)
-    check = verify_flat_family(complex_.n, family.sets)
+    n, d = complex_.n, complex_.dim
+    chambers = set()
+    for piece in _braid_pieces(complex_, budget):
+        chain = piece.chain  # a braid cone's own, of length d
+        if chain is None:
+            # no hyperplane x_i = x_j cuts the piece, so its relative interior
+            # point has the piece's largest heterogeneity, len(chain) + 1
+            point = from_quotient(n, piece.poly.relative_interior_point())
+            chain = chn_cell_of(point)[:-1]
+            if len(chain) > d:
+                return _reject(REASON_HET, point)
+        chambers.add(chain)
+    family = ChainFamily(n, {frozenset(range(1, n + 1))}.union(*chambers))
+    check = verify_flat_family(n, family.sets)
     if not check.ok:
         return _reject(REASON_FLAT_AXIOM, (check.axiom, check.witness))
-    witness = _support_equal(complex_, pieces, family)
-    if witness is not None:
-        return _reject(REASON_SUPPORT, witness)
+    # Lemma: a pure fan of dimension d, balanced with unit weights and within
+    # the heterogeneity bound, has a union of closed d-dimensional braid
+    # cones as support.  Each cell lies in the d-dimensional braid flat L cut
+    # out by the x_i = x_j that hold on it.  A wall inside an open braid
+    # chamber of L has points of heterogeneity d + 1, so each cell through it
+    # lies in L, and balancing puts a cell on each side.  So the support holds
+    # every chamber it meets, and equals the chain fan's exactly when every
+    # maximal chain is a chamber; the point -sum(e_F) of the first that is
+    # not lies outside it.
+    for chain in family.maximal_chains():
+        if chain not in chambers:
+            witness = TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
+            return _reject(REASON_SUPPORT, witness)
     return _accept(_flat_matroid(family), family.sets)
 
 

@@ -17,7 +17,9 @@ replaced, the convexity probe that drew every sample before checking a
 pair, which drawing integer samples one pair at a time replaced, support
 equality by recursive polyhedral subtraction of the cells from every maximal
 chain cone, which looking up each chain among the chambers of the braid
-pieces replaced, and the circuit derivations of a valuated matroid."""
+pieces replaced, the circuit derivations of a valuated matroid, and the
+coordinate classes of a cell, which reading the chamber of each braid piece
+replaced in the heterogeneity bound."""
 
 import importlib.util
 import random
@@ -199,6 +201,30 @@ def skeleton_fan_corpus():
                 cells = [Cell(n, chain_cone(n, c)) for c in chains]
                 for kept in (cells, cells[1:]):
                     yield WeightedComplex(n, kept, [1] * len(kept), validate=False)
+
+
+def het_bound_fans():
+    """Balanced weight-one fans that break the heterogeneity bound: the line
+    through (0,-1,-2,-3) as two rays and as one cell with lineality, and a
+    2-dimensional fan with lineality e_4 whose second cell, over (1,-1,0,0),
+    has four coordinate classes and is refined into four braid pieces."""
+    n, origin = 4, [TropPoint((0, 0, 0, 0))]
+    line = [Cell.from_torus(n, origin, rays=[r]) for r in [(0, -1, -2, -3), (0, 1, 2, 3)]]
+    lineality = [Cell.from_torus(n, origin, lineality=[(0, -1, -2, -3)])]
+    walls = [
+        Cell.from_torus(n, origin, rays=[r], lineality=[(0, 0, 0, 1)])
+        for r in [(-1, 0, 0, 0), (1, -1, 0, 0), (0, 1, 0, 0)]
+    ]
+    return [WeightedComplex(n, cells, [1] * len(cells)) for cells in (line, lineality, walls)]
+
+
+def coordinate_classes(cell) -> int:
+    """The number of classes of torus coordinates that agree identically on
+    the cell: the distinct coordinate columns of its generators, which is
+    the largest heterogeneity of a point of the cell.  A cell of a fan of
+    dimension d breaks the heterogeneity bound when it has more than d + 1."""
+    gens = [v.coords for v in cell.vertices] + cell.rays + cell.lineality
+    return len(set(zip(*gens)))
 
 
 def off_chain_point(complex_, pieces, family) -> TropPoint | None:

@@ -1,11 +1,13 @@
-"""Fuzzing complex, set-family and matroid JSON through the command line:
-every input, however malformed or degenerate, ends in exit 0, 1 or 2 and
-never in a traceback."""
+"""Fuzzing complex, set-family, matroid and valuated-matroid JSON and inline
+points through the command line: every input, however malformed or
+degenerate, ends in exit 0, 1 or 2 and never in a traceback."""
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -84,19 +86,68 @@ def matroid_json(draw):
     return {"n": n, "bases": bases}
 
 
-def run_cli(command, data, args=()):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "complex.json"
-        path.write_text(json.dumps(data))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path), *args])
+@st.composite
+def number_text(draw):
+    """A small rational, a power of ten whose exponent is near the digit
+    limit of printing (10^limit parses but has one digit too many to print,
+    and an exponent past the limit is refused), or text that is no number."""
+    limit = sys.get_int_max_str_digits()
+    kind = draw(st.integers(0, 11))
+    if kind == 0:
+        exponent = draw(st.sampled_from([limit - 1, limit, limit + 1]))
+        return draw(st.sampled_from(["", "-"])) + "1e" + draw(st.sampled_from(["", "-"])) + str(exponent)
+    if kind == 1:
+        return draw(st.sampled_from(["", "x", "1/0", "nan", "inf", "1e", "2.5", "1_0"]))
+    return str(Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4))))
+
+
+@st.composite
+def point_text(draw, n):
+    """n coordinates, or sometimes one more, joined by commas."""
+    size = n + draw(st.sampled_from([0] * 7 + [1]))
+    return ",".join(draw(number_text()) for _ in range(size))
+
+
+@st.composite
+def valuated_json(draw):
+    """Half the time a uniform matroid valued by w(B) = the sum of small
+    rationals a_i over i in B, which passes the Pluecker relations;
+    otherwise a matroid drawn by `matroid_json` with a weight drawn by
+    `number_text` on each basis, sometimes one missing and sometimes one on
+    a set that is no basis."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        bases = [list(c) for c in combinations(range(1, n + 1), draw(st.integers(1, n)))]
+        a = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))) for _ in range(n)]
+        weights = {",".join(map(str, b)): str(sum(a[i - 1] for i in b)) for b in bases}
+        return {"n": n, "bases": bases, "weights": weights}
+    data = draw(matroid_json())
+    keys = [",".join(map(str, sorted(set(b)))) for b in data["bases"]]
+    if keys and draw(st.booleans()):
+        keys = keys[1:]
+    if draw(st.integers(0, 4)) == 0:
+        keys.append(",".join(map(str, range(1, data["n"] + 1))))
+    data["weights"] = {key: draw(number_text()) for key in keys}
+    return data
+
+
+def run_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     else:
         json.loads(out.getvalue())
+
+
+def run_cli(command, data, args=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        path.write_text(json.dumps(data))
+        run_argv([command, str(path), *args])
 
 
 @FUZZ
@@ -141,3 +192,18 @@ def test_chains_never_crashes(data):
 @given(matroid_json())
 def test_bergman_never_crashes(data):
     run_cli("bergman", data)
+
+
+# more examples than the other commands, so that each kind of number meets
+# each command several times
+@settings(FUZZ, max_examples=80)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(point_text(n), point_text(n))))
+def test_segment_never_crashes(ends):
+    # --from=... so that a leading minus sign is not read as an option
+    run_argv(["segment", f"--from={ends[0]}", f"--to={ends[1]}"])
+
+
+@settings(FUZZ, max_examples=80)
+@given(valuated_json(), st.data())
+def test_member_never_crashes(data, draw):
+    run_cli("member", data, [f"--point={draw.draw(point_text(data['n']))}"])

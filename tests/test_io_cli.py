@@ -8,9 +8,8 @@ from itertools import combinations
 import pytest
 
 from troplin import io as tio
-from troplin import recognize
 from troplin.cli import main
-from troplin.complexes import Cell, WeightedComplex, chain_fan
+from troplin.complexes import Cell, WeightedComplex, chain_fan, to_quotient
 from troplin.errors import InvalidInputError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
@@ -20,6 +19,8 @@ from troplin.recognize import recognize_fan
 from conftest import (
     benchmark_tree_line,
     braid_fan_corpus,
+    coordinate_classes,
+    het_bound_fans,
     holed_tree_line,
     reference_cell,
     validate_common_faces,
@@ -471,22 +472,19 @@ class TestCli:
         assert main(["local-check", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["global"]["verdict"] == "accepted"
 
-    def test_unrealised_generic_point_is_exit_two(self, capsys, tmp_path, monkeypatch):
-        # a line with four distinct coordinates breaks the heterogeneity
-        # bound; with no scale matching, the witness search gives up
-        cells = [
-            {"vertices": [[0, 0, 0, 0]], "rays": [[0, -1, -2, -3]]},
-            {"vertices": [[0, 0, 0, 0]], "rays": [[0, 1, 2, 3]]},
-        ]
-        path = tmp_path / "line.json"
-        path.write_text(json.dumps({"n": 4, "cells": cells}))
-        assert main(["recognize", str(path)]) == 1
-        assert json.loads(capsys.readouterr().out)["reason"]["kind"] == "het-bound"
-        monkeypatch.setattr(recognize, "heterogeneity", lambda point: -1)
-        assert main(["recognize", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: no generic point")
-        assert "Traceback" not in captured.err
+    def test_heterogeneity_bound_fans_are_exit_one(self, capsys, tmp_path):
+        # the witness is a point of the first cell with four coordinate
+        # classes, also when that cell is refined into several pieces
+        for k, fan in enumerate(het_bound_fans()):
+            path = tmp_path / f"het{k}.json"
+            path.write_text(json.dumps(tio.complex_to_json(fan)))
+            assert main(["recognize", str(path)]) == 1
+            reason = json.loads(capsys.readouterr().out)["reason"]
+            assert reason["kind"] == "het-bound"
+            witness = tio.point_from_json(reason["witness"])
+            first = next(c for c in fan.cells if coordinate_classes(c) > fan.dim + 1)
+            assert first.poly.contains(to_quotient(witness))
+            assert len(set(witness.coords)) > fan.dim + 1
 
     def test_byte_determinism(self, capsys, files):
         _, first = self.run(

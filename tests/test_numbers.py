@@ -122,6 +122,41 @@ class TestParseFrac:
             assert time.perf_counter() - start < 1, s
             assert "not a rational" in capsys.readouterr().err
 
+    def test_numbers_too_long_to_print_exit_two(self, tmp_path, capsys):
+        # 10^limit parses but has one digit more than Python prints; so has
+        # the recession weight summed from two weights of limit digits
+        limit = sys.get_int_max_str_digits()
+        u23 = tmp_path / "u23.json"
+        weights = {"1,2": "0", "1,3": "0", "2,3": "1"}
+        u23.write_text(json.dumps({"n": 3, "bases": [[1, 2], [1, 3], [2, 3]], "weights": weights}))
+        rays = tmp_path / "rays.json"
+        cells = [{"vertices": [v], "rays": [[-1, 0, 0]], "weight": 10**limit - 1} for v in ([0, 0, 0], [0, 1, 0])]
+        rays.write_text(json.dumps({"n": 3, "cells": cells}))
+        literal = tmp_path / "literal.json"
+        literal.write_text('{"n": 2, "cells": [{"vertices": [[0, 0]], "weight": 1' + "0" * limit + "}]}")
+        printable = [
+            ["segment", "--from", f"0,1e{limit - 1}", "--to", "0,0"],
+            ["member", str(u23), "--point", f"0,0,-1e-{limit - 1}"],
+            ["balanced", str(rays)],
+        ]
+        too_long = [
+            ["segment", "--from", f"0,1e{limit}", "--to", "0,0"],
+            ["segment", "--from", "0,0", "--to", f"0,-1e-{limit}"],
+            ["member", str(u23), "--point", f"0,0,1e{limit}"],
+            ["member", str(u23), "--point", f"0,1e-{limit},0"],
+            ["recession", str(rays)],
+            ["recognize", str(literal)],
+        ]
+        for argv in printable:
+            for pretty in ([], ["--pretty"]):
+                assert main(pretty + argv) in (0, 1), argv
+                assert capsys.readouterr().err == ""
+        for argv in too_long:
+            for pretty in ([], ["--pretty"]):
+                assert main(pretty + argv) == 2, argv
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
     def test_integral_values_come_back_as_ints(self):
         for s in ["4/2", "-0", "007", "1e2", "1.0", 3, 2.0, "-6/3"]:
             assert type(tio.parse_frac(s)) is int

@@ -9,6 +9,7 @@ import pytest
 
 from troplin import complexes, matroids, polyhedra, recognize
 from troplin.complexes import (
+    BalanceCheck,
     Cell,
     WeightedComplex,
     chain_fan,
@@ -17,6 +18,7 @@ from troplin.complexes import (
     recession_fan,
     segment_in_support,
     star_fan,
+    to_quotient,
 )
 from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
@@ -26,7 +28,6 @@ from troplin.recognize import (
     Reason,
     _braid_pieces,
     _components,
-    _support_equal,
     convexity_probe,
     decide_complex,
     local_check,
@@ -40,7 +41,9 @@ from conftest import (
     coarse_uniform_corpus,
     coarse_uniform_fan,
     constraint_row_table,
+    coordinate_classes,
     dropped_cones,
+    het_bound_fans,
     holed_tree_line,
     make_tree_cells,
     off_chain_point,
@@ -140,6 +143,25 @@ class TestRecognizeFan:
         for m in enumerate_matroids(4):
             assert recognize_fan(chain_fan(ChainFamily(4, m.flats | {m.ground}))).accepted
         assert len(calls) == 27
+
+    def test_one_cover_relation_for_verdict_chains_and_matroid(self, monkeypatch):
+        # verify_flat_family computes its own; the family's cached covers give
+        # the maximal chains and the matroid
+        fans = [
+            chain_fan(ChainFamily(4, m.flats | {m.ground})) for m in enumerate_matroids(4)
+        ] + [coarse_uniform_fan(rank, 5) for rank in range(1, 6)]
+        calls = []
+        covers = matroids._covers
+
+        def counted(sets):
+            calls.append(sets)
+            return covers(sets)
+
+        monkeypatch.setattr(matroids, "_covers", counted)
+        for fan in fans:
+            calls.clear()
+            assert recognize_fan(fan).accepted
+            assert len(calls) == 2
 
     def test_round_trip_u23(self, u23_fan, u23):
         report = recognize_fan(u23_fan)
@@ -271,19 +293,30 @@ class TestRecognizeFan:
 
 
 class TestSupportEquality:
-    def test_missing_chain_cone_is_witnessed(self, u23_fan, u23):
-        sub = WeightedComplex(
-            3, u23_fan.cells[:2], [1, 1], validate=False
+    def test_missing_chain_cone_is_witnessed(self):
+        # the rays over every proper flat of U(3,4) are balanced, but they
+        # miss every 2-dimensional chain cone; the witness is the first one's
+        u34 = matroid_from_bases(4, combinations(range(1, 5), 3))
+        proper = sorted((f for f in u34.flats if f and f != u34.ground), key=sorted)
+        fan = WeightedComplex(
+            4, [origin_cell(4, [tuple(flat_direction(4, f).coords)]) for f in proper],
+            [1] * len(proper),
         )
-        family = ChainFamily(3, u23.flats | {u23.ground})
-        witness = _support_equal(sub, _braid_pieces(sub, 20000), family)
-        assert witness is not None
-        assert point_in_support(sub, witness) is None
+        report = recognize_fan(fan)
+        assert report.reason.kind == "support-mismatch"
+        witness = report.reason.witness
+        assert point_in_support(fan, witness) is None
+        first = ChainFamily(4, u34.flats | {u34.ground}).maximal_chains()[0]
+        assert chn_cell_of(witness)[:-1] == first
 
-    def test_equal_supports_pass(self, u23_fan, u23):
-        family = ChainFamily(3, u23.flats | {u23.ground})
-        pieces = _braid_pieces(u23_fan, 20000)
-        assert _support_equal(u23_fan, pieces, family) is None
+    def test_equal_supports_pass(self):
+        # no cell of a coarse U(3,4) fan is a braid cone, so every chamber is
+        # read from the relative interior point of a piece
+        fan = coarse_uniform_fan(3, 4)
+        assert all(cell.chain is None for cell in fan.cells)
+        report = recognize_fan(fan)
+        assert report.accepted
+        assert report.matroid == matroid_from_bases(4, combinations(range(1, 5), 3))
 
 
 class TestChainLookup:
@@ -300,70 +333,73 @@ class TestChainLookup:
 
         monkeypatch.setattr(recognize, "refine", counted)
         refined = 0
-        for fan in [*braid_fan_corpus(4), *coarse_uniform_corpus(5)]:
+        for fan in [*braid_fan_corpus(4), *coarse_uniform_corpus(5), *het_bound_fans()]:
             calls.clear()
             report = recognize_fan(fan)
             coarse = [c.poly for c in fan.cells if c.chain is None]
             if report.accepted or report.reason.kind in ("flat-axiom", "support-mismatch"):
                 assert len(calls) == len(coarse)
-                assert all(a is b for a, b in zip(calls, coarse))
-                refined += len(calls)
+            elif report.reason.kind == "het-bound":
+                # refinement stops at the first cell with an offending piece
+                assert 0 < len(calls) <= len(coarse)
             else:
                 assert calls == []
+            assert all(a is b for a, b in zip(calls, coarse))
+            refined += len(calls)
         assert refined > 50
 
     def test_accepted_coarse_fans_cover_every_chain_by_lookup(self, monkeypatch):
         calls = []
-        real = recognize._support_equal
+        real = recognize._braid_pieces
 
         def refuse(*args):
             raise AssertionError("support equality cut a polyhedron")
 
-        def uncut(*args):
-            calls.append(args)
-            with monkeypatch.context() as patch:
-                patch.setattr(Polyhedron, "_cut", refuse)
-                return real(*args)
-
-        monkeypatch.setattr(recognize, "_support_equal", uncut)
         for n in range(1, 7):
             for rank in range(1, n + 1):
-                assert recognize_fan(coarse_uniform_fan(rank, n)).accepted
+                with monkeypatch.context() as patch:
+
+                    def then_uncut(*args):
+                        calls.append(args)
+                        pieces = real(*args)
+                        patch.setattr(Polyhedron, "_cut", refuse)
+                        return pieces
+
+                    patch.setattr(recognize, "_braid_pieces", then_uncut)
+                    assert recognize_fan(coarse_uniform_fan(rank, n)).accepted
         assert len(calls) == 21
 
     def test_lookup_matches_coverage_of_every_chain(self, monkeypatch):
-        # against the source family, so the one-cone-dropped mutants, which
-        # are unbalanced, get witnesses too; refining every cone of an n = 6
-        # fan takes seconds, so only a first mutant is run there
+        # coarse fans with their one-cone-dropped mutants, which are
+        # unbalanced, and the skeleton fans, which give support mismatches;
+        # refining every cone of an n = 6 fan takes seconds, so only a first
+        # mutant is run there
         budget = 20000
-        cases = []
+        cases = [*skeleton_fan_corpus()]
         for n in range(1, 7):
             for rank in range(1, n + 1):
                 fan = coarse_uniform_fan(rank, n)
-                family = recover_flat_family(fan)
                 mutants = list(dropped_cones(fan))
-                kept = mutants[:1] if n == 6 else [fan, *mutants]
-                cases += [(cx, family) for cx in kept]
+                cases += mutants[:1] if n == 6 else [fan, *mutants]
 
         def run():
-            return [
-                (
-                    recognize_fan(cx, budget),
-                    _support_equal(cx, _braid_pieces(cx, budget), family),
-                )
-                for cx, family in cases
-            ]
+            return [recognize_fan(cx, budget) for cx in cases]
 
         looked_up = run()
-        assert {r.verdict for r, _ in looked_up} == {"accepted", "rejected"}
-        assert sum(w is not None for _, w in looked_up) > 20
-        for (cx, family), (_, witness) in zip(cases, looked_up):
-            pieces = _braid_pieces(cx, budget)
-            oracle = support_equal_by_coverage(cx, pieces, family, budget)
-            assert (witness is None) == (oracle is None)
-            if witness is not None:
+        assert {r.verdict for r in looked_up} == {"accepted", "rejected"}
+        mismatches = 0
+        for cx, report in zip(cases, looked_up):
+            if not (report.accepted or report.reason.kind == "support-mismatch"):
+                continue
+            family = recover_flat_family(cx)
+            oracle = support_equal_by_coverage(cx, _braid_pieces(cx, budget), family, budget)
+            assert report.accepted == (oracle is None)
+            if not report.accepted:
+                mismatches += 1
+                witness = report.reason.witness
                 assert point_in_support(cx, witness) is None
                 assert set(chn_cell_of(witness)) <= family.sets
+        assert mismatches > 20
         # with no chains every piece's chamber comes from its interior point
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         assert run() == looked_up
@@ -376,17 +412,104 @@ class TestChainLookup:
             if not (report.accepted or report.reason.kind == "support-mismatch"):
                 continue
             pieces = _braid_pieces(fan, 20000)
-            family = recognize._piece_family(fan.n, pieces)
-            # the lemma of `_support_equal`: every piece sits on a chain
+            family = recover_flat_family(fan)
+            # the lemma of `recognize_fan`: every piece sits on a chain
             assert off_chain_point(fan, pieces, family) is None
-            witness = _support_equal(fan, pieces, family)
+            witness = None if report.accepted else report.reason.witness
             assert (witness is None) == (support_equal_by_coverage(fan, pieces, family) is None)
             if witness is not None:
-                assert report.reason == Reason("support-mismatch", witness)
                 assert point_in_support(fan, witness) is None
                 assert set(chn_cell_of(witness)) <= family.sets
             seen.add(witness is None)
         assert seen == {True, False}
+
+
+class TestChambers:
+    """One pass reads each braid piece's chamber; its length is the
+    heterogeneity bound test, and the chambers' members are the flat
+    family."""
+
+    @staticmethod
+    def corpus():
+        return [
+            *braid_fan_corpus(4), *coarse_uniform_corpus(5), *skeleton_fan_corpus(),
+            *het_bound_fans(),
+        ]
+
+    @pytest.fixture(params=["braid", "none"])
+    def braid_or_none(self, request, monkeypatch):
+        """As is, or with no cell a braid cone, so every cell is refined."""
+        if request.param == "none":
+            monkeypatch.setattr(Cell, "braid", property(lambda self: None))
+            monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+
+    def test_chamber_verdict_matches_coordinate_classes(self, monkeypatch, braid_or_none):
+        # a one-cell fan taken as balanced reaches the chamber pass, and is
+        # rejected by it exactly when the oracle rejects the cell
+        monkeypatch.setattr(recognize, "is_balanced", lambda cx: BalanceCheck(True))
+        seen = set()
+        for fan in self.corpus():
+            for cell in fan.cells:
+                one = WeightedComplex(fan.n, [cell], [1], validate=False)
+                report = recognize_fan(one)
+                rejected = not report.accepted and report.reason.kind == "het-bound"
+                assert rejected == (coordinate_classes(cell) > cell.dim + 1)
+                if rejected:
+                    witness = report.reason.witness
+                    assert cell.poly.contains(to_quotient(witness))
+                    assert len(set(witness.coords)) == coordinate_classes(cell)
+                seen.add(rejected)
+        assert seen == {True, False}
+
+    def test_het_bound_witness_lies_in_the_first_offending_cell(self, braid_or_none):
+        rejected = 0
+        for fan in self.corpus():
+            report = recognize_fan(fan)
+            kind = None if report.accepted else report.reason.kind
+            if kind in ("non-pure", "weight-not-one", "unbalanced"):
+                continue
+            offending = [c for c in fan.cells if coordinate_classes(c) > fan.dim + 1]
+            assert (kind == "het-bound") == bool(offending)
+            if offending:
+                rejected += 1
+                witness = report.reason.witness
+                assert offending[0].poly.contains(to_quotient(witness))
+                assert len(set(witness.coords)) > fan.dim + 1
+        assert rejected == len(het_bound_fans())
+
+    def test_offending_cell_split_into_pieces(self):
+        walls = het_bound_fans()[-1]
+        first, offending, _ = walls.cells
+        assert [coordinate_classes(c) > walls.dim + 1 for c in walls.cells] == [False, True, False]
+        one = WeightedComplex(4, [offending], [1], validate=False)
+        assert len(_braid_pieces(one, 20000)) >= 2
+        report = recognize_fan(walls)
+        assert report.reason.kind == "het-bound"
+        witness = report.reason.witness
+        assert offending.poly.contains(to_quotient(witness))
+        assert not first.poly.contains(to_quotient(witness))
+        assert len(set(witness.coords)) > walls.dim + 1
+
+    def test_chamber_family_is_the_ray_family(self, monkeypatch, braid_or_none):
+        # the lemma of `recognize_fan` makes the members of the chambers the
+        # F with -e_F spanning a ray of a piece
+        checked = []
+        verify = recognize.verify_flat_family
+
+        def recorded(n, sets):
+            checked.append(sets)
+            return verify(n, sets)
+
+        monkeypatch.setattr(recognize, "verify_flat_family", recorded)
+        kinds = set()
+        for fan in self.corpus():
+            checked.clear()
+            report = recognize_fan(fan)
+            if checked:
+                (sets,) = checked
+                assert sets == recover_flat_family(fan).sets
+                kinds.add(report.verdict if report.accepted else report.reason.kind)
+        assert kinds == {"accepted", "flat-axiom", "support-mismatch"}
 
 
 class TestDecideComplex:
