@@ -22,6 +22,18 @@ from .recognize import convexity_probe, decide_complex, local_check, recognize_f
 from .valuated import member
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Write `--from -1,2` as `--from=-1,2`, since argparse reads a separate
+    value with a leading minus as an option unless it is a plain number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--from", "--to", "--point") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_point(text: str) -> TropPoint:
     return TropPoint(tio.parse_frac(part) for part in text.split(","))
 
@@ -230,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (InvalidInputError, ResourceLimitError) as exc:

@@ -29,7 +29,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .linalg import (
     IntVec,
     Vec,
@@ -140,23 +140,6 @@ def _generators(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
 def _from_rows(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]) -> Polyhedron | None:
     gens = _generators(m, eq_rows, ineq_rows)
     return None if gens is None else Polyhedron._minimal(m, *gens)
-
-
-def refine(poly: Polyhedron, hyperplanes: Iterable, budget: int, what: str) -> list[Polyhedron]:
-    """Split every piece along each hyperplane (a, b), a.x = b, in turn; raise
-    ResourceLimitError once the pieces of two consecutive rounds pass the budget."""
-    pieces = [poly]
-    for a, b in hyperplanes:
-        nxt = []
-        for p in pieces:
-            if p.cuts(a, b):
-                nxt.extend(x for x in p.split(a, b) if x is not None)
-            else:
-                nxt.append(p)
-            if len(nxt) + len(pieces) > budget:
-                raise ResourceLimitError(f"{what} exceeded its budget")
-        pieces = nxt
-    return pieces
 
 
 class Polyhedron:

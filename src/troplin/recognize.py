@@ -35,7 +35,7 @@ from .complexes import (
     segment_in_support,
     star_fan,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .matroids import (
     ChainFamily,
     GroundSet,
@@ -45,7 +45,7 @@ from .matroids import (
     verify_flat_family,
 )
 from .points import TropPoint, _integer_breakpoints
-from .polyhedra import refine
+from .polyhedra import Polyhedron
 
 REASON_NON_PURE = "non-pure"
 REASON_WEIGHT = "weight-not-one"
@@ -54,6 +54,8 @@ REASON_HET = "het-bound"
 REASON_FLAT_AXIOM = "flat-axiom"
 REASON_SUPPORT = "support-mismatch"
 REASON_RECESSION = "recession-mismatch"
+
+BRAID_BUDGET_EXCEEDED = "braid refinement exceeded its budget"
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,20 @@ def _braid_hyperplanes(n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def refine(poly: Polyhedron, hyperplanes, budget: int) -> list[Polyhedron]:
+    """Split every piece along each hyperplane (a, b), a.x = b, in turn; raise
+    ResourceLimitError once the pieces of two consecutive rounds pass the budget."""
+    pieces = [poly]
+    for a, b in hyperplanes:
+        nxt = []
+        for p in pieces:
+            nxt += [x for x in p.split(a, b) if x is not None] if p.cuts(a, b) else [p]
+            if len(nxt) + len(pieces) > budget:
+                raise ResourceLimitError(BRAID_BUDGET_EXCEEDED)
+        pieces = nxt
+    return pieces
+
+
 def _braid_pieces(complex_: WeightedComplex, budget: int) -> list[Cell]:
     """The cells cut into pieces that each lie in one closed braid cone: a
     cell that is a braid cone at the origin is its own piece, and any other
@@ -123,7 +139,7 @@ def _braid_pieces(complex_: WeightedComplex, budget: int) -> list[Cell]:
         if cell.chain is not None:
             pieces.append(cell)
         else:
-            cut = refine(cell.poly, hyperplanes, budget, "braid refinement")
+            cut = refine(cell.poly, hyperplanes, budget)
             pieces.extend(Cell(complex_.n, p) for p in cut)
     return pieces
 

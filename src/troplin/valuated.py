@@ -6,6 +6,9 @@ valuation vector whose finite support is exactly the circuit; the minus
 infinity entries are stored as None rather than as a sentinel number.
 Membership in the associated tropical linear space is the requirement that,
 for every circuit, the maximum of x_i + (v_C)_i is attained at least twice.
+A cell lies in that space exactly when it meets none of the open sectors in
+which one element of a circuit attains the maximum alone; `certify_cell`
+decides this with one cut per sector and needs no budget.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .complexes import coordinate_difference, from_quotient
+from .complexes import coordinate_difference
 from .errors import InvalidInputError
+from .linalg import vec_dot
 from .matroids import GroundSet, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
-from .polyhedra import DEFAULT_BUDGET, refine
+from .polyhedra import _from_rows, _neg, _row
 
 # index i holds the entry for ground element i+1; None encodes bottom.
 CircuitVector = tuple[Rational | None, ...]
@@ -60,13 +64,10 @@ def _normalized_weights(
     for key in weights:
         if frozenset(key) not in matroid.bases:
             raise InvalidInputError(f"valuation given on {sorted(key)}, which is not a basis")
-    out: dict[GroundSet, Rational] = {}
     for b in matroid.bases:
-        key = frozenset(b)
-        if key not in weights:
-            raise InvalidInputError(f"valuation missing on basis {sorted(key)}")
-        out[key] = _frac(weights[key])
-    return out
+        if b not in weights:
+            raise InvalidInputError(f"valuation missing on basis {sorted(b)}")
+    return {b: _frac(weights[b]) for b in matroid.bases}
 
 
 def normalize_circuit_vector(vec: Iterable[Rational | None]) -> CircuitVector:
@@ -127,20 +128,6 @@ class ValuatedMatroid:
             out[c] = self.circuit_valuation_from(c, basis, element)
         return out
 
-    @cached_property
-    def comparison_hyperplanes(self) -> list[tuple[tuple[int, ...], Rational]]:
-        """The distinct hyperplanes x_i + (v_C)_i = x_j + (v_C)_j, for i < j
-        in a circuit C, as (a, b) with a.x = b in quotient coordinates, in
-        the order of their first appearance over the circuits."""
-        n = self.n
-        out: dict[tuple[tuple[int, ...], Rational], None] = {}
-        for circuit, vec in self.circuit_valuations.items():
-            members = sorted(circuit)
-            for idx, i in enumerate(members):
-                for j in members[idx + 1 :]:
-                    out[coordinate_difference(n, i, j), vec[j - 1] - vec[i - 1]] = None
-        return list(out)
-
 
 def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
     """Membership in the tropical linear space of a valuated matroid."""
@@ -148,8 +135,7 @@ def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
         raise InvalidInputError("ambient size mismatch")
     for circuit, vec in valuated.circuit_valuations.items():
         values = [x.coords[i - 1] + vec[i - 1] for i in circuit]
-        top = max(values)
-        if sum(1 for v in values if v == top) < 2:
+        if values.count(max(values)) < 2:
             return False
     return True
 
@@ -186,9 +172,7 @@ def check_circuit_axioms(
             vc = vectors[c]
             for i in sorted(c & c2):
                 shift = vc[i - 1] - vectors[c2][i - 1]
-                vc2 = tuple(
-                    None if e is None else e + shift for e in vectors[c2]
-                )
+                vc2 = tuple(None if e is None else e + shift for e in vectors[c2])
                 for j in sorted(c - c2):
                     if not _eliminates(vectors, vc, vc2, c, c2, i, j):
                         return CircuitAxiomCheck(False, "elimination", (c, c2, i, j))
@@ -197,47 +181,52 @@ def check_circuit_axioms(
 
 def _eliminates(vectors, vc, vc2, c, c2, i, j) -> bool:
     target = vc[j - 1]
-    upper = [
-        _nmax(a, b) for a, b in zip(vc, vc2)
-    ]
+    upper = [_nmax(a, b) for a, b in zip(vc, vc2)]
     for d in _sorted_sets(vectors):
         if i in d or j not in d:
             continue
         vd = vectors[d]
         shift = target - vd[j - 1]
-        ok = True
-        for k in d:
-            lim = upper[k - 1]
-            if lim is None or vd[k - 1] + shift > lim:
-                ok = False
-                break
-        if ok:
+        if all(upper[k - 1] is not None and vd[k - 1] + shift <= upper[k - 1] for k in d):
             return True
     return False
 
 
 def _nmax(a: Rational | None, b: Rational | None) -> Rational | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
+    return a if b is None or (a is not None and a >= b) else b
 
 
-def certify_cell(valuated: ValuatedMatroid, cell, budget: int = DEFAULT_BUDGET) -> bool:
-    """Exact test that every point of a polyhedral cell is a member.
+def certify_cell(valuated: ValuatedMatroid, cell) -> bool:
+    """Exact test that every point of a polyhedral cell P is a member.
 
-    The cell is refined along the arrangement of the distinct comparison
-    hyperplanes x_i + (v_C)_i = x_j + (v_C)_j over all circuits; on each refined
-    full-dimensional piece the winner pattern is constant, so testing one
-    relative-interior point per piece decides the whole cell.  Membership is
-    a closed condition, which settles the piece boundaries as well.
+    A point is a non-member exactly when it lies in an open sector
+    S_i(C) = {x : x_i + (v_C)_i > x_j + (v_C)_j for all j in C - i} of a
+    circuit C, so P is certified exactly when it meets no S_i(C).  With the
+    maxima of x_i - x_j over P read once from its generators, (C, i) is
+    skipped when some j in C - i has max (x_i - x_j) <= (v_C)_j - (v_C)_i.
+    Otherwise one cut by the |C| - 1 closed sector rows gives Q.  A convex
+    set inside finitely many hyperplanes lies in one of them, so P meets
+    S_i(C) exactly when Q is nonempty and no sector row vanishes on every
+    generator of Q.  Each sector costs one cut, so no budget is needed.
     """
     if cell.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
-    n = valuated.n
-    for piece in refine(cell.poly, valuated.comparison_hyperplanes, budget, "cell refinement"):
-        point = from_quotient(n, piece.relative_interior_point())
-        if not member(valuated, point):
-            return False
+    n, poly = valuated.n, cell.poly
+    verts = [(0,) + v for v in poly.vertices]
+    dirs = [(0,) + d for d in poly.rays + poly.lineality + tuple(map(_neg, poly.lineality))]
+    # top[i][j] is the max over P of x_i - x_j, or None where it is unbounded
+    top = [
+        [None if any(d[i] > d[j] for d in dirs) else max(v[i] - v[j] for v in verts) for j in range(n)]
+        for i in range(n)
+    ]
+    for circuit, vec in valuated.circuit_valuations.items():
+        for i in sorted(circuit):
+            others, row = sorted(circuit - {i}), top[i - 1]
+            if any(row[j - 1] is not None and row[j - 1] <= vec[j - 1] - vec[i - 1] for j in others):
+                continue
+            sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j in others]
+            eqs, ineqs = poly._rows
+            q = _from_rows(n - 1, eqs, ineqs + sector)
+            if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):
+                return False
     return True

@@ -19,7 +19,9 @@ equality by recursive polyhedral subtraction of the cells from every maximal
 chain cone, which looking up each chain among the chambers of the braid
 pieces replaced, the circuit derivations of a valuated matroid, and the
 coordinate classes of a cell, which reading the chamber of each braid piece
-replaced in the heterogeneity bound."""
+replaced in the heterogeneity bound, and cell certification by refinement
+along every comparison hyperplane, which the sector test of `certify_cell`
+replaced."""
 
 import importlib.util
 import random
@@ -31,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from troplin.complexes import (
+    DEFAULT_BUDGET,
     Cell,
     RowTable,
     SegmentCheck,
@@ -39,6 +42,7 @@ from troplin.complexes import (
     chain_cone,
     chain_fan,
     chn_cell_of,
+    coordinate_difference,
     direction_to_quotient,
     from_quotient,
     to_quotient,
@@ -55,8 +59,8 @@ from troplin.matroids import (
 )
 from troplin.points import TropPoint, flat_direction, segment
 from troplin.polyhedra import Polyhedron, _lift, _neg
-from troplin.recognize import ProbeResult, _sample_point, _structure_vertices
-from troplin.valuated import ValuatedMatroid
+from troplin.recognize import ProbeResult, _sample_point, _structure_vertices, refine
+from troplin.valuated import ValuatedMatroid, member
 
 
 @pytest.fixture(scope="session")
@@ -331,6 +335,85 @@ def benchmark_valuated_matroids(seed):
     workloads = _benchmark_workloads()
     for recipe in workloads.valuated_recipes(seed, small=False):
         yield recipe.make().valuated
+
+
+def benchmark_valuated_cases(seed):
+    """(valuated matroid, complex, its mutant or None) for each case of the
+    valuated_complexes benchmark for a seed."""
+    workloads = _benchmark_workloads()
+    for recipe in workloads.valuated_recipes(seed, small=False):
+        case = recipe.make()
+        mutant = recipe.mutant and workloads.mutate(case.complex_, recipe.mutant)
+        yield case.valuated, case.complex_, mutant
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** k * x * _int_det([r[:k] + r[k + 1 :] for r in rows[1:]])
+        for k, x in enumerate(rows[0])
+        if x
+    )
+
+
+def _v2(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def random_v2_matrix(rng: random.Random, rank: int, n: int) -> list[list[int]]:
+    """A seeded random integer rank x n matrix of full rank, no column zero."""
+    while True:
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rank)]
+        if all(any(col) for col in zip(*a)) and _int_det([row[:rank] for row in a]):
+            return a
+
+
+def v2_det_valuated(a) -> ValuatedMatroid:
+    """w(B) = -v_2(det A_B) on the matroid of the integer matrix A: the
+    valuation of a generic point of a Grassmannian over the 2-adic numbers."""
+    rank, n = len(a), len(a[0])
+    weights = {}
+    for b in combinations(range(n), rank):
+        d = _int_det([[row[i] for i in b] for row in a])
+        if d:
+            weights[frozenset(i + 1 for i in b)] = -_v2(d)
+    return ValuatedMatroid(matroid_from_bases(n, weights), weights)
+
+
+def v2_row_point(rng: random.Random, a) -> TropPoint:
+    """-v_2 of a seeded integer combination of the rows of A with no zero
+    entry; a point of the tropical linear space of `v2_det_valuated(a)`."""
+    while True:
+        c = [rng.randint(-9, 9) for _ in a]
+        x = [sum(k * row[i] for k, row in zip(c, a)) for i in range(len(a[0]))]
+        if all(x):
+            return TropPoint(-_v2(v) for v in x)
+
+
+def comparison_hyperplanes(valuated):
+    """The distinct hyperplanes x_i + (v_C)_i = x_j + (v_C)_j, for i < j in a
+    circuit C, as (a, b) with a.x = b in quotient coordinates, in the order of
+    their first appearance over the circuits."""
+    out = {}
+    for circuit, vec in valuated.circuit_valuations.items():
+        members = sorted(circuit)
+        for idx, i in enumerate(members):
+            for j in members[idx + 1 :]:
+                out[coordinate_difference(valuated.n, i, j), vec[j - 1] - vec[i - 1]] = None
+    return list(out)
+
+
+def certify_cell_by_refinement(valuated, cell, budget=DEFAULT_BUDGET) -> bool:
+    """`certify_cell` by refining the cell along every comparison hyperplane:
+    on each full piece the winner pattern is constant, so one relative
+    interior point per piece decides it, and membership is a closed
+    condition, which settles the piece boundaries as well."""
+    for piece in refine(cell.poly, comparison_hyperplanes(valuated), budget):
+        if not member(valuated, from_quotient(valuated.n, piece.relative_interior_point())):
+            return False
+    return True
 
 
 def rand_rational(rng: random.Random, span: int = 8, denominators: int = 4) -> Fraction:

@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 
 from troplin.complexes import (
+    Cell,
     WeightedComplex,
     chain_fan,
     is_balanced,
@@ -35,9 +36,15 @@ from troplin.recognize import (
     local_check,
     recognize_fan,
 )
-from troplin.valuated import member
+from troplin.valuated import certify_cell, member
 
-from conftest import make_tree_cells, rand_point, rand_rational
+from conftest import (
+    make_tree_cells,
+    rand_point,
+    rand_rational,
+    random_v2_matrix,
+    v2_det_valuated,
+)
 
 F = Fraction
 fs = frozenset
@@ -198,3 +205,15 @@ def test_criterion_10_permutohedral_counts():
     assert len(fan.cells) == 6
     assert len(fan.all_cells()) == 13
     report(10, "full chain fan on three elements: 6 maximal cones, 13 total", start, 1)
+
+
+def test_criterion_11_generic_cells_certify_without_refinement():
+    rng = random.Random(11)
+    vm = v2_det_valuated(random_v2_matrix(rng, 4, 7))
+    cells = [Cell.from_torus(7, [rand_point(rng, 7) for _ in range(4)]) for _ in range(20)]
+    assert {cell.dim for cell in cells} == {3}
+    start = time.monotonic()
+    verdicts = [certify_cell(vm, cell) for cell in cells]
+    # a generic 3-simplex does not lie in a 3-dimensional tropical linear space
+    assert not any(verdicts)
+    report(11, "20 random 3-simplices under a (4,7) -v2(det) valuation certified", start, 1)

@@ -199,11 +199,10 @@ def test_bergman_never_crashes(data):
 @settings(FUZZ, max_examples=80)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(point_text(n), point_text(n))))
 def test_segment_never_crashes(ends):
-    # --from=... so that a leading minus sign is not read as an option
-    run_argv(["segment", f"--from={ends[0]}", f"--to={ends[1]}"])
+    run_argv(["segment", "--from", ends[0], "--to", ends[1]])
 
 
 @settings(FUZZ, max_examples=80)
 @given(valuated_json(), st.data())
 def test_member_never_crashes(data, draw):
-    run_cli("member", data, [f"--point={draw.draw(point_text(data['n']))}"])
+    run_cli("member", data, ["--point", draw.draw(point_text(data["n"]))])

@@ -272,6 +272,23 @@ class TestCli:
             ["0", "2", "1"],
         ]
 
+    @pytest.mark.parametrize(
+        "command, path, options",
+        [
+            ("segment", None, [("--from", "-1,2,0"), ("--to", "-1/2,0,-3")]),
+            ("member", "u23v", [("--point", "-1,1,-5")]),
+            ("member", "u23v", [("--point", "-1,0,0")]),
+            ("star", "tree", [("--point", "-1,-1,0,0")]),
+            ("star", "tree", [("--point", "-2,-1,0,0")]),
+        ],
+    )
+    def test_leading_minus_in_either_form(self, capsys, files, command, path, options):
+        head = [command] + ([str(files[path])] if path else [])
+        apart = self.run(capsys, *head, *(s for pair in options for s in pair))
+        joined = self.run(capsys, *head, *(f"{k}={v}" for k, v in options))
+        assert apart == joined
+        assert apart[0] in (0, 1)
+
     def test_member_exit_codes(self, capsys, files):
         code, out = self.run(
             capsys, "member", str(files["u23v"]), "--point", "0,1,-5"

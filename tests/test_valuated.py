@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from troplin.complexes import Cell, coordinate_difference
-from troplin.errors import InvalidInputError, ResourceLimitError
+from troplin.errors import InvalidInputError
 from troplin.matroids import _sorted_sets, enumerate_matroids
 from troplin.points import TropPoint, segment, trop_combine
 from troplin.valuated import (
@@ -19,10 +19,17 @@ from troplin.valuated import (
 )
 
 from conftest import (
+    benchmark_valuated_cases,
     benchmark_valuated_matroids,
+    certify_cell_by_refinement,
+    comparison_hyperplanes,
     derivations,
     fundamental_circuit,
+    rand_point,
     rand_rational,
+    random_v2_matrix,
+    v2_det_valuated,
+    v2_row_point,
 )
 
 F = Fraction
@@ -136,6 +143,7 @@ class TestCircuitValuation:
                 assert vec == vm.circuit_valuation_from(c, *derivations(vm, c)[0])
 
     def test_comparison_hyperplanes_are_the_distinct_circuit_pairs(self):
+        # the hyperplanes of the refinement oracle of `certify_cell`
         for vm in benchmark_valuated_matroids(301):
             pairs = [
                 (coordinate_difference(vm.n, i, j), vec[j - 1] - vec[i - 1])
@@ -144,7 +152,7 @@ class TestCircuitValuation:
                 for j in sorted(c)
                 if i < j
             ]
-            assert vm.comparison_hyperplanes == list(dict.fromkeys(pairs))
+            assert comparison_hyperplanes(vm) == list(dict.fromkeys(pairs))
 
     def test_not_a_circuit(self, u23_valuated):
         with pytest.raises(InvalidInputError):
@@ -291,6 +299,15 @@ class TestCertifyCell:
         for coords in [(0, 0, -5), (0, -1, -2), (0, 0, 0)]:
             cell = Cell.from_torus(3, [TropPoint(coords)])
             assert certify_cell(vm, cell) == member(vm, TropPoint(coords))
+        rng = random.Random(301)
+        verdicts = set()
+        for vm in benchmark_valuated_matroids(301):
+            for _ in range(20):
+                x = TropPoint(rng.randint(-2, 2) for _ in range(vm.n))
+                verdict = member(vm, x)
+                assert certify_cell(vm, Cell.from_torus(vm.n, [x])) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_tree_cells_certify(self, u24_tree_valuated, tree_complex):
         for cell in tree_complex.cells:
@@ -306,6 +323,42 @@ class TestCertifyCell:
         bad = Cell.from_torus(4, [TropPoint((0, 0, 0, 0))], rays=[(-1, 0, 0, 0)])
         assert not certify_cell(u24_tree_valuated, bad)
 
-    def test_refinement_over_budget_raises(self, u24_tree_valuated, tree_complex):
-        with pytest.raises(ResourceLimitError, match="cell refinement"):
-            certify_cell(u24_tree_valuated, tree_complex.cells[0], budget=1)
+
+class TestSectorTestAgainstRefinement:
+    """`certify_cell` gives the verdicts of refinement along every comparison
+    hyperplane (`certify_cell_by_refinement`)."""
+
+    def test_benchmark_faces_mutants_and_translates(self):
+        rng = random.Random(301)
+        verdicts = []
+        for vm, cx, mutant in benchmark_valuated_cases(301):
+            cells = cx.all_cells() + list(mutant.cells if mutant else ())
+            for cell in cx.cells:
+                shift = [rand_rational(rng, 2) for _ in range(cx.n - 1)]
+                cells.append(Cell(cx.n, cell.poly.translate(shift)))
+            for cell in cells:
+                verdict = certify_cell(vm, cell)
+                assert verdict == certify_cell_by_refinement(vm, cell), cell
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("rank, n", [(3, 5), (3, 6)])
+    def test_random_cells_under_generic_valuations(self, rank, n):
+        """Pieces of tropical segments between points of the space are
+        members; random simplices, rays and lines mostly are not."""
+        rng = random.Random(f"sectors:{rank},{n}")
+        a = random_v2_matrix(rng, rank, n)
+        vm = v2_det_valuated(a)
+        cells = []
+        for _ in range(6):
+            x, y = v2_row_point(rng, a), v2_row_point(rng, a)
+            assert member(vm, x) and member(vm, y)
+            pts = segment(x, y)
+            cells += [Cell.from_torus(n, pts[k : k + 2]) for k in range(len(pts) - 1)]
+            direction = [rng.randint(-1, 1) for _ in range(n)]
+            cells.append(Cell.from_torus(n, [rand_point(rng, n, 3) for _ in range(rank)]))
+            cells.append(Cell.from_torus(n, [x], rays=[direction]))
+            cells.append(Cell.from_torus(n, [y], lineality=[direction]))
+        verdicts = [certify_cell(vm, cell) for cell in cells]
+        assert verdicts == [certify_cell_by_refinement(vm, cell) for cell in cells]
+        assert True in verdicts and False in verdicts
