@@ -22,14 +22,29 @@ from .recognize import convexity_probe, decide_complex, local_check, recognize_f
 from .valuated import member
 
 
+POINT_OPTIONS = ("--from", "--to", "--point")
+
+
 def _attach_point_values(argv: list[str]) -> list[str]:
     """Write `--from -1,2` as `--from=-1,2`, since argparse reads a separate
-    value with a leading minus as an option unless it is a plain number."""
+    value with a leading minus as an option unless it is a plain number.
+    Abbreviations are joined too: after the command, argparse resolves any
+    prefix of a point option to it, since no command has another option
+    with such a prefix."""
     out: list[str] = []
+    command = False
     for arg in argv:
-        if out and out[-1] in ("--from", "--to", "--point") and arg[:1] == "-" and arg[:2] != "--":
+        last = out[-1] if out else ""
+        if (
+            command
+            and len(last) > 2
+            and any(o.startswith(last) for o in POINT_OPTIONS)
+            and arg[:1] == "-"
+            and arg[:2] != "--"
+        ):
             out[-1] += "=" + arg
         else:
+            command = command or arg[:1] != "-"
             out.append(arg)
     return out
 

@@ -9,9 +9,12 @@ weights on their maximal cells.
 The operations here are the tropical-variety toolkit: primitive normal
 vectors and the balancing test, recession and star fans, fans of chains of
 subsets, and exact coverage tests for tropical segments.  A cell that is a
-braid cone apex + cone(-e_F over a chain) is recognised from its
-generators (`Cell.braid`), and balancing, dimension and star containment
-read the chain instead of an H-representation.  Segment coverage reads one
+braid cone apex + cone(-e_F over a chain) carries its apex and chain
+(`Cell.braid`): a cell built from a chain (`Cell.from_braid`, for chain
+fans, recession cones of braid cones and stars at their apexes) is given
+them, and any other cell has them read off its generators.  Balancing reads
+each braid facet's dropped sets, and dimension and star containment read
+the chain, instead of an H-representation.  Segment coverage reads one
 `RowTable` per complex of the cells' distinct constraint rows, each
 evaluated once at every integer breakpoint of the segment.  Most rows are
 coordinate differences q*(x_i - x_j) + c, read from two coordinates: all of
@@ -76,22 +79,25 @@ def coordinate_difference(n: int, i: int, j: int) -> tuple[int, ...]:
 
 
 def chain_cone(n: int, chain: Iterable[Iterable[int]]) -> Polyhedron:
-    """The cone on the negated indicator vectors of a chain's members.
+    """The cone on the negated indicator vectors of a chain's members, which
+    are proper nonempty sets.
 
     In quotient coordinates -e_F is the integer vector with entry
-    [1 in F] - [i in F] at position i = 2..n.
+    [1 in F] - [i in F] at position i = 2..n.  These rays are primitive and
+    pairwise distinct and no one is redundant, so they are set sorted, with
+    no reduction.
     """
-    rays = [tuple(int(1 in f) - int(i in f) for i in range(2, n + 1)) for f in map(set, chain)]
-    return Polyhedron._minimal(n - 1, [(0,) * (n - 1)], rays)
+    rays = sorted(tuple((1 in f) - (i in f) for i in range(2, n + 1)) for f in chain)
+    return Polyhedron._canonical(n - 1, ((0,) * (n - 1),), tuple(rays))
 
 
 def ray_set(r: Sequence[int]) -> GroundSet | None:
     """The F with -e_F spanning the primitive quotient ray r, or None: lifted
-    to (0,) + r, it is -e_F up to the all-ones line when it takes two values
-    that differ by 1, and F is where it takes the lower one."""
+    to (0,) + r, it is -e_F up to the all-ones line when its largest and
+    smallest entries differ by 1, and F is where it takes the smaller."""
     lifted = lift_direction(r)
     low = min(lifted)
-    if set(lifted) != {low, low + 1}:
+    if max(lifted) - low != 1:
         return None
     return frozenset(i for i, x in enumerate(lifted, 1) if x == low)
 
@@ -139,10 +145,26 @@ class Cell:
         qlin = [l for l in qlin if not vec_is_zero(l)]
         return _cell_of(n, verts, qrays, qlin)
 
+    @classmethod
+    def from_braid(cls, n: int, apex: Vec, chain: tuple[GroundSet, ...]) -> "Cell":
+        """The braid cone apex + cone(-e_F over an ascending chain of proper
+        nonempty sets), for a canonical apex in quotient coordinates.
+
+        The polyhedron is set from `chain_cone`, and `braid` from the
+        arguments, so neither is derived from generators.
+        """
+        poly = chain_cone(n, chain)
+        if not vec_is_zero(apex):
+            poly = Polyhedron._canonical(n - 1, (apex,), poly.rays)
+        cell = cls(n, poly)
+        vars(cell)["braid"] = (poly.vertices[0], chain)
+        return cell
+
     @cached_property
     def braid(self) -> tuple[Vec, tuple[GroundSet, ...]] | None:
-        """The apex and chain of subsets of the translated braid cone this
-        cell is, or None.
+        """The apex and ascending chain of subsets of the translated braid
+        cone this cell is, or None; set by `from_braid`, and otherwise read
+        off the generators.
 
         The cell is apex + cone(-e_F over a chain) exactly when it has one
         vertex, no lineality and rays -e_F (`ray_set`) for nested sets F.
@@ -390,61 +412,87 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
 
     At each such face the weighted sum of primitive normal vectors of the
     adjacent maximal cells must lie in the linear span of the face.  A
-    braid cone, at the origin or translated to an apex v, is unimodular and
-    simplicial, so dropping one of its rays u gives a facet whose primitive
-    inward normal is u; that facet's canonical key is (m, (v,), the other
-    rays, ()), the key the geometric faces of other cells get, and it is
-    built only as a witness.
+    braid cone v + cone(-e_F over a chain), at the origin or translated, is
+    unimodular and simplicial, so dropping a member F of its chain leaves
+    the facet v + cone(G) on the sub-chain G, with primitive inward normal
+    -e_F.  Facets are grouped by apex and sub-chain, each with the dropped
+    sets F and their weights w, and a facet of any other cell that is a
+    braid cone (every vertex is, with the empty chain) joins its group with
+    its lifted primitive normal.  Modulo the all-ones line the span of
+    v + cone(G) is the vectors constant on each block of the ordered
+    partition that G cuts out, so the group is balanced exactly when the
+    sum of -w*1_F and the lifted normals is constant on each block of G.
+
+    Lemma: F lies in one gap G_(j-1) < F < G_j of G (G_0 empty, G_(k+1) the
+    ground set), so -w*1_F is -w on each block below that gap and 0 on each
+    above it; only on the block G_j - G_(j-1) can it vary.  A group of
+    dropped sets alone is therefore read on the blocks of their gaps.
+
+    The witness is the failing face with the least canonical key, which is
+    computed for failing faces only.
     """
     if not complex_.is_pure:
         raise InvalidInputError("balancing is defined for pure complexes")
-    # canonical face key -> [face or None, (weight, normal) pairs, is a braid cone's face]
-    groups: dict = {}
+    n = complex_.n
+    ground = frozenset(range(1, n + 1))
+    # (apex, sub-chain) -> ((gap below, gap above, F, weight) per dropped F, (weight, normal) pairs)
+    braid_facets: dict = {}
+    # canonical key of a face that is no braid cone -> [its cell, (weight, normal) pairs]
+    other_facets: dict = {}
     for cell, weight in zip(complex_.cells, complex_.weights):
-        poly = cell.poly
         if cell.braid is not None:
-            for u in poly.rays:
-                rest = tuple(r for r in poly.rays if r != u)
-                entry = groups.setdefault((poly.m, poly.vertices, rest, ()), [None, [], False])
-                entry[1].append((weight, u))
-                entry[2] = True
+            apex, chain = cell.braid
+            bounds = (frozenset(),) + chain + (ground,)
+            for i, f in enumerate(chain):
+                key = (apex, chain[:i] + chain[i + 1 :])
+                entry = braid_facets.get(key)
+                if entry is None:
+                    entry = braid_facets[key] = ([], [])
+                entry[0].append((bounds[i], bounds[i + 2], f, weight))
             continue
+        poly = cell.poly
         for face, row in poly.faces_of_facets():
-            entry = groups.setdefault(face.canonical_key, [face, [], False])
-            entry[0] = entry[0] or face
-            entry[1].append((weight, lattice_quotient_generator(poly.lattice_basis, row[:-1])))
-    for key in sorted(groups):
-        face, contributions, braid = groups[key]
-        total = [0] * key[0]
-        for weight, u in contributions:
+            u = (weight, lattice_quotient_generator(poly.lattice_basis, row[:-1]))
+            facet = Cell(n, face)
+            if facet.braid is not None:
+                braid_facets.setdefault(facet.braid, ([], []))[1].append(u)
+            else:
+                other_facets.setdefault(face.canonical_key, [facet, []])[1].append(u)
+    failing = [
+        Cell.from_braid(n, apex, sub)
+        for (apex, sub), (dropped, normals) in braid_facets.items()
+        if not _constant_on_blocks(ground, sub, dropped, normals)
+    ]
+    for facet, normals in other_facets.values():
+        total = [0] * (n - 1)
+        for weight, u in normals:
             for i, x in enumerate(u):
                 total[i] += weight * x
-        if vec_is_zero(total):
-            continue
-        if braid:
-            ok = _in_braid_span(key[2], total)
-        else:
-            # a direction is 0 in the homogenising coordinate, first in `_span`
-            ok = in_span(face._span, (0, *total))
-        if not ok:
-            face = face or Polyhedron._minimal(key[0], key[1], key[2])
-            return BalanceCheck(False, Cell(complex_.n, face))
-    return BalanceCheck(True)
+        # a direction is 0 in the homogenising coordinate, first in `_span`
+        if not vec_is_zero(total) and not in_span(facet.poly._span, (0, *total)):
+            failing.append(facet)
+    if not failing:
+        return BalanceCheck(True)
+    return BalanceCheck(False, min(failing, key=lambda c: c.poly.canonical_key))
 
 
-def _in_braid_span(rays: Sequence[IntVec], vec: Sequence[int]) -> bool:
-    """Is vec in the span of the rays of a braid cone?
-
-    Modulo the all-ones line that span is the vectors constant on each block
-    of the ordered partition cut out by the cone's chain, and two positions
-    share a block exactly when every ray takes the same value at both.
-    """
-    lifted = [lift_direction(r) for r in rays]
-    value: dict = {}
-    for i, x in enumerate(lift_direction(vec)):
-        if value.setdefault(tuple(r[i] for r in lifted), x) != x:
-            return False
-    return True
+def _constant_on_blocks(ground: GroundSet, sub: tuple[GroundSet, ...], dropped, normals) -> bool:
+    """Is the sum of -w*1_F over the dropped (gap below, gap above, F, w)
+    and of w*(0, u) over the (w, u) normals constant on each block of the
+    chain sub?  With no normals only the blocks of the dropped sets' gaps
+    are read, by the lemma of `is_balanced`."""
+    total = [0] * (len(ground) + 1)  # at torus positions 1..n
+    for _, _, f, w in dropped:
+        for i in f:
+            total[i] -= w
+    for w, u in normals:
+        for i, x in enumerate(u, 2):
+            total[i] += w * x
+    if normals:
+        blocks = zip((frozenset(),) + sub, sub + (ground,))
+    else:
+        blocks = {(lo, hi) for lo, hi, _, _ in dropped}
+    return all(len({total[i] for i in hi - lo}) == 1 for lo, hi in blocks)
 
 
 def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> WeightedComplex:
@@ -453,7 +501,13 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
         return WeightedComplex(
             complex_.n, complex_.cells, complex_.weights, validate=False
         )
-    rec_cells = [Cell(complex_.n, c.poly.recession()) for c in complex_.cells]
+    n = complex_.n
+    origin = (0,) * (n - 1)
+    # a braid cone's recession cone is its chain's cone at the origin
+    rec_cells = [
+        Cell(n, c.poly.recession()) if c.braid is None else Cell.from_braid(n, origin, c.braid[1])
+        for c in complex_.cells
+    ]
     if all(c.chain is not None for c in rec_cells):
         # braid cones meet in the cone of their common sub-chain, so the fan
         # needs no repair; a cone goes when its chain lies in another
@@ -541,18 +595,24 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     if p.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
     q = to_quotient(p)
-    zero = [(0,) * len(q)]
+    origin = (0,) * len(q)
     cones = []
     for cell, weight in zip(complex_.cells, complex_.weights):
+        if not _cell_contains(cell, q):
+            continue
+        braid = cell.braid
+        if braid is not None and braid[0] == q:
+            # at its apex a braid cone's star is its chain's cone
+            cones.append((Cell.from_braid(complex_.n, origin, braid[1]), weight))
+            continue
+        # the cone of directions from q into the cell
         poly = cell.poly
-        if _cell_contains(cell, q):
-            # the cone of directions from q into the cell
-            rays = list(poly.rays)
-            for v in poly.vertices:
-                d = vec_sub(v, q)
-                if not vec_is_zero(d):
-                    rays.append(primitive_direction(d))
-            cones.append((_cell_of(complex_.n, zero, rays, poly.lineality), weight))
+        rays = list(poly.rays)
+        for v in poly.vertices:
+            d = vec_sub(v, q)
+            if not vec_is_zero(d):
+                rays.append(primitive_direction(d))
+        cones.append((_cell_of(complex_.n, [origin], rays, poly.lineality), weight))
     if not cones:
         raise InvalidInputError("point outside the support")
     return _merged_fan(complex_.n, cones)
@@ -580,7 +640,8 @@ def chain_fan(family: ChainFamily) -> WeightedComplex:
     Each maximal chain of proper nonempty members spans a unimodular cone on
     the negated indicator vectors of its members.
     """
-    cells = [Cell(family.n, chain_cone(family.n, chain)) for chain in family.maximal_chains()]
+    origin = (0,) * (family.n - 1)
+    cells = [Cell.from_braid(family.n, origin, chain) for chain in family.maximal_chains()]
     return WeightedComplex(family.n, cells, [1] * len(cells), validate=False)
 
 

@@ -163,6 +163,15 @@ class Polyhedron:
         poly._set(m, vertices, rays, lineality)
         return poly
 
+    @classmethod
+    def _canonical(cls, m: int, vertices: tuple[Vec, ...], rays: tuple[IntVec, ...]) -> Polyhedron:
+        """Build with no lineality from the form `_set` gives, taken as is:
+        distinct canonical vertices and distinct primitive rays, each sorted,
+        none of them redundant."""
+        poly = cls.__new__(cls)
+        poly.m, poly.vertices, poly.rays, poly.lineality = m, vertices, rays, ()
+        return poly
+
     def _set(self, m: int, vertices, rays, lineality) -> None:
         self.m = m
         lin_rows = [primitive_direction(l) for l in lineality if not vec_is_zero(l)]

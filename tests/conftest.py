@@ -19,9 +19,11 @@ equality by recursive polyhedral subtraction of the cells from every maximal
 chain cone, which looking up each chain among the chambers of the braid
 pieces replaced, the circuit derivations of a valuated matroid, and the
 coordinate classes of a cell, which reading the chamber of each braid piece
-replaced in the heterogeneity bound, and cell certification by refinement
+replaced in the heterogeneity bound, cell certification by refinement
 along every comparison hyperplane, which the sector test of `certify_cell`
-replaced."""
+replaced, and braid balancing by rays, grouping facets by their generators
+and testing each sum against the rays' coordinate classes, which balancing
+on the dropped sets of each sub-chain replaced."""
 
 import importlib.util
 import random
@@ -34,6 +36,7 @@ import pytest
 
 from troplin.complexes import (
     DEFAULT_BUDGET,
+    BalanceCheck,
     Cell,
     RowTable,
     SegmentCheck,
@@ -45,10 +48,18 @@ from troplin.complexes import (
     coordinate_difference,
     direction_to_quotient,
     from_quotient,
+    lift_direction,
     to_quotient,
 )
 from troplin.errors import InvalidInputError, ResourceLimitError
-from troplin.linalg import hermite_normal_form, solve_exact, vec_dot, vec_is_zero
+from troplin.linalg import (
+    hermite_normal_form,
+    in_span,
+    lattice_quotient_generator,
+    solve_exact,
+    vec_dot,
+    vec_is_zero,
+)
 from troplin.lp import lp_feasible
 from troplin.matroids import (
     ChainFamily,
@@ -314,6 +325,17 @@ def benchmark_valuated_corpus(seed):
         yield recipe.make().complex_
         if recipe.mutant:
             yield workloads.mutate(recipe.make().complex_, recipe.mutant)
+
+
+def benchmark_valuated_mutants(seed):
+    """Every case of the valuated_complexes benchmark for a seed, each
+    followed by its drop mutant and its double mutant."""
+    workloads = _benchmark_workloads()
+    for recipe in workloads.valuated_recipes(seed, small=False):
+        cx = recipe.make().complex_
+        yield cx
+        for kind in (workloads.DROP, workloads.DOUBLE):
+            yield workloads.mutate(cx, kind)
 
 
 def benchmark_tree_line(n):
@@ -978,3 +1000,57 @@ def height_table_bases(family):
         for c in combinations(sorted(ground), height[ground])
         if closure(frozenset(c)) == ground
     )
+
+
+def is_balanced_by_rays(complex_) -> BalanceCheck:
+    """`is_balanced` with a braid cone's facets keyed by its generators: the
+    facet dropping ray u has the key (m, (v,), the other rays, ()), the key
+    the geometric faces of other cells get, and primitive inward normal u.
+    Each face's weighted sum of normals is tested in sorted key order, a
+    braid cone's by `in_braid_span` and any other by the face's span."""
+    if not complex_.is_pure:
+        raise InvalidInputError("balancing is defined for pure complexes")
+    # canonical face key -> [face or None, (weight, normal) pairs, is a braid cone's face]
+    groups: dict = {}
+    for cell, weight in zip(complex_.cells, complex_.weights):
+        poly = cell.poly
+        if cell.braid is not None:
+            for u in poly.rays:
+                rest = tuple(r for r in poly.rays if r != u)
+                entry = groups.setdefault((poly.m, poly.vertices, rest, ()), [None, [], False])
+                entry[1].append((weight, u))
+                entry[2] = True
+            continue
+        for face, row in poly.faces_of_facets():
+            entry = groups.setdefault(face.canonical_key, [face, [], False])
+            entry[0] = entry[0] or face
+            entry[1].append((weight, lattice_quotient_generator(poly.lattice_basis, row[:-1])))
+    for key in sorted(groups):
+        face, contributions, braid = groups[key]
+        total = [0] * key[0]
+        for weight, u in contributions:
+            for i, x in enumerate(u):
+                total[i] += weight * x
+        if vec_is_zero(total):
+            continue
+        if braid:
+            ok = in_braid_span(key[2], total)
+        else:
+            ok = in_span(face._span, (0, *total))
+        if not ok:
+            face = face or Polyhedron._minimal(key[0], key[1], key[2])
+            return BalanceCheck(False, Cell(complex_.n, face))
+    return BalanceCheck(True)
+
+
+def in_braid_span(rays, vec) -> bool:
+    """Is vec in the span of the rays of a braid cone?  Modulo the all-ones
+    line that span is the vectors constant on each block of the ordered
+    partition cut out by the cone's chain, and two positions share a block
+    exactly when every ray takes the same value at both."""
+    lifted = [lift_direction(r) for r in rays]
+    value: dict = {}
+    for i, x in enumerate(lift_direction(vec)):
+        if value.setdefault(tuple(r[i] for r in lifted), x) != x:
+            return False
+    return True

@@ -1,15 +1,19 @@
 """Weighted complexes: balancing, recession, stars, chain fans, segments."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from troplin import complexes
 from troplin.complexes import (
     Cell,
     WeightedComplex,
+    _cell_of,
     chain_cone,
     chain_fan,
     chn_cell_of,
@@ -22,6 +26,7 @@ from troplin.complexes import (
     recession_fan,
     segment_in_support,
     star_fan,
+    to_quotient,
 )
 from troplin.errors import InvalidInputError
 from troplin.linalg import hermite_normal_form, in_span, saturate_rows
@@ -30,9 +35,15 @@ from troplin.points import TropPoint, flat_direction, heterogeneity
 from troplin.polyhedra import Polyhedron, _from_rows
 
 from conftest import (
+    benchmark_tree_line,
     benchmark_valuated_corpus,
+    benchmark_valuated_mutants,
     braid_fan_corpus,
+    coarse_uniform_corpus,
+    holed_tree_line,
+    is_balanced_by_rays,
     make_tree_cells,
+    skeleton_fan_corpus,
     table_rows,
     validate_common_faces,
 )
@@ -216,7 +227,7 @@ class TestBalancing:
         assert is_balanced(refined).ok
 
     def test_braid_chain_path_matches_the_geometric_path(self, monkeypatch):
-        # braid cones balance from their rays; the geometric path is the oracle
+        # braid cones balance on their dropped sets; the geometric path is the oracle
         fans = list(braid_fan_corpus(4))
         chain_checks = [is_balanced(fan) for fan in fans]
         assert any(not check.ok for check in chain_checks)
@@ -232,7 +243,7 @@ class TestBalancing:
             assert fan_dims == [c.dim for c in fan.cells]
 
     def test_translated_braid_path_matches_the_geometric_path(self, monkeypatch):
-        # translated braid cones balance from their apex and rays too
+        # translated braid cones balance on their apex and dropped sets too
         cases = list(braid_fan_corpus(4)) + list(TestBraidRecessionAndStars.non_fans())
         checks = [is_balanced(cx) for cx in cases]
         assert any(not check.ok for check in checks)
@@ -244,6 +255,66 @@ class TestBalancing:
         for cx, check in zip(cases, checks):
             oracle = is_balanced(cx)
             assert (check.ok, check.witness) == (oracle.ok, oracle.witness)
+
+
+@functools.cache
+def loopfree_matroid_fans():
+    """The chain fans of every loopfree matroid with n <= 5."""
+    return [
+        chain_fan(ChainFamily(n, m.flats | {m.ground}))
+        for n in range(1, 6)
+        for m in enumerate_matroids(n)
+    ]
+
+
+class TestBalancingOnSets:
+    """Braid facets balance on their dropped sets as they did on their rays:
+    the same verdict and the same witness as `is_balanced_by_rays`."""
+
+    @staticmethod
+    def as_oracle(cx):
+        got, want = is_balanced(cx), is_balanced_by_rays(cx)
+        assert got.ok == want.ok
+        keys = [None if c.witness is None else c.witness.poly.canonical_key for c in (got, want)]
+        assert keys[0] == keys[1]
+        return got.ok
+
+    def test_fan_corpora(self):
+        corpora = [braid_fan_corpus(4), skeleton_fan_corpus(), coarse_uniform_corpus(5)]
+        for corpus in corpora:
+            assert {self.as_oracle(cx) for cx in corpus} == {True, False}
+
+    def test_valuated_complexes_and_mutants(self):
+        verdicts = [self.as_oracle(cx) for cx in benchmark_valuated_mutants(301)]
+        assert len(verdicts) > 40 and set(verdicts) == {True, False}
+
+    def test_tree_lines(self):
+        # a bounded edge is no braid cone, and its vertices join the groups of
+        # the rays at them
+        seen = []
+        for n in range(4, 9):
+            tree = benchmark_tree_line(n)
+            assert {c.braid is None for c in tree.cells} == {True, False}
+            for cx in (tree, holed_tree_line(n)):
+                for k in range(len(cx.cells)):
+                    weights = [2 if i == k else 1 for i in range(len(cx.cells))]
+                    seen.append(self.as_oracle(WeightedComplex(n, cx.cells, weights, validate=False)))
+                seen.append(self.as_oracle(cx))
+        seen += [self.as_oracle(WeightedComplex(4, make_tree_cells(), [1] * 5))]
+        assert set(seen) == {True, False}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_reweighted_matroid_fans(self, data):
+        fan = data.draw(st.sampled_from(loopfree_matroid_fans()))
+        # weight 0 drops a cell
+        weights = data.draw(
+            st.lists(st.integers(0, 3), min_size=len(fan.cells), max_size=len(fan.cells))
+        )
+        kept = [(c, w) for c, w in zip(fan.cells, weights) if w]
+        if kept:
+            cells, weights = zip(*kept)
+            self.as_oracle(WeightedComplex(fan.n, cells, weights, validate=False))
 
 
 class TestRecession:
@@ -434,6 +505,52 @@ class TestBraidRowsFromChains:
             assert self.rows_give_the_cell(cx, 0), cell
             seen.add("empty" if not chain else "flag" if len(chain) == n - 1 else "partial")
         assert seen == {"empty", "flag", "partial"}
+
+
+class TestChainBuiltCells:
+    """A braid cone built from its apex and chain is the cell `_cell_of`
+    builds from its generators, with the same key, braid and chain; so are
+    the recession cone and the star at the apex of a translated braid cone,
+    which carry their chains."""
+
+    @staticmethod
+    def chains():
+        """Every distinct maximal chain of flats of a loopfree matroid with
+        n <= 5, with a seeded rational apex."""
+        rng = random.Random(113)
+        seen = set()
+        for fan in loopfree_matroid_fans():
+            for chain in (c.chain for c in fan.cells):
+                if (fan.n, chain) not in seen:
+                    seen.add((fan.n, chain))
+                    apex = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(fan.n)]
+                    yield fan.n, chain, to_quotient(TropPoint(apex))
+
+    @staticmethod
+    def from_generators(n, apex, chain):
+        rays = [direction_to_quotient([-int(i in f) for i in range(1, n + 1)]) for f in chain]
+        return _cell_of(n, [apex], rays)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert "braid" in vars(got), "the chain was derived, not carried"
+        assert got.poly.canonical_key == want.poly.canonical_key
+        assert (got.braid, got.chain) == (want.braid, want.chain)
+
+    def test_every_maximal_chain(self):
+        count = 0
+        for n, chain, apex in self.chains():
+            origin = (0,) * (n - 1)
+            for at in (origin, apex):
+                self.assert_same(Cell.from_braid(n, at, chain), self.from_generators(n, at, chain))
+            translated = self.from_generators(n, apex, chain)
+            cx = WeightedComplex(n, [translated], [1], validate=False)
+            cone = self.from_generators(n, origin, chain)
+            for fan in (recession_fan(cx), star_fan(cx, from_quotient(n, apex))):
+                assert fan.weights == (1,)
+                self.assert_same(fan.cells[0], cone)
+            count += 1
+        assert count > 500
 
 
 class TestStar:

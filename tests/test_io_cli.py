@@ -289,6 +289,23 @@ class TestCli:
         assert apart == joined
         assert apart[0] in (0, 1)
 
+    @pytest.mark.parametrize(
+        "command, path, abbreviated, full",
+        [
+            ("segment", None, ["--fro", "-1,2", "--t", "-1,0"], ["--from=-1,2", "--to=-1,0"]),
+            ("segment", None, ["--f", "-1,2", "--to", "0,0"], ["--from=-1,2", "--to=0,0"]),
+            ("member", "u23v", ["--po", "-1,2,0"], ["--point=-1,2,0"]),
+            ("star", "tree", ["--p", "-1,-1,0,0"], ["--point=-1,-1,0,0"]),
+        ],
+    )
+    def test_leading_minus_after_an_abbreviation(
+        self, capsys, files, command, path, abbreviated, full
+    ):
+        head = [command] + ([str(files[path])] if path else [])
+        got = self.run(capsys, *head, *abbreviated)
+        assert got == self.run(capsys, *head, *full)
+        assert got[0] in (0, 1)
+
     def test_member_exit_codes(self, capsys, files):
         code, out = self.run(
             capsys, "member", str(files["u23v"]), "--point", "0,1,-5"
