@@ -11,8 +11,9 @@ vectors and the balancing test, recession and star fans, fans of chains of
 subsets, and exact coverage tests for tropical segments.  A cell that is a
 braid cone apex + cone(-e_F over a chain) carries its apex and chain
 (`Cell.braid`): a cell built from a chain (`Cell.from_braid`, for chain
-fans, recession cones of braid cones and stars at their apexes) is given
-them, and any other cell has them read off its generators.  Balancing reads
+fans, recession cones of braid cones, stars at their apexes and braid cones
+at the origin given by generators, as read from JSON) is given them, and
+any other cell has them read off its generators.  Balancing reads
 each braid facet's dropped sets, and dimension and star containment read
 the chain, instead of an H-representation.  Segment coverage reads one
 `RowTable` per complex of the cells' distinct constraint rows, each
@@ -105,15 +106,37 @@ def ray_set(r: Sequence[int]) -> GroundSet | None:
 def _cell_of(n: int, vertices, rays=(), lineality=()) -> Cell:
     """The cell generated in quotient coordinates.
 
-    A braid cone is kept as given: a zero vertex with rays -e_F over nested
-    sets F has linearly independent rays, so no generator is redundant.
-    Every other cell is reduced to its minimal generators.
+    A braid cone at the origin is kept as given: a zero vertex with rays
+    -c*e_F, c > 0, over strictly nested sets F is built from its chain
+    (`_ray_chain`), and with some F repeated the rays still reduce to the
+    linearly independent -e_F, so no generator is redundant.  Every other
+    cell is reduced to its minimal generators.
     """
-    if not lineality and all(vec_is_zero(v) for v in vertices):
+    if not lineality and vertices and all(vec_is_zero(v) for v in vertices):
+        chain = _ray_chain(rays)
+        if chain is not None:
+            return Cell.from_braid(n, vertices[0], chain)
         cell = Cell(n, Polyhedron._minimal(n - 1, vertices, rays))
         if cell.chain is not None:
             return cell
     return Cell(n, Polyhedron(n - 1, vertices, rays, lineality))
+
+
+def _ray_chain(rays) -> tuple[GroundSet, ...] | None:
+    """The ascending chain of the F with quotient rays -c*e_F, c > 0, when
+    each ray lifted takes exactly two values, F being where it takes the
+    smaller, and the F are strictly nested; otherwise None."""
+    sets = []
+    for r in rays:
+        lifted = lift_direction(r)
+        low = min(lifted)
+        if len(set(lifted)) != 2:
+            return None
+        sets.append(frozenset(i for i, x in enumerate(lifted, 1) if x == low))
+    chain = tuple(sorted(sets, key=len))
+    if any(not a < b for a, b in zip(chain, chain[1:])):
+        return None
+    return chain
 
 
 class Cell:
@@ -290,8 +313,8 @@ class WeightedComplex:
 
     @cached_property
     def chain_tagged(self) -> bool:
-        """Is every cell a braid cone at the origin?  Only the benchmark's traced
-        mode still reads this."""
+        """Is every cell a braid cone at the origin?  Such a fan is read from
+        its chains by `recognize_fan`."""
         return all(c.chain is not None for c in self.cells)
 
     def all_cells(self) -> list[Cell]:

@@ -5,8 +5,9 @@ the bases.  Circuits are the fundamental circuits of the bases, and flats
 are found from the empty flat upwards, one cover at a time, since the
 covers of a flat F are the closures of F + e and partition the complement
 of F (Oxley, *Matroid Theory*, ch. 1), so neither walks the 2^n subsets.
-One cover relation, `_covers`, gives the maximal chains of a family, the
-partition axiom of flats and the rank of a lattice of flats.
+One cover relation, `_covers`, computed once per `ChainFamily`, gives the
+maximal chains of a family and their number, the partition axiom of flats
+and the rank of a lattice of flats.
 """
 
 from __future__ import annotations
@@ -224,6 +225,27 @@ class ChainFamily:
         """`_covers` of the members and the empty set, computed once."""
         return _covers(self.sets | {frozenset()})
 
+    @cached_property
+    def rank(self) -> int:
+        """The number of covers on the first path from the empty set to the
+        ground set, which is the rank of a graded lattice such as a flat
+        family's."""
+        ground, covers = self.ground, self.covers
+        rank, flat = 0, frozenset()
+        while flat != ground:
+            rank, flat = rank + 1, covers[flat][0]
+        return rank
+
+    def count_maximal_chains(self) -> int:
+        """`len(self.maximal_chains())`, by one pass down the covers: a member
+        lies on as many paths to the ground set as its covers together."""
+        ground, covers = self.ground, self.covers
+        paths: dict[GroundSet, int] = {}
+        # a cover comes after its member in `_sorted_sets` order
+        for f in reversed(covers):
+            paths[f] = 1 if f == ground else sum(paths[g] for g in covers[f])
+        return paths[frozenset()]
+
     def maximal_chains(self) -> list[tuple[GroundSet, ...]]:
         """Maximal chains of proper nonempty members in lexicographic order:
         the paths of covers from the empty set to the ground set, ends dropped."""
@@ -249,22 +271,26 @@ class FlatFamilyCheck:
     witness: object = None
 
 
-def verify_flat_family(n: int, sets: Iterable[Iterable[int]]) -> FlatFamilyCheck:
+def verify_flat_family(n: int, sets: Iterable[Iterable[int]] | ChainFamily) -> FlatFamilyCheck:
     """Check whether a family (with the empty set adjoined) is a flat family.
 
     The three axioms: the ground set belongs to the family; the family is
     intersection-closed; for every member F, the minimal members properly
-    containing F partition the complement of F.
+    containing F partition the complement of F.  A `ChainFamily` is read
+    through its cached covers, so no second cover relation is built.
     """
     ground = frozenset(range(1, n + 1))
-    family = {frozenset(s) for s in sets} | {frozenset()}
-    if ground not in family:
-        return FlatFamilyCheck(False, "ground-set", ground)
-    ordered = _sorted_sets(family)
-    for f, g in combinations(ordered, 2):
-        if f & g not in family:
+    if isinstance(sets, ChainFamily):
+        covers = sets.covers
+    else:
+        family = {frozenset(s) for s in sets} | {frozenset()}
+        if ground not in family:
+            return FlatFamilyCheck(False, "ground-set", ground)
+        covers = _covers(family)
+    for f, g in combinations(covers, 2):  # in `_sorted_sets` order
+        if f & g not in covers:
             return FlatFamilyCheck(False, "intersection", (f, g))
-    for f, minimal in _covers(ordered).items():
+    for f, minimal in covers.items():
         if f == ground:
             continue
         seen: set[int] = set()
@@ -280,7 +306,7 @@ def verify_flat_family(n: int, sets: Iterable[Iterable[int]]) -> FlatFamilyCheck
 
 def matroid_from_flats(family: ChainFamily) -> Matroid:
     """Reconstruct the unique loopfree matroid with the given flat family."""
-    check = verify_flat_family(family.n, family.sets)
+    check = verify_flat_family(family.n, family)
     if not check.ok:
         raise InvalidInputError(
             f"not a flat family: axiom {check.axiom}, witness {check.witness}"
@@ -292,11 +318,7 @@ def _flat_matroid(family: ChainFamily) -> Matroid:
     """The matroid of a verified flat family: the rank is the length of a
     path of covers from the empty set to the ground set (flat lattices are
     graded), and the bases are the rank-sized sets that close up to the ground set."""
-    ground = family.ground
-    covers = family.covers
-    rank, flat = 0, frozenset()
-    while flat != ground:
-        rank, flat = rank + 1, covers[flat][0]
+    ground, covers, rank = family.ground, family.covers, family.rank
 
     def closure(s: frozenset[int]) -> GroundSet:
         out = ground

@@ -7,9 +7,12 @@ the fan's dimension breaks the heterogeneity bound.  Otherwise the chambers'
 members and the ground set are the candidate flat family, and after the
 flat axioms the support equals the fan of chains of that family exactly
 when every maximal chain is a chamber, by the lemma in `recognize_fan`.
-Complexes are decided through their recession fan; the local route
-recognizes the star at every vertex.  A seeded segment sampler provides
-sound (never complete) convexity rejection.
+A fan of braid cones at the origin is accepted before balancing when that
+family is a flat family of rank d + 1 with as many maximal chains as the
+fan has cones, which makes it the whole, balanced, Bergman fan.  Complexes
+are decided through their recession fan; the local route recognizes the
+star at every vertex.  A seeded segment sampler provides sound (never
+complete) convexity rejection.
 """
 
 from __future__ import annotations
@@ -132,13 +135,15 @@ def refine(poly: Polyhedron, hyperplanes, budget: int) -> list[Polyhedron]:
 def _braid_pieces(complex_: WeightedComplex, budget: int) -> list[Cell]:
     """The cells cut into pieces that each lie in one closed braid cone: a
     cell that is a braid cone at the origin is its own piece, and any other
-    is refined along every hyperplane x_i = x_j."""
-    hyperplanes = [(a, 0) for a in _braid_hyperplanes(complex_.n)]
+    is refined along every hyperplane x_i = x_j, built at the first such cell."""
+    hyperplanes = None
     pieces = []
     for cell in complex_.cells:
         if cell.chain is not None:
             pieces.append(cell)
         else:
+            if hyperplanes is None:
+                hyperplanes = [(a, 0) for a in _braid_hyperplanes(complex_.n)]
             cut = refine(cell.poly, hyperplanes, budget)
             pieces.extend(Cell(complex_.n, p) for p in cut)
     return pieces
@@ -152,6 +157,14 @@ def recognize_fan(
     Rejection reasons are checked in a fixed order: purity, unit weights,
     balancing, the heterogeneity bound, the flat axioms for the recovered
     family, and finally support equality with the chain fan.
+
+    A fan of braid cones at the origin is its own braid pieces, and no
+    piece breaks the bound, so its chains and their family are read first:
+    when the family is a flat family whose lattice has rank d + 1 and as
+    many maximal chains as the fan has cones, the fan is its Bergman fan,
+    and it is accepted without balancing (the lemma below).  Any other such
+    fan is balanced next and then goes on in the order above, so its
+    verdict and witness are the same as in that order.
     """
     if not complex_.is_fan:
         raise InvalidInputError("input complex is not a fan")
@@ -160,10 +173,12 @@ def recognize_fan(
     if any(w != 1 for w in complex_.weights):
         bad = next(w for w in complex_.weights if w != 1)
         return _reject(REASON_WEIGHT, bad)
-    balance = is_balanced(complex_)
-    if not balance.ok:
-        return _reject(REASON_UNBALANCED, balance.witness)
     n, d = complex_.n, complex_.dim
+    tagged = complex_.chain_tagged
+    if not tagged:
+        balance = is_balanced(complex_)
+        if not balance.ok:
+            return _reject(REASON_UNBALANCED, balance.witness)
     chambers = set()
     for piece in _braid_pieces(complex_, budget):
         chain = piece.chain  # a braid cone's own, of length d
@@ -176,7 +191,23 @@ def recognize_fan(
                 return _reject(REASON_HET, point)
         chambers.add(chain)
     family = ChainFamily(n, {frozenset(range(1, n + 1))}.union(*chambers))
-    check = verify_flat_family(n, family.sets)
+    check = verify_flat_family(n, family)
+    if tagged:
+        # Lemma: in the geometric lattice of a flat family of rank d + 1, a
+        # chain of d proper nonempty flats has d + 1 steps from the empty set
+        # to the ground set, so it is maximal.  The cones' chains are
+        # distinct, so as many of them as maximal chains are every maximal
+        # chain, and the fan is the family's whole Bergman fan.  That fan is
+        # balanced with unit weights: the facet that drops the member between
+        # flats lo < hi of a chain is dropped from one cone for each cover of
+        # lo below hi, and these covers partition hi - lo, so the sum of their
+        # -e_F is constant on every block of the facet's chain, which puts it
+        # in the facet's span.
+        if check.ok and family.rank == d + 1 and family.count_maximal_chains() == len(chambers):
+            return _accept(_flat_matroid(family), family.sets)
+        balance = is_balanced(complex_)
+        if not balance.ok:
+            return _reject(REASON_UNBALANCED, balance.witness)
     if not check.ok:
         return _reject(REASON_FLAT_AXIOM, (check.axiom, check.witness))
     # Lemma: a pure fan of dimension d, balanced with unit weights and within

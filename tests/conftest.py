@@ -23,7 +23,10 @@ replaced in the heterogeneity bound, cell certification by refinement
 along every comparison hyperplane, which the sector test of `certify_cell`
 replaced, and braid balancing by rays, grouping facets by their generators
 and testing each sum against the rays' coordinate classes, which balancing
-on the dropped sets of each sub-chain replaced."""
+on the dropped sets of each sub-chain replaced, the exchange axiom over
+all pairs of bases, which the local check of `check_pluecker` replaced, and
+`recognize_fan` balancing every fan first, which reading a fan of braid
+cones from its chains replaced."""
 
 import importlib.util
 import random
@@ -48,6 +51,7 @@ from troplin.complexes import (
     coordinate_difference,
     direction_to_quotient,
     from_quotient,
+    is_balanced,
     lift_direction,
     to_quotient,
 )
@@ -64,14 +68,30 @@ from troplin.lp import lp_feasible
 from troplin.matroids import (
     ChainFamily,
     FlatFamilyCheck,
+    _flat_matroid,
     _sorted_sets,
     enumerate_matroids,
     matroid_from_bases,
+    verify_flat_family,
 )
 from troplin.points import TropPoint, flat_direction, segment
 from troplin.polyhedra import Polyhedron, _lift, _neg
-from troplin.recognize import ProbeResult, _sample_point, _structure_vertices, refine
-from troplin.valuated import ValuatedMatroid, member
+from troplin.recognize import (
+    REASON_FLAT_AXIOM,
+    REASON_HET,
+    REASON_SUPPORT,
+    REASON_UNBALANCED,
+    REASON_WEIGHT,
+    ProbeResult,
+    _accept,
+    _braid_pieces,
+    _non_pure,
+    _reject,
+    _sample_point,
+    _structure_vertices,
+    refine,
+)
+from troplin.valuated import PlueckerCheck, ValuatedMatroid, _normalized_weights, member
 
 
 @pytest.fixture(scope="session")
@@ -1054,3 +1074,58 @@ def in_braid_span(rays, vec) -> bool:
         if value.setdefault(tuple(r[i] for r in lifted), x) != x:
             return False
     return True
+
+
+def check_pluecker_all_pairs(matroid, weights) -> PlueckerCheck:
+    """The exchange axiom over every ordered pair of bases B1, B2 and every
+    u in B1 - B2, in `_sorted_sets` order and u ascending."""
+    w = _normalized_weights(matroid, weights)
+    ordered = _sorted_sets(matroid.bases)
+    for b1 in ordered:
+        for b2 in ordered:
+            for u in sorted(b1 - b2):
+                target = w[b1] + w[b2]
+                ok = False
+                for v in sorted(b2 - b1):
+                    e1 = (b1 - {u}) | {v}
+                    e2 = (b2 - {v}) | {u}
+                    if e1 in w and e2 in w and target <= w[e1] + w[e2]:
+                        ok = True
+                        break
+                if not ok:
+                    return PlueckerCheck(False, (b1, b2, u))
+    return PlueckerCheck(True)
+
+
+def recognize_fan_balancing_first(complex_, budget=DEFAULT_BUDGET):
+    """`recognize_fan` with every fan balanced before its chambers are read,
+    and its flat axioms checked on the family's sets."""
+    if not complex_.is_fan:
+        raise InvalidInputError("input complex is not a fan")
+    if not complex_.is_pure:
+        return _non_pure(complex_)
+    if any(w != 1 for w in complex_.weights):
+        bad = next(w for w in complex_.weights if w != 1)
+        return _reject(REASON_WEIGHT, bad)
+    balance = is_balanced(complex_)
+    if not balance.ok:
+        return _reject(REASON_UNBALANCED, balance.witness)
+    n, d = complex_.n, complex_.dim
+    chambers = set()
+    for piece in _braid_pieces(complex_, budget):
+        chain = piece.chain
+        if chain is None:
+            point = from_quotient(n, piece.poly.relative_interior_point())
+            chain = chn_cell_of(point)[:-1]
+            if len(chain) > d:
+                return _reject(REASON_HET, point)
+        chambers.add(chain)
+    family = ChainFamily(n, {frozenset(range(1, n + 1))}.union(*chambers))
+    check = verify_flat_family(n, family.sets)
+    if not check.ok:
+        return _reject(REASON_FLAT_AXIOM, (check.axiom, check.witness))
+    for chain in family.maximal_chains():
+        if chain not in chambers:
+            witness = TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
+            return _reject(REASON_SUPPORT, witness)
+    return _accept(_flat_matroid(family), family.sets)

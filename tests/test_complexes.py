@@ -553,6 +553,65 @@ class TestChainBuiltCells:
         assert count > 500
 
 
+class TestBraidCellsFromGenerators:
+    """A zero vertex with rays -c*e_F, c > 0, over strictly nested F is built
+    from its chain, and is the cell reduced from its generators; any other
+    generators keep the reduction."""
+
+    @staticmethod
+    def rays(n, chain, rng):
+        """Each -c*e_F with a seeded c > 0, shifted along the all-ones line,
+        in a shuffled order."""
+        rays = []
+        for f in chain:
+            c, shift = F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(-5, 5), 3)
+            rays.append(direction_to_quotient([shift - c * (i in f) for i in range(1, n + 1)]))
+        rng.shuffle(rays)
+        return rays
+
+    def test_scaled_rays_over_every_maximal_chain(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a braid cone's generators were reduced")
+
+        rng = random.Random(2101)
+        count = 0
+        for n, chain, _ in TestChainBuiltCells.chains():
+            origin = (0,) * (n - 1)
+            for sub in (chain, chain[: len(chain) // 2]):
+                rays = self.rays(n, sub, rng)
+                want = Cell(n, Polyhedron(n - 1, [origin], rays))
+                with monkeypatch.context() as patch:
+                    patch.setattr(Polyhedron, "_minimal", refuse)
+                    got = _cell_of(n, [origin, origin], rays)
+                    assert "braid" in vars(got), "the chain was derived, not carried"
+                assert got.poly.canonical_key == want.poly.canonical_key
+                assert (got.braid, got.chain) == (want.braid, want.chain) == ((origin, sub), sub)
+                count += 1
+        assert count > 1000
+
+    def test_other_generators_are_reduced(self):
+        n, origin = 4, (0, 0, 0)
+
+        def ray(*values):
+            return direction_to_quotient(values)
+
+        cases = [
+            [ray(-1, 0, 0, 0), ray(-2, 0, 0, 0)],  # one set twice
+            [ray(-1, 0, 0, 0), ray(0, -1, 0, 0)],  # sets not nested
+            [ray(-1, 0, 0, 0), ray(-1, -1, 0, 0), ray(-1, -1, -2, 0)],  # three values
+            [ray(-1, 0, 0, 0), ray(-1, -1, 0, 0), ray(-2, -1, 0, 0)],  # a redundant ray
+        ]
+        for rays in cases:
+            got = _cell_of(n, [origin], rays)
+            want = Cell(n, Polyhedron(n - 1, [origin], rays))
+            assert got.poly.canonical_key == want.poly.canonical_key
+            assert (got.braid, got.chain) == (want.braid, want.chain)
+        assert _cell_of(n, [origin], cases[0]).chain == (fs({1}),)
+        assert _cell_of(n, [origin], cases[1]).chain is None
+        translated = _cell_of(n, [(1, 0, 0)], [ray(-1, 0, 0, 0)])
+        assert translated.braid == ((1, 0, 0), (fs({1}),)) and translated.chain is None
+
+
 class TestStar:
     def test_star_of_fan_at_origin(self, u23_fan):
         star = star_fan(u23_fan, TropPoint((0, 0, 0)))

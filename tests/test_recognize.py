@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from troplin import complexes, matroids, polyhedra, recognize
+from troplin import io as tio
 from troplin.complexes import (
     BalanceCheck,
     Cell,
@@ -45,11 +46,13 @@ from conftest import (
     dropped_cones,
     het_bound_fans,
     holed_tree_line,
+    is_balanced_by_rays,
     make_tree_cells,
     off_chain_point,
     probe_drawing_first,
     probed_flat_family,
     rand_rational,
+    recognize_fan_balancing_first,
     skeleton_fan_corpus,
     support_equal_by_coverage,
 )
@@ -145,8 +148,8 @@ class TestRecognizeFan:
         assert len(calls) == 27
 
     def test_one_cover_relation_for_verdict_chains_and_matroid(self, monkeypatch):
-        # verify_flat_family computes its own; the family's cached covers give
-        # the maximal chains and the matroid
+        # the family's cached covers give the flat axioms, the rank, the
+        # maximal chains or their number, and the matroid
         fans = [
             chain_fan(ChainFamily(4, m.flats | {m.ground})) for m in enumerate_matroids(4)
         ] + [coarse_uniform_fan(rank, 5) for rank in range(1, 6)]
@@ -161,7 +164,7 @@ class TestRecognizeFan:
         for fan in fans:
             calls.clear()
             assert recognize_fan(fan).accepted
-            assert len(calls) == 2
+            assert len(calls) == 1
 
     def test_round_trip_u23(self, u23_fan, u23):
         report = recognize_fan(u23_fan)
@@ -348,6 +351,23 @@ class TestChainLookup:
             refined += len(calls)
         assert refined > 50
 
+    def test_braid_hyperplanes_built_only_for_a_cell_to_refine(self, monkeypatch):
+        calls = []
+        real = recognize._braid_hyperplanes
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(recognize, "_braid_hyperplanes", counted)
+        tagged = 0
+        for fan in [*braid_fan_corpus(4), *coarse_uniform_corpus(5)]:
+            calls.clear()
+            _braid_pieces(fan, 20000)
+            assert calls == ([] if fan.chain_tagged else [fan.n])
+            tagged += fan.chain_tagged
+        assert tagged > 100
+
     def test_accepted_coarse_fans_cover_every_chain_by_lookup(self, monkeypatch):
         calls = []
         real = recognize._braid_pieces
@@ -442,6 +462,7 @@ class TestChambers:
         if request.param == "none":
             monkeypatch.setattr(Cell, "braid", property(lambda self: None))
             monkeypatch.setattr(Cell, "chain", property(lambda self: None))
+        return request.param
 
     def test_chamber_verdict_matches_coordinate_classes(self, monkeypatch, braid_or_none):
         # a one-cell fan taken as balanced reaches the chamber pass, and is
@@ -492,24 +513,117 @@ class TestChambers:
 
     def test_chamber_family_is_the_ray_family(self, monkeypatch, braid_or_none):
         # the lemma of `recognize_fan` makes the members of the chambers the
-        # F with -e_F spanning a ray of a piece
+        # F with -e_F spanning a ray of a piece; a fan of braid cones at the
+        # origin has its family checked before it is balanced
         checked = []
         verify = recognize.verify_flat_family
 
-        def recorded(n, sets):
-            checked.append(sets)
-            return verify(n, sets)
+        def recorded(n, family):
+            checked.append(family)
+            return verify(n, family)
 
         monkeypatch.setattr(recognize, "verify_flat_family", recorded)
         kinds = set()
         for fan in self.corpus():
             checked.clear()
             report = recognize_fan(fan)
+            kind = report.verdict if report.accepted else report.reason.kind
+            reached = kind in ("accepted", "flat-axiom", "support-mismatch")
+            early = kind in ("non-pure", "weight-not-one")
+            assert bool(checked) == (reached or fan.chain_tagged and not early)
             if checked:
-                (sets,) = checked
-                assert sets == recover_flat_family(fan).sets
-                kinds.add(report.verdict if report.accepted else report.reason.kind)
-        assert kinds == {"accepted", "flat-axiom", "support-mismatch"}
+                (family,) = checked
+                assert family.sets == recover_flat_family(fan).sets
+                kinds.add(kind)
+        tagged = {"unbalanced"} if braid_or_none == "braid" else set()
+        assert kinds == {"accepted", "flat-axiom", "support-mismatch"} | tagged
+
+
+class TestChainFanFastPath:
+    """A fan of braid cones at the origin is accepted from its chains alone,
+    and every verdict, reason and witness is the one of balancing first."""
+
+    @staticmethod
+    def matroid_fans():
+        for n in range(1, 6):
+            for m in enumerate_matroids(n):
+                yield chain_fan(ChainFamily(n, m.flats | {m.ground}))
+        for rank in range(1, 7):
+            m = matroid_from_bases(6, combinations(range(1, 7), rank))
+            yield chain_fan(ChainFamily(6, m.flats | {m.ground}))
+
+    @staticmethod
+    def chain_fan_mutants():
+        """Chain fans of seeded random families, most of them no flat family,
+        and the fans of the chains of a matroid's flats with the members of
+        one rank left out: the flats of its truncation when that rank is the
+        top one, and mostly no flat family otherwise."""
+        rng = random.Random(2103)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            p = rng.choice([0.2, 0.4, 0.7])
+            subsets = [fs(c) for k in range(1, n) for c in combinations(range(1, n + 1), k)]
+            yield chain_fan(ChainFamily(n, [s for s in subsets if rng.random() < p] + [range(1, n + 1)]))
+        for n in range(2, 5):
+            for m in enumerate_matroids(n):
+                chains = ChainFamily(n, m.flats | {m.ground}).maximal_chains()
+                for level in range(m.rank - 1):
+                    kept = {c[:level] + c[level + 1 :] for c in chains}
+                    cells = [Cell.from_braid(n, (0,) * (n - 1), c) for c in sorted(kept, key=repr)]
+                    yield WeightedComplex(n, cells, [1] * len(cells), validate=False)
+
+    def corpora(self):
+        return {
+            "matroids": self.matroid_fans(),
+            "braid": braid_fan_corpus(4),
+            "skeleton": skeleton_fan_corpus(),
+            "het": het_bound_fans(),
+            "coarse": coarse_uniform_corpus(5),
+            "mutants": self.chain_fan_mutants(),
+        }
+
+    def test_reports_match_balancing_first(self, monkeypatch):
+        balanced = []
+        real = recognize.is_balanced
+
+        def recorded(fan):
+            balanced.append(fan)
+            return real(fan)
+
+        monkeypatch.setattr(recognize, "is_balanced", recorded)
+        kinds, fast = {}, 0
+        for name, corpus in self.corpora().items():
+            for fan in corpus:
+                balanced.clear()
+                report = recognize_fan(fan)
+                want = recognize_fan_balancing_first(fan)
+                assert tio.dumps(tio.report_to_json(report)) == tio.dumps(tio.report_to_json(want))
+                kind = report.verdict if report.accepted else report.reason.kind
+                kinds.setdefault(name, set()).add(kind)
+                if report.accepted and not balanced:
+                    # accepted from its chains: the lemma makes it balanced
+                    assert fan.chain_tagged
+                    assert real(fan).ok and is_balanced_by_rays(fan).ok
+                    fast += 1
+        assert fast > 250
+        assert kinds["matroids"] == {"accepted"}
+        assert kinds["mutants"] >= {"accepted", "non-pure", "flat-axiom", "unbalanced"}
+        everything = set().union(*kinds.values())
+        assert everything == {
+            "accepted", "non-pure", "weight-not-one", "unbalanced", "het-bound",
+            "flat-axiom", "support-mismatch",
+        }
+
+    def test_fast_path_neither_balances_nor_lists_chains(self, monkeypatch):
+        fans = list(self.matroid_fans())
+
+        def refuse(*args):
+            raise AssertionError("an accepted chain fan was balanced or listed its chains")
+
+        monkeypatch.setattr(ChainFamily, "maximal_chains", refuse)
+        monkeypatch.setattr(recognize, "is_balanced", refuse)
+        for fan in fans:
+            assert recognize_fan(fan).accepted
 
 
 class TestDecideComplex:

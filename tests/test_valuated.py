@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from troplin import valuated
 from troplin.complexes import Cell, coordinate_difference
 from troplin.errors import InvalidInputError
-from troplin.matroids import _sorted_sets, enumerate_matroids
+from troplin.matroids import _sorted_sets, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, segment, trop_combine
 from troplin.valuated import (
     ValuatedMatroid,
@@ -22,6 +24,7 @@ from conftest import (
     benchmark_valuated_cases,
     benchmark_valuated_matroids,
     certify_cell_by_refinement,
+    check_pluecker_all_pairs,
     comparison_hyperplanes,
     derivations,
     fundamental_circuit,
@@ -83,6 +86,56 @@ class TestPluecker:
         assert check_pluecker(u24, bad).witness == check_pluecker(
             u24, bad_shifted
         ).witness
+
+
+class TestLocalPluecker:
+    """The exchange pairs with |B1 - B2| = 2 decide the relations, and a
+    failure is reported with the first violation over all pairs."""
+
+    @staticmethod
+    def perturbed(rng, count):
+        """Seeded valuations with n <= 6: -v_2 determinant valuations of
+        random matrices and linear valuations of enumerated matroids, each
+        as is or with one to three bases moved by a small rational."""
+        matroids = [m for n in range(2, 5) for m in enumerate_matroids(n)]
+        for _ in range(count):
+            if rng.random() < 0.5:
+                n = rng.randint(2, 6)
+                v = v2_det_valuated(random_v2_matrix(rng, rng.randint(1, n), n))
+                matroid, weights = v.matroid, dict(v.weights)
+            else:
+                matroid = rng.choice(matroids)
+                coeffs = [rand_rational(rng) for _ in range(matroid.n)]
+                weights = {b: sum((coeffs[i - 1] for i in b), F(0)) for b in matroid.bases}
+            bases = _sorted_sets(matroid.bases)
+            for b in rng.sample(bases, min(len(bases), rng.randint(0, 3))):
+                weights[b] += F(rng.randint(-3, 3), rng.randint(1, 2))
+            yield matroid, weights
+
+    def test_agrees_with_all_pairs(self):
+        verdicts, far = set(), 0
+        for matroid, weights in self.perturbed(random.Random(2105), 5000):
+            got = check_pluecker(matroid, weights)
+            assert got == check_pluecker_all_pairs(matroid, weights), (matroid, weights)
+            verdicts.add(got.ok)
+            if not got.ok:
+                b1, b2, _ = got.witness
+                far += len(b1 - b2) > 2
+        assert verdicts == {True, False}
+        # the first violation over all pairs is not always a local pair
+        assert far > 0
+
+    def test_valid_valuation_scans_no_pair_beyond_the_local_ones(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("all pairs were scanned for a valid valuation")
+
+        monkeypatch.setattr(valuated, "_first_violation", refuse)
+        rng = random.Random(2106)
+        u230 = matroid_from_bases(30, combinations(range(1, 31), 2))
+        coeffs = [rand_rational(rng) for _ in range(30)]
+        ValuatedMatroid(u230, {b: sum((coeffs[i - 1] for i in b), F(0)) for b in u230.bases})
+        for _ in range(20):
+            v2_det_valuated(random_v2_matrix(rng, 3, 7))  # the constructor validates
 
 
 class TestCircuitValuation:
