@@ -106,26 +106,22 @@ def ray_set(r: Sequence[int]) -> GroundSet | None:
 def _cell_of(n: int, vertices, rays=(), lineality=()) -> Cell:
     """The cell generated in quotient coordinates.
 
-    A braid cone at the origin is kept as given: a zero vertex with rays
-    -c*e_F, c > 0, over strictly nested sets F is built from its chain
-    (`_ray_chain`), and with some F repeated the rays still reduce to the
-    linearly independent -e_F, so no generator is redundant.  Every other
-    cell is reduced to its minimal generators.
+    A braid cone at the origin is built from its chain (`_ray_chain`): a
+    zero vertex with rays -c*e_F, c > 0, over nested sets F, some F maybe
+    repeated, has the linearly independent -e_F as its minimal generators.
+    Every other cell is reduced to its minimal generators.
     """
     if not lineality and vertices and all(vec_is_zero(v) for v in vertices):
         chain = _ray_chain(rays)
         if chain is not None:
             return Cell.from_braid(n, vertices[0], chain)
-        cell = Cell(n, Polyhedron._minimal(n - 1, vertices, rays))
-        if cell.chain is not None:
-            return cell
     return Cell(n, Polyhedron(n - 1, vertices, rays, lineality))
 
 
 def _ray_chain(rays) -> tuple[GroundSet, ...] | None:
-    """The ascending chain of the F with quotient rays -c*e_F, c > 0, when
-    each ray lifted takes exactly two values, F being where it takes the
-    smaller, and the F are strictly nested; otherwise None."""
+    """The ascending chain of the distinct F with quotient rays -c*e_F,
+    c > 0, when each ray lifted takes exactly two values, F being where it
+    takes the smaller, and the distinct F are nested; otherwise None."""
     sets = []
     for r in rays:
         lifted = lift_direction(r)
@@ -133,7 +129,7 @@ def _ray_chain(rays) -> tuple[GroundSet, ...] | None:
         if len(set(lifted)) != 2:
             return None
         sets.append(frozenset(i for i, x in enumerate(lifted, 1) if x == low))
-    chain = tuple(sorted(sets, key=len))
+    chain = tuple(sorted(set(sets), key=len))
     if any(not a < b for a, b in zip(chain, chain[1:])):
         return None
     return chain
