@@ -12,8 +12,9 @@ subsets, and exact coverage tests for tropical segments.  A cell that is a
 braid cone apex + cone(-e_F over a chain) carries its apex and chain
 (`Cell.braid`): a cell built from a chain (`Cell.from_braid`, for chain
 fans, recession cones of braid cones, stars at their apexes and braid cones
-at the origin given by generators, as read from JSON) is given them, and
-any other cell has them read off its generators.  Balancing reads
+at the origin given by generators, which JSON ingest reads off the
+representatives as written, with no point made) is given them, and any
+other cell has them read off its generators.  Balancing reads
 each braid facet's dropped sets, and dimension and star containment read
 the chain, instead of an H-representation.  Segment coverage reads one
 `RowTable` per complex of the cells' distinct constraint rows, each
@@ -79,57 +80,58 @@ def coordinate_difference(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def chain_cone(n: int, chain: Iterable[Iterable[int]]) -> Polyhedron:
+def chain_cone(n: int, chain: tuple[GroundSet, ...], set_rays: dict | None = None) -> Polyhedron:
     """The cone on the negated indicator vectors of a chain's members, which
     are proper nonempty sets.
 
     In quotient coordinates -e_F is the integer vector with entry
     [1 in F] - [i in F] at position i = 2..n.  These rays are primitive and
     pairwise distinct and no one is redundant, so they are set sorted, with
-    no reduction.
+    no reduction.  `set_rays` maps sets to their rays; a fan built cone by
+    cone passes one dict, so each distinct set's ray is built once.
     """
-    rays = sorted(tuple((1 in f) - (i in f) for i in range(2, n + 1)) for f in chain)
-    return Polyhedron._canonical(n - 1, ((0,) * (n - 1),), tuple(rays))
+    rays = {} if set_rays is None else set_rays
+    for f in chain:
+        if f not in rays:
+            rays[f] = tuple((1 in f) - (i in f) for i in range(2, n + 1))
+    return Polyhedron._canonical(n - 1, ((0,) * (n - 1),), tuple(sorted(rays[f] for f in chain)))
 
 
 def ray_set(r: Sequence[int]) -> GroundSet | None:
-    """The F with -e_F spanning the primitive quotient ray r, or None: lifted
-    to (0,) + r, it is -e_F up to the all-ones line when its largest and
-    smallest entries differ by 1, and F is where it takes the smaller."""
-    lifted = lift_direction(r)
-    low = min(lifted)
-    if max(lifted) - low != 1:
-        return None
-    return frozenset(i for i, x in enumerate(lifted, 1) if x == low)
+    """The F with -e_F spanning the primitive quotient ray r, or None
+    (`_ray_chain` of r lifted)."""
+    chain = _ray_chain((lift_direction(r),))
+    return chain[0] if chain else None
 
 
 def _cell_of(n: int, vertices, rays=(), lineality=()) -> Cell:
     """The cell generated in quotient coordinates.
 
-    A braid cone at the origin is built from its chain (`_ray_chain`): a
-    zero vertex with rays -c*e_F, c > 0, over nested sets F, some F maybe
-    repeated, has the linearly independent -e_F as its minimal generators.
-    Every other cell is reduced to its minimal generators.
+    A braid cone at the origin is built from its chain (`_ray_chain`); every
+    other cell is reduced to its minimal generators.
     """
     if not lineality and vertices and all(vec_is_zero(v) for v in vertices):
-        chain = _ray_chain(rays)
+        chain = _ray_chain(map(lift_direction, rays))
         if chain is not None:
             return Cell.from_braid(n, vertices[0], chain)
     return Cell(n, Polyhedron(n - 1, vertices, rays, lineality))
 
 
-def _ray_chain(rays) -> tuple[GroundSet, ...] | None:
-    """The ascending chain of the distinct F with quotient rays -c*e_F,
-    c > 0, when each ray lifted takes exactly two values, F being where it
-    takes the smaller, and the distinct F are nested; otherwise None."""
-    sets = []
+def _ray_chain(rays: Iterable[Sequence]) -> tuple[GroundSet, ...] | None:
+    """The ascending chain of the distinct F with rays -c*e_F + d*(1,...,1),
+    c > 0, given as length-n vectors, or None.  Such a ray is constant (the
+    zero direction, adding no set) or takes exactly two values, F being
+    where it takes the smaller, and the distinct F must be nested.  Lifted,
+    a primitive quotient ray takes two values when max - min is 1."""
+    sets = set()
     for r in rays:
-        lifted = lift_direction(r)
-        low = min(lifted)
-        if len(set(lifted)) != 2:
+        values = set(r)
+        if len(values) == 2:
+            low = min(values)
+            sets.add(frozenset(i for i, x in enumerate(r, 1) if x == low))
+        elif len(values) != 1:
             return None
-        sets.append(frozenset(i for i, x in enumerate(lifted, 1) if x == low))
-    chain = tuple(sorted(set(sets), key=len))
+    chain = tuple(sorted(sets, key=len))
     if any(not a < b for a, b in zip(chain, chain[1:])):
         return None
     return chain
@@ -151,32 +153,43 @@ class Cell:
         vertices: Iterable[TropPoint | Sequence],
         rays: Iterable[Sequence] = (),
         lineality: Iterable[Sequence] = (),
+        set_rays: dict | None = None,
     ) -> "Cell":
-        verts = []
-        for v in vertices:
-            pt = v if isinstance(v, TropPoint) else TropPoint(v)
-            if pt.n != n:
-                raise InvalidInputError("ambient size mismatch")
-            verts.append(to_quotient(pt))
-        qrays = [direction_to_quotient(r) for r in rays]
-        qrays = [r for r in qrays if not vec_is_zero(r)]
-        qlin = [direction_to_quotient(l) for l in lineality]
-        qlin = [l for l in qlin if not vec_is_zero(l)]
-        return _cell_of(n, verts, qrays, qlin)
+        """The cell generated by torus points and length-n direction
+        representatives.  A braid cone at the origin, every vertex and
+        lineality vector constant and the rays a chain (`_ray_chain`), is
+        read off the representatives as given and built from its chain,
+        with `set_rays`; every other cell is reduced in quotient coordinates.
+        """
+        verts = [v.coords if isinstance(v, TropPoint) else v for v in vertices]
+        rays, lineality = list(rays), list(lineality)
+        if any(len(x) != n for x in verts + rays + lineality):
+            raise InvalidInputError("ambient size mismatch")
+        if verts and all(x.count(x[0]) == n for x in verts + lineality):
+            chain = _ray_chain(rays)
+            if chain is not None:
+                return cls.from_braid(n, (0,) * (n - 1), chain, set_rays)
+        qrays = [r for r in map(direction_to_quotient, rays) if not vec_is_zero(r)]
+        qlin = [l for l in map(direction_to_quotient, lineality) if not vec_is_zero(l)]
+        qverts = [to_quotient(TropPoint(v)) for v in verts]
+        return cls(n, Polyhedron(n - 1, qverts, qrays, qlin))
 
     @classmethod
-    def from_braid(cls, n: int, apex: Vec, chain: tuple[GroundSet, ...]) -> "Cell":
+    def from_braid(
+        cls, n: int, apex: Vec, chain: tuple[GroundSet, ...], set_rays: dict | None = None
+    ) -> "Cell":
         """The braid cone apex + cone(-e_F over an ascending chain of proper
         nonempty sets), for a canonical apex in quotient coordinates.
 
-        The polyhedron is set from `chain_cone`, and `braid` from the
-        arguments, so neither is derived from generators.
+        The polyhedron is set from `chain_cone`, given `set_rays`, and
+        `braid` and `chain` from the arguments, so none is derived from
+        generators.
         """
-        poly = chain_cone(n, chain)
-        if not vec_is_zero(apex):
+        poly = chain_cone(n, chain, set_rays)
+        if any(apex):
             poly = Polyhedron._canonical(n - 1, (apex,), poly.rays)
         cell = cls(n, poly)
-        vars(cell)["braid"] = (poly.vertices[0], chain)
+        vars(cell).update(braid=(poly.vertices[0], chain), chain=None if any(apex) else chain)
         return cell
 
     @cached_property
@@ -186,17 +199,12 @@ class Cell:
         off the generators.
 
         The cell is apex + cone(-e_F over a chain) exactly when it has one
-        vertex, no lineality and rays -e_F (`ray_set`) for nested sets F.
+        vertex, no lineality and rays that make a chain (`_ray_chain`).
         """
         if len(self.poly.vertices) != 1 or self.poly.lineality:
             return None
-        sets = [ray_set(r) for r in self.poly.rays]
-        if None in sets:
-            return None
-        chain = tuple(sorted(sets, key=len))
-        if any(not a < b for a, b in zip(chain, chain[1:])):
-            return None
-        return self.poly.vertices[0], chain
+        chain = _ray_chain(map(lift_direction, self.poly.rays))
+        return None if chain is None else (self.poly.vertices[0], chain)
 
     @cached_property
     def chain(self) -> tuple[GroundSet, ...] | None:
@@ -657,10 +665,10 @@ def chain_fan(family: ChainFamily) -> WeightedComplex:
     """The fan of cones over chains in a subset family containing the ground set.
 
     Each maximal chain of proper nonempty members spans a unimodular cone on
-    the negated indicator vectors of its members.
+    the negated indicator vectors of its members, each member's built once.
     """
-    origin = (0,) * (family.n - 1)
-    cells = [Cell.from_braid(family.n, origin, chain) for chain in family.maximal_chains()]
+    origin, rays = (0,) * (family.n - 1), {}
+    cells = [Cell.from_braid(family.n, origin, c, rays) for c in family.maximal_chains()]
     return WeightedComplex(family.n, cells, [1] * len(cells), validate=False)
 
 

@@ -5,7 +5,9 @@ reading gives the canonical number of `troplin.points`, an int for both "3"
 and "4/2".
 Ground elements are 1-indexed and listed ascending.  Reading canonicalizes:
 points get their first coordinate subtracted and basis valuations are checked
-against the Pluecker relations.
+against the Pluecker relations.  A complex's braid cones at the origin are
+the exception: they are read off their representatives as written, and
+written from apex and rays, with no point made either way.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .valuated import ValuatedMatroid
 _INTEGER = re.compile(r"-?[0-9]+")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 _TOO_LONG = "a number to print has more than {} digits"
+_EMPTY_POINT = "a point is a nonempty array of rationals"
 
 
 def parse_frac(s) -> Rational:
@@ -83,7 +86,7 @@ def point_to_json(p: TropPoint) -> list[str]:
 
 def point_from_json(data) -> TropPoint:
     if not isinstance(data, (list, tuple)) or not data:
-        raise InvalidInputError("a point is a nonempty array of rationals")
+        raise InvalidInputError(_EMPTY_POINT)
     return TropPoint(parse_frac(c) for c in data)
 
 
@@ -155,15 +158,38 @@ def cell_to_json(cell: Cell, weight: int | None = None) -> dict:
 
 
 def complex_to_json(c: WeightedComplex) -> dict:
-    return {
-        "n": c.n,
-        "cells": [
-            cell_to_json(cell, weight) for cell, weight in zip(c.cells, c.weights)
-        ],
-    }
+    """The cells as `cell_to_json` writes them, but from each cell's
+    generators v lifted as (0,) + v, a braid cone's from its apex and rays,
+    and each distinct vector converted once."""
+    text: dict = {}
+
+    def lifted(vectors) -> list[list[str]]:
+        return [text.get(v) or text.setdefault(v, vector_to_json((0,) + v)) for v in vectors]
+
+    cells = []
+    for cell, weight in zip(c.cells, c.weights):
+        poly = cell.poly
+        out = {"vertices": lifted(poly.vertices), "rays": lifted(poly.rays), "weight": weight}
+        if poly.lineality:
+            out["lineality"] = lifted(poly.lineality)
+        cells.append(out)
+    return {"n": c.n, "cells": cells}
+
+
+class _Numbers(dict):
+    """Number strings parsed by `parse_frac`, each distinct one once; other
+    JSON values, such as `true` and `1.0`, are parsed each time."""
+
+    def __missing__(self, text: str) -> Rational:
+        value = self[text] = parse_frac(text)
+        return value
+
+    def vector(self, raw: list) -> list:
+        return [self[x] if type(x) is str else parse_frac(x) for x in raw]
 
 
 def complex_from_json(data) -> WeightedComplex:
+    """A braid cone at the origin is read from its chain (`Cell.from_torus`)."""
     try:
         n, raw_cells = data["n"], data["cells"]
     except (KeyError, TypeError) as exc:
@@ -171,6 +197,8 @@ def complex_from_json(data) -> WeightedComplex:
     n = _size(n)
     if not isinstance(raw_cells, list) or not raw_cells:
         raise InvalidInputError("'cells' must be a nonempty array")
+    numbers = _Numbers()
+    set_rays: dict = {}
     cells = []
     weights = []
     for raw in raw_cells:
@@ -179,18 +207,20 @@ def complex_from_json(data) -> WeightedComplex:
         verts = _arrays(raw.get("vertices", []), "'vertices'")
         if not verts:
             raise InvalidInputError("each cell needs at least one vertex")
-        vertices = [point_from_json(v) for v in verts]
-        rays = [[parse_frac(x) for x in r] for r in _arrays(raw.get("rays", []), "'rays'")]
-        lineality = [
-            [parse_frac(x) for x in l] for l in _arrays(raw.get("lineality", []), "'lineality'")
-        ]
-        for vec in list(rays) + list(lineality):
+        vertices = []
+        for v in verts:
+            if not v:
+                raise InvalidInputError(_EMPTY_POINT)
+            vertices.append(numbers.vector(v))
+        rays = [numbers.vector(r) for r in _arrays(raw.get("rays", []), "'rays'")]
+        lineality = [numbers.vector(l) for l in _arrays(raw.get("lineality", []), "'lineality'")]
+        for vec in rays + lineality:
             if len(vec) != n:
                 raise InvalidInputError("direction vectors must have length n")
         weight = raw.get("weight", 1)
         if isinstance(weight, bool) or not isinstance(weight, int) or weight <= 0:
             raise InvalidInputError("cell weights must be positive integers")
-        cells.append(Cell.from_torus(n, vertices, rays, lineality))
+        cells.append(Cell.from_torus(n, vertices, rays, lineality, set_rays))
         weights.append(weight)
     return WeightedComplex(n, cells, weights)
 

@@ -86,7 +86,9 @@ class TestChainFan:
         built = []
         real = complexes.chain_cone
         monkeypatch.setattr(
-            complexes, "chain_cone", lambda n, chain: built.append(chain) or real(n, chain)
+            complexes,
+            "chain_cone",
+            lambda n, chain, *rays: built.append(chain) or real(n, chain, *rays),
         )
         family = ChainFamily(4, u24.flats | {u24.ground})
         fan = chain_fan(family)

@@ -1,6 +1,7 @@
 """JSON schemas and the command-line interface."""
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,14 @@ import pytest
 
 from troplin import io as tio
 from troplin.cli import main
-from troplin.complexes import Cell, WeightedComplex, chain_fan, to_quotient
+from troplin.complexes import (
+    Cell,
+    WeightedComplex,
+    chain_fan,
+    recession_fan,
+    star_fan,
+    to_quotient,
+)
 from troplin.errors import InvalidInputError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
@@ -18,6 +26,7 @@ from troplin.recognize import recognize_fan
 
 from conftest import (
     benchmark_tree_line,
+    benchmark_valuated_corpus,
     braid_fan_corpus,
     coordinate_classes,
     het_bound_fans,
@@ -145,6 +154,7 @@ class TestBraidFirstIngest:
         assert got.chain == expected.chain
         (ingested,) = tio.complex_from_json({"n": n, "cells": [raw]}).cells
         assert ingested.poly.canonical_key == expected.poly.canonical_key
+        assert got.braid == ingested.braid == expected.braid
         return got
 
     def test_corpus_cells_match_the_normalising_constructor(self):
@@ -204,6 +214,160 @@ class TestBraidFirstIngest:
             cell["lineality"] = lineality
         got = self.assert_as_reference(4, cell)
         assert (got.chain is not None) == is_braid
+
+    @staticmethod
+    def written(rng, x):
+        """x as a JSON document may write it: "p/q", unreduced as "2p/2q"
+        (so 2 as "4/2"), or, when exact, as a JSON integer or float."""
+        x = F(x)
+        forms = [str(x), f"{2 * x.numerator}/{2 * x.denominator}"]
+        if x.denominator == 1:
+            forms.append(x.numerator)
+        if x.denominator in (1, 2, 4):
+            forms.append(float(x))
+        return rng.choice(forms)
+
+    def random_cell(self, rng, n, broken):
+        """A cell near a braid cone at the origin: equal constant vertices,
+        the rays -c*e_F + d*(1,...,1) over a chain with c > 0, in any order,
+        some repeated, zero rays and constant lineality; then one generator
+        is broken, or none."""
+        order = rng.sample(range(1, n + 1), n)
+        sizes = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        chain = [set(order[:k]) for k in sizes]
+        const = rng.choice([0, 3, F(1, 2), -2])
+        vertices = [[const] * n for _ in range(rng.randint(1, 2))]
+        rays = []
+        for f in chain + rng.sample(chain, min(len(chain), rng.randint(0, 2))):
+            c, d = F(rng.randint(1, 6), rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 2))
+            rays.append([d - c * (i in f) for i in range(1, n + 1)])
+        rays += [[F(rng.randint(-3, 3), 2)] * n for _ in range(rng.randint(0, 1))]
+        lineality = [[rng.randint(-2, 2)] * n for _ in range(rng.randint(0, 1))]
+        if broken == "vertex":
+            vertices.append([rng.randint(-2, 2) for _ in range(n)])
+        elif broken == "unnested":
+            f = set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+            rays.append([-(i in f) for i in range(1, n + 1)])
+        elif broken == "three values":
+            rays.append([rng.randint(-2, 0) for _ in range(n)])
+        elif broken == "lineality":
+            lineality.append([rng.randint(-1, 1) for _ in range(n)])
+        rng.shuffle(rays)
+        cell = {
+            "vertices": [[self.written(rng, x) for x in v] for v in vertices],
+            "rays": [[self.written(rng, x) for x in r] for r in rays],
+        }
+        if lineality:
+            cell["lineality"] = [[self.written(rng, x) for x in l] for l in lineality]
+        return cell
+
+    def test_seeded_cells_match_the_normalising_constructor(self):
+        rng = random.Random(2201)
+        seen = set()
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            broken = rng.choice([None, None, "vertex", "unnested", "three values", "lineality"])
+            if n == 1:
+                broken = None
+            got = self.assert_as_reference(n, self.random_cell(rng, n, broken))
+            seen.add((broken, got.chain is not None))
+        # every break is read, and some breaks leave a braid cone at the origin
+        assert {b for b, _ in seen} == {None, "vertex", "unnested", "three values", "lineality"}
+        assert (None, False) not in seen and (None, True) in seen
+        assert ("vertex", False) in seen and ("unnested", True) in seen
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([{"vertices": [["0", "0"]], "rays": [["-1", "0", "0"]]}], "ambient size mismatch"),
+            ([{"vertices": [["0", "0", "0", "0"]]}], "ambient size mismatch"),
+            ([{"vertices": [[]]}], "a point is a nonempty array of rationals"),
+            ([{"vertices": [["1/0", "0", "0"], []]}], "not a rational: '1/0'"),
+            ([{"vertices": [["0", "0", "0"], []]}], "a point is a nonempty array of rationals"),
+            ([{"vertices": [["0", True, "0"]]}], "not a rational: True"),
+            ([{"vertices": [["0", "0", "0"]], "rays": [[True, 0, 0]]}], "not a rational: True"),
+            ([{"vertices": [[1, 1, 1]], "rays": [[0, True, 0]]}], "not a rational: True"),
+            ([{"vertices": [["0", "0", "0"]], "rays": [["1/0", "0", "0"]]}], "not a rational: '1/0'"),
+            ([{"vertices": [["0", "0", "0"]], "lineality": [["0", "1/0", "0"]]}], "not a rational: '1/0'"),
+            (
+                [{"vertices": [["0", "0", "0"]], "rays": [["-1", "0"]]}],
+                "direction vectors must have length n",
+            ),
+            (
+                [{"vertices": [["0", "0", "0"]], "lineality": [["1", "1"]]}],
+                "direction vectors must have length n",
+            ),
+            (
+                [{"vertices": [["0", "0"]], "rays": [["-1", "0"]], "weight": 0}],
+                "direction vectors must have length n",
+            ),
+            ([{"vertices": [["0", "0"]], "weight": 0}], "cell weights must be positive integers"),
+            (
+                [{"vertices": [["0", "0", "0"]], "rays": [["-1", "0", "0"]]}, {"vertices": [["1/0"]]}],
+                "not a rational: '1/0'",
+            ),
+        ],
+    )
+    def test_malformed_cells_keep_their_messages(self, cells, message):
+        with pytest.raises(InvalidInputError) as err:
+            tio.complex_from_json(json.loads(json.dumps({"n": 3, "cells": cells})))
+        assert str(err.value) == message
+
+    def test_fans_are_read_from_their_chains(self, monkeypatch):
+        """Written and read again with no torus point made and no generator
+        reduced, every cell built from its chain."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a braid cone went through points or reduction")
+
+        sources = [matroid_from_bases(n, combinations(range(1, n + 1), r)) for r, n in ((4, 5), (3, 6))]
+        with monkeypatch.context() as patch:
+            patch.setattr(TropPoint, "__init__", refuse)
+            patch.setattr(Polyhedron, "_minimal", refuse)
+            fans = []
+            for m in sources:
+                text = tio.dumps(tio.complex_to_json(chain_fan(ChainFamily(m.n, m.flats | {m.ground}))))
+                fans.append(tio.complex_from_json(json.loads(text)))
+        assert [len(fan.cells) for fan in fans] == [60, 30]
+        for fan in fans:
+            assert all("braid" in vars(c) for c in fan.cells)
+            assert fan.chain_tagged
+
+
+class TestComplexEmission:
+    """`complex_to_json` writes a complex as `cell_to_json` writes its cells,
+    to the byte; a benchmark reading `bergman` output cannot see a change
+    here, since it builds its expected bytes with `complex_to_json`."""
+
+    @staticmethod
+    def corpus():
+        for n in range(1, 6):
+            for m in enumerate_matroids(n):
+                yield chain_fan(ChainFamily(n, m.flats | {m.ground}))
+        for r in range(1, 7):
+            m = matroid_from_bases(6, combinations(range(1, 7), r))
+            yield chain_fan(ChainFamily(6, m.flats | {m.ground}))
+        yield from braid_fan_corpus(4)
+        for seed in (301, 302):
+            for cx in benchmark_valuated_corpus(seed):
+                yield cx
+                yield recession_fan(cx)
+                for point in {v for c in cx.cells for v in c.vertices}:
+                    yield star_fan(cx, point)
+
+    def test_same_bytes_as_cell_by_cell(self):
+        count = fractional = 0
+        for cx in self.corpus():
+            want = {
+                "n": cx.n,
+                "cells": [tio.cell_to_json(c, w) for c, w in zip(cx.cells, cx.weights)],
+            }
+            got = tio.complex_to_json(cx)
+            assert got == want
+            assert tio.dumps(got) == tio.dumps(want)
+            count += 1
+            fractional += any("/" in x for c in got["cells"] for v in c["vertices"] for x in v)
+        assert count > 500 and fractional > 0
 
 
 @pytest.fixture()
