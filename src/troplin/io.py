@@ -5,9 +5,10 @@ reading gives the canonical number of `troplin.points`, an int for both "3"
 and "4/2".
 Ground elements are 1-indexed and listed ascending.  Reading canonicalizes:
 points get their first coordinate subtracted and basis valuations are checked
-against the Pluecker relations.  A complex's braid cones at the origin are
-the exception: they are read off their representatives as written, and
-written from apex and rays, with no point made either way.
+against the Pluecker relations; a complex's braid cones at the origin are
+read off their representatives as written, with no point made.  A complex
+is written from its cells' generators lifted as (0,) + v, a braid cone from
+its apex and rays.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def cell_to_json(cell: Cell, weight: int | None = None) -> dict:
 
 def complex_to_json(c: WeightedComplex) -> dict:
     """The cells as `cell_to_json` writes them, but from each cell's
-    generators v lifted as (0,) + v, a braid cone's from its apex and rays,
-    and each distinct vector converted once."""
+    generators v lifted as (0,) + v, a braid cone's from its apex and rays;
+    each distinct vector is converted once, and equal ones share a list."""
     text: dict = {}
 
     def lifted(vectors) -> list[list[str]]:
