@@ -12,19 +12,20 @@ subsets, and exact coverage tests for tropical segments.  A cell that is a
 braid cone apex + cone(-e_F over a chain) carries its apex and chain
 (`Cell.braid`): a cell built from a chain (`Cell.from_braid`, for chain
 fans, recession cones of braid cones, stars at their apexes and braid cones
-at the origin given by generators, which JSON ingest reads off the
-representatives as written, with no point made) is given them, and any
-other cell has them read off its generators.  Balancing reads
-each braid facet's dropped sets, and dimension and star containment read
-the chain, instead of an H-representation.  Segment coverage reads one
-`RowTable` per complex of the cells' distinct constraint rows, each
-evaluated once at every integer breakpoint of the segment.  Most rows are
-coordinate differences q*(x_i - x_j) + c, read from two coordinates: all of
-a braid cone's, which come from its apex and chain with no double
-description, and most of the other cells' (the cells of a tropical linear
-space are alcoved).  Which cells meet the segment, and which contain a
-whole piece, are set tests on the keys of the rows positive at each
-breakpoint; only the pieces that no cell contains are swept in intervals.
+at the origin given by generators, which `Cell.from_torus` reads off the
+representatives as written, with no point made, for JSON ingest and for the
+other stars) is given them, and any other cell has them read off its
+generators.  Balancing reads each braid facet's dropped sets, and dimension
+and star containment read the chain, instead of an H-representation.
+Segment coverage reads one `RowTable` per complex of the cells' distinct
+constraint rows, each evaluated once at every integer breakpoint of the
+segment.  Most rows are coordinate differences q*(x_i - x_j) + c, read from
+two coordinates: all of a braid cone's, which come from its apex and chain
+with no double description, and most of the other cells' (the cells of a
+tropical linear space are alcoved).  Which cells meet the segment, and
+which contain a whole piece, are set tests on the keys of the rows positive
+at each breakpoint; only the pieces that no cell contains are swept in
+intervals.
 """
 
 from __future__ import annotations
@@ -102,19 +103,6 @@ def ray_set(r: Sequence[int]) -> GroundSet | None:
     (`_ray_chain` of r lifted)."""
     chain = _ray_chain((lift_direction(r),))
     return chain[0] if chain else None
-
-
-def _cell_of(n: int, vertices, rays=(), lineality=()) -> Cell:
-    """The cell generated in quotient coordinates.
-
-    A braid cone at the origin is built from its chain (`_ray_chain`); every
-    other cell is reduced to its minimal generators.
-    """
-    if not lineality and vertices and all(vec_is_zero(v) for v in vertices):
-        chain = _ray_chain(map(lift_direction, rays))
-        if chain is not None:
-            return Cell.from_braid(n, vertices[0], chain)
-    return Cell(n, Polyhedron(n - 1, vertices, rays, lineality))
 
 
 def _ray_chain(rays: Iterable[Sequence]) -> tuple[GroundSet, ...] | None:
@@ -415,23 +403,15 @@ def primitive_normal(sigma: Cell, tau: Cell) -> tuple:
 
     Returned as an integer vector of length n (a representative of the
     quotient direction), signed so it points from the facet into the cell.
+    The facet's row comes from `faces_of_facets`, as in `is_balanced`.
     """
     if sigma.n != tau.n:
         raise InvalidInputError("ambient size mismatch")
-    u = _primitive_normal_quotient(sigma.poly, tau.poly)
-    return lift_direction(u)
-
-
-def _primitive_normal_quotient(sp: Polyhedron, tp: Polyhedron) -> IntVec:
-    if sp.dim != tp.dim + 1 or not sp.contains_polyhedron(tp):
+    sp, key = sigma.poly, tau.poly.canonical_key
+    row = next((r for face, r in sp.faces_of_facets() if face.canonical_key == key), None)
+    if row is None:
         raise InvalidInputError("second argument is not a facet of the first")
-    cutting = next(
-        (r for r in sp._tight(tp._gens) if sp._face([r]).canonical_key == tp.canonical_key),
-        None,
-    )
-    if cutting is None:
-        raise InvalidInputError("second argument is not a facet of the first")
-    return lattice_quotient_generator(sp.lattice_basis, cutting[:-1])
+    return lift_direction(lattice_quotient_generator(sp.lattice_basis, row[:-1]))
 
 
 def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
@@ -621,8 +601,7 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     """The fan of directions into the complex at a point of its support."""
     if p.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
-    q = to_quotient(p)
-    origin = (0,) * len(q)
+    n, q = complex_.n, to_quotient(p)
     cones = []
     for cell, weight in zip(complex_.cells, complex_.weights):
         if not _cell_contains(cell, q):
@@ -630,7 +609,7 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
         braid = cell.braid
         if braid is not None and braid[0] == q:
             # at its apex a braid cone's star is its chain's cone
-            cones.append((Cell.from_braid(complex_.n, origin, braid[1]), weight))
+            cones.append((Cell.from_braid(n, (0,) * (n - 1), braid[1]), weight))
             continue
         # the cone of directions from q into the cell
         poly = cell.poly
@@ -639,10 +618,12 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
             d = vec_sub(v, q)
             if not vec_is_zero(d):
                 rays.append(primitive_direction(d))
-        cones.append((_cell_of(complex_.n, [origin], rays, poly.lineality), weight))
+        lifted = [lift_direction(r) for r in rays]
+        lineality = [lift_direction(l) for l in poly.lineality]
+        cones.append((Cell.from_torus(n, [(0,) * n], lifted, lineality), weight))
     if not cones:
         raise InvalidInputError("point outside the support")
-    return _merged_fan(complex_.n, cones)
+    return _merged_fan(n, cones)
 
 
 def _level_sets(w: Sequence[Rational]) -> list[GroundSet]:

@@ -6,9 +6,10 @@ and "4/2".
 Ground elements are 1-indexed and listed ascending.  Reading canonicalizes:
 points get their first coordinate subtracted and basis valuations are checked
 against the Pluecker relations; a complex's braid cones at the origin are
-read off their representatives as written, with no point made.  A complex
-is written from its cells' generators lifted as (0,) + v, a braid cone from
-its apex and rays.
+read off their representatives as written, with no point made.  One
+writer, `cell_to_json`, writes every cell, alone or in a complex, from its
+generators lifted as (0,) + v, so a braid cone is written from its apex and
+rays.
 """
 
 from __future__ import annotations
@@ -146,35 +147,33 @@ def chain_family_from_json(data) -> ChainFamily:
     return ChainFamily(_size(n), [frozenset(s) for s in _int_sets(sets, "'sets'")])
 
 
-def cell_to_json(cell: Cell, weight: int | None = None) -> dict:
-    out = {
-        "vertices": [point_to_json(v) for v in cell.vertices],
-        "rays": [vector_to_json(r) for r in cell.rays],
-    }
-    if cell.lineality:
-        out["lineality"] = [vector_to_json(l) for l in cell.lineality]
+def _lifted(vectors, text: dict) -> list[list[str]]:
+    """Each quotient vector v written as (0,) + v, converted once per `text`."""
+    return [text.get(v) or text.setdefault(v, vector_to_json((0,) + v)) for v in vectors]
+
+
+def cell_to_json(cell: Cell, weight: int | None = None, text: dict | None = None) -> dict:
+    """A cell from its generators v lifted as (0,) + v: the canonical
+    representatives of its vertices, and the length-n representatives of
+    its rays and lineality that `Cell.rays` and `Cell.lineality` give.
+    `text` maps vectors to their JSON; a caller writing many cells passes
+    one, so each distinct vector is converted once and equal ones share a
+    list."""
+    text = {} if text is None else text
+    poly = cell.poly
+    out = {"vertices": _lifted(poly.vertices, text), "rays": _lifted(poly.rays, text)}
     if weight is not None:
         out["weight"] = weight
+    if poly.lineality:
+        out["lineality"] = _lifted(poly.lineality, text)
     return out
 
 
 def complex_to_json(c: WeightedComplex) -> dict:
-    """The cells as `cell_to_json` writes them, but from each cell's
-    generators v lifted as (0,) + v, a braid cone's from its apex and rays;
-    each distinct vector is converted once, and equal ones share a list."""
+    """Each cell with its weight as `cell_to_json` writes it, with one
+    vector-text dict for the whole complex."""
     text: dict = {}
-
-    def lifted(vectors) -> list[list[str]]:
-        return [text.get(v) or text.setdefault(v, vector_to_json((0,) + v)) for v in vectors]
-
-    cells = []
-    for cell, weight in zip(c.cells, c.weights):
-        poly = cell.poly
-        out = {"vertices": lifted(poly.vertices), "rays": lifted(poly.rays), "weight": weight}
-        if poly.lineality:
-            out["lineality"] = lifted(poly.lineality)
-        cells.append(out)
-    return {"n": c.n, "cells": cells}
+    return {"n": c.n, "cells": [cell_to_json(x, w, text) for x, w in zip(c.cells, c.weights)]}
 
 
 class _Numbers(dict):

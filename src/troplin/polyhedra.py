@@ -16,8 +16,9 @@ generators, `_span`, gives the dimension, the equations and the basis of the
 span in which the facets are found.  One integer double-description kernel,
 `_dd`, does every conversion: facets come from `_dd` on the generators written
 in coordinates of their own span; minimal generators, and the pieces of every
-halfspace or hyperplane cut, come from `_dd` on the rows.  No floating point
-and no LP.
+halfspace or hyperplane cut, come from `_dd` on the rows.  Whether a
+hyperplane cuts at all is the sign pattern of its row on the generators
+(`_halfspace_status`), recomputed on each call.  No floating point and no LP.
 """
 
 from __future__ import annotations
@@ -410,36 +411,8 @@ class Polyhedron:
         row = _row(a, b)
         return self._cut(row), self._cut(_neg(row))
 
-    @cached_property
-    def _extents(self) -> dict[IntVec, tuple[tuple[int, int] | None, tuple[int, int] | None]]:
-        return {}
-
     def cuts(self, a: IntVec, b) -> bool:
         """Does the hyperplane a.x = b separate the polyhedron into two full
-        pieces?  It does exactly when lo < b < hi for the extent [lo, hi] of
-        a.x over the polyhedron, kept per functional a: the min and max of
-        a.x over the vertices, with hi (lo) None when a is positive
-        (negative) on some ray or lineality generator.  A lifted vertex
-        (q*v, q) has a.v = p/q for p = a.(q*v), so each end is a pair (p, q)."""
-        extent = self._extents.get(a)
-        if extent is None:
-            gens, nv = self._gens, len(self.vertices)
-            lo = hi = (vec_dot(a, gens[0]), gens[0][-1])
-            for g in gens[1:nv]:
-                p, q = vec_dot(a, g), g[-1]
-                if p * lo[1] < lo[0] * q:
-                    lo = (p, q)
-                if p * hi[1] > hi[0] * q:
-                    hi = (p, q)
-            for g in gens[nv:]:
-                s = vec_dot(a, g)
-                if s > 0:
-                    hi = None
-                elif s < 0:
-                    lo = None
-            extent = self._extents[a] = (lo, hi)
-        lo, hi = extent
-        num, den = b.numerator, b.denominator
-        return (lo is None or lo[0] * den < num * lo[1]) and (
-            hi is None or num * hi[1] < hi[0] * den
-        )
+        pieces?  It does exactly when the row of a.x - b is positive on one
+        homogenised generator and negative on another (`_halfspace_status`)."""
+        return self._halfspace_status(_row(a, b)) == 0

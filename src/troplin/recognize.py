@@ -366,11 +366,6 @@ def _sample(cell: Cell, rng: random.Random) -> tuple[int, list[int]]:
     return scale, q
 
 
-def _sample_point(cell: Cell, rng: random.Random) -> TropPoint:
-    """The point `_sample` draws."""
-    return _scaled_point(cell.n, *_sample(cell, rng))
-
-
 def _scaled_point(n: int, scale: int, q: list[int]) -> TropPoint:
     return from_quotient(n, [Fraction(a, scale) for a in q])
 

@@ -26,7 +26,10 @@ and testing each sum against the rays' coordinate classes, which balancing
 on the dropped sets of each sub-chain replaced, the exchange axiom over
 all pairs of bases, which the local check of `check_pluecker` replaced, and
 `recognize_fan` balancing every fan first, which reading a fan of braid
-cones from its chains replaced."""
+cones from its chains replaced, the cell writer through torus points, which
+writing every cell from its generators lifted as (0,) + v replaced, and the
+primitive normal by a search of the facet rows tight on the facet, which
+reading the facet's row off `faces_of_facets` replaced."""
 
 import importlib.util
 import random
@@ -56,6 +59,7 @@ from troplin.complexes import (
     to_quotient,
 )
 from troplin.errors import InvalidInputError, ResourceLimitError
+from troplin.io import point_to_json, vector_to_json
 from troplin.linalg import (
     hermite_normal_form,
     in_span,
@@ -87,7 +91,8 @@ from troplin.recognize import (
     _braid_pieces,
     _non_pure,
     _reject,
-    _sample_point,
+    _sample,
+    _scaled_point,
     _structure_vertices,
     refine,
 )
@@ -742,6 +747,35 @@ def reference_cell(n, vertices, rays=(), lineality=()) -> Cell:
     return Cell(n, Polyhedron(n - 1, verts, qrays, qlin))
 
 
+def cell_to_json_via_points(cell, weight=None) -> dict:
+    """A cell's JSON written through `Cell.vertices`, `point_to_json` and
+    `vector_to_json`, a torus point per vertex and a lifted tuple per ray."""
+    out = {
+        "vertices": [point_to_json(v) for v in cell.vertices],
+        "rays": [vector_to_json(r) for r in cell.rays],
+    }
+    if cell.lineality:
+        out["lineality"] = [vector_to_json(l) for l in cell.lineality]
+    if weight is not None:
+        out["weight"] = weight
+    return out
+
+
+def primitive_normal_by_tight_rows(sigma, tau):
+    """`primitive_normal` with the facet's row found among the facet rows of
+    sigma tight on every generator of tau, as the one whose face is tau."""
+    sp, tp = sigma.poly, tau.poly
+    if sp.dim != tp.dim + 1 or not sp.contains_polyhedron(tp):
+        raise InvalidInputError("second argument is not a facet of the first")
+    cutting = next(
+        (r for r in sp._tight(tp._gens) if sp._face([r]).canonical_key == tp.canonical_key),
+        None,
+    )
+    if cutting is None:
+        raise InvalidInputError("second argument is not a facet of the first")
+    return lift_direction(lattice_quotient_generator(sp.lattice_basis, cutting[:-1]))
+
+
 def validate_common_faces(cells) -> None:
     """Pairwise validation of maximal cells: every nesting test, then every
     common-face test, over all pairs; braid cones are nested exactly when
@@ -890,14 +924,15 @@ def table_rows(table, c, n):
 
 def probe_drawing_first(complex_, samples, seed):
     """`convexity_probe` with every sample drawn before any pair is checked,
-    each as a point from `_sample_point`, and every pair, vertex pairs
-    first, checked with `segment_in_support_per_cell`."""
+    each as the point `_sample` draws, and every pair, vertex pairs first,
+    checked with `segment_in_support_per_cell`."""
     pairs = list(combinations(_structure_vertices(complex_), 2))
     rng = random.Random(seed)
     for _ in range(samples):
         ca = complex_.cells[rng.randrange(len(complex_.cells))]
         cb = complex_.cells[rng.randrange(len(complex_.cells))]
-        pairs.append((_sample_point(ca, rng), _sample_point(cb, rng)))
+        a = _scaled_point(ca.n, *_sample(ca, rng))
+        pairs.append((a, _scaled_point(cb.n, *_sample(cb, rng))))
     for a, b in pairs:
         check = segment_in_support_per_cell(complex_, a, b)
         if not check.covered:

@@ -13,7 +13,6 @@ from troplin import complexes
 from troplin.complexes import (
     Cell,
     WeightedComplex,
-    _cell_of,
     chain_cone,
     chain_fan,
     chn_cell_of,
@@ -29,7 +28,7 @@ from troplin.complexes import (
     to_quotient,
 )
 from troplin.errors import InvalidInputError
-from troplin.linalg import hermite_normal_form, in_span, saturate_rows
+from troplin.linalg import hermite_normal_form, in_span, saturate_rows, vec_sub
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
 from troplin.polyhedra import Polyhedron, _from_rows
@@ -43,6 +42,7 @@ from conftest import (
     holed_tree_line,
     is_balanced_by_rays,
     make_tree_cells,
+    primitive_normal_by_tight_rows,
     skeleton_fan_corpus,
     table_rows,
     validate_common_faces,
@@ -169,6 +169,27 @@ class TestPrimitiveNormal:
         zero = Cell.from_torus(3, [TropPoint((0, 0, 0))])
         with pytest.raises(InvalidInputError):
             primitive_normal(cone, zero)
+
+    def test_every_facet_of_the_corpus_matches_the_tight_row_search(self):
+        count = 0
+        for cx in benchmark_valuated_corpus(301):
+            for cell in cx.cells:
+                for face, _ in cell.poly.faces_of_facets():
+                    facet = Cell(cx.n, face)
+                    got = primitive_normal(cell, facet)
+                    assert got == primitive_normal_by_tight_rows(cell, facet), (cell, facet)
+                    count += 1
+        assert count > 500
+
+    def test_faces_that_are_no_facets_raise(self):
+        square = Cell.from_torus(3, [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
+        corner = Cell.from_torus(3, [(0, 0, 0)])
+        outside = Cell.from_torus(3, [(0, 2, 0), (0, 2, 1)])
+        assert square.dim == outside.dim + 1 == corner.dim + 2
+        for tau in (corner, outside):
+            for normal in (primitive_normal, primitive_normal_by_tight_rows):
+                with pytest.raises(InvalidInputError, match="not a facet of the first"):
+                    normal(square, tau)
 
 
 class TestBalancing:
@@ -510,10 +531,10 @@ class TestBraidRowsFromChains:
 
 
 class TestChainBuiltCells:
-    """A braid cone built from its apex and chain is the cell `_cell_of`
-    builds from its generators, with the same key, braid and chain; so are
-    the recession cone and the star at the apex of a translated braid cone,
-    which carry their chains."""
+    """A braid cone built from its apex and chain is the cell
+    `Cell.from_torus` builds from its generators, lifted to length n, with
+    the same key, braid and chain; so are the recession cone and the star
+    at the apex of a translated braid cone, which carry their chains."""
 
     @staticmethod
     def chains():
@@ -530,8 +551,8 @@ class TestChainBuiltCells:
 
     @staticmethod
     def from_generators(n, apex, chain):
-        rays = [direction_to_quotient([-int(i in f) for i in range(1, n + 1)]) for f in chain]
-        return _cell_of(n, [apex], rays)
+        rays = [[-int(i in f) for i in range(1, n + 1)] for f in chain]
+        return Cell.from_torus(n, [(0, *apex)], rays)
 
     @staticmethod
     def assert_same(got, want):
@@ -557,8 +578,19 @@ class TestChainBuiltCells:
 
 class TestBraidCellsFromGenerators:
     """A zero vertex with rays -c*e_F, c > 0, over nested F, some F maybe
-    repeated, is built from its chain, and is the cell reduced from its
-    generators; any other generators keep the reduction."""
+    repeated, lifted to length n, is built from its chain by
+    `Cell.from_torus`, and is the cell reduced from its generators; any
+    other generators keep the reduction."""
+
+    @staticmethod
+    def lifted(n, vertices, rays, lineality=()):
+        """`Cell.from_torus` on quotient generators v lifted as (0,) + v."""
+        return Cell.from_torus(
+            n,
+            [(0, *v) for v in vertices],
+            [(0, *r) for r in rays],
+            [(0, *l) for l in lineality],
+        )
 
     @staticmethod
     def rays(n, chain, rng):
@@ -584,7 +616,7 @@ class TestBraidCellsFromGenerators:
                 want = Cell(n, Polyhedron(n - 1, [origin], rays))
                 with monkeypatch.context() as patch:
                     patch.setattr(Polyhedron, "_minimal", refuse)
-                    got = _cell_of(n, [origin, origin], rays)
+                    got = self.lifted(n, [origin, origin], rays)
                     assert "braid" in vars(got), "the chain was derived, not carried"
                 assert got.poly.canonical_key == want.poly.canonical_key
                 assert (got.braid, got.chain) == (want.braid, want.chain) == ((origin, sub), sub)
@@ -603,14 +635,40 @@ class TestBraidCellsFromGenerators:
             [ray(-1, 0, 0, 0), ray(-1, -1, 0, 0), ray(-2, -1, 0, 0)],  # a redundant ray
         ]
         for rays in cases:
-            got = _cell_of(n, [origin], rays)
+            got = self.lifted(n, [origin], rays)
             want = Cell(n, Polyhedron(n - 1, [origin], rays))
             assert "braid" not in vars(got), "a chain was carried"
             assert got.poly.canonical_key == want.poly.canonical_key
             assert (got.braid, got.chain) == (want.braid, want.chain)
-        assert _cell_of(n, [origin], cases[0]).chain is None
-        translated = _cell_of(n, [(1, 0, 0)], [ray(-1, 0, 0, 0)])
+        assert self.lifted(n, [origin], cases[0]).chain is None
+        translated = self.lifted(n, [(1, 0, 0)], [ray(-1, 0, 0, 0)])
         assert translated.braid == ((1, 0, 0), (fs({1}),)) and translated.chain is None
+        line = self.lifted(n, [origin], [ray(-1, 0, 0, 0)], [ray(0, 1, 0, 0)])
+        assert "braid" not in vars(line) and line.braid is None
+
+    def test_stars_with_lineality_or_sets_not_nested_are_reduced(self):
+        n, origin = 4, (0, 0, 0)
+        apex = TropPoint((0, 1, 2, 3))
+        q = to_quotient(apex)
+
+        def ray(*values):
+            return direction_to_quotient(values)
+
+        cases = [
+            # a half-plane along a line: its star at a point of the line
+            ([q], [ray(-1, 0, 0, 0)], [ray(0, 1, 0, 0)]),
+            # the cone on two rays whose sets are not nested
+            ([q], [ray(-1, 0, 0, 0), ray(0, -1, 0, 0)], []),
+            # a triangle with a vertex at the apex
+            ([q, vec_sub(q, ray(1, 0, 0, 0)), vec_sub(q, ray(0, 1, 0, 0))], [], []),
+        ]
+        for vertices, rays, lineality in cases:
+            cell = Cell(n, Polyhedron(n - 1, vertices, rays, lineality))
+            (got,) = star_fan(WeightedComplex(n, [cell], [1], validate=False), apex).cells
+            directions = rays + [vec_sub(v, q) for v in vertices if v != q]
+            want = Cell(n, Polyhedron(n - 1, [origin], directions, lineality))
+            assert got.poly.canonical_key == want.poly.canonical_key
+            assert "braid" not in vars(got) and got.braid is None
 
 
 class TestStar:

@@ -28,6 +28,7 @@ from conftest import (
     benchmark_tree_line,
     benchmark_valuated_corpus,
     braid_fan_corpus,
+    cell_to_json_via_points,
     coordinate_classes,
     het_bound_fans,
     holed_tree_line,
@@ -336,9 +337,10 @@ class TestBraidFirstIngest:
 
 
 class TestComplexEmission:
-    """`complex_to_json` writes a complex as `cell_to_json` writes its cells,
-    to the byte; a benchmark reading `bergman` output cannot see a change
-    here, since it builds its expected bytes with `complex_to_json`."""
+    """`complex_to_json` and `cell_to_json` write each cell as the writer
+    through torus points does, to the byte; a benchmark reading `bergman`
+    output cannot see a change here, since it builds its expected bytes
+    with `complex_to_json`."""
 
     @staticmethod
     def corpus():
@@ -355,20 +357,26 @@ class TestComplexEmission:
                 yield recession_fan(cx)
                 for point in {v for c in cx.cells for v in c.vertices}:
                     yield star_fan(cx, point)
+        # a line with a fractional vertex and a translated braid cone
+        line = Cell.from_torus(3, [(F(1, 2), 0, F(-2, 3))], lineality=[(0, 1, 2)])
+        braid = Cell.from_braid(3, (F(1, 3), -2), (fs({2}),))
+        yield WeightedComplex(3, [line, braid], [2, 1], validate=False)
 
     def test_same_bytes_as_cell_by_cell(self):
-        count = fractional = 0
+        count = fractional = lineality = translated = 0
         for cx in self.corpus():
-            want = {
-                "n": cx.n,
-                "cells": [tio.cell_to_json(c, w) for c, w in zip(cx.cells, cx.weights)],
-            }
-            got = tio.complex_to_json(cx)
+            cells = [cell_to_json_via_points(c, w) for c, w in zip(cx.cells, cx.weights)]
+            got, want = tio.complex_to_json(cx), {"n": cx.n, "cells": cells}
             assert got == want
             assert tio.dumps(got) == tio.dumps(want)
+            for cell in cx.cells:
+                alone = tio.cell_to_json(cell)
+                assert tio.dumps(alone) == tio.dumps(cell_to_json_via_points(cell))
+                lineality += bool(cell.lineality)
+                translated += cell.braid is not None and cell.chain is None
             count += 1
             fractional += any("/" in x for c in got["cells"] for v in c["vertices"] for x in v)
-        assert count > 500 and fractional > 0
+        assert count > 500 and fractional > 0 and lineality > 0 and translated > 0
 
 
 @pytest.fixture()

@@ -26,7 +26,7 @@ from troplin.complexes import (
 from troplin.errors import InvalidInputError
 from troplin.matroids import enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, _frac, segment, trop_ball, trop_combine
-from troplin.recognize import _sample_point
+from troplin.recognize import _sample, _scaled_point
 from troplin.valuated import ValuatedMatroid
 
 from conftest import benchmark_valuated_corpus, make_tree_cells
@@ -227,7 +227,7 @@ class TestCanonicalObjects:
                 assert_polyhedron(cell.poly)
                 for v in cell.vertices:
                     assert_point(v)
-                assert_point(_sample_point(cell, rng))
+                assert_point(_scaled_point(cell.n, *_sample(cell, rng)))
             for v in {v for c in cx.cells for v in c.vertices}:
                 for cell in star_fan(cx, v).cells:
                     assert_polyhedron(cell.poly)
@@ -266,7 +266,8 @@ class TestSampledPoints:
         for seed in range(3):
             fast, slow = random.Random(seed), random.Random(seed)
             for cell in cells:
-                assert _sample_point(cell, fast) == self.fraction_sample(cell, slow)
+                got = _scaled_point(cell.n, *_sample(cell, fast))
+                assert got == self.fraction_sample(cell, slow)
             assert fast.random() == slow.random()
 
 

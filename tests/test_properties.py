@@ -15,6 +15,7 @@ from troplin.complexes import (
     from_quotient,
     is_balanced,
     point_in_support,
+    primitive_normal,
     recession_fan,
     segment_in_support,
     star_fan,
@@ -56,6 +57,7 @@ from conftest import (
     halfspace_status,
     height_table_bases,
     in_hull,
+    primitive_normal_by_tight_rows,
     rand_point,
     rand_rational,
     rref_nullspace,
@@ -559,6 +561,18 @@ class TestLatticeAgainstDiagonalisation:
                     seen.add((u == expected, abs(vec_dot(a, u)) > 1))
         assert seen == {(True, False), (False, False), (True, True), (False, True)}
 
+    def test_primitive_normals_match_the_tight_row_search(self):
+        count = 0
+        for poly in self.polyhedra():
+            n = poly.m + 1
+            for face in poly.all_faces():
+                cell = Cell(n, face)
+                for facet, _ in face.faces_of_facets():
+                    tau = Cell(n, facet)
+                    assert primitive_normal(cell, tau) == primitive_normal_by_tight_rows(cell, tau)
+                    count += 1
+        assert count > 500
+
 
 class TestCoversAgainstChainEnumeration:
     """Maximal chains as paths of covers, the flat axioms read from the
@@ -638,9 +652,11 @@ class TestCircuitsAgainstSubsetScan:
 
 
 class TestCutExtentsAgainstHalfspaceStatus:
+    """`cuts` against the Fraction loop over vertices, rays and lineality."""
+
     def test_cuts_match_the_halfspace_status(self):
-        # several offsets per functional, so most answers come from the
-        # cached extent; offsets at vertex values touch without cutting
+        # several offsets per functional; offsets at vertex values touch
+        # without cutting
         rng = random.Random(83)
         seen = set()
         for _ in range(150):
@@ -659,7 +675,7 @@ class TestCutExtentsAgainstHalfspaceStatus:
                 a = tuple(rng.randint(-2, 2) for _ in range(m))
                 values = [vec_dot(a, v) for v in poly.vertices]
                 for b in values + [min(values) - 1, max(values) + 1, rand_rational(rng, 3, 3)]:
-                    expected = poly._halfspace_status(_row(a, b)) == 0
+                    expected = halfspace_status(poly, a, b) == 0
                     assert poly.cuts(a, b) == expected, (poly, a, b)
                     seen.add((expected, b in values))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
