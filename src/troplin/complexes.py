@@ -49,7 +49,7 @@ from .linalg import (
 )
 from .matroids import ChainFamily, GroundSet
 from .points import Rational, TropPoint, _breakpoints, _frac
-from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _neg
+from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _apart, _neg
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -278,11 +278,17 @@ class WeightedComplex:
     def _validate_common_faces(self) -> None:
         """Braid cones are compared by their chains: one contains another
         exactly when its chain does, and two meet in the cone of their common
-        sub-chain.  Only pairs with another cell are compared geometrically."""
+        sub-chain.  Only pairs with another cell are compared geometrically,
+        and of those only the pairs whose extents do not show them disjoint
+        (`_apart`): disjoint cells neither contain one another nor meet."""
         braid = [c for c in self.cells if c.chain is not None]
         others = [c for c in self.cells if c.chain is None]
         chains = {c.chain for c in braid}
-        mixed = list(combinations(others, 2)) + list(product(braid, others))
+        mixed = [
+            (a, b)
+            for a, b in [*combinations(others, 2), *product(braid, others)]
+            if not _apart(a.poly, b.poly)
+        ]
         if _contained_chains(chains) or any(
             a.poly.contains_polyhedron(b.poly) or b.poly.contains_polyhedron(a.poly)
             for a, b in mixed
@@ -549,6 +555,8 @@ def _merged_fan(n: int, weighted: list[tuple[Cell, int]]) -> WeightedComplex:
 
 
 def _drop_contained(cones: list[Polyhedron]) -> list[Polyhedron]:
+    """The cones that no other cone contains.  Every cone holds the origin,
+    so no two are `_apart`, and no extent prefilter is tried."""
     kept = []
     for p in cones:
         if not any(
@@ -604,12 +612,12 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     n, q = complex_.n, to_quotient(p)
     cones = []
     for cell, weight in zip(complex_.cells, complex_.weights):
-        if not _cell_contains(cell, q):
-            continue
         braid = cell.braid
         if braid is not None and braid[0] == q:
             # at its apex a braid cone's star is its chain's cone
             cones.append((Cell.from_braid(n, (0,) * (n - 1), braid[1]), weight))
+            continue
+        if not _cell_contains(cell, q):
             continue
         # the cone of directions from q into the cell
         poly = cell.poly

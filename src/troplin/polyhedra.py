@@ -18,7 +18,11 @@ span in which the facets are found.  One integer double-description kernel,
 in coordinates of their own span; minimal generators, and the pieces of every
 halfspace or hyperplane cut, come from `_dd` on the rows.  Whether a
 hyperplane cuts at all is the sign pattern of its row on the generators
-(`_halfspace_status`), recomputed on each call.  No floating point and no LP.
+(`_halfspace_status`), recomputed on each call.  `extents`, the integer
+maxima of the coordinate differences x_i - x_j over the polyhedron read as a
+cell of the tropical torus, is a view of `_gens` too; `_apart` reads two of
+them to tell, with no double description, that two cells are disjoint.  No
+floating point and no LP.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -136,6 +140,20 @@ def _generators(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
     if not verts:
         return None
     return verts, [g[:m] for g in gens if not g[m]], [l[:m] for l in lin]
+
+
+def _apart(a: Polyhedron, b: Polyhedron) -> bool:
+    """Are two cells disjoint by their extents?  They are when, for some
+    torus positions i and j, max (x_i - x_j) over a is below min (x_i - x_j)
+    over b, which is -max (x_j - x_i) over b; over the scales L_a and L_b
+    of `extents` that is T_a[i][j] * L_b + T_b[j][i] * L_a < 0."""
+    la, ta = a.extents
+    lb, tb = b.extents
+    return any(
+        s is not None and t is not None and s * lb + t * la < 0
+        for row, col in zip(ta, zip(*tb))
+        for s, t in zip(row, col)
+    )
 
 
 def _from_rows(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]) -> Polyhedron | None:
@@ -249,6 +267,34 @@ class Polyhedron:
         gens += [r + (0,) for r in self.rays]
         gens += [s + (0,) for l in self.lineality for s in (l, _neg(l))]
         return gens
+
+    @cached_property
+    def extents(self) -> tuple[int, list[list[int | None]]]:
+        """(L, T) with L the lcm of the vertex denominators and T[i][j] the
+        integer L * max (x_i - x_j) over the polyhedron, or None where that
+        is unbounded, at torus positions i and j: position 0 is fixed at 0
+        and position p > 0 is quotient coordinate p - 1.
+
+        A vertex (d*v, d) gives L/d * (0, d*v) at the torus positions, so T
+        is the differences of the first vertex's entries, maxed elementwise
+        over the other vertices.  A direction (r, 0), a ray or either sign of
+        a lineality vector, makes x_i - x_j unbounded where (0, r) is larger
+        at i than at j.
+        """
+        nv = len(self.vertices)
+        gens = self._gens
+        big = lcm(*(g[-1] for g in gens[:nv]))
+        first, *rest = [(0, *(big // g[-1] * x for x in g[:-1])) for g in gens[:nv]]
+        top = [[a - b for b in first] for a in first]
+        for p in rest:
+            top = [[max(t, a - b) for t, b in zip(row, p)] for row, a in zip(top, p)]
+        for g in gens[nv:]:
+            d = (0, *g[:-1])
+            for row, a in zip(top, d):
+                for j, b in enumerate(d):
+                    if a > b:
+                        row[j] = None
+        return big, top
 
     @cached_property
     def _span(self) -> list[IntVec]:

@@ -48,7 +48,7 @@ from .matroids import (
     verify_flat_family,
 )
 from .points import TropPoint, _integer_breakpoints
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, _apart
 
 REASON_NON_PURE = "non-pure"
 REASON_WEIGHT = "weight-not-one"
@@ -262,7 +262,8 @@ def _components(complex_: WeightedComplex) -> int:
     """Connected components of the support.  Two cells meet when they share
     a vertex generator, or else when their intersection is nonempty.  All
     shared vertices are joined first, so only the pairs that they leave in
-    different components are intersected."""
+    different components are intersected, and of those only the pairs whose
+    extents do not show them disjoint (`_apart`)."""
     cells = complex_.cells
     parent = list(range(len(cells)))
 
@@ -278,7 +279,8 @@ def _components(complex_: WeightedComplex) -> int:
             parent[find(i)] = find(first_cell.setdefault(v, i))
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
-            if find(i) != find(j) and cells[i].poly.intersection(cells[j].poly) is not None:
+            a, b = cells[i].poly, cells[j].poly
+            if find(i) != find(j) and not _apart(a, b) and a.intersection(b) is not None:
                 parent[find(i)] = find(j)
     return len({find(i) for i in range(len(cells))})
 

@@ -25,7 +25,7 @@ from .errors import InvalidInputError
 from .linalg import vec_dot
 from .matroids import GroundSet, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
-from .polyhedra import _from_rows, _neg, _row
+from .polyhedra import _from_rows, _row
 
 # index i holds the entry for ground element i+1; None encodes bottom.
 CircuitVector = tuple[Rational | None, ...]
@@ -172,6 +172,20 @@ class ValuatedMatroid:
             out[c] = self.circuit_valuation_from(c, basis, element)
         return out
 
+    @cached_property
+    def _sector_bounds(self) -> tuple[int, list[tuple[CircuitVector, int, list[tuple[int, int]]]]]:
+        """(B, sectors): B the common denominator of the circuit-valuation
+        entries and, for each circuit C and each i in C in ascending order,
+        (v_C, i, [(j, B*((v_C)_j - (v_C)_i)) for j in C - i ascending])."""
+        vecs = self.circuit_valuations
+        big = lcm(*(x.denominator for vec in vecs.values() for x in vec if x is not None))
+        sectors = []
+        for circuit, vec in vecs.items():
+            for i in sorted(circuit):
+                bounds = [(j, int(big * (vec[j - 1] - vec[i - 1]))) for j in sorted(circuit - {i})]
+                sectors.append((vec, i, bounds))
+        return big, sectors
+
 
 def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
     """Membership in the tropical linear space of a valuated matroid."""
@@ -245,32 +259,28 @@ def certify_cell(valuated: ValuatedMatroid, cell) -> bool:
 
     A point is a non-member exactly when it lies in an open sector
     S_i(C) = {x : x_i + (v_C)_i > x_j + (v_C)_j for all j in C - i} of a
-    circuit C, so P is certified exactly when it meets no S_i(C).  With the
-    maxima of x_i - x_j over P read once from its generators, (C, i) is
-    skipped when some j in C - i has max (x_i - x_j) <= (v_C)_j - (v_C)_i.
-    Otherwise one cut by the |C| - 1 closed sector rows gives Q.  A convex
-    set inside finitely many hyperplanes lies in one of them, so P meets
-    S_i(C) exactly when Q is nonempty and no sector row vanishes on every
-    generator of Q.  Each sector costs one cut, so no budget is needed.
+    circuit C, so P is certified exactly when it meets no S_i(C).  The
+    maxima of x_i - x_j over P are the integers T[i][j] over L of the
+    polyhedron's `extents`, and the sector bounds (v_C)_j - (v_C)_i the
+    integers b over B of the matroid's `_sector_bounds`, so (C, i) is
+    skipped when some j in C - i has T[i][j] * B <= b * L.  Otherwise one
+    cut by the |C| - 1 closed sector rows gives Q.  A convex set inside
+    finitely many hyperplanes lies in one of them, so P meets S_i(C) exactly
+    when Q is nonempty and no sector row vanishes on every generator of Q.
+    Each sector costs one cut, so no budget is needed.
     """
     if cell.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
     n, poly = valuated.n, cell.poly
-    verts = [(0,) + v for v in poly.vertices]
-    dirs = [(0,) + d for d in poly.rays + poly.lineality + tuple(map(_neg, poly.lineality))]
-    # top[i][j] is the max over P of x_i - x_j, or None where it is unbounded
-    top = [
-        [None if any(d[i] > d[j] for d in dirs) else max(v[i] - v[j] for v in verts) for j in range(n)]
-        for i in range(n)
-    ]
-    for circuit, vec in valuated.circuit_valuations.items():
-        for i in sorted(circuit):
-            others, row = sorted(circuit - {i}), top[i - 1]
-            if any(row[j - 1] is not None and row[j - 1] <= vec[j - 1] - vec[i - 1] for j in others):
-                continue
-            sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j in others]
-            eqs, ineqs = poly._rows
-            q = _from_rows(n - 1, eqs, ineqs + sector)
-            if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):
-                return False
+    scale, top = poly.extents
+    big, sectors = valuated._sector_bounds
+    for vec, i, bounds in sectors:
+        row = top[i - 1]
+        if any(row[j - 1] is not None and row[j - 1] * big <= b * scale for j, b in bounds):
+            continue
+        sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j, _ in bounds]
+        eqs, ineqs = poly._rows
+        q = _from_rows(n - 1, eqs, ineqs + sector)
+        if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):
+            return False
     return True

@@ -21,7 +21,9 @@ pieces replaced, the circuit derivations of a valuated matroid, and the
 coordinate classes of a cell, which reading the chamber of each braid piece
 replaced in the heterogeneity bound, cell certification by refinement
 along every comparison hyperplane, which the sector test of `certify_cell`
-replaced, and braid balancing by rays, grouping facets by their generators
+replaced, cell certification with the extents of the cell and the sector
+bounds in Fraction arithmetic, which the integer `extents` of a polyhedron
+and `_sector_bounds` of a valuated matroid replaced, and braid balancing by rays, grouping facets by their generators
 and testing each sum against the rays' coordinate classes, which balancing
 on the dropped sets of each sub-chain replaced, the exchange axiom over
 all pairs of bases, which the local check of `check_pluecker` replaced, and
@@ -79,7 +81,7 @@ from troplin.matroids import (
     verify_flat_family,
 )
 from troplin.points import TropPoint, flat_direction, segment
-from troplin.polyhedra import Polyhedron, _lift, _neg
+from troplin.polyhedra import Polyhedron, _from_rows, _lift, _neg, _row
 from troplin.recognize import (
     REASON_FLAT_AXIOM,
     REASON_HET,
@@ -460,6 +462,31 @@ def certify_cell_by_refinement(valuated, cell, budget=DEFAULT_BUDGET) -> bool:
     for piece in refine(cell.poly, comparison_hyperplanes(valuated), budget):
         if not member(valuated, from_quotient(valuated.n, piece.relative_interior_point())):
             return False
+    return True
+
+
+def certify_cell_by_fraction_extents(valuated, cell) -> bool:
+    """`certify_cell` with the maxima of x_i - x_j over the cell rebuilt in
+    Fraction arithmetic from its vertices, rays and lineality for every call,
+    and each sector bound (v_C)_j - (v_C)_i computed where it is compared."""
+    n, poly = valuated.n, cell.poly
+    verts = [(0,) + v for v in poly.vertices]
+    dirs = [(0,) + d for d in poly.rays + poly.lineality + tuple(map(_neg, poly.lineality))]
+    # top[i][j] is the max over P of x_i - x_j, or None where it is unbounded
+    top = [
+        [None if any(d[i] > d[j] for d in dirs) else max(v[i] - v[j] for v in verts) for j in range(n)]
+        for i in range(n)
+    ]
+    for circuit, vec in valuated.circuit_valuations.items():
+        for i in sorted(circuit):
+            others, row = sorted(circuit - {i}), top[i - 1]
+            if any(row[j - 1] is not None and row[j - 1] <= vec[j - 1] - vec[i - 1] for j in others):
+                continue
+            sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j in others]
+            eqs, ineqs = poly._rows
+            q = _from_rows(n - 1, eqs, ineqs + sector)
+            if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):
+                return False
     return True
 
 

@@ -43,6 +43,7 @@ from conftest import (
     is_balanced_by_rays,
     make_tree_cells,
     primitive_normal_by_tight_rows,
+    rand_rational,
     skeleton_fan_corpus,
     table_rows,
     validate_common_faces,
@@ -685,6 +686,17 @@ class TestStar:
         star = star_fan(translated, TropPoint((0, 5, 7)))
         assert cone_keys(star) == cone_keys(u23_fan)
 
+    def test_cells_at_their_apex_are_not_tested_by_level_sets(self, u23_fan, monkeypatch):
+        # a braid cone contains its apex, so its star there is its chain's cone
+        calls = []
+        real = complexes._cell_contains
+        monkeypatch.setattr(complexes, "_cell_contains", lambda c, q: calls.append(c) or real(c, q))
+        shift = (F(5, 2), F(-4, 3))
+        cells = [Cell(3, c.poly.translate(shift)) for c in u23_fan.cells]
+        star = star_fan(WeightedComplex(3, cells, [1, 1, 1]), TropPoint((0, *shift)))
+        assert cone_keys(star) == cone_keys(u23_fan)
+        assert calls == []
+
     def test_star_at_ray_interior_is_a_line(self, u23_fan):
         star = star_fan(u23_fan, TropPoint((0, -3, 0)))
         assert len(star.cells) == 1
@@ -829,6 +841,16 @@ class TestComplexValidation:
         with pytest.raises(InvalidInputError):
             WeightedComplex(3, [big, small], [1, 1])
 
+    def test_tree_line_intersects_only_the_pairs_not_apart(self, monkeypatch):
+        tree = benchmark_tree_line(20)
+        calls = []
+        real = Polyhedron.intersection
+        monkeypatch.setattr(Polyhedron, "intersection", lambda a, b: calls.append(1) or real(a, b))
+        WeightedComplex(20, tree.cells, tree.weights)
+        # with no prefilter all 703 pairs of the 38 cells are intersected;
+        # the extents leave the 55 pairs that share a vertex
+        assert len(calls) <= 55
+
 
 class TestValidationAgainstPairwiseOracle:
     """Chain lookup for braid cones raises what the pairwise check raises."""
@@ -888,6 +910,29 @@ class TestValidationAgainstPairwiseOracle:
                 cells = list(fan.cells)
                 cells.insert(rng.randint(0, len(cells)), extra)
                 seen.add(self.assert_as_oracle(fan.n, cells))
+        assert seen == {
+            None,
+            "maximal cells must not contain one another",
+            "cells do not intersect in a common face",
+        }
+
+
+    def test_tree_lines_with_a_moved_or_shortened_cell(self):
+        # a translate of a cell is apart from most cells, and meets some
+        # without a common face; half of a segment lies inside it
+        rng = random.Random(67)
+        seen = set()
+        for n in (4, 5, 6):
+            cells = list(benchmark_tree_line(n).cells)
+            seen.add(self.assert_as_oracle(n, cells))
+            for cell in cells:
+                extra = Cell(n, cell.poly.translate([rand_rational(rng, 2, 2) for _ in range(n - 1)]))
+                if extra not in cells:
+                    seen.add(self.assert_as_oracle(n, cells + [extra]))
+                if len(cell.poly.vertices) == 2:
+                    a, b = cell.poly.vertices
+                    half = Cell(n, Polyhedron(n - 1, [a, [F(x + y) / 2 for x, y in zip(a, b)]]))
+                    seen.add(self.assert_as_oracle(n, [half] + cells))
         assert seen == {
             None,
             "maximal cells must not contain one another",

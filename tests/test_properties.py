@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from troplin.complexes import (
     Cell,
@@ -43,7 +43,7 @@ from troplin.matroids import (
     verify_flat_family,
 )
 from troplin.points import TropPoint, flat_direction, segment, tconv_contains, trop_combine
-from troplin.polyhedra import Polyhedron, _from_rows, _lift, _row
+from troplin.polyhedra import Polyhedron, _apart, _from_rows, _lift, _row
 
 from conftest import (
     _first_gap as fraction_first_gap,
@@ -679,6 +679,54 @@ class TestCutExtentsAgainstHalfspaceStatus:
                     assert poly.cuts(a, b) == expected, (poly, a, b)
                     seen.add((expected, b in values))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestExtentsAgainstFractionMaxima:
+    """`Polyhedron.extents` against the maxima of x_i - x_j over the vertices
+    in Fraction arithmetic, and their unboundedness along the rays and both
+    signs of the lineality, at torus positions with x_0 = 0."""
+
+    @staticmethod
+    def polyhedra():
+        rng = random.Random(89)
+        for _ in range(60):
+            yield TestKernelAgainstHullOracle.random_polyhedron(rng)
+            yield TestIntegerFormAgainstFractionOracle.random_polyhedron(rng, rng.randint(1, 4))
+
+    def test_extents_match_the_fraction_maxima(self):
+        seen = set()
+        for poly in self.polyhedra():
+            scale, top = poly.extents
+            verts = [(0, *v) for v in poly.vertices]
+            dirs = [(0, *d) for d in poly.rays + poly.lineality]
+            dirs += [tuple(-x for x in d) for d in dirs[len(poly.rays) :]]
+            assert scale == lcm(*(F(x).denominator for v in verts for x in v))
+            for i in range(poly.m + 1):
+                for j in range(poly.m + 1):
+                    t = top[i][j]
+                    if any(d[i] > d[j] for d in dirs):
+                        assert t is None
+                    else:
+                        assert type(t) is int
+                        assert F(t, scale) == max(F(v[i] - v[j]) for v in verts)
+                    seen.add(t is None)
+        assert seen == {True, False}
+
+    def test_cells_apart_do_not_meet(self):
+        # a translate of one of the pair moves some pairs apart
+        rng = random.Random(97)
+        seen = set()
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            a = TestIntegerFormAgainstFractionOracle.random_polyhedron(rng, m)
+            b = TestIntegerFormAgainstFractionOracle.random_polyhedron(rng, m)
+            if rng.random() < 0.5:
+                b = b.translate([rand_rational(rng, 6, 3) for _ in range(m)])
+            apart, empty = _apart(a, b), a.intersection(b) is None
+            assert apart == _apart(b, a)
+            assert empty or not apart
+            seen.add((apart, empty))
+        assert (True, True) in seen and (False, False) in seen
 
 
 class TestRecessionRepairOracle:

@@ -23,6 +23,7 @@ from troplin.valuated import (
 from conftest import (
     benchmark_valuated_cases,
     benchmark_valuated_matroids,
+    certify_cell_by_fraction_extents,
     certify_cell_by_refinement,
     check_pluecker_all_pairs,
     comparison_hyperplanes,
@@ -415,3 +416,25 @@ class TestSectorTestAgainstRefinement:
         verdicts = [certify_cell(vm, cell) for cell in cells]
         assert verdicts == [certify_cell_by_refinement(vm, cell) for cell in cells]
         assert True in verdicts and False in verdicts
+
+
+class TestIntegerSectorBoundsAgainstFractionExtents:
+    """`certify_cell` on integer extents and sector bounds gives the verdicts
+    of the Fraction extents it replaced (`certify_cell_by_fraction_extents`)."""
+
+    def test_every_cell_under_every_valuation_of_its_size(self):
+        rng = random.Random(301)
+        cases = list(benchmark_valuated_cases(301))
+        cells = []
+        for _, cx, _ in cases:
+            for cell in cx.cells:
+                shift = [rand_rational(rng, 6, 3) for _ in range(cx.n - 1)]
+                cells += [cell, Cell(cx.n, cell.poly.translate(shift))]
+        verdicts = set()
+        for vm, _, _ in cases:
+            for cell in cells:
+                if cell.n == vm.n:
+                    verdict = certify_cell(vm, cell)
+                    assert verdict == certify_cell_by_fraction_extents(vm, cell), (vm.weights, cell)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
