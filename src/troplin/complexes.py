@@ -366,16 +366,21 @@ class WeightedComplex:
 def _contained_chains(chains: set) -> set:
     """The members of a set of chains that are proper sub-chains of another.
 
-    Each chain's sub-chains are looked up in the set, or, when it has more
-    sub-chains than the set has members, the members are compared with it.
+    Distinct chains of one length are not sub-chains of one another, so
+    none is when all have one length.  Otherwise each chain's sub-chains are
+    looked up in the set, or, when it has more sub-chains than the set has
+    members, the shorter members are compared with it.
     """
+    if len({len(c) for c in chains}) < 2:
+        return set()
     out = set()
     for chain in chains:
         if 2 ** len(chain) <= len(chains):
             subs = (s for k in range(len(chain)) for s in combinations(chain, k))
             out.update(s for s in subs if s in chains)
         else:
-            out.update(c for c in chains if set(c) < set(chain))
+            above = set(chain)
+            out.update(c for c in chains if len(c) < len(chain) and above.issuperset(c))
     return out
 
 

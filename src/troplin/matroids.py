@@ -5,9 +5,10 @@ the bases.  Circuits are the fundamental circuits of the bases, and flats
 are found from the empty flat upwards, one cover at a time, since the
 covers of a flat F are the closures of F + e and partition the complement
 of F (Oxley, *Matroid Theory*, ch. 1), so neither walks the 2^n subsets.
-One cover relation, `_covers`, computed once per `ChainFamily`, gives the
-maximal chains of a family and their number, the partition axiom of flats
-and the rank of a lattice of flats.
+A `ChainFamily` builds one integer lattice, once: its members as bitmasks
+and each member's covers as indices.  The flat axioms, the rank, the
+maximal chains and their number all read it, and so do the bases of a flat
+family, the rank-sized sets that no coatom contains.
 """
 
 from __future__ import annotations
@@ -34,22 +35,36 @@ def _sorted_sets(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
-def _covers(sets: Iterable[frozenset[int]]) -> dict[GroundSet, list[GroundSet]]:
-    """Each member, in `_sorted_sets` order, with the minimal members that
-    properly contain it, in the same order."""
-    ordered = _sorted_sets(sets)
-    out: dict[GroundSet, list[GroundSet]] = {}
-    for i, f in enumerate(ordered):
-        # a member between f and g comes before g, so some cover of f is below g
-        out[f] = covers = []
-        for g in ordered[i + 1 :]:
-            if f < g and not any(h < g for h in covers):
-                covers.append(g)
-    return out
+def _lattice(sets: Iterable[frozenset[int]]) -> tuple[list[GroundSet], list[int], list[list[int]]]:
+    """The members in `_sorted_sets` order, their bitmasks, and for each the
+    indices of the minimal members that properly contain it, ascending."""
+    members = _sorted_sets(sets)
+    holding: dict[int, int] = {}  # element -> the indices of the members holding it
+    for j, s in enumerate(members):
+        for e in s:
+            holding[e] = holding.get(e, 0) | 1 << j
+    above = []  # for each member, the indices of the members containing it
+    for s in members:
+        up = (1 << len(members)) - 1
+        for e in s:
+            up &= holding[e]
+        above.append(up)
+    covers = []
+    for i, up in enumerate(above):
+        # a member's subsets come before it, so the first member left above
+        # member i is a cover; it and the members above it are dropped
+        rest, found = up & ~(1 << i), []
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            found.append(j)
+            rest &= ~above[j]
+        covers.append(found)
+    return members, [_mask(s) for s in members], covers
 
 
 def _mask(s: Iterable[int]) -> int:
-    return sum(1 << (i - 1) for i in s)
+    """Bit i - 1 for each i >= 1 of s: the sum of the 2^i, halved."""
+    return sum(map((1).__lshift__, s)) >> 1
 
 
 def _members(mask: int) -> GroundSet:
@@ -221,44 +236,45 @@ class ChainFamily:
         return frozenset(range(1, self.n + 1))
 
     @cached_property
-    def covers(self) -> dict[GroundSet, list[GroundSet]]:
-        """`_covers` of the members and the empty set, computed once."""
-        return _covers(self.sets | {frozenset()})
+    def lattice(self) -> tuple[list[GroundSet], list[int], list[list[int]]]:
+        """`_lattice` of the members and the empty set, computed once; the
+        empty set is first and the ground set last."""
+        return _lattice(self.sets | {frozenset()})
 
     @cached_property
     def rank(self) -> int:
         """The number of covers on the first path from the empty set to the
         ground set, which is the rank of a graded lattice such as a flat
         family's."""
-        ground, covers = self.ground, self.covers
-        rank, flat = 0, frozenset()
-        while flat != ground:
-            rank, flat = rank + 1, covers[flat][0]
+        covers = self.lattice[2]
+        rank, i = 0, 0
+        while covers[i]:
+            rank, i = rank + 1, covers[i][0]
         return rank
 
     def count_maximal_chains(self) -> int:
         """`len(self.maximal_chains())`, by one pass down the covers: a member
         lies on as many paths to the ground set as its covers together."""
-        ground, covers = self.ground, self.covers
-        paths: dict[GroundSet, int] = {}
-        # a cover comes after its member in `_sorted_sets` order
-        for f in reversed(covers):
-            paths[f] = 1 if f == ground else sum(paths[g] for g in covers[f])
-        return paths[frozenset()]
+        covers = self.lattice[2]
+        paths = [1] * len(covers)
+        # a cover comes after its member, and only the ground set has none
+        for i in range(len(covers) - 2, -1, -1):
+            paths[i] = sum([paths[j] for j in covers[i]])
+        return paths[0]
 
     def maximal_chains(self) -> list[tuple[GroundSet, ...]]:
         """Maximal chains of proper nonempty members in lexicographic order:
         the paths of covers from the empty set to the ground set, ends dropped."""
-        ground = self.ground
+        members, _, covers = self.lattice
         out: list[tuple[GroundSet, ...]] = []
 
-        def walk(path: tuple[GroundSet, ...]) -> None:
-            if path[-1] == ground:
-                out.append(path[1:-1])
-            for g in self.covers[path[-1]]:
-                walk(path + (g,))
+        def walk(path: tuple[int, ...]) -> None:
+            if not covers[path[-1]]:
+                out.append(tuple(members[i] for i in path[1:-1]))
+            for j in covers[path[-1]]:
+                walk(path + (j,))
 
-        walk((frozenset(),))
+        walk((0,))
         return out
 
 
@@ -277,30 +293,27 @@ def verify_flat_family(n: int, sets: Iterable[Iterable[int]] | ChainFamily) -> F
     The three axioms: the ground set belongs to the family; the family is
     intersection-closed; for every member F, the minimal members properly
     containing F partition the complement of F.  A `ChainFamily` is read
-    through its cached covers, so no second cover relation is built.
+    through its cached lattice, so no second cover relation is built.
     """
-    ground = frozenset(range(1, n + 1))
-    if isinstance(sets, ChainFamily):
-        covers = sets.covers
-    else:
-        family = {frozenset(s) for s in sets} | {frozenset()}
+    if not isinstance(sets, ChainFamily):
+        ground, family = frozenset(range(1, n + 1)), {frozenset(s) for s in sets} | {frozenset()}
         if ground not in family:
             return FlatFamilyCheck(False, "ground-set", ground)
-        covers = _covers(family)
-    for f, g in combinations(covers, 2):  # in `_sorted_sets` order
-        if f & g not in covers:
-            return FlatFamilyCheck(False, "intersection", (f, g))
-    for f, minimal in covers.items():
-        if f == ground:
-            continue
-        seen: set[int] = set()
-        for g in minimal:
-            diff = g - f
-            if diff & seen:
-                return FlatFamilyCheck(False, "partition", (f, g))
-            seen |= diff
-        if seen != ground - f:
-            return FlatFamilyCheck(False, "partition", (f, frozenset(ground - f - seen)))
+        sets = ChainFamily(n, family)  # a set outside 1..n is refused here
+    members, masks, covers = sets.lattice
+    full, present = (1 << n) - 1, set(masks)
+    for i, f in enumerate(masks):  # pairs in `_sorted_sets` order
+        if not present.issuperset([f & g for g in masks[i + 1 :]]):
+            j = next(j for j in range(i + 1, len(masks)) if f & masks[j] not in present)
+            return FlatFamilyCheck(False, "intersection", (members[i], members[j]))
+    # the family is intersection-closed here, so two covers of f meet in f,
+    # and they partition the complement of f exactly when they cover it
+    for i, up in enumerate(covers[:-1]):
+        seen = masks[i]
+        for j in up:
+            seen |= masks[j]
+        if seen != full:
+            return FlatFamilyCheck(False, "partition", (members[i], _members(full & ~seen)))
     return FlatFamilyCheck(True)
 
 
@@ -317,20 +330,17 @@ def matroid_from_flats(family: ChainFamily) -> Matroid:
 def _flat_matroid(family: ChainFamily) -> Matroid:
     """The matroid of a verified flat family: the rank is the length of a
     path of covers from the empty set to the ground set (flat lattices are
-    graded), and the bases are the rank-sized sets that close up to the ground set."""
-    ground, covers, rank = family.ground, family.covers, family.rank
-
-    def closure(s: frozenset[int]) -> GroundSet:
-        out = ground
-        for f in covers:
-            if s <= f:
-                out &= f
-        return out
-
+    graded), and the bases are the rank-sized sets that no coatom, a member
+    the ground set covers, contains.  For the closure of s is the meet of
+    the members that contain s, which is the ground set exactly when no
+    proper member contains s, and every proper member lies below a coatom
+    on a path of covers up to the ground set."""
+    _, masks, covers = family.lattice
+    coatoms = [m for m, up in zip(masks, covers) if up == [len(masks) - 1]]
     bases = frozenset(
         frozenset(c)
-        for c in combinations(sorted(ground), rank)
-        if closure(frozenset(c)) == ground
+        for c in combinations(range(1, family.n + 1), family.rank)
+        if (m := _mask(c)) not in [m & a for a in coatoms]  # no coatom holds c
     )
     # the flat axioms were verified, so the bases need no exchange check
     return Matroid._verified(family.n, bases)

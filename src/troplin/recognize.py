@@ -44,7 +44,6 @@ from .matroids import (
     GroundSet,
     Matroid,
     _flat_matroid,
-    _sorted_sets,
     verify_flat_family,
 )
 from .points import TropPoint, _integer_breakpoints
@@ -81,12 +80,8 @@ class RecognitionReport:
 
 
 def _accept(matroid: Matroid, flats, multiplier: int = 1) -> RecognitionReport:
-    return RecognitionReport(
-        "accepted",
-        matroid=matroid,
-        multiplier=multiplier,
-        flats=tuple(_sorted_sets(flats)),
-    )
+    """An acceptance with the flats given in `_sorted_sets` order."""
+    return RecognitionReport("accepted", matroid=matroid, multiplier=multiplier, flats=tuple(flats))
 
 
 def _reject(kind: str, witness=None) -> RecognitionReport:
@@ -166,7 +161,8 @@ def recognize_fan(
     fan is balanced next and then goes on in the order above, so its
     verdict and witness are the same as in that order.
     """
-    if not complex_.is_fan:
+    tagged = complex_.chain_tagged  # braid cones at the origin are cones
+    if not (tagged or complex_.is_fan):
         raise InvalidInputError("input complex is not a fan")
     if not complex_.is_pure:
         return _non_pure(complex_)
@@ -174,7 +170,6 @@ def recognize_fan(
         bad = next(w for w in complex_.weights if w != 1)
         return _reject(REASON_WEIGHT, bad)
     n, d = complex_.n, complex_.dim
-    tagged = complex_.chain_tagged
     if not tagged:
         balance = is_balanced(complex_)
         if not balance.ok:
@@ -202,9 +197,10 @@ def recognize_fan(
         # flats lo < hi of a chain is dropped from one cone for each cover of
         # lo below hi, and these covers partition hi - lo, so the sum of their
         # -e_F is constant on every block of the facet's chain, which puts it
-        # in the facet's span.
+        # in the facet's span.  Chambers are chains of nonempty sets, so the
+        # family is the lattice's members but the first, the empty set.
         if check.ok and family.rank == d + 1 and family.count_maximal_chains() == len(chambers):
-            return _accept(_flat_matroid(family), family.sets)
+            return _accept(_flat_matroid(family), family.lattice[0][1:])
         balance = is_balanced(complex_)
         if not balance.ok:
             return _reject(REASON_UNBALANCED, balance.witness)
@@ -223,7 +219,7 @@ def recognize_fan(
         if chain not in chambers:
             witness = TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
             return _reject(REASON_SUPPORT, witness)
-    return _accept(_flat_matroid(family), family.sets)
+    return _accept(_flat_matroid(family), family.lattice[0][1:])
 
 
 def decide_complex(

@@ -5,8 +5,9 @@ row reduction and the integer diagonalisation the Hermite normal form
 replaced, the pairwise complex validation that chain lookup replaced, the
 per-cell segment coverage test, with its Fraction gap sweep, that the row
 table of a complex replaced, the fundamental circuit by basis exchange, and
-the chain enumeration, flat-axiom check and height-table rank that the cover
-relation of `matroids._covers` replaced, the flats of a matroid by the
+the chain enumeration, flat-axiom check and height-table rank that a cover
+relation replaced, that cover relation on frozensets, which the integer
+lattice of `ChainFamily` replaced, the flats of a matroid by the
 closure of every subset, which the walk up the covers of `Matroid.flats`
 replaced, the circuits of a matroid by a scan of the small subsets, which
 the fundamental circuits of `Matroid.circuits` replaced, the row table of a
@@ -990,6 +991,20 @@ def fundamental_circuit(matroid, basis, element):
     )
 
 
+def frozenset_covers(sets):
+    """Each member, in `_sorted_sets` order, with the minimal members that
+    properly contain it, in the same order."""
+    ordered = _sorted_sets(sets)
+    out = {}
+    for i, f in enumerate(ordered):
+        # a member between f and g comes before g, so some cover of f is below g
+        out[f] = covers = []
+        for g in ordered[i + 1 :]:
+            if f < g and not any(h < g for h in covers):
+                covers.append(g)
+    return out
+
+
 def proper_members(family):
     return _sorted_sets(s for s in family.sets if s and s != family.ground)
 
@@ -1190,4 +1205,4 @@ def recognize_fan_balancing_first(complex_, budget=DEFAULT_BUDGET):
         if chain not in chambers:
             witness = TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
             return _reject(REASON_SUPPORT, witness)
-    return _accept(_flat_matroid(family), family.sets)
+    return _accept(_flat_matroid(family), _sorted_sets(family.sets))

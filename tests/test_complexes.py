@@ -916,6 +916,28 @@ class TestValidationAgainstPairwiseOracle:
             "cells do not intersect in a common face",
         }
 
+    def test_contained_chains_match_a_brute_force_oracle(self):
+        # seeded chains of mixed lengths, half of them sub-chains of others,
+        # so both the sub-chain lookup and the comparison with shorter
+        # chains run; chains of one length contain none of one another
+        rng = random.Random(2501)
+        branches = set()
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            chains = set()
+            for _ in range(rng.randint(1, 40)):
+                order = rng.sample(range(1, n + 1), n)
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+                chain = tuple(fs(order[:k]) for k in cuts)
+                chains.add(chain)
+                if rng.random() < 0.5:
+                    chains.add(tuple(f for f in chain if rng.random() < 0.5))
+            want = {c for c in chains if any(set(c) < set(d) for d in chains)}
+            assert complexes._contained_chains(chains) == want, chains
+            branches.update(2 ** len(c) <= len(chains) for c in chains)
+            level = rng.choice([len(c) for c in chains])
+            assert complexes._contained_chains({c for c in chains if len(c) == level}) == set()
+        assert branches == {True, False}
 
     def test_tree_lines_with_a_moved_or_shortened_cell(self):
         # a translate of a cell is apart from most cells, and meets some

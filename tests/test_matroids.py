@@ -107,6 +107,11 @@ class TestFlatFamilies:
         res = verify_flat_family(3, [{1}, {2}])
         assert not res.ok and res.axiom == "ground-set"
 
+    def test_a_set_outside_the_ground_set_is_refused(self):
+        for outside in ({0}, {4}, {-1, 2}):
+            with pytest.raises(InvalidInputError, match="not within 1..3"):
+                verify_flat_family(3, [outside, {1, 2, 3}])
+
     def test_intersection_violation(self):
         res = verify_flat_family(3, [{1, 2}, {1, 3}, {2, 3}, {1, 2, 3}])
         assert not res.ok

@@ -37,6 +37,7 @@ from troplin.matroids import (
     ChainFamily,
     Matroid,
     _flat_matroid,
+    _lattice,
     enumerate_matroids,
     matroid_from_bases,
     matroid_from_flats,
@@ -54,6 +55,7 @@ from conftest import (
     diagonal_saturate_rows,
     filtered_maximal_chains,
     flat_family_check,
+    frozenset_covers,
     halfspace_status,
     height_table_bases,
     in_hull,
@@ -575,29 +577,66 @@ class TestLatticeAgainstDiagonalisation:
 
 
 class TestCoversAgainstChainEnumeration:
-    """Maximal chains as paths of covers, the flat axioms read from the
-    covers and the rank as a path length agree with enumerating every chain,
-    scanning all members above each member and a height table."""
+    """The integer lattice of a family agrees with the frozenset cover
+    relation it replaced: its maximal chains as paths of covers, their
+    number, the flat axioms read from the covers, the rank as a path length
+    and the bases read from the coatoms agree with enumerating every chain,
+    scanning all members above each member and a height table.  The seeded
+    families have n <= 6: flat families, flat families with a set added
+    (mostly not intersection-closed) or a flat taken out (mostly breaking
+    the partition axiom), families without the ground set, and random
+    subsets."""
 
     @staticmethod
     def families():
-        for n in range(1, 6):
-            for matroid in enumerate_matroids(n):
-                yield n, list(matroid.flats)
+        rng = random.Random(2502)
+        matroids = [m for n in range(1, 6) for m in enumerate_matroids(n)]
+        matroids += [matroid_from_bases(6, combinations(range(1, 7), r)) for r in range(1, 7)]
+        for m in rng.sample(enumerate_matroids(5), 20):
+            # 6 parallel to 1
+            matroids.append(matroid_from_bases(6, set(m.bases) | {b - {1} | {6} for b in m.bases if 1 in b}))
+        for m in matroids:
+            n, flats = m.n, sorted(m.flats, key=sorted)
+            subsets = [fs(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+            yield n, flats
+            yield n, flats + [rng.choice(subsets)]
+            proper = [f for f in flats if f and f != m.ground]
+            if proper:
+                gone = rng.choice(proper)
+                yield n, [f for f in flats if f != gone]
         rng = random.Random(79)
         for _ in range(3000):
             n = rng.randint(1, 5)
             p = rng.choice([0.1, 0.3, 0.6])
             subsets = [fs(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
             yield n, [s for s in subsets if rng.random() < p]
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            subsets = [fs(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+            sets = [s for s in subsets if rng.random() < rng.choice([0.1, 0.2])]
+            yield n, sets
+            yield n, [s for s in sets if len(s) < n]
 
     def test_chains_axioms_and_bases_match_the_oracles(self):
         seen = set()
         for n, sets in self.families():
+            members, masks, covers = _lattice(set(sets) | {fs()})
+            by_frozensets = frozenset_covers(set(sets) | {fs()})
+            assert list(by_frozensets) == members
+            assert masks == [sum(1 << (i - 1) for i in f) for f in members]
+            assert [[members[j] for j in up] for up in covers] == list(by_frozensets.values())
             family = ChainFamily(n, sets + [range(1, n + 1)])
-            assert family.maximal_chains() == filtered_maximal_chains(family), (n, sets)
+            chains = filtered_maximal_chains(family)
+            assert family.maximal_chains() == chains, (n, sets)
+            assert family.count_maximal_chains() == len(chains)
+            covered, flat, rank = frozenset_covers(family.sets | {fs()}), fs(), 0
+            while flat != family.ground:
+                rank, flat = rank + 1, covered[flat][0]
+            assert family.rank == rank
             check = verify_flat_family(n, sets)
             assert check == flat_family_check(n, sets), (n, sets)
+            if family.ground in sets:
+                assert verify_flat_family(n, family) == check
             if check.ok:
                 assert matroid_from_flats(family).bases == height_table_bases(family)
             seen.add(check.axiom)

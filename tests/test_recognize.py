@@ -148,19 +148,19 @@ class TestRecognizeFan:
         assert len(calls) == 27
 
     def test_one_cover_relation_for_verdict_chains_and_matroid(self, monkeypatch):
-        # the family's cached covers give the flat axioms, the rank, the
+        # the family's cached lattice gives the flat axioms, the rank, the
         # maximal chains or their number, and the matroid
         fans = [
             chain_fan(ChainFamily(4, m.flats | {m.ground})) for m in enumerate_matroids(4)
         ] + [coarse_uniform_fan(rank, 5) for rank in range(1, 6)]
         calls = []
-        covers = matroids._covers
+        lattice = matroids._lattice
 
         def counted(sets):
             calls.append(sets)
-            return covers(sets)
+            return lattice(sets)
 
-        monkeypatch.setattr(matroids, "_covers", counted)
+        monkeypatch.setattr(matroids, "_lattice", counted)
         for fan in fans:
             calls.clear()
             assert recognize_fan(fan).accepted
@@ -624,6 +624,46 @@ class TestChainFanFastPath:
         monkeypatch.setattr(recognize, "is_balanced", refuse)
         for fan in fans:
             assert recognize_fan(fan).accepted
+
+
+class TestSixElementChainFans:
+    """Chain fans on six elements: every U(r,6), and each loopfree matroid
+    on five elements with 6 added parallel to 1, are accepted with their own
+    matroid and flats, as balancing first reports; with one cone dropped
+    each gets the reason and witness of balancing first."""
+
+    @staticmethod
+    def matroids():
+        for rank in range(1, 7):
+            yield matroid_from_bases(6, combinations(range(1, 7), rank))
+        for m in enumerate_matroids(5):
+            bases = set(m.bases) | {b - {1} | {6} for b in m.bases if 1 in b}
+            yield matroid_from_bases(6, bases)
+
+    def test_accepted_as_balancing_first_and_mutants_as_well(self):
+        def dumps(report):
+            return tio.dumps(tio.report_to_json(report))
+
+        spent, count, kinds = 0.0, 0, set()
+        for m in self.matroids():
+            fan = chain_fan(ChainFamily(6, m.flats | {m.ground}))
+            started = time.perf_counter()
+            report = recognize_fan(fan)
+            spent += time.perf_counter() - started
+            assert report.accepted and report.matroid == m
+            assert set(report.flats) == m.flats - {fs()}
+            assert dumps(report) == dumps(recognize_fan_balancing_first(fan))
+            if len(fan.cells) > 1:
+                mutant = WeightedComplex(6, fan.cells[1:], [1] * (len(fan.cells) - 1), validate=False)
+                report = recognize_fan(mutant)
+                assert not report.accepted
+                assert dumps(report) == dumps(recognize_fan_balancing_first(mutant))
+                kinds.add(report.reason.kind)
+            count += 1
+        assert count == 6 + len(enumerate_matroids(5))
+        assert kinds == {"unbalanced"}
+        # the fast path reads each chain fan from its chains alone
+        assert spent < 1
 
 
 class TestDecideComplex:
