@@ -16,16 +16,18 @@ at the origin given by generators, which `Cell.from_torus` reads off the
 representatives as written, with no point made, for JSON ingest and for the
 other stars) is given them, and any other cell has them read off its
 generators.  Balancing reads each braid facet's dropped sets, and dimension
-and star containment read the chain, instead of an H-representation.
+reads the chain, instead of an H-representation.
 Segment coverage reads one `RowTable` per complex of the cells' distinct
 constraint rows, each evaluated once at every integer breakpoint of the
-segment.  Most rows are coordinate differences q*(x_i - x_j) + c, read from
-two coordinates: all of a braid cone's, which come from its apex and chain
-with no double description, and most of the other cells' (the cells of a
-tropical linear space are alcoved).  Which cells meet the segment, and
-which contain a whole piece, are set tests on the keys of the rows positive
-at each breakpoint; only the pieces that no cell contains are swept in
-intervals.
+segment.  An alcoved cell, one cut out by bounds x_i - x_j <= c, as every
+cell of a tropical linear space is (Lam & Postnikov 2007), has its rows
+read as one integer difference form (`Cell.differences`), of coordinate
+differences q*(x_i - x_j) + c read from two coordinates: a braid cone's
+come from its apex and chain with no double description, and any other
+cell's from its `extents` and facets.  Point containment reads the same
+form.  Which cells meet the segment, and which contain a whole piece, are
+set tests on the keys of the rows positive at each breakpoint; only the
+pieces that no cell contains are swept in intervals.
 """
 
 from __future__ import annotations
@@ -201,6 +203,54 @@ class Cell:
         braid = self.braid
         return braid[1] if braid is not None and vec_is_zero(braid[0]) else None
 
+    @cached_property
+    def differences(self) -> list[tuple[int, int, int, int]] | None:
+        """The cell as primitive rows (i, j, q, c), q > 0, of
+        q*(x_i - x_j) + c <= 0 at 0-based torus positions, or None when it
+        is not alcoved.  A braid cone's are `_braid_differences`.  Any other
+        cell reads (L, T) off `extents`: its blocks are the classes of i ~ j
+        where T_ij + T_ji = 0, on which x_i - x_j is T_ij/L, and it is
+        alcoved exactly when its dimension is the number of blocks less one
+        and every facet row, each x_i written x_r + T_ir/L for the least
+        member r of its block, is q*(x_a - x_b) + c between two blocks.  Its
+        rows are then each member against its block's least, both signs,
+        and those facets.
+
+        They cut the cell out: the block equations hold on it and cut out a
+        flat of its dimension, its affine hull, on which each facet row is
+        its rewritten form.  Conversely, a cell cut out by difference rows
+        has as affine hull the flat of the rows tight on all of it, which
+        join members of one block, and each facet is where one row between
+        two blocks is tight, so modulo that hull the facet row is a positive
+        multiple of that row.
+        """
+        if self.braid is not None:
+            return _braid_differences(self.n, *self.braid)
+        n, (scale, top) = self.n, self.poly.extents
+        rep = [
+            next(r for r, t in enumerate(top[i]) if t is not None and top[r][i] == -t)
+            for i in range(n)
+        ]
+        if self.poly.dim != sum(r == i for i, r in enumerate(rep)) - 1:
+            return None
+        rows = []
+        for i, r in enumerate(rep):
+            if r != i:
+                g = gcd(scale, top[i][r])
+                rows += [(i, r, scale // g, -top[i][r] // g), (r, i, scale // g, top[i][r] // g)]
+        for row in self.poly._rows[1]:
+            coef, c = [0] * n, row[-1] * scale
+            for i, a in enumerate((-sum(row[:-1]), *row[:-1])):
+                coef[rep[i]] += a
+                c += a * top[i][rep[i]]
+            nz = [i for i, a in enumerate(coef) if a]
+            if len(nz) != 2:
+                return None
+            i, j = nz if coef[nz[0]] > 0 else nz[::-1]
+            g = gcd(coef[i] * scale, c)
+            rows.append((i, j, coef[i] * scale // g, c // g))
+        return rows
+
     @property
     def dim(self) -> int:
         # the rays of a braid cone are linearly independent
@@ -266,7 +316,11 @@ class WeightedComplex:
         for w in weights:
             if not isinstance(w, int) or w <= 0:
                 raise InvalidInputError("weights must be positive integers")
-        keys = [c.poly.canonical_key for c in cells]
+        # cells that all carry their chains, as `from_braid` gives them, are
+        # equal exactly when their chains are; any others by their keys
+        keys = [vars(c).get("chain") for c in cells]
+        if None in keys:
+            keys = [c.poly.canonical_key for c in cells]
         if len(set(keys)) != len(keys):
             raise InvalidInputError("duplicate maximal cells")
         self.n = n
@@ -301,7 +355,7 @@ class WeightedComplex:
     def dim(self) -> int:
         return max(c.dim for c in self.cells)
 
-    @property
+    @cached_property
     def is_pure(self) -> bool:
         return all(c.dim == self.dim for c in self.cells)
 
@@ -326,34 +380,29 @@ class WeightedComplex:
     def support_contains(self, x: TropPoint) -> bool:
         if x.n != self.n:
             raise InvalidInputError("ambient size mismatch")
-        q = to_quotient(x)
-        return any(_cell_contains(c, q) for c in self.cells)
+        point = _lift(x.coords + (1,))
+        return any(_cell_contains(c, point) for c in self.cells)
 
     @cached_property
     def _row_table(self) -> RowTable:
-        """The distinct constraint rows of the cells up to sign.  A braid
-        cone's rows come from its apex and chain (`_braid_differences`), each
-        distinct (i, j, a_i - a_j) made a row once, so braid cones that share
-        an apex share their rows; every other cell has its polyhedron's rows,
-        kept dense only when they are no coordinate difference."""
+        """The distinct constraint rows of the cells up to sign.  An alcoved
+        cell's rows are its difference form (`Cell.differences`), each
+        distinct (i, j, q, c) made a row once, so cells that share a bound,
+        such as braid cones at one apex, share its row; any other cell has
+        its polyhedron's rows, kept dense."""
         diffs: dict[tuple[int, int, int, int], int] = {}
         dense: dict[IntVec, int] = {}
         cell_rows = []
         for cell in self.cells:
-            if cell.braid is not None:
-                cell_rows.append(
-                    [_add_difference(diffs, *r) for r in _braid_differences(self.n, *cell.braid)]
-                )
+            form = cell.differences
+            if form is not None:
+                cell_rows.append([_add_difference(diffs, *r) for r in form])
                 continue
             rows = []
             for r in cell.poly._constraints:
-                form = _difference(r)
-                if form is not None:
-                    rows.append(_add_difference(diffs, *form))
-                else:
-                    # marked by ~, and placed after the differences below
-                    s = 1 if next(x for x in r if x) > 0 else -1
-                    rows.append((~dense.setdefault(r if s > 0 else _neg(r), len(dense)), s))
+                # marked by ~, and placed after the differences below
+                s = 1 if next(x for x in r if x) > 0 else -1
+                rows.append((~dense.setdefault(r if s > 0 else _neg(r), len(dense)), s))
             cell_rows.append(rows)
         offset = len(diffs)
         pairs = [[(k if k >= 0 else offset + ~k, s) for k, s in rows] for rows in cell_rows]
@@ -615,6 +664,7 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     if p.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
     n, q = complex_.n, to_quotient(p)
+    point = None  # p lifted to integers, once it is needed
     cones = []
     for cell, weight in zip(complex_.cells, complex_.weights):
         braid = cell.braid
@@ -622,7 +672,8 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
             # at its apex a braid cone's star is its chain's cone
             cones.append((Cell.from_braid(n, (0,) * (n - 1), braid[1]), weight))
             continue
-        if not _cell_contains(cell, q):
+        point = point or _lift(p.coords + (1,))
+        if not _cell_contains(cell, point):
             continue
         # the cone of directions from q into the cell
         poly = cell.poly
@@ -645,14 +696,15 @@ def _level_sets(w: Sequence[Rational]) -> list[GroundSet]:
     return [frozenset(i for i, x in enumerate(w, 1) if x <= v) for v in sorted(set(w))]
 
 
-def _cell_contains(cell: Cell, q: Vec) -> bool:
-    """Does the cell contain the quotient point q?  A braid cone apex +
-    cone(chain) does when the chain of q - apex lies in its chain: with
-    w = (0, q - apex), that is the level sets of w but the ground set."""
-    if cell.braid is None:
-        return cell.poly.contains(q)
-    apex, chain = cell.braid
-    return all(f in chain for f in _level_sets((0, *vec_sub(q, apex)))[:-1])
+def _cell_contains(cell: Cell, p: IntVec) -> bool:
+    """Does the cell contain the torus point p[:-1] / p[-1], an integer
+    vector p with p[0] = 0 and p[-1] > 0?  Its difference form is read at
+    p, or, for a cell that is not alcoved, its polyhedron's rows at the
+    homogenised quotient point p[1:]."""
+    form = cell.differences
+    if form is None:
+        return cell.poly._holds(p[1:])
+    return all(q * (p[i] - p[j]) + c * p[-1] <= 0 for i, j, q, c in form)
 
 
 def chain_fan(family: ChainFamily) -> WeightedComplex:
@@ -681,9 +733,9 @@ class RowTable:
     functionals r(x, t) whose cell is {x : r(x, 1) <= 0}, and each cell's
     rows.
 
-    A difference (i, j, q, c) in `diffs`, with torus positions i < j
-    (0-based) and q > 0, is q*(x_i - x_j) + c*t; a row that is no coordinate
-    difference is an integer row in quotient coordinates in `dense`, first
+    An alcoved cell's rows are differences (i, j, q, c) in `diffs`, with
+    torus positions i < j (0-based) and q > 0, for q*(x_i - x_j) + c*t; any
+    other cell's are integer rows in quotient coordinates in `dense`, first
     nonzero entry positive, indexed after the differences.  Each cell's rows
     are (index, sign) pairs, sign times the distinct row, and its `keys` the
     same pairs as ints, index for sign 1 and ~index for -1.
@@ -732,18 +784,6 @@ def _braid_differences(n: int, apex: Vec, chain: tuple[GroundSet, ...]) -> list:
         g = gcd(big_d, a[i] - a[j])
         rows.append((i, j, big_d // g, (a[j] - a[i]) // g))
     return rows
-
-
-def _difference(r: IntVec) -> tuple[int, int, int, int] | None:
-    """The quotient row r as (i, j, q, c) with r.(x, t) = q*(x_i - x_j) + c*t
-    at torus positions i and j, or None: x_1 is 0 in quotient coordinates,
-    so one nonzero entry q at quotient position p is q*(x_(p+1) - x_0)."""
-    nz = [(i, x) for i, x in enumerate(r[:-1], 1) if x]
-    if len(nz) == 1:
-        return nz[0][0], 0, nz[0][1], r[-1]
-    if len(nz) == 2 and nz[0][1] == -nz[1][1]:
-        return nz[0][0], nz[1][0], nz[0][1], r[-1]
-    return None
 
 
 def _add_difference(index: dict, i: int, j: int, q: int, c: int) -> tuple[int, int]:

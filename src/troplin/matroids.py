@@ -231,6 +231,15 @@ class ChainFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sets", family)
 
+    @classmethod
+    def _of_chambers(cls, n: int, sets: frozenset[GroundSet]) -> ChainFamily:
+        """The family of frozensets within 1..n, the ground set among them,
+        taken as is: the members of braid chambers, unchecked."""
+        family = cls.__new__(cls)
+        object.__setattr__(family, "n", n)
+        object.__setattr__(family, "sets", sets)
+        return family
+
     @property
     def ground(self) -> GroundSet:
         return frozenset(range(1, self.n + 1))

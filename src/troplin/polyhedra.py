@@ -69,15 +69,18 @@ def _mix(s: int, x: IntVec, t: int, y: IntVec) -> IntVec:
     return tuple(c // g for c in v)
 
 
-def _dd(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Lineality basis and extreme rays of {x in Q^dim : r.x <= 0 for every row}.
+def _dd(rows: Sequence[IntVec], dim: int, eqs: int = 0) -> tuple[list[IntVec], list[IntVec]]:
+    """Lineality basis and extreme rays of {x in Q^dim : r.x <= 0 for every
+    row, and r.x = 0 for each of the first `eqs` rows}.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) over the
     integers, adding one row at a time.  While some lineality vector is not
     orthogonal to the row, it becomes a ray and the rest of the description
     is made orthogonal to it.  Otherwise a positive and a negative ray are
     combined only when adjacent, which is decided combinatorially: no third
-    ray is tight on every row the two share.
+    ray is tight on every row the two share.  The equations come first,
+    while the cone is a linear space, so each one only drops the vector that
+    an inequality would make a ray, as the row and its negation would.
     """
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[IntVec, int]] = []  # (ray, bitmask of its tight rows)
@@ -93,7 +96,8 @@ def _dd(rows: Sequence[IntVec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
             for j, (x, z) in enumerate(rays):
                 t = sum(map(mul, r, x))
                 rays[j] = (x if not t else _mix(-s, x, t, p), z | bit)
-            rays.append((p, bit - 1))
+            if k >= eqs:
+                rays.append((p, bit - 1))
             continue
         pos, neg, kept = [], [], []
         for x, z in rays:
@@ -129,9 +133,8 @@ def _generators(m: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
     """Minimal vertices, rays and lineality of the polyhedron whose
     homogenised cone the rows cut out, as equations and inequalities; None
     if it is empty."""
-    rows = [s for r in eq_rows for s in (r, _neg(r))]
-    rows.append((0,) * m + (-1,))
-    lin, gens = _dd(rows + ineq_rows, m + 1)
+    rows = [*eq_rows, (0,) * m + (-1,), *ineq_rows]
+    lin, gens = _dd(rows, m + 1, len(eq_rows))
     verts = [
         tuple(x // g[m] if x % g[m] == 0 else Fraction(x, g[m]) for x in g[:m])
         for g in gens

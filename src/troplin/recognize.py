@@ -185,7 +185,7 @@ def recognize_fan(
             if len(chain) > d:
                 return _reject(REASON_HET, point)
         chambers.add(chain)
-    family = ChainFamily(n, {frozenset(range(1, n + 1))}.union(*chambers))
+    family = ChainFamily._of_chambers(n, frozenset({frozenset(range(1, n + 1))}.union(*chambers)))
     check = verify_flat_family(n, family)
     if tagged:
         # Lemma: in the geometric lattice of a flat family of rank d + 1, a
@@ -348,20 +348,20 @@ class ProbeResult:
 
 def _sample(cell: Cell, rng: random.Random) -> tuple[int, list[int]]:
     """A seeded vertex plus a/b times each ray (a in 0..6) and lineality
-    vector (a in -6..6), b in 1..3, as its scale 6*d for the vertex
-    denominator d and the integer vector 6*d*q; 6 = lcm(1, 2, 3) clears
-    every b."""
-    v = cell.poly.vertices[rng.randrange(len(cell.poly.vertices))]
-    d = lcm(*(x.denominator for x in v))
-    scale = 6 * d
-    q = [x.numerator * (scale // x.denominator) for x in v]
-    for r in cell.poly.rays:
-        c = rng.randint(0, 6) * (6 // rng.randint(1, 3)) * d
+    vector (a in -6..6), b in 1..3, as its scale 6*d and the integer vector
+    6*d*q, for the vertex's generator (d*v, d) in `_gens`, d the lcm of v's
+    denominators; 6 = lcm(1, 2, 3) clears every b.  The draws are those of
+    `randint` over the same ranges, one `_randbelow` call each."""
+    poly = cell.poly
+    *v, d = poly._gens[rng.randrange(len(poly.vertices))]
+    q = [6 * x for x in v]
+    for r in poly.rays:
+        c = rng.randrange(7) * (6 // (1 + rng.randrange(3))) * d
         q = [a + c * x for a, x in zip(q, r)]
-    for l in cell.poly.lineality:
-        c = rng.randint(-6, 6) * (6 // rng.randint(1, 3)) * d
+    for l in poly.lineality:
+        c = (rng.randrange(13) - 6) * (6 // (1 + rng.randrange(3))) * d
         q = [a + c * x for a, x in zip(q, l)]
-    return scale, q
+    return 6 * d, q
 
 
 def _scaled_point(n: int, scale: int, q: list[int]) -> TropPoint:

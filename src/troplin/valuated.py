@@ -8,16 +8,19 @@ Membership in the associated tropical linear space is the requirement that,
 for every circuit, the maximum of x_i + (v_C)_i is attained at least twice.
 A cell lies in that space exactly when it meets none of the open sectors in
 which one element of a circuit attains the maximum alone; `certify_cell`
-decides this with one cut per sector and needs no budget.
+bisects an index of the sector bounds for the sectors that a cell's extents
+leave open, decides each with one cut, and needs no budget.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
+from operator import or_
 from typing import Iterable, Mapping
 
 from .complexes import coordinate_difference
@@ -173,18 +176,31 @@ class ValuatedMatroid:
         return out
 
     @cached_property
-    def _sector_bounds(self) -> tuple[int, list[tuple[CircuitVector, int, list[tuple[int, int]]]]]:
-        """(B, sectors): B the common denominator of the circuit-valuation
-        entries and, for each circuit C and each i in C in ascending order,
-        (v_C, i, [(j, B*((v_C)_j - (v_C)_i)) for j in C - i ascending])."""
+    def _sector_bounds(self) -> tuple[int, list, list]:
+        """(B, sectors, index): B the common denominator of the
+        circuit-valuation entries; for each circuit C and each i in C in
+        ascending order, (v_C, i, [(j, B*((v_C)_j - (v_C)_i)) for j in C - i
+        ascending]); and for each ordered pair of torus positions i, j
+        (0-based), (i, j, bounds, masks) with the bounds b of the sectors
+        (C, i) with j in C - i ascending, and masks[k] the bitmask of the
+        sectors' indices with the bounds from bounds[k] on."""
         vecs = self.circuit_valuations
         big = lcm(*(x.denominator for vec in vecs.values() for x in vec if x is not None))
-        sectors = []
+        sectors, pairs = [], {}
         for circuit, vec in vecs.items():
-            for i in sorted(circuit):
-                bounds = [(j, int(big * (vec[j - 1] - vec[i - 1]))) for j in sorted(circuit - {i})]
+            members = sorted(circuit)
+            scaled = [None if x is None else x.numerator * (big // x.denominator) for x in vec]
+            for i in members:
+                bounds = [(j, scaled[j - 1] - scaled[i - 1]) for j in members if j != i]
+                for j, b in bounds:
+                    pairs.setdefault((i - 1, j - 1), []).append((b, 1 << len(sectors)))
                 sectors.append((vec, i, bounds))
-        return big, sectors
+        index = []
+        for (i, j), entries in pairs.items():
+            entries.sort()
+            masks = list(accumulate([bit for _, bit in reversed(entries)], or_))
+            index.append((i, j, [b for b, _ in entries], masks[::-1]))
+        return big, sectors, index
 
 
 def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
@@ -263,8 +279,11 @@ def certify_cell(valuated: ValuatedMatroid, cell) -> bool:
     maxima of x_i - x_j over P are the integers T[i][j] over L of the
     polyhedron's `extents`, and the sector bounds (v_C)_j - (v_C)_i the
     integers b over B of the matroid's `_sector_bounds`, so (C, i) is
-    skipped when some j in C - i has T[i][j] * B <= b * L.  Otherwise one
-    cut by the |C| - 1 closed sector rows gives Q.  A convex set inside
+    skipped when some j in C - i has T[i][j] * B <= b * L, that is
+    b >= ceil(T[i][j] * B / L).  The bounds of each pair (i, j) are indexed
+    sorted, so one bisection per pair finds every sector it skips, as a
+    suffix of the pair's bounds with one bitmask.  For every sector left,
+    one cut by the |C| - 1 closed sector rows gives Q.  A convex set inside
     finitely many hyperplanes lies in one of them, so P meets S_i(C) exactly
     when Q is nonempty and no sector row vanishes on every generator of Q.
     Each sector costs one cut, so no budget is needed.
@@ -273,11 +292,18 @@ def certify_cell(valuated: ValuatedMatroid, cell) -> bool:
         raise InvalidInputError("ambient size mismatch")
     n, poly = valuated.n, cell.poly
     scale, top = poly.extents
-    big, sectors = valuated._sector_bounds
-    for vec, i, bounds in sectors:
-        row = top[i - 1]
-        if any(row[j - 1] is not None and row[j - 1] * big <= b * scale for j, b in bounds):
-            continue
+    big, sectors, index = valuated._sector_bounds
+    left = (1 << len(sectors)) - 1
+    for i, j, bounds, masks in index:
+        t = top[i][j]
+        if t is not None:
+            k = bisect_left(bounds, -(-t * big // scale))
+            if k < len(bounds):
+                left &= ~masks[k]
+    while left:
+        s = (left & -left).bit_length() - 1
+        left &= left - 1
+        vec, i, bounds = sectors[s]
         sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j, _ in bounds]
         eqs, ineqs = poly._rows
         q = _from_rows(n - 1, eqs, ineqs + sector)

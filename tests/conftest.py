@@ -32,13 +32,19 @@ all pairs of bases, which the local check of `check_pluecker` replaced, and
 cones from its chains replaced, the cell writer through torus points, which
 writing every cell from its generators lifted as (0,) + v replaced, and the
 primitive normal by a search of the facet rows tight on the facet, which
-reading the facet's row off `faces_of_facets` replaced."""
+reading the facet's row off `faces_of_facets` replaced, the scan of every
+sector of `certify_cell`, which the bisected sector index replaced,
+minimal generators with each equation given to `_dd` as a row and its
+negation, which giving it once as an equation replaced, and the probe's
+sample drawn with `randint` off a vertex, which drawing with `randrange`
+off its generator replaced."""
 
 import importlib.util
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -82,7 +88,7 @@ from troplin.matroids import (
     verify_flat_family,
 )
 from troplin.points import TropPoint, flat_direction, segment
-from troplin.polyhedra import Polyhedron, _from_rows, _lift, _neg, _row
+from troplin.polyhedra import Polyhedron, _dd, _from_rows, _lift, _neg, _row
 from troplin.recognize import (
     REASON_FLAT_AXIOM,
     REASON_HET,
@@ -489,6 +495,65 @@ def certify_cell_by_fraction_extents(valuated, cell) -> bool:
             if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):
                 return False
     return True
+
+
+def certify_cell_by_sector_scan(valuated, cell) -> bool:
+    """`certify_cell` with the cell's extents compared with the bounds of
+    every sector in turn, instead of one bisection per pair of coordinates
+    in the sector index."""
+    n, poly = valuated.n, cell.poly
+    scale, top = poly.extents
+    big, sectors, _ = valuated._sector_bounds
+    for vec, i, bounds in sectors:
+        row = top[i - 1]
+        if any(row[j - 1] is not None and row[j - 1] * big <= b * scale for j, b in bounds):
+            continue
+        sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j, _ in bounds]
+        eqs, ineqs = poly._rows
+        q = _from_rows(n - 1, eqs, ineqs + sector)
+        if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):
+            return False
+    return True
+
+
+def generators_with_negated_equations(m, eq_rows, ineq_rows):
+    """`polyhedra._generators` with each equation given to `_dd` as two
+    inequalities, the row and its negation."""
+    rows = [s for r in eq_rows for s in (r, _neg(r))]
+    rows.append((0,) * m + (-1,))
+    lin, gens = _dd(rows + ineq_rows, m + 1)
+    verts = [
+        tuple(x // g[m] if x % g[m] == 0 else Fraction(x, g[m]) for x in g[:m])
+        for g in gens
+        if g[m]
+    ]
+    if not verts:
+        return None
+    return verts, [g[:m] for g in gens if not g[m]], [l[:m] for l in lin]
+
+
+def difference_row(n, i, j, q, c):
+    """The difference (i, j, q, c), q*(x_i - x_j) + c*t at 0-based torus
+    positions, as an integer row in quotient coordinates."""
+    r = [0] * n
+    r[i] += q
+    r[j] -= q
+    return tuple(r[1:]) + (c,)
+
+
+def extents_polyhedron(cell):
+    """The polyhedron of the bounds x_i - x_j <= T_ij/L over the finite
+    entries of the cell's `extents` (L, T): the cell itself exactly when it
+    is alcoved, cut out by some bounds on coordinate differences, since
+    each of those is at least the maximum T_ij/L."""
+    n, (scale, top) = cell.n, cell.poly.extents
+    rows = [
+        difference_row(n, i, j, scale, -t)
+        for i, row in enumerate(top)
+        for j, t in enumerate(row)
+        if t is not None and i != j
+    ]
+    return _from_rows(n - 1, [], rows)
 
 
 def rand_rational(rng: random.Random, span: int = 8, denominators: int = 4) -> Fraction:
@@ -939,15 +1004,27 @@ def table_rows(table, c, n):
     rows = []
     for k, s in table.pairs[c]:
         if k < len(table.diffs):
-            i, j, q, const = table.diffs[k]
-            r = [0] * n
-            r[i] += q
-            r[j] -= q
-            r = r[1:] + [const]
+            r = difference_row(n, *table.diffs[k])
         else:
-            r = list(table.dense[k - len(table.diffs)])
+            r = table.dense[k - len(table.diffs)]
         rows.append(tuple(s * x for x in r))
     return rows
+
+
+def sample_by_randint(cell, rng):
+    """`recognize._sample` with the vertex's denominators read off the
+    vertex, not its generator, and every draw made with `randint`."""
+    v = cell.poly.vertices[rng.randrange(len(cell.poly.vertices))]
+    d = lcm(*(x.denominator for x in v))
+    scale = 6 * d
+    q = [x.numerator * (scale // x.denominator) for x in v]
+    for r in cell.poly.rays:
+        c = rng.randint(0, 6) * (6 // rng.randint(1, 3)) * d
+        q = [a + c * x for a, x in zip(q, r)]
+    for l in cell.poly.lineality:
+        c = rng.randint(-6, 6) * (6 // rng.randint(1, 3)) * d
+        q = [a + c * x for a, x in zip(q, l)]
+    return scale, q
 
 
 def probe_drawing_first(complex_, samples, seed):

@@ -32,6 +32,7 @@ from troplin.linalg import hermite_normal_form, in_span, saturate_rows, vec_sub
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
 from troplin.polyhedra import Polyhedron, _from_rows
+from troplin.recognize import convexity_probe
 
 from conftest import (
     benchmark_tree_line,
@@ -39,6 +40,9 @@ from conftest import (
     benchmark_valuated_mutants,
     braid_fan_corpus,
     coarse_uniform_corpus,
+    constraint_row_table,
+    difference_row,
+    extents_polyhedron,
     holed_tree_line,
     is_balanced_by_rays,
     make_tree_cells,
@@ -531,6 +535,70 @@ class TestBraidRowsFromChains:
         assert seen == {"empty", "flag", "partial"}
 
 
+class TestDifferenceForms:
+    """A cell's difference form is None exactly when the cell is not
+    alcoved, that is not the polyhedron of the bounds of its extents, and
+    otherwise its rows cut the cell out."""
+
+    @staticmethod
+    def cells():
+        for seed in (301, 302, 305):
+            for cx in benchmark_valuated_corpus(seed):
+                yield from cx.cells
+        for cx in benchmark_valuated_corpus(301):
+            yield from cx.all_cells()
+        yield from benchmark_tree_line(12).cells
+        rng = random.Random(331)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            verts = [
+                tuple(rand_rational(rng, 3, 3) for _ in range(n - 1))
+                for _ in range(rng.randint(1, 4))
+            ]
+            dirs = [tuple(rng.randint(-1, 1) for _ in range(n - 1)) for _ in range(3)]
+            rays = [d for d in dirs[: rng.randint(0, 2)] if any(d)]
+            lin = [d for d in dirs[2:] if any(d) and rng.random() < 0.3]
+            yield Cell(n, Polyhedron(n - 1, verts, rays, lin))
+
+    def test_forms_cut_out_exactly_the_alcoved_cells(self):
+        kinds = set()
+        for cell in self.cells():
+            form = cell.differences
+            alcoved = extents_polyhedron(cell).canonical_key == cell.poly.canonical_key
+            assert (form is not None) == alcoved, cell
+            if form is not None:
+                assert all(q > 0 and F(c, q).denominator == q for _, _, q, c in form)
+                rows = [difference_row(cell.n, *r) for r in form]
+                assert _from_rows(cell.n - 1, [], rows).canonical_key == cell.poly.canonical_key
+            kinds.add((cell.braid is not None, alcoved))
+        assert kinds == {(True, True), (False, True), (False, False)}
+
+    def test_cells_not_alcoved_probe_as_the_constraint_row_table(self):
+        segment = Cell.from_torus(3, [(0, 0, 0), (0, 1, 2)])
+        line = Cell.from_torus(3, [(0, 0, 0)], lineality=[(0, 1, 2)])
+        ray = Cell.from_torus(3, [(0, 1, 2)], rays=[(-1, 0, 0)])
+        points = [TropPoint(p) for p in [(0, 0, 0), (0, 1, 2), (0, 1, 1), (0, 2, 4), (-3, 1, 2)]]
+        assert segment.differences is None and line.differences is None
+        seen = set()
+        for cells in ([segment], [line], [segment, ray]):
+            cx = WeightedComplex(3, cells, [1] * len(cells), validate=False)
+
+            def results():
+                probes = [convexity_probe(cx, samples=10, seed=s) for s in range(3)]
+                checks = [segment_in_support(cx, a, b) for a, b in combinations(points, 2)]
+                return probes, checks, [cx.support_contains(p) for p in points]
+
+            got = results()
+            assert cx._row_table.dense
+            assert bool(cx._row_table.diffs) == (len(cells) > 1)
+            cx.__dict__["_row_table"] = constraint_row_table(cx)
+            assert results() == got
+            assert got[2] == [any(c.poly.contains(to_quotient(p)) for c in cells) for p in points]
+            seen.update(("found", r.counterexample_found) for r in got[0])
+            seen.update(("covered", c.covered) for c in got[1])
+        assert seen == {("found", True), ("covered", True), ("covered", False)}
+
+
 class TestChainBuiltCells:
     """A braid cone built from its apex and chain is the cell
     `Cell.from_torus` builds from its generators, lifted to length n, with
@@ -828,6 +896,17 @@ class TestComplexValidation:
             WeightedComplex(
                 3, list(u23_fan.cells) + [u23_fan.cells[0]], [1] * 4
             )
+
+    def test_duplicates_found_by_chain_or_by_key(self, u23_fan):
+        # cells that all carry their chains are compared by them; a copy
+        # that carries none, built from generators, is found by its key
+        cell = u23_fan.cells[0]
+        bare = Cell(3, Polyhedron(2, cell.poly.vertices, cell.poly.rays))
+        assert "chain" not in vars(bare) and bare.poly == cell.poly
+        for extra in (cell, bare):
+            with pytest.raises(InvalidInputError, match="duplicate maximal cells"):
+                WeightedComplex(3, [*u23_fan.cells, extra], [1] * 4, validate=False)
+        assert "chain" not in vars(bare)
 
     def test_nonpositive_weights_rejected(self, u23_fan):
         with pytest.raises(InvalidInputError):

@@ -632,6 +632,19 @@ class TestCli:
         assert main(["recognize", str(bad)]) == 2
         assert "contain one another" in capsys.readouterr().err
 
+    def test_repeated_cone_is_exit_two(self, capsys, files, tmp_path):
+        # the repeat is written through other representatives of its rays
+        data = json.loads(files["fan"].read_text())
+        repeat = {"vertices": [[5, 5, 5]], "rays": [[-2, 0, 0]]}
+        assert data["cells"][0]["rays"] == [["0", "1", "1"]]
+        for extra in (data["cells"][0], repeat):
+            bad = tmp_path / "repeated.json"
+            bad.write_text(json.dumps({"n": 3, "cells": data["cells"] + [extra]}))
+            for command in ("recognize", "decide", "local-check"):
+                assert main([command, str(bad)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "duplicate maximal cells" in captured.err
+
     def test_refinement_over_budget_is_exit_two(self, capsys, tmp_path):
         # a subdivided cone is no braid cone, so support equality refines it
         fan = next(

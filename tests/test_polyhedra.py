@@ -17,10 +17,17 @@ from troplin.linalg import (
     vec_dot,
 )
 from troplin.points import TropPoint, trop_ball
-from troplin.polyhedra import Polyhedron
+from troplin.polyhedra import Polyhedron, _generators
 from troplin.recognize import _braid_hyperplanes, _braid_pieces
 
-from conftest import diagonalize_integer_matrix, in_hull
+from conftest import (
+    benchmark_tree_line,
+    diagonalize_integer_matrix,
+    generators_with_negated_equations,
+    in_hull,
+    rand_rational,
+    skeleton_fan_corpus,
+)
 
 F = Fraction
 
@@ -285,3 +292,45 @@ class TestDoubleDescription:
         eqs, ineqs = poly.hrep
         assert len(ineqs) == 20
         assert not eqs
+
+
+class TestEquationsGivenOnce:
+    """`_generators` gives each equation to `_dd` once and finds the minimal
+    generators, in the same order, that giving it as a row and its negation
+    finds (`generators_with_negated_equations`)."""
+
+    @staticmethod
+    def random_rows(rng, m):
+        poly = Polyhedron(
+            m,
+            [tuple(rand_rational(rng, 3, 3) for _ in range(m)) for _ in range(rng.randint(1, 4))],
+            [tuple(rng.randint(-1, 1) for _ in range(m)) for _ in range(rng.randint(0, 2))],
+            [tuple(rng.randint(-1, 1) for _ in range(m)) for _ in range(rng.random() < 0.3)],
+        )
+        eqs, ineqs = poly._rows
+        cut = tuple(rng.randint(-2, 2) for _ in range(m + 1))
+        yield eqs, ineqs
+        # a random row as one more equation, and as one more inequality
+        yield eqs + [cut], ineqs
+        yield eqs, ineqs + [cut]
+
+    def test_random_polyhedra_and_cuts(self):
+        rng = random.Random(67)
+        seen = set()
+        for _ in range(150):
+            m = rng.randint(1, 4)
+            for eqs, ineqs in self.random_rows(rng, m):
+                got = _generators(m, eqs, ineqs)
+                assert got == generators_with_negated_equations(m, eqs, ineqs), (eqs, ineqs)
+                seen.add((bool(eqs), got is None))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_skeleton_fans_and_tree_lines(self):
+        polys = {c.poly.canonical_key: c.poly for cx in skeleton_fan_corpus() for c in cx.cells}
+        for n in [*range(4, 13), 16, 20, 24, 30]:
+            polys.update((c.poly.canonical_key, c.poly) for c in benchmark_tree_line(n).cells)
+        for poly in polys.values():
+            eqs, ineqs = poly._rows
+            got = _generators(poly.m, eqs, ineqs)
+            assert got == generators_with_negated_equations(poly.m, eqs, ineqs), poly
+            assert Polyhedron._minimal(poly.m, *got).canonical_key == poly.canonical_key

@@ -53,6 +53,7 @@ from conftest import (
     probed_flat_family,
     rand_rational,
     recognize_fan_balancing_first,
+    sample_by_randint,
     skeleton_fan_corpus,
     support_equal_by_coverage,
 )
@@ -165,6 +166,17 @@ class TestRecognizeFan:
             calls.clear()
             assert recognize_fan(fan).accepted
             assert len(calls) == 1
+
+    def test_chamber_family_is_taken_unchecked(self, monkeypatch):
+        # the chambers' members are frozensets within 1..n, so the family of
+        # them and the ground set skips the checks of `ChainFamily(...)`
+        fans = [chain_fan(ChainFamily(4, m.flats | {m.ground})) for m in enumerate_matroids(4)]
+        want = [tio.report_to_json(recognize_fan(fan)) for fan in fans]
+        monkeypatch.setattr(ChainFamily, "__init__", lambda *args: pytest.fail("checked"))
+        assert [tio.report_to_json(recognize_fan(fan)) for fan in fans] == want
+        monkeypatch.undo()
+        with pytest.raises(InvalidInputError, match="not within 1..3"):
+            ChainFamily(3, [{1, 4}, {1, 2, 3}])
 
     def test_round_trip_u23(self, u23_fan, u23):
         report = recognize_fan(u23_fan)
@@ -874,10 +886,29 @@ class TestConvexityProbe:
             assert convexity_probe(complex_, samples=100, seed=9).ok
 
 
+class TestSampledPoints:
+    """`_sample` reads the drawn vertex's generator and draws with
+    `randrange`; it gives the points of drawing from the vertex with
+    `randint` (`sample_by_randint`) and leaves the generator in the same
+    state, so every probe draws the same pairs."""
+
+    def test_samples_and_the_stream_match_the_randint_draws(self):
+        cells = [c for cx in benchmark_valuated_corpus(301) for c in cx.cells]
+        cells += [
+            Cell.from_torus(3, [(0, F(1, 2), F(-1, 3))], lineality=[(0, 1, 2)]),
+            Cell.from_torus(4, [(0, F(5, 6), 2, 0), (0, 0, 1, 1)], [(-1, 0, 0, 0)], [(0, 1, 0, 1)]),
+        ]
+        for k, cell in enumerate(cells):
+            ours, theirs = random.Random(k), random.Random(k)
+            for _ in range(4):
+                assert recognize._sample(cell, ours) == sample_by_randint(cell, theirs), cell
+            assert ours.random() == theirs.random()
+
+
 class TestProbeAgainstPolyhedronRows:
-    """Segment coverage over the difference rows braid cones read from their
-    apex and chain gives the results it gives over every cell's polyhedron
-    rows, all evaluated as dense rows."""
+    """Segment coverage over the difference forms of the cells gives the
+    results it gives over every cell's polyhedron rows, all evaluated as
+    dense rows."""
 
     @staticmethod
     def complexes():
@@ -911,6 +942,8 @@ class TestProbeAgainstPolyhedronRows:
 
             got = results()
             table = cx._row_table
+            # every cell of a tree line or translated fan is alcoved
+            assert table.dense == [], cx
             cx.__dict__["_row_table"] = constraint_row_table(cx)
             assert results() == got, cx
             fewer_rows += len(table.diffs) + len(table.dense) < len(cx._row_table.dense)

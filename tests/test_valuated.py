@@ -25,6 +25,7 @@ from conftest import (
     benchmark_valuated_matroids,
     certify_cell_by_fraction_extents,
     certify_cell_by_refinement,
+    certify_cell_by_sector_scan,
     check_pluecker_all_pairs,
     comparison_hyperplanes,
     derivations,
@@ -438,3 +439,62 @@ class TestIntegerSectorBoundsAgainstFractionExtents:
                     assert verdict == certify_cell_by_fraction_extents(vm, cell), (vm.weights, cell)
                     verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestSectorIndexAgainstSectorScan:
+    """`certify_cell` with one bisection per pair of coordinates in the
+    sector index gives the verdicts of comparing the cell's extents with the
+    bounds of every sector (`certify_cell_by_sector_scan`)."""
+
+    def test_every_corpus_cell_under_every_valuation_of_its_size(self):
+        cases = [case for seed in (301, 302, 305) for case in benchmark_valuated_cases(seed)]
+        verdicts = {True: 0, False: 0}
+        for vm, _, _ in cases:
+            for _, cx, _ in cases:
+                if cx.n == vm.n:
+                    for cell in cx.cells:
+                        verdict = certify_cell(vm, cell)
+                        assert verdict == certify_cell_by_sector_scan(vm, cell), (vm.weights, cell)
+                        verdicts[verdict] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    @pytest.mark.parametrize("rank, n", [(2, 4), (3, 5), (3, 6)])
+    def test_random_polytopes_and_cones(self, rank, n):
+        """Pieces of tropical segments between points of the space, and
+        cones at those points, are mostly members; random polytopes are not.
+        Each is also checked under the benchmark's valuations of its size."""
+        rng = random.Random(f"sector index:{rank},{n}")
+        a = random_v2_matrix(rng, rank, n)
+        valuations = [v2_det_valuated(a)]
+        valuations += [vm for vm in benchmark_valuated_matroids(301) if vm.n == n]
+        cells = []
+        for _ in range(8):
+            x, y = v2_row_point(rng, a), v2_row_point(rng, a)
+            pts = segment(x, y)
+            cells += [Cell.from_torus(n, pts[k : k + 2]) for k in range(len(pts) - 1)]
+            cells.append(Cell.from_torus(n, [rand_point(rng, n, 3) for _ in range(rng.randint(2, 4))]))
+            cells.append(Cell.from_torus(n, [x], rays=[[-(i in (1, 2)) for i in range(1, n + 1)]]))
+        verdicts = set()
+        for vm in valuations:
+            for cell in cells:
+                verdict = certify_cell(vm, cell)
+                assert verdict == certify_cell_by_sector_scan(vm, cell), (vm.weights, cell)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_index_bounds_are_the_sector_bounds_sorted(self):
+        for vm in benchmark_valuated_matroids(305):
+            _, sectors, index = vm._sector_bounds
+            pairs = {(k - 1, l - 1) for _, k, sector in sectors for l, _ in sector}
+            assert sorted((i, j) for i, j, _, _ in index) == sorted(pairs)
+            for i, j, bounds, masks in index:
+                entries = sorted(
+                    (b, s)
+                    for s, (_, k, sector) in enumerate(sectors)
+                    for l, b in sector
+                    if (k - 1, l - 1) == (i, j)
+                )
+                assert bounds == [b for b, _ in entries]
+                assert masks == [
+                    sum(1 << s for _, s in entries[start:]) for start in range(len(entries))
+                ]
