@@ -15,8 +15,10 @@ fans, recession cones of braid cones, stars at their apexes and braid cones
 at the origin given by generators, which `Cell.from_torus` reads off the
 representatives as written, with no point made, for JSON ingest and for the
 other stars) is given them, and any other cell has them read off its
-generators.  Balancing reads each braid facet's dropped sets, and dimension
-reads the chain, instead of an H-representation.
+generators.  A cell built from a chain has no polyhedron until `Cell.poly`
+is read, and is written to JSON from its apex and sets, so a Bergman fan
+goes through the CLI as chains.  Balancing reads each braid facet's dropped
+sets, and dimension reads the chain, instead of an H-representation.
 Segment coverage reads one `RowTable` per complex of the cells' distinct
 constraint rows, each evaluated once at every integer breakpoint of the
 segment.  An alcoved cell, one cut out by bounds x_i - x_j <= c, as every
@@ -85,42 +87,56 @@ def coordinate_difference(n: int, i: int, j: int) -> tuple[int, ...]:
 
 def chain_cone(n: int, chain: tuple[GroundSet, ...], set_rays: dict | None = None) -> Polyhedron:
     """The cone on the negated indicator vectors of a chain's members, which
-    are proper nonempty sets.
+    are proper nonempty sets: its `chain_rays`, which are primitive and
+    pairwise distinct and no one redundant, set as they are, with no
+    reduction."""
+    return Polyhedron._canonical(n - 1, ((0,) * (n - 1),), chain_rays(n, chain, set_rays))
 
-    In quotient coordinates -e_F is the integer vector with entry
-    [1 in F] - [i in F] at position i = 2..n.  These rays are primitive and
-    pairwise distinct and no one is redundant, so they are set sorted, with
-    no reduction.  `set_rays` maps sets to their rays; a fan built cone by
-    cone passes one dict, so each distinct set's ray is built once.
-    """
+
+def chain_rays(n: int, chain: tuple[GroundSet, ...], set_rays: dict | None = None) -> tuple:
+    """The rays -e_F of a chain's members in quotient coordinates, sorted:
+    the integer vectors with entry [1 in F] - [i in F] at position i = 2..n.
+    `set_rays` maps sets to their rays; a fan built cone by cone passes one
+    dict, so each distinct set's ray is built once."""
     rays = {} if set_rays is None else set_rays
     for f in chain:
         if f not in rays:
             rays[f] = tuple((1 in f) - (i in f) for i in range(2, n + 1))
-    return Polyhedron._canonical(n - 1, ((0,) * (n - 1),), tuple(sorted(rays[f] for f in chain)))
+    return tuple(sorted(rays[f] for f in chain))
 
 
 def ray_set(r: Sequence[int]) -> GroundSet | None:
     """The F with -e_F spanning the primitive quotient ray r, or None
-    (`_ray_chain` of r lifted)."""
-    chain = _ray_chain((lift_direction(r),))
-    return chain[0] if chain else None
+    (`_low_set` of r lifted, when that is a proper nonempty set)."""
+    return _low_set(lift_direction(r)) or None
 
 
-def _ray_chain(rays: Iterable[Sequence]) -> tuple[GroundSet, ...] | None:
-    """The ascending chain of the distinct F with rays -c*e_F + d*(1,...,1),
-    c > 0, given as length-n vectors, or None.  Such a ray is constant (the
-    zero direction, adding no set) or takes exactly two values, F being
-    where it takes the smaller, and the distinct F must be nested.  Lifted,
+def _low_set(r: Sequence) -> GroundSet | None:
+    """The set F of a length-n ray -c*e_F + d*(1,...,1), c > 0, or None.
+    Such a ray is constant, the zero direction, whose set is empty, or
+    takes exactly two values, F being where it takes the smaller.  Lifted,
     a primitive quotient ray takes two values when max - min is 1."""
+    values = set(r)
+    if len(values) == 2:
+        low = min(values)
+        return frozenset(i for i, x in enumerate(r, 1) if x == low)
+    return frozenset() if len(values) == 1 else None
+
+
+def _ray_chain(rays: Iterable[tuple], ray_sets: dict) -> tuple[GroundSet, ...] | None:
+    """The ascending chain of the distinct nonempty `_low_set`s of rays
+    given as length-n tuples, or None when a ray has none or the sets are
+    not nested.  `ray_sets` maps rays to their sets as they are read; a
+    caller reading many cells passes one dict, so each distinct ray is read
+    once."""
     sets = set()
     for r in rays:
-        values = set(r)
-        if len(values) == 2:
-            low = min(values)
-            sets.add(frozenset(i for i, x in enumerate(r, 1) if x == low))
-        elif len(values) != 1:
-            return None
+        if r not in ray_sets:
+            ray_sets[r] = _low_set(r)
+        sets.add(ray_sets[r])
+    if None in sets:
+        return None
+    sets.discard(frozenset())
     chain = tuple(sorted(sets, key=len))
     if any(not a < b for a, b in zip(chain, chain[1:])):
         return None
@@ -129,6 +145,9 @@ def _ray_chain(rays: Iterable[Sequence]) -> tuple[GroundSet, ...] | None:
 
 class Cell:
     """A rational polyhedron in the torus."""
+
+    # (apex, chain, set_rays) of a cell made by `from_braid`
+    _built_from: tuple | None = None
 
     def __init__(self, n: int, poly: Polyhedron):
         if poly.m != n - 1:
@@ -148,15 +167,18 @@ class Cell:
         """The cell generated by torus points and length-n direction
         representatives.  A braid cone at the origin, every vertex and
         lineality vector constant and the rays a chain (`_ray_chain`), is
-        read off the representatives as given and built from its chain,
-        with `set_rays`; every other cell is reduced in quotient coordinates.
+        read off the representatives as given and built from its chain;
+        every other cell is reduced in quotient coordinates.  `set_rays`,
+        shared by a caller reading many cells, maps each length-n ray to
+        its set and each set to its quotient ray, so each distinct one is
+        read or built once.
         """
         verts = [v.coords if isinstance(v, TropPoint) else v for v in vertices]
-        rays, lineality = list(rays), list(lineality)
+        rays, lineality = list(map(tuple, rays)), list(lineality)
         if any(len(x) != n for x in verts + rays + lineality):
             raise InvalidInputError("ambient size mismatch")
         if verts and all(x.count(x[0]) == n for x in verts + lineality):
-            chain = _ray_chain(rays)
+            chain = _ray_chain(rays, {} if set_rays is None else set_rays)
             if chain is not None:
                 return cls.from_braid(n, (0,) * (n - 1), chain, set_rays)
         qrays = [r for r in map(direction_to_quotient, rays) if not vec_is_zero(r)]
@@ -171,16 +193,24 @@ class Cell:
         """The braid cone apex + cone(-e_F over an ascending chain of proper
         nonempty sets), for a canonical apex in quotient coordinates.
 
-        The polyhedron is set from `chain_cone`, given `set_rays`, and
-        `braid` and `chain` from the arguments, so none is derived from
-        generators.
+        The cell keeps its apex and chain, and `braid` and `chain` are set
+        from them; it has no polyhedron until `poly` is read, which builds
+        it from `chain_rays`, given `set_rays`.  So nothing is derived from
+        generators, and a fan read and written by its chains builds none.
         """
-        poly = chain_cone(n, chain, set_rays)
-        if any(apex):
-            poly = Polyhedron._canonical(n - 1, (apex,), poly.rays)
-        cell = cls(n, poly)
-        vars(cell).update(braid=(poly.vertices[0], chain), chain=None if any(apex) else chain)
+        cell = cls.__new__(cls)
+        cell.n, cell._built_from = n, (apex, chain, set_rays)
+        vars(cell).update(braid=(apex, chain), chain=None if any(apex) else chain)
         return cell
+
+    @cached_property
+    def poly(self) -> Polyhedron:
+        """The cell's polyhedron, given to `Cell`, or built on first read
+        from the apex and chain a `from_braid` cell keeps."""
+        apex, chain, set_rays = self._built_from
+        if any(apex):
+            return Polyhedron._canonical(self.n - 1, (apex,), chain_rays(self.n, chain, set_rays))
+        return chain_cone(self.n, chain, set_rays)
 
     @cached_property
     def braid(self) -> tuple[Vec, tuple[GroundSet, ...]] | None:
@@ -193,7 +223,7 @@ class Cell:
         """
         if len(self.poly.vertices) != 1 or self.poly.lineality:
             return None
-        chain = _ray_chain(map(lift_direction, self.poly.rays))
+        chain = _ray_chain(map(lift_direction, self.poly.rays), {})
         return None if chain is None else (self.poly.vertices[0], chain)
 
     @cached_property
@@ -361,7 +391,8 @@ class WeightedComplex:
 
     @property
     def is_fan(self) -> bool:
-        return all(c.poly.is_cone for c in self.cells)
+        # a braid cone at the origin is a cone, read with no polyhedron
+        return all(c.chain is not None or c.poly.is_cone for c in self.cells)
 
     @cached_property
     def chain_tagged(self) -> bool:

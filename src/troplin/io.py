@@ -6,10 +6,12 @@ and "4/2".
 Ground elements are 1-indexed and listed ascending.  Reading canonicalizes:
 points get their first coordinate subtracted and basis valuations are checked
 against the Pluecker relations; a complex's braid cones at the origin are
-read off their representatives as written, with no point made.  One
-writer, `cell_to_json`, writes every cell, alone or in a complex, from its
-generators lifted as (0,) + v, so a braid cone is written from its apex and
-rays.
+read off their representatives as written, with no point made, each
+distinct vector of a document parsed once and each distinct ray's set read
+once.  One writer, `cell_to_json`, writes every cell, alone or in a
+complex, as its generators lifted as (0,) + v: a cell built from a chain
+from its apex and sets, with no polyhedron, and any other from its
+polyhedron's generators.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .complexes import Cell, WeightedComplex
+from .complexes import Cell, WeightedComplex, chain_rays
 from .errors import InvalidInputError, ResourceLimitError
 from .matroids import ChainFamily, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
@@ -155,17 +157,25 @@ def _lifted(vectors, text: dict) -> list[list[str]]:
 def cell_to_json(cell: Cell, weight: int | None = None, text: dict | None = None) -> dict:
     """A cell from its generators v lifted as (0,) + v: the canonical
     representatives of its vertices, and the length-n representatives of
-    its rays and lineality that `Cell.rays` and `Cell.lineality` give.
-    `text` maps vectors to their JSON; a caller writing many cells passes
-    one, so each distinct vector is converted once and equal ones share a
-    list."""
+    its rays and lineality that `Cell.rays` and `Cell.lineality` give.  A
+    cell made by `Cell.from_braid` is written from its apex and the
+    `chain_rays` of its sets, with no polyhedron, as the same text.  `text`
+    maps vectors to their JSON; a caller writing many cells passes one, so
+    each distinct vector is converted once and equal ones share a list."""
     text = {} if text is None else text
-    poly = cell.poly
-    out = {"vertices": _lifted(poly.vertices, text), "rays": _lifted(poly.rays, text)}
+    if cell._built_from is not None:
+        apex, chain, set_rays = cell._built_from
+        rays = chain_rays(cell.n, chain, set_rays)
+        out = {"vertices": _lifted((apex,), text), "rays": _lifted(rays, text)}
+        lineality = ()
+    else:
+        poly = cell.poly
+        out = {"vertices": _lifted(poly.vertices, text), "rays": _lifted(poly.rays, text)}
+        lineality = poly.lineality
     if weight is not None:
         out["weight"] = weight
-    if poly.lineality:
-        out["lineality"] = _lifted(poly.lineality, text)
+    if lineality:
+        out["lineality"] = _lifted(lineality, text)
     return out
 
 
@@ -177,19 +187,37 @@ def complex_to_json(c: WeightedComplex) -> dict:
 
 
 class _Numbers(dict):
-    """Number strings parsed by `parse_frac`, each distinct one once; other
-    JSON values, such as `true` and `1.0`, are parsed each time."""
+    """Number strings parsed by `parse_frac`, and arrays of them as tuples
+    of their strings, each distinct one once.  Other JSON values, such as
+    `true` and `1.0`, which equal numbers as keys but not as input, are
+    parsed each time: only arrays of strings are entered, and a string
+    equals nothing but a string, so an array found is one of strings."""
 
-    def __missing__(self, text: str) -> Rational:
-        value = self[text] = parse_frac(text)
+    def __missing__(self, key):
+        if type(key) is tuple:
+            value = self[key] = tuple(self[x] for x in key)
+        else:
+            value = self[key] = parse_frac(key)
         return value
 
-    def vector(self, raw: list) -> list:
-        return [self[x] if type(x) is str else parse_frac(x) for x in raw]
+    def vector(self, raw: list) -> tuple:
+        key = tuple(raw)
+        try:
+            vec = self.get(key)
+        except TypeError:  # a nested array or object
+            vec = None
+        if vec is not None:
+            return vec
+        if all(type(x) is str for x in raw):
+            return self[key]
+        return tuple(self[x] if type(x) is str else parse_frac(x) for x in raw)
 
 
 def complex_from_json(data) -> WeightedComplex:
-    """A braid cone at the origin is read from its chain (`Cell.from_torus`)."""
+    """A braid cone at the origin is read from its chain (`Cell.from_torus`).
+    One table of numbers and vectors and one of rays and sets serve the
+    whole document, so each distinct vector is parsed, and each distinct
+    ray's set read, once."""
     try:
         n, raw_cells = data["n"], data["cells"]
     except (KeyError, TypeError) as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Mapping
 
@@ -163,17 +163,19 @@ class ValuatedMatroid:
 
     @cached_property
     def circuit_valuations(self) -> dict[GroundSet, CircuitVector]:
-        """Each circuit's vector from its first (basis, element) pair whose
-        fundamental circuit it is, with elements of the circuit ascending,
-        then bases in sorted order."""
+        """Each circuit's vector from its `_fundamental_pairs` pair."""
+        return {c: self.circuit_valuation_from(c, b, i) for c, b, i in self._fundamental_pairs()}
+
+    def _fundamental_pairs(self):
+        """Each circuit, in sorted order, with its first (basis, element)
+        pair whose fundamental circuit it is, with elements of the circuit
+        ascending, then bases in sorted order."""
         bases = _sorted_sets(self.matroid.bases)
-        out: dict[GroundSet, CircuitVector] = {}
         for c in _sorted_sets(self.matroid.circuits):
             basis, element = next(
                 (b, i) for i in sorted(c) for b in bases if c - {i} <= b and i not in b
             )
-            out[c] = self.circuit_valuation_from(c, basis, element)
-        return out
+            yield c, basis, element
 
     @cached_property
     def _sector_bounds(self) -> tuple[int, list, list]:
@@ -183,13 +185,30 @@ class ValuatedMatroid:
         ascending]); and for each ordered pair of torus positions i, j
         (0-based), (i, j, bounds, masks) with the bounds b of the sectors
         (C, i) with j in C - i ascending, and masks[k] the bitmask of the
-        sectors' indices with the bounds from bounds[k] on."""
-        vecs = self.circuit_valuations
-        big = lcm(*(x.denominator for vec in vecs.values() for x in vec if x is not None))
+        sectors' indices with the bounds from bounds[k] on.
+
+        The circuit vectors are `circuit_valuation_from`'s, of the same
+        pairs, read on the weights as integers over their common
+        denominator W: for the pair (A, e), W*v_C is 0 at e and
+        W*(w(A - j + e) - w(A)) at each other j in C, less its least entry,
+        and B is W over the gcd of W and all those entries."""
+        big = lcm(*(x.denominator for x in self.weights.values()))
+        w = {b: x.numerator * (big // x.denominator) for b, x in self.weights.items()}
+        scaled_vecs = []
+        for circuit, basis, element in self._fundamental_pairs():
+            entries = [None] * self.n
+            entries[element - 1] = 0
+            for j in circuit - {element}:
+                entries[j - 1] = w[(basis - {j}) | {element}] - w[basis]
+            low = min(x for x in entries if x is not None)
+            scaled_vecs.append((circuit, [None if x is None else x - low for x in entries]))
+        common = gcd(big, *(x for _, vec in scaled_vecs for x in vec if x))
+        big //= common
         sectors, pairs = [], {}
-        for circuit, vec in vecs.items():
+        for circuit, scaled in scaled_vecs:
             members = sorted(circuit)
-            scaled = [None if x is None else x.numerator * (big // x.denominator) for x in vec]
+            scaled = [None if x is None else x // common for x in scaled]
+            vec = tuple(x if x is None else Fraction(x, big) if x % big else x // big for x in scaled)
             for i in members:
                 bounds = [(j, scaled[j - 1] - scaled[i - 1]) for j in members if j != i]
                 for j, b in bounds:

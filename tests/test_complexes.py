@@ -97,8 +97,13 @@ class TestChainFan:
         )
         family = ChainFamily(4, u24.flats | {u24.ground})
         fan = chain_fan(family)
+        assert built == [], "a cone was built before its polyhedron was read"
+        polys = [c.poly for c in fan.cells]
         assert built == family.maximal_chains()
         assert [c.chain for c in fan.cells] == built
+        # a second read builds nothing
+        assert all(c.poly is p for c, p in zip(fan.cells, polys))
+        assert len(built) == len(polys)
 
     def test_chain_is_derived_from_the_cone(self):
         cell = Cell.from_torus(3, [(0, 0, 0)], rays=[(-1, 0, 0)])

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from troplin import complexes
 from troplin import io as tio
 from troplin.cli import main
 from troplin.complexes import (
@@ -22,7 +23,7 @@ from troplin.errors import InvalidInputError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
 from troplin.polyhedra import Polyhedron
-from troplin.recognize import recognize_fan
+from troplin.recognize import RecognitionReport, recognize_fan
 
 from conftest import (
     benchmark_tree_line,
@@ -315,6 +316,29 @@ class TestBraidFirstIngest:
             tio.complex_from_json(json.loads(json.dumps({"n": 3, "cells": cells})))
         assert str(err.value) == message
 
+    def test_the_ingest_table_conflates_no_json_values(self):
+        """Vectors are tabled per document by their strings: `true`, `1` and
+        `1.0` are equal as dict keys, yet only the last two are rationals,
+        and a nested list is none."""
+        origin = ["0", "0", "0"]
+        forms = [["1", "2", "3"], [1.0, "4/2", "3"], [1, 2, 3], ["1", "4/2", 3.0], ["1", "2", "3"]]
+        cells = [{"vertices": [v, ["0", "0", str(k + 5)]]} for k, v in enumerate(forms)]
+        read = tio.complex_from_json({"n": 3, "cells": cells})
+        for raw, cell in zip(cells, read.cells):
+            assert set(cell.vertices) == {tio.point_from_json(v) for v in raw["vertices"]}
+            assert all(type(x) is int for v in cell.vertices for x in v.coords)
+        for first in ([1, 0, 0], [1.0, 0, 0], ["1", "0", "0"]):
+            rays = [first, [True, 0, 0]]
+            doc = {"n": 3, "cells": [{"vertices": [origin], "rays": [r]} for r in rays]}
+            with pytest.raises(InvalidInputError) as err:
+                tio.complex_from_json(doc)
+            assert str(err.value) == "not a rational: True"
+        rays = [["-1", "0", "0"], [["-1"], "0", "0"]]
+        doc = {"n": 3, "cells": [{"vertices": [origin], "rays": [r]} for r in rays]}
+        with pytest.raises(InvalidInputError) as err:
+            tio.complex_from_json(doc)
+        assert str(err.value) == "not a rational: ['-1']"
+
     def test_fans_are_read_from_their_chains(self, monkeypatch):
         """Written and read again with no torus point made and no generator
         reduced, every cell built from its chain."""
@@ -414,6 +438,37 @@ class TestCli:
         assert {c.poly.canonical_key for c in rebuilt.cells} == {
             c.poly.canonical_key for c in u23_fan.cells
         }
+
+    def test_bergman_then_recognize_build_no_polyhedron(self, capsys, tmp_path, monkeypatch):
+        """A Bergman fan goes through `bergman`, `recognize` and `decide` as
+        chains: with every way to build a polyhedron refused, they print
+        what the writer through torus points and the source matroid give."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polyhedron was built")
+
+        sources = [
+            matroid_from_bases(5, combinations(range(1, 6), 4)),
+            matroid_from_bases(6, combinations(range(1, 7), 3)),
+            # U(3,5) with {1,2,3} dependent
+            matroid_from_bases(5, [b for b in combinations(range(1, 6), 3) if b != (1, 2, 3)]),
+        ]
+        for k, m in enumerate(sources):
+            fan = chain_fan(ChainFamily(m.n, m.flats | {m.ground}))
+            cells = [cell_to_json_via_points(c, w) for c, w in zip(fan.cells, fan.weights)]
+            fan_text = tio.dumps({"n": m.n, "cells": cells}) + "\n"
+            flats = sorted((f for f in m.flats | {m.ground} if f), key=lambda f: (len(f), sorted(f)))
+            report = RecognitionReport("accepted", matroid=m, flats=tuple(flats))
+            matroid_path, fan_path = tmp_path / f"matroid-{k}.json", tmp_path / f"fan-{k}.json"
+            matroid_path.write_text(json.dumps(tio.matroid_to_json(m)))
+            with monkeypatch.context() as patch:
+                patch.setattr(complexes, "chain_cone", refuse)
+                for name in ("__init__", "_canonical", "_minimal"):
+                    patch.setattr(Polyhedron, name, refuse)
+                assert self.run(capsys, "bergman", str(matroid_path)) == (0, fan_text)
+                fan_path.write_text(fan_text)
+                got = [self.run(capsys, command, str(fan_path)) for command in ("recognize", "decide")]
+            assert got == [(0, tio.dumps(tio.report_to_json(report)) + "\n")] * 2
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_bergman_of_a_uniform_matroid_on_thirty_elements(self, capsys, tmp_path, rank):
