@@ -65,7 +65,6 @@ from .recognize import (
 from .valuated import (
     ValuatedMatroid,
     certify_cell,
-    check_circuit_axioms,
     check_pluecker,
     member,
 )

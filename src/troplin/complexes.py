@@ -479,13 +479,9 @@ def point_in_support(complex_: WeightedComplex, x: TropPoint) -> Cell | None:
     """The minimal cell of the complex containing x, or None."""
     if x.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
-    q = to_quotient(x)
-    best: Polyhedron | None = None
-    for c in complex_.cells:
-        if c.poly.contains(q):
-            face = c.poly.minimal_face_containing(q)
-            if best is None or face.dim < best.dim:
-                best = face
+    q, point = to_quotient(x), _lift(x.coords + (1,))
+    faces = [c.poly.minimal_face_containing(q) for c in complex_.cells if _cell_contains(c, point)]
+    best = min(faces, key=lambda face: face.dim, default=None)
     return None if best is None else Cell(complex_.n, best)
 
 

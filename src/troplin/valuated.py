@@ -3,13 +3,14 @@
 A valuation assigns a rational to every basis and has to satisfy the exchange
 form of the tropical Pluecker relations.  Each circuit then carries a
 valuation vector whose finite support is exactly the circuit; the minus
-infinity entries are stored as None rather than as a sentinel number.
+infinity entries are stored as None rather than as a sentinel number.  The
+vectors are derived once, as integers over one denominator (`_circuits`).
 Membership in the associated tropical linear space is the requirement that,
-for every circuit, the maximum of x_i + (v_C)_i is attained at least twice.
-A cell lies in that space exactly when it meets none of the open sectors in
-which one element of a circuit attains the maximum alone; `certify_cell`
-bisects an index of the sector bounds for the sectors that a cell's extents
-leave open, decides each with one cut, and needs no budget.
+for every circuit, the maximum of x_i + (v_C)_i is attained at least twice:
+x lies in no open sector in which one element of a circuit attains it
+alone.  A point and a cell are decided on one index of the sector bounds
+(`_open_sectors`), a point by its differences and a cell by its extents and
+one cut for each sector left, so `certify_cell` needs no budget.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Collection, Mapping
 
 from .complexes import coordinate_difference
 from .errors import InvalidInputError
 from .linalg import vec_dot
 from .matroids import GroundSet, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
-from .polyhedra import _from_rows, _row
+from .polyhedra import _from_rows
 
 # index i holds the entry for ground element i+1; None encodes bottom.
 CircuitVector = tuple[Rational | None, ...]
@@ -51,41 +52,40 @@ def check_pluecker(matroid: Matroid, weights: Mapping[GroundSet, Rational]) -> P
     the witness is the first violating (B1, B2, u) with B1 and B2 in
     `_sorted_sets` order and u ascending.
     """
-    w = _normalized_weights(matroid, weights)
+    witness = _pluecker_witness(_normalized_weights(matroid, weights))
+    return PlueckerCheck(witness is None, witness)
+
+
+def _pluecker_witness(weights: dict[GroundSet, Rational]):
+    """None if the validated weights satisfy the exchange form, else the first
+    violation; both checks read the weights as integers (`_scaled`)."""
+    w = dict(zip(weights, _scaled(weights.values())[1]))
     if _locally_exchangeable(w):
-        return PlueckerCheck(True)
+        return None
     # a local pair fails, so the scan finds a violation
-    return PlueckerCheck(False, _first_violation(w, _sorted_sets(matroid.bases)))
+    return _first_violation(w, _sorted_sets(w))
 
 
-def _first_violation(w: dict[GroundSet, Fraction], ordered: list[GroundSet]):
+def _first_violation(w: dict[GroundSet, int], ordered: list[GroundSet]):
     """The first (B1, B2, u) over all pairs of bases at which the exchange fails, or None."""
     for b1 in ordered:
         for b2 in ordered:
             for u in sorted(b1 - b2):
                 target = w[b1] + w[b2]
-                ok = False
-                for v in sorted(b2 - b1):
-                    e1 = (b1 - {u}) | {v}
-                    e2 = (b2 - {v}) | {u}
-                    if e1 in w and e2 in w and target <= w[e1] + w[e2]:
-                        ok = True
-                        break
-                if not ok:
+                exchanges = (((b1 - {u}) | {v}, (b2 - {v}) | {u}) for v in sorted(b2 - b1))
+                if not any(e in w and f in w and target <= w[e] + w[f] for e, f in exchanges):
                     return b1, b2, u
     return None
 
 
-def _locally_exchangeable(w: dict[GroundSet, Fraction]) -> bool:
+def _locally_exchangeable(w: dict[GroundSet, int]) -> bool:
     """The exchange axiom on the pairs of bases S+ab, S+cd with a, b, c, d
     distinct: for every u and in either order it asks that w(S+ab) + w(S+cd)
     be at most w(S+ac) + w(S+bd) or w(S+ad) + w(S+bc), a set that is no
-    basis counting as -infinity.  Weights are read as integers over their
-    common denominator, and the pairs ab as bitmasks, grouped by S."""
-    scale = lcm(*(x.denominator for x in w.values()))
+    basis counting as -infinity.  The pairs ab are read as bitmasks,
+    grouped by S."""
     links: dict[GroundSet, dict[int, int]] = {}
-    for b, x in w.items():
-        value = x.numerator * (scale // x.denominator)
+    for b, value in w.items():
         for i, j in combinations(b, 2):
             links.setdefault(b - {i, j}, {})[1 << i | 1 << j] = value
     for link in links.values():
@@ -117,14 +117,10 @@ def _normalized_weights(
     return {b: _frac(weights[b]) for b in matroid.bases}
 
 
-def normalize_circuit_vector(vec: Iterable[Rational | None]) -> CircuitVector:
-    """Shift so the minimum finite entry is zero."""
-    entries = tuple(vec)
-    finite = [e for e in entries if e is not None]
-    if not finite:
-        raise InvalidInputError("circuit vector with empty support")
-    low = min(finite)
-    return tuple(None if e is None else _frac(e - low) for e in entries)
+def _scaled(values: Collection[Rational]) -> tuple[int, list[int]]:
+    """(L, [L * x for x in values]) for L the least common denominator."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 class ValuatedMatroid:
@@ -133,27 +129,15 @@ class ValuatedMatroid:
     def __init__(self, matroid: Matroid, weights: Mapping[GroundSet, Rational]):
         self.matroid = matroid
         self.weights = _normalized_weights(matroid, weights)
-        check = check_pluecker(matroid, self.weights)
-        if not check.ok:
-            b1, b2, u = check.witness
-            raise InvalidInputError(
-                "tropical Pluecker relations fail for "
-                f"B1={sorted(b1)}, B2={sorted(b2)}, u={u}"
-            )
+        witness = _pluecker_witness(self.weights)
+        if witness is not None:
+            b1, b2, u = witness
+            where = f"B1={sorted(b1)}, B2={sorted(b2)}, u={u}"
+            raise InvalidInputError(f"tropical Pluecker relations fail for {where}")
 
     @property
     def n(self) -> int:
         return self.matroid.n
-
-    def circuit_valuation_from(self, circuit: GroundSet, basis: GroundSet, element: int) -> CircuitVector:
-        """Valuation vector of a circuit derived from one (basis, element) pair."""
-        entries: list[Rational | None] = [None] * self.n
-        entries[element - 1] = 0
-        base_weight = self.weights[basis]
-        for j in circuit - {element}:
-            exchanged = (basis - {j}) | {element}
-            entries[j - 1] = self.weights[exchanged] - base_weight
-        return normalize_circuit_vector(entries)
 
     def circuit_valuation(self, circuit: GroundSet) -> CircuitVector:
         circuit = frozenset(circuit)
@@ -163,8 +147,13 @@ class ValuatedMatroid:
 
     @cached_property
     def circuit_valuations(self) -> dict[GroundSet, CircuitVector]:
-        """Each circuit's vector from its `_fundamental_pairs` pair."""
-        return {c: self.circuit_valuation_from(c, b, i) for c, b, i in self._fundamental_pairs()}
+        """Each circuit's vector v_C, least entry 0: `_circuits` over its
+        denominator, an int where integral."""
+        big, circuits = self._circuits
+        return {
+            c: tuple(x if x is None else Fraction(x, big) if x % big else x // big for x in vec)
+            for c, vec in circuits.items()
+        }
 
     def _fundamental_pairs(self):
         """Each circuit, in sorted order, with its first (basis, element)
@@ -178,42 +167,46 @@ class ValuatedMatroid:
             yield c, basis, element
 
     @cached_property
-    def _sector_bounds(self) -> tuple[int, list, list]:
-        """(B, sectors, index): B the common denominator of the
-        circuit-valuation entries; for each circuit C and each i in C in
-        ascending order, (v_C, i, [(j, B*((v_C)_j - (v_C)_i)) for j in C - i
-        ascending]); and for each ordered pair of torus positions i, j
-        (0-based), (i, j, bounds, masks) with the bounds b of the sectors
-        (C, i) with j in C - i ascending, and masks[k] the bitmask of the
-        sectors' indices with the bounds from bounds[k] on.
-
-        The circuit vectors are `circuit_valuation_from`'s, of the same
-        pairs, read on the weights as integers over their common
-        denominator W: for the pair (A, e), W*v_C is 0 at e and
-        W*(w(A - j + e) - w(A)) at each other j in C, less its least entry,
-        and B is W over the gcd of W and all those entries."""
-        big = lcm(*(x.denominator for x in self.weights.values()))
-        w = {b: x.numerator * (big // x.denominator) for b, x in self.weights.items()}
-        scaled_vecs = []
+    def _circuits(self) -> tuple[int, dict[GroundSet, tuple[int | None, ...]]]:
+        """(B, {C: B*v_C}) over the circuits in sorted order, with None off
+        C.  Each vector comes from the circuit's `_fundamental_pairs` pair on
+        the weights as integers over their common denominator W: for the
+        pair (A, e), W*v_C is 0 at e and W*(w(A - j + e) - w(A)) at each
+        other j in C, less its least entry, and B is W over the gcd of W and
+        all those entries, the least common denominator of the v_C."""
+        big, values = _scaled(self.weights.values())
+        w = dict(zip(self.weights, values))
+        vecs = {}
         for circuit, basis, element in self._fundamental_pairs():
             entries = [None] * self.n
             entries[element - 1] = 0
             for j in circuit - {element}:
                 entries[j - 1] = w[(basis - {j}) | {element}] - w[basis]
             low = min(x for x in entries if x is not None)
-            scaled_vecs.append((circuit, [None if x is None else x - low for x in entries]))
-        common = gcd(big, *(x for _, vec in scaled_vecs for x in vec if x))
-        big //= common
+            vecs[circuit] = [None if x is None else x - low for x in entries]
+        common = gcd(big, *(x for vec in vecs.values() for x in vec if x))
+        return big // common, {
+            c: tuple(None if x is None else x // common for x in vec) for c, vec in vecs.items()
+        }
+
+    @cached_property
+    def _sector_bounds(self) -> tuple[int, list, list]:
+        """(B, sectors, index): B the denominator of `_circuits`; for each
+        circuit C and each i in C ascending, the sector (i, [(j, b) for j in
+        C - i ascending]) with integer bounds b = B*((v_C)_j - (v_C)_i); and
+        for each ordered pair of torus positions i, j (0-based), (i, j,
+        bounds, masks) with the bounds of the sectors (C, i) with j in C - i
+        ascending, and masks[k] the bitmask of the sectors with the bounds
+        from bounds[k] on."""
+        big, circuits = self._circuits
         sectors, pairs = [], {}
-        for circuit, scaled in scaled_vecs:
+        for circuit, vec in circuits.items():
             members = sorted(circuit)
-            scaled = [None if x is None else x // common for x in scaled]
-            vec = tuple(x if x is None else Fraction(x, big) if x % big else x // big for x in scaled)
             for i in members:
-                bounds = [(j, scaled[j - 1] - scaled[i - 1]) for j in members if j != i]
+                bounds = [(j, vec[j - 1] - vec[i - 1]) for j in members if j != i]
                 for j, b in bounds:
                     pairs.setdefault((i - 1, j - 1), []).append((b, 1 << len(sectors)))
-                sectors.append((vec, i, bounds))
+                sectors.append((i, bounds))
         index = []
         for (i, j), entries in pairs.items():
             entries.sort()
@@ -221,109 +214,60 @@ class ValuatedMatroid:
             index.append((i, j, [b for b, _ in entries], masks[::-1]))
         return big, sectors, index
 
+    def _open_sectors(self, scale: int, top: list[list[int | None]]) -> int:
+        """The bitmask of the sectors that no pair of coordinates rules out
+        for a set whose maxima of x_i - x_j are the integers top[i][j] over
+        scale (None where unbounded).  The open sector S_i(C) =
+        {x : x_i + (v_C)_i > x_j + (v_C)_j for all j in C - i} misses the
+        set when some j in C - i has top[i][j] * B <= b * scale for its
+        bound b over B, that is b >= ceil(top[i][j] * B / scale).  The
+        bounds of each pair (i, j) are indexed sorted, so one bisection per
+        pair finds every sector it rules out, as a suffix with one bitmask.
+        For a point the maxima are its differences, so a sector is left
+        exactly when the point lies in it."""
+        big, sectors, index = self._sector_bounds
+        left = (1 << len(sectors)) - 1
+        for i, j, bounds, masks in index:
+            t = top[i][j]
+            if t is not None:
+                k = bisect_left(bounds, -(-t * big // scale))
+                if k < len(bounds):
+                    left &= ~masks[k]
+        return left
+
 
 def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
-    """Membership in the tropical linear space of a valuated matroid."""
+    """Membership in the tropical linear space of a valuated matroid: x is a
+    member exactly when it lies in no open sector (`_open_sectors`, read on
+    the differences of x as integers over their common denominator)."""
     if x.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
-    for circuit, vec in valuated.circuit_valuations.items():
-        values = [x.coords[i - 1] + vec[i - 1] for i in circuit]
-        if values.count(max(values)) < 2:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class CircuitAxiomCheck:
-    ok: bool
-    axiom: str | None = None
-    witness: object = None
-
-
-def check_circuit_axioms(
-    n: int, circuit_vectors: Mapping[GroundSet, Iterable[Rational | None]]
-) -> CircuitAxiomCheck:
-    """Support and elimination axioms for a circuit valuation.
-
-    Elimination: for circuits C, C' with representatives agreeing at some
-    i in their intersection, and any j in C - C', some circuit D avoiding i
-    must admit a representative with (v_D)_j = (v_C)_j that is dominated by
-    the componentwise maximum of the two representatives.
-    """
-    vectors = {frozenset(c): tuple(v) for c, v in circuit_vectors.items()}
-    for c, vec in vectors.items():
-        if len(vec) != n:
-            raise InvalidInputError("vector length must match the ground set size")
-        support = frozenset(i + 1 for i, e in enumerate(vec) if e is not None)
-        if support != c:
-            return CircuitAxiomCheck(False, "support", (c, support))
-    circuits = _sorted_sets(vectors)
-    for c in circuits:
-        for c2 in circuits:
-            if c == c2:
-                continue
-            vc = vectors[c]
-            for i in sorted(c & c2):
-                shift = vc[i - 1] - vectors[c2][i - 1]
-                vc2 = tuple(None if e is None else e + shift for e in vectors[c2])
-                for j in sorted(c - c2):
-                    if not _eliminates(vectors, vc, vc2, c, c2, i, j):
-                        return CircuitAxiomCheck(False, "elimination", (c, c2, i, j))
-    return CircuitAxiomCheck(True)
-
-
-def _eliminates(vectors, vc, vc2, c, c2, i, j) -> bool:
-    target = vc[j - 1]
-    upper = [_nmax(a, b) for a, b in zip(vc, vc2)]
-    for d in _sorted_sets(vectors):
-        if i in d or j not in d:
-            continue
-        vd = vectors[d]
-        shift = target - vd[j - 1]
-        if all(upper[k - 1] is not None and vd[k - 1] + shift <= upper[k - 1] for k in d):
-            return True
-    return False
-
-
-def _nmax(a: Rational | None, b: Rational | None) -> Rational | None:
-    return a if b is None or (a is not None and a >= b) else b
+    scale, coords = _scaled(x.coords)
+    return not valuated._open_sectors(scale, [[a - b for b in coords] for a in coords])
 
 
 def certify_cell(valuated: ValuatedMatroid, cell) -> bool:
     """Exact test that every point of a polyhedral cell P is a member.
 
-    A point is a non-member exactly when it lies in an open sector
-    S_i(C) = {x : x_i + (v_C)_i > x_j + (v_C)_j for all j in C - i} of a
-    circuit C, so P is certified exactly when it meets no S_i(C).  The
-    maxima of x_i - x_j over P are the integers T[i][j] over L of the
-    polyhedron's `extents`, and the sector bounds (v_C)_j - (v_C)_i the
-    integers b over B of the matroid's `_sector_bounds`, so (C, i) is
-    skipped when some j in C - i has T[i][j] * B <= b * L, that is
-    b >= ceil(T[i][j] * B / L).  The bounds of each pair (i, j) are indexed
-    sorted, so one bisection per pair finds every sector it skips, as a
-    suffix of the pair's bounds with one bitmask.  For every sector left,
-    one cut by the |C| - 1 closed sector rows gives Q.  A convex set inside
-    finitely many hyperplanes lies in one of them, so P meets S_i(C) exactly
-    when Q is nonempty and no sector row vanishes on every generator of Q.
-    Each sector costs one cut, so no budget is needed.
+    A point is a non-member exactly when it lies in an open sector S_i(C),
+    so P is certified exactly when it meets none.  The maxima of x_i - x_j
+    over P are the polyhedron's `extents`, and `_open_sectors` leaves the
+    sectors they do not rule out.  For each one, one cut by its |C| - 1
+    closed sector rows B*(x_j - x_i) + b <= 0 gives Q.  A convex set inside
+    finitely many hyperplanes lies in one of them, so P meets S_i(C)
+    exactly when Q is nonempty and no sector row vanishes on every
+    generator of Q.  Each sector costs one cut, so no budget is needed.
     """
     if cell.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
     n, poly = valuated.n, cell.poly
-    scale, top = poly.extents
-    big, sectors, index = valuated._sector_bounds
-    left = (1 << len(sectors)) - 1
-    for i, j, bounds, masks in index:
-        t = top[i][j]
-        if t is not None:
-            k = bisect_left(bounds, -(-t * big // scale))
-            if k < len(bounds):
-                left &= ~masks[k]
+    left = valuated._open_sectors(*poly.extents)
+    big, sectors, _ = valuated._sector_bounds
     while left:
         s = (left & -left).bit_length() - 1
         left &= left - 1
-        vec, i, bounds = sectors[s]
-        sector = [_row(coordinate_difference(n, j, i), vec[i - 1] - vec[j - 1]) for j, _ in bounds]
+        i, bounds = sectors[s]
+        sector = [tuple(big * a for a in coordinate_difference(n, j, i)) + (b,) for j, b in bounds]
         eqs, ineqs = poly._rows
         q = _from_rows(n - 1, eqs, ineqs + sector)
         if q is not None and not any(all(vec_dot(r, g) == 0 for g in q._gens) for r in sector):

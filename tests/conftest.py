@@ -37,11 +37,16 @@ sector of `certify_cell`, which the bisected sector index replaced,
 minimal generators with each equation given to `_dd` as a row and its
 negation, which giving it once as an equation replaced, and the probe's
 sample drawn with `randint` off a vertex, which drawing with `randrange`
-off its generator replaced."""
+off its generator replaced, the Fraction circuit vector of a (basis,
+element) pair and membership by the maxima on each circuit, which the
+integer circuit table and the sector index of a valuated matroid replaced,
+and the support and elimination axioms of a circuit valuation, the oracle
+of `circuit_valuations`."""
 
 import importlib.util
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -87,7 +92,7 @@ from troplin.matroids import (
     matroid_from_bases,
     verify_flat_family,
 )
-from troplin.points import TropPoint, flat_direction, segment
+from troplin.points import TropPoint, _frac, flat_direction, segment
 from troplin.polyhedra import Polyhedron, _dd, _from_rows, _lift, _neg, _row
 from troplin.recognize import (
     REASON_FLAT_AXIOM,
@@ -105,7 +110,7 @@ from troplin.recognize import (
     _structure_vertices,
     refine,
 )
-from troplin.valuated import PlueckerCheck, ValuatedMatroid, _normalized_weights, member
+from troplin.valuated import PlueckerCheck, ValuatedMatroid, _normalized_weights
 
 
 @pytest.fixture(scope="session")
@@ -448,6 +453,85 @@ def v2_row_point(rng: random.Random, a) -> TropPoint:
             return TropPoint(-_v2(v) for v in x)
 
 
+def circuit_vector_from_pair(valuated, circuit, basis, element):
+    """The valuation vector of a circuit from one (basis, element) pair whose
+    fundamental circuit it is, in Fraction arithmetic: 0 at the element and
+    w(B - j + e) - w(B) at each other j of the circuit, shifted so the least
+    finite entry is 0, each entry an int where integral."""
+    entries = [None] * valuated.n
+    entries[element - 1] = 0
+    for j in circuit - {element}:
+        entries[j - 1] = valuated.weights[(basis - {j}) | {element}] - valuated.weights[basis]
+    low = min(e for e in entries if e is not None)
+    return tuple(None if e is None else _frac(e - low) for e in entries)
+
+
+def member_by_circuit_maxima(valuated, x) -> bool:
+    """`member` by scanning the circuits: on each, the maximum of
+    x_i + (v_C)_i must be attained at least twice."""
+    if x.n != valuated.n:
+        raise InvalidInputError("ambient size mismatch")
+    for circuit, vec in valuated.circuit_valuations.items():
+        values = [x.coords[i - 1] + vec[i - 1] for i in circuit]
+        if values.count(max(values)) < 2:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class CircuitAxiomCheck:
+    ok: bool
+    axiom: str | None = None
+    witness: object = None
+
+
+def check_circuit_axioms(n: int, circuit_vectors) -> CircuitAxiomCheck:
+    """Support and elimination axioms for a circuit valuation.
+
+    Elimination: for circuits C, C' with representatives agreeing at some
+    i in their intersection, and any j in C - C', some circuit D avoiding i
+    must admit a representative with (v_D)_j = (v_C)_j that is dominated by
+    the componentwise maximum of the two representatives.
+    """
+    vectors = {frozenset(c): tuple(v) for c, v in circuit_vectors.items()}
+    for c, vec in vectors.items():
+        if len(vec) != n:
+            raise InvalidInputError("vector length must match the ground set size")
+        support = frozenset(i + 1 for i, e in enumerate(vec) if e is not None)
+        if support != c:
+            return CircuitAxiomCheck(False, "support", (c, support))
+    circuits = _sorted_sets(vectors)
+    for c in circuits:
+        for c2 in circuits:
+            if c == c2:
+                continue
+            vc = vectors[c]
+            for i in sorted(c & c2):
+                shift = vc[i - 1] - vectors[c2][i - 1]
+                vc2 = tuple(None if e is None else e + shift for e in vectors[c2])
+                for j in sorted(c - c2):
+                    if not _eliminates(vectors, vc, vc2, i, j):
+                        return CircuitAxiomCheck(False, "elimination", (c, c2, i, j))
+    return CircuitAxiomCheck(True)
+
+
+def _eliminates(vectors, vc, vc2, i, j) -> bool:
+    target = vc[j - 1]
+    upper = [_nmax(a, b) for a, b in zip(vc, vc2)]
+    for d in _sorted_sets(vectors):
+        if i in d or j not in d:
+            continue
+        vd = vectors[d]
+        shift = target - vd[j - 1]
+        if all(upper[k - 1] is not None and vd[k - 1] + shift <= upper[k - 1] for k in d):
+            return True
+    return False
+
+
+def _nmax(a, b):
+    return a if b is None or (a is not None and a >= b) else b
+
+
 def comparison_hyperplanes(valuated):
     """The distinct hyperplanes x_i + (v_C)_i = x_j + (v_C)_j, for i < j in a
     circuit C, as (a, b) with a.x = b in quotient coordinates, in the order of
@@ -467,7 +551,8 @@ def certify_cell_by_refinement(valuated, cell, budget=DEFAULT_BUDGET) -> bool:
     interior point per piece decides it, and membership is a closed
     condition, which settles the piece boundaries as well."""
     for piece in refine(cell.poly, comparison_hyperplanes(valuated), budget):
-        if not member(valuated, from_quotient(valuated.n, piece.relative_interior_point())):
+        x = from_quotient(valuated.n, piece.relative_interior_point())
+        if not member_by_circuit_maxima(valuated, x):
             return False
     return True
 
@@ -504,7 +589,8 @@ def certify_cell_by_sector_scan(valuated, cell) -> bool:
     n, poly = valuated.n, cell.poly
     scale, top = poly.extents
     big, sectors, _ = valuated._sector_bounds
-    for vec, i, bounds in sectors:
+    vecs = [vec for c, vec in valuated.circuit_valuations.items() for _ in c]
+    for vec, (i, bounds) in zip(vecs, sectors, strict=True):
         row = top[i - 1]
         if any(row[j - 1] is not None and row[j - 1] * big <= b * scale for j, b in bounds):
             continue

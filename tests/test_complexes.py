@@ -465,11 +465,11 @@ class TestBraidRecessionAndStars:
             assert {p: self.summary(star_fan(cx, p)) for p in ps} == expected
         assert len(cases) > 40 and any(len(set(rec[1])) > 1 for rec in recs)
 
-    def test_braid_containment_matches_the_geometric_path(self, monkeypatch):
-        # stars at vertices, inside cells and off the support, with a braid
-        # cone's containment read off chains and then off its rows
+    @staticmethod
+    def points(cases):
+        """For each case its vertices, seeded points inside some cells, and
+        a seeded point that is mostly off the support."""
         rng = random.Random(71)
-        cases = list(self.non_fans())
         points = []
         for cx in cases:
             ps = {v for c in cx.cells for v in c.vertices}
@@ -480,6 +480,13 @@ class TestBraidRecessionAndStars:
                 ps.add(from_quotient(cx.n, q))
             ps.add(TropPoint([F(rng.randint(-4, 4), 3) for _ in range(cx.n)]))
             points.append(sorted(ps, key=lambda p: p.coords))
+        return points
+
+    def test_braid_containment_matches_the_geometric_path(self, monkeypatch):
+        # stars at vertices, inside cells and off the support, with a braid
+        # cone's containment read off chains and then off its rows
+        cases = list(self.non_fans())
+        points = self.points(cases)
 
         def stars(cx, ps):
             out = []
@@ -496,6 +503,19 @@ class TestBraidRecessionAndStars:
         monkeypatch.setattr(Cell, "chain", property(lambda self: None))
         for cx, ps, star_list in zip(cases, points, expected):
             assert stars(cx, ps) == star_list
+
+    def test_point_in_support_is_the_least_face_of_the_polyhedra_containing_it(self):
+        cases = list(self.non_fans())
+        found = set()
+        for cx, ps in zip(cases, self.points(cases)):
+            for p in ps:
+                q = to_quotient(p)
+                faces = [c.poly.minimal_face_containing(q) for c in cx.cells if c.poly.contains(q)]
+                expected = min(faces, key=lambda face: face.dim, default=None)
+                got = point_in_support(cx, p)
+                assert (got and got.poly.canonical_key) == (expected and expected.canonical_key), p
+                found.add(got is None)
+        assert found == {True, False}
 
 
 class TestBraidRowsFromChains:

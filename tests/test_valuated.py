@@ -11,14 +11,7 @@ from troplin.complexes import Cell, coordinate_difference
 from troplin.errors import InvalidInputError
 from troplin.matroids import _sorted_sets, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint, segment, trop_combine
-from troplin.valuated import (
-    ValuatedMatroid,
-    certify_cell,
-    check_circuit_axioms,
-    check_pluecker,
-    member,
-    normalize_circuit_vector,
-)
+from troplin.valuated import ValuatedMatroid, certify_cell, check_pluecker, member
 
 from conftest import (
     benchmark_valuated_cases,
@@ -26,10 +19,13 @@ from conftest import (
     certify_cell_by_fraction_extents,
     certify_cell_by_refinement,
     certify_cell_by_sector_scan,
+    check_circuit_axioms,
     check_pluecker_all_pairs,
+    circuit_vector_from_pair,
     comparison_hyperplanes,
     derivations,
     fundamental_circuit,
+    member_by_circuit_maxima,
     rand_point,
     rand_rational,
     random_v2_matrix,
@@ -88,6 +84,17 @@ class TestPluecker:
         assert check_pluecker(u24, bad).witness == check_pluecker(
             u24, bad_shifted
         ).witness
+
+    def test_the_constructor_validates_the_weights_once(self, monkeypatch, u23):
+        calls, validate = [], valuated._normalized_weights
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(valuated, "_normalized_weights", counted)
+        ValuatedMatroid(u23, {fs({1, 2}): 0, fs({1, 3}): 0, fs({2, 3}): 1})
+        assert len(calls) == 1
 
 
 class TestLocalPluecker:
@@ -155,7 +162,7 @@ class TestCircuitValuation:
         pairs = derivations(u23_valuated, c)
         assert len(pairs) > 1
         for basis, elem in pairs:
-            assert u23_valuated.circuit_valuation_from(c, basis, elem) == expected
+            assert circuit_vector_from_pair(u23_valuated, c, basis, elem) == expected
 
     def test_well_defined_exhaustively(self):
         rng = random.Random(3)
@@ -166,7 +173,7 @@ class TestCircuitValuation:
                 for c in matroid.circuits:
                     expected = vm.circuit_valuation(c)
                     for basis, elem in derivations(vm, c):
-                        assert vm.circuit_valuation_from(c, basis, elem) == expected
+                        assert circuit_vector_from_pair(vm, c, basis, elem) == expected
 
     def test_derivations_are_the_pairs_with_that_fundamental_circuit(self):
         seen = 0
@@ -195,7 +202,9 @@ class TestCircuitValuation:
         for vm in corpus:
             assert list(vm.circuit_valuations) == _sorted_sets(vm.matroid.circuits)
             for c, vec in vm.circuit_valuations.items():
-                assert vec == vm.circuit_valuation_from(c, *derivations(vm, c)[0])
+                expected = circuit_vector_from_pair(vm, c, *derivations(vm, c)[0])
+                assert vec == expected
+                assert list(map(type, vec)) == list(map(type, expected))
 
     def test_comparison_hyperplanes_are_the_distinct_circuit_pairs(self):
         # the hyperplanes of the refinement oracle of `certify_cell`
@@ -224,7 +233,14 @@ class TestCircuitValuation:
                     assert min(finite) == 0
 
     def test_normalization(self):
-        assert normalize_circuit_vector((F(3), None, F(5))) == (F(0), None, F(2))
+        # from ({1, 2}, 3) the entries w(B - j + 3) - w(B) are -2 and 2,
+        # shifted up by 2; on {1, 2, 4}, element 3 is bottom
+        u23 = matroid_from_bases(3, [[1, 2], [1, 3], [2, 3]])
+        vm = ValuatedMatroid(u23, {fs({1, 2}): 5, fs({1, 3}): 7, fs({2, 3}): 3})
+        assert circuit_vector_from_pair(vm, fs({1, 2, 3}), fs({1, 2}), 3) == (0, 4, 2)
+        u24 = matroid_from_bases(4, combinations(range(1, 5), 2))
+        vm = ValuatedMatroid(u24, {b: F(sum(b), 2) for b in u24.bases})
+        assert circuit_vector_from_pair(vm, fs({1, 2, 4}), fs({1, 2}), 4) == (F(3, 2), F(1), None, 0)
 
 
 class TestCircuitAxioms:
@@ -307,6 +323,37 @@ class TestMember:
                 assert member(rescaled, x) == member(
                     vm, TropPoint([a - b for a, b in zip(x.coords, shift)])
                 )
+
+
+class TestMemberAgainstCircuitMaxima:
+    """`member`, read from the sector index, gives the verdicts of scanning
+    every circuit for a maximum attained once (`member_by_circuit_maxima`)."""
+
+    def test_fractional_points_and_points_near_the_space(self):
+        rng = random.Random(2811)
+        counts = {True: 0, False: 0}
+
+        def check(vm, x):
+            verdict = member(vm, x)
+            assert verdict == member_by_circuit_maxima(vm, x), (vm.weights, x)
+            counts[verdict] += 1
+
+        valuations = [vm for seed in (301, 302, 305) for vm in benchmark_valuated_matroids(seed)]
+        for rank, n in [(2, 4), (2, 5), (3, 5), (3, 6), (4, 6)]:
+            valuations += [v2_det_valuated(random_v2_matrix(rng, rank, n)) for _ in range(4)]
+        for vm in valuations:
+            for _ in range(40):
+                check(vm, TropPoint(rand_rational(rng, 2, 2) for _ in range(vm.n)))
+        for rank, n in [(2, 4), (2, 5), (3, 5), (3, 6), (3, 7)]:
+            a = random_v2_matrix(rng, rank, n)
+            vm = v2_det_valuated(a)
+            for _ in range(24):
+                for p in segment(v2_row_point(rng, a), v2_row_point(rng, a)):
+                    check(vm, p)
+                    for k in range(n):
+                        for step in (F(1, 2), F(-1, 2)):
+                            check(vm, TropPoint(c + step * (i == k) for i, c in enumerate(p.coords)))
+        assert counts[True] > 1000 and counts[False] > 1000, counts
 
 
 class TestConvexityOfMembers:
@@ -485,12 +532,12 @@ class TestSectorIndexAgainstSectorScan:
     def test_index_bounds_are_the_sector_bounds_sorted(self):
         for vm in benchmark_valuated_matroids(305):
             _, sectors, index = vm._sector_bounds
-            pairs = {(k - 1, l - 1) for _, k, sector in sectors for l, _ in sector}
+            pairs = {(k - 1, l - 1) for k, sector in sectors for l, _ in sector}
             assert sorted((i, j) for i, j, _, _ in index) == sorted(pairs)
             for i, j, bounds, masks in index:
                 entries = sorted(
                     (b, s)
-                    for s, (_, k, sector) in enumerate(sectors)
+                    for s, (k, sector) in enumerate(sectors)
                     for l, b in sector
                     if (k - 1, l - 1) == (i, j)
                 )
