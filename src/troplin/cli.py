@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Every command reads JSON files or inline points, runs one operation, and
-prints a JSON report (or a plain-text rendering with --pretty).  Exit codes:
-0 for accepted/true verdicts, 1 for rejected/false verdicts, and 2 for
-malformed input or exceeded budgets.
+prints a JSON report (or a plain-text rendering with --pretty).  Each
+subcommand is declared once, in `_COMMANDS`, with a function that returns
+its report and its verdict; `main` alone owns the exit codes: 0 for
+accepted/true verdicts, 1 for rejected/false verdicts, and 2 for malformed
+input or exceeded budgets, found while running the command or rendering
+its report.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import io as tio
 from .complexes import DEFAULT_BUDGET, chain_fan, is_balanced, recession_fan, star_fan
 from .errors import InvalidInputError, ResourceLimitError
 from .matroids import ChainFamily, enumerate_matroids
-from .points import TropPoint, segment
+from .points import segment
 from .recognize import convexity_probe, decide_complex, local_check, recognize_fan
 from .valuated import member
 
@@ -47,10 +50,6 @@ def _attach_point_values(argv: list[str]) -> list[str]:
             command = command or arg[:1] != "-"
             out.append(arg)
     return out
-
-
-def _parse_point(text: str) -> TropPoint:
-    return TropPoint(tio.parse_frac(part) for part in text.split(","))
 
 
 def _load(path: str):
@@ -92,98 +91,100 @@ def _render_scalar(x) -> str:
     return tio.number_to_json(x)
 
 
-def _emit(data, pretty: bool) -> None:
-    print(_render(data, pretty))
+def _complex(args):
+    return tio.complex_from_json(_load(args.complex))
 
 
-def cmd_bergman(args) -> int:
+def _cmd_bergman(args):
     matroid = tio.matroid_from_json(_load(args.matroid))
     fan = chain_fan(ChainFamily(matroid.n, matroid.flats | {matroid.ground}))
-    _emit(tio.complex_to_json(fan), args.pretty)
-    return 0
+    return tio.complex_to_json(fan), True
 
 
-def cmd_segment(args) -> int:
-    x = _parse_point(getattr(args, "from"))
-    y = _parse_point(args.to)
-    points = segment(x, y)
-    _emit({"breakpoints": [tio.point_to_json(p) for p in points]}, args.pretty)
-    return 0
+def _cmd_segment(args):
+    x = tio.point_from_json(getattr(args, "from").split(","))
+    y = tio.point_from_json(args.to.split(","))
+    return {"breakpoints": [tio.point_to_json(p) for p in segment(x, y)]}, True
 
 
-def cmd_member(args) -> int:
+def _cmd_member(args):
     valuated = tio.valuated_from_json(_load(args.valuated))
-    x = _parse_point(args.point)
+    x = tio.point_from_json(args.point.split(","))
     verdict = member(valuated, x)
-    _emit({"member": verdict, "point": tio.point_to_json(x)}, args.pretty)
-    return 0 if verdict else 1
+    return {"member": verdict, "point": tio.point_to_json(x)}, verdict
 
 
-def cmd_balanced(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    check = is_balanced(complex_)
+def _cmd_balanced(args):
+    check = is_balanced(_complex(args))
     data = {"balanced": check.ok}
     if not check.ok:
         data["witness"] = tio.cell_to_json(check.witness)
-    _emit(data, args.pretty)
-    return 0 if check.ok else 1
+    return data, check.ok
 
 
-def cmd_recession(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    fan = recession_fan(complex_, budget=args.budget)
-    _emit(tio.complex_to_json(fan), args.pretty)
-    return 0
+def _cmd_recession(args):
+    return tio.complex_to_json(recession_fan(_complex(args), budget=args.budget)), True
 
 
-def cmd_star(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    fan = star_fan(complex_, _parse_point(args.point))
-    _emit(tio.complex_to_json(fan), args.pretty)
-    return 0
+def _cmd_star(args):
+    complex_ = _complex(args)  # read first, so its errors come before the point's
+    fan = star_fan(complex_, tio.point_from_json(args.point.split(",")))
+    return tio.complex_to_json(fan), True
 
 
-def cmd_chains(args) -> int:
-    family = tio.chain_family_from_json(_load(args.family))
-    _emit(tio.complex_to_json(chain_fan(family)), args.pretty)
-    return 0
+def _cmd_chains(args):
+    return tio.complex_to_json(chain_fan(tio.chain_family_from_json(_load(args.family)))), True
 
 
-def cmd_recognize(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    report = recognize_fan(complex_, budget=args.budget)
-    _emit(tio.report_to_json(report), args.pretty)
-    return 0 if report.accepted else 1
+def _cmd_recognize(args):
+    report = recognize_fan(_complex(args), budget=args.budget)
+    return tio.report_to_json(report), report.accepted
 
 
-def cmd_decide(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    report = decide_complex(complex_, budget=args.budget)
-    _emit(tio.report_to_json(report), args.pretty)
-    return 0 if report.accepted else 1
+def _cmd_decide(args):
+    report = decide_complex(_complex(args), budget=args.budget)
+    return tio.report_to_json(report), report.accepted
 
 
-def cmd_local_check(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    report = local_check(complex_, budget=args.budget)
-    _emit(tio.local_check_to_json(report), args.pretty)
-    return 0 if report.accepted else 1
+def _cmd_local_check(args):
+    report = local_check(_complex(args), budget=args.budget)
+    return tio.local_check_to_json(report), report.accepted
 
 
-def cmd_probe(args) -> int:
-    complex_ = tio.complex_from_json(_load(args.complex))
-    result = convexity_probe(complex_, samples=args.samples, seed=args.seed)
-    _emit(tio.probe_to_json(result), args.pretty)
-    return 0 if result.ok else 1
+def _cmd_probe(args):
+    result = convexity_probe(_complex(args), samples=args.samples, seed=args.seed)
+    return tio.probe_to_json(result), result.ok
 
 
-def cmd_enumerate(args) -> int:
-    matroids = enumerate_matroids(args.n)
-    _emit(
-        {"n": args.n, "count": len(matroids), "matroids": [tio.matroid_to_json(m) for m in matroids]},
-        args.pretty,
-    )
-    return 0
+def _cmd_enumerate(args):
+    matroids = [tio.matroid_to_json(m) for m in enumerate_matroids(args.n)]
+    return {"n": args.n, "count": len(matroids), "matroids": matroids}, True
+
+
+# the keyword arguments of every option; a name missing here is a positional
+_SPECS = {
+    "--budget": {"type": int, "default": DEFAULT_BUDGET},
+    "--samples": {"type": int, "default": 200},
+    "--seed": {"type": int, "default": 0},
+    "--n": {"type": int, "required": True},
+    **dict.fromkeys(POINT_OPTIONS, {"required": True}),
+}
+
+# (name, help, argument names, function) of every subcommand, in --help order
+_COMMANDS = (
+    ("bergman", "chains-of-flats fan of a matroid", "matroid", _cmd_bergman),
+    ("segment", "breakpoints of a tropical segment", "--from --to", _cmd_segment),
+    ("member", "tropical linear space membership", "valuated --point", _cmd_member),
+    ("balanced", "check the balancing equation", "complex", _cmd_balanced),
+    ("recession", "recession fan with aggregated weights", "complex --budget", _cmd_recession),
+    ("star", "star fan at a support point", "complex --point", _cmd_star),
+    ("chains", "fan of chains in a subset family", "family", _cmd_chains),
+    ("recognize", "recognize a matroidal fan", "complex --budget", _cmd_recognize),
+    ("decide", "decide a complex via its recession fan", "complex --budget", _cmd_decide),
+    ("local-check", "recognize the star at every vertex", "complex --budget", _cmd_local_check),
+    ("probe", "seeded convexity counterexample search", "complex --samples --seed", _cmd_probe),
+    ("enumerate", "all loopfree matroids on n elements", "--n", _cmd_enumerate),
+)
 
 
 @functools.cache
@@ -194,75 +195,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bergman", help="chains-of-flats fan of a matroid")
-    p.add_argument("matroid")
-    p.set_defaults(func=cmd_bergman)
-
-    p = sub.add_parser("segment", help="breakpoints of a tropical segment")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("member", help="tropical linear space membership")
-    p.add_argument("valuated")
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("balanced", help="check the balancing equation")
-    p.add_argument("complex")
-    p.set_defaults(func=cmd_balanced)
-
-    p = sub.add_parser("recession", help="recession fan with aggregated weights")
-    p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_recession)
-
-    p = sub.add_parser("star", help="star fan at a support point")
-    p.add_argument("complex")
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=cmd_star)
-
-    p = sub.add_parser("chains", help="fan of chains in a subset family")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_chains)
-
-    p = sub.add_parser("recognize", help="recognize a matroidal fan")
-    p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_recognize)
-
-    p = sub.add_parser("decide", help="decide a complex via its recession fan")
-    p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("local-check", help="recognize the star at every vertex")
-    p.add_argument("complex")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_local_check)
-
-    p = sub.add_parser("probe", help="seeded convexity counterexample search")
-    p.add_argument("complex")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("enumerate", help="all loopfree matroids on n elements")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_enumerate)
-
+    for name, help_text, arguments, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments.split():
+            p.add_argument(argument, **_SPECS.get(argument, {}))
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: print its report and return 0 for an accepted or
+    true verdict and 1 for a rejected or false one, or print the error and
+    return 2 for malformed input or an exceeded budget, rendering included."""
     parser = build_parser()
     args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        payload, verdict = args.func(args)
+        print(_render(payload, args.pretty))
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if verdict else 1
 
 
 if __name__ == "__main__":

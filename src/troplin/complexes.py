@@ -447,20 +447,15 @@ def _contained_chains(chains: set) -> set:
     """The members of a set of chains that are proper sub-chains of another.
 
     Distinct chains of one length are not sub-chains of one another, so
-    none is when all have one length.  Otherwise each chain's sub-chains are
-    looked up in the set, or, when it has more sub-chains than the set has
-    members, the shorter members are compared with it.
+    none is when all have one length.  Otherwise each chain is compared
+    with the shorter members.
     """
     if len({len(c) for c in chains}) < 2:
         return set()
     out = set()
     for chain in chains:
-        if 2 ** len(chain) <= len(chains):
-            subs = (s for k in range(len(chain)) for s in combinations(chain, k))
-            out.update(s for s in subs if s in chains)
-        else:
-            above = set(chain)
-            out.update(c for c in chains if len(c) < len(chain) and above.issuperset(c))
+        above = set(chain)
+        out.update(c for c in chains if len(c) < len(chain) and above.issuperset(c))
     return out
 
 
@@ -517,11 +512,6 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
     partition that G cuts out, so the group is balanced exactly when the
     sum of -w*1_F and the lifted normals is constant on each block of G.
 
-    Lemma: F lies in one gap G_(j-1) < F < G_j of G (G_0 empty, G_(k+1) the
-    ground set), so -w*1_F is -w on each block below that gap and 0 on each
-    above it; only on the block G_j - G_(j-1) can it vary.  A group of
-    dropped sets alone is therefore read on the blocks of their gaps.
-
     The witness is the failing face with the least canonical key, which is
     computed for failing faces only.
     """
@@ -529,20 +519,19 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
         raise InvalidInputError("balancing is defined for pure complexes")
     n = complex_.n
     ground = frozenset(range(1, n + 1))
-    # (apex, sub-chain) -> ((gap below, gap above, F, weight) per dropped F, (weight, normal) pairs)
+    # (apex, sub-chain) -> ((F, weight) per dropped F, (weight, normal) pairs)
     braid_facets: dict = {}
     # canonical key of a face that is no braid cone -> [its cell, (weight, normal) pairs]
     other_facets: dict = {}
     for cell, weight in zip(complex_.cells, complex_.weights):
         if cell.braid is not None:
             apex, chain = cell.braid
-            bounds = (frozenset(),) + chain + (ground,)
             for i, f in enumerate(chain):
                 key = (apex, chain[:i] + chain[i + 1 :])
                 entry = braid_facets.get(key)
                 if entry is None:
                     entry = braid_facets[key] = ([], [])
-                entry[0].append((bounds[i], bounds[i + 2], f, weight))
+                entry[0].append((f, weight))
             continue
         poly = cell.poly
         for face, row in poly.faces_of_facets():
@@ -571,21 +560,16 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
 
 
 def _constant_on_blocks(ground: GroundSet, sub: tuple[GroundSet, ...], dropped, normals) -> bool:
-    """Is the sum of -w*1_F over the dropped (gap below, gap above, F, w)
-    and of w*(0, u) over the (w, u) normals constant on each block of the
-    chain sub?  With no normals only the blocks of the dropped sets' gaps
-    are read, by the lemma of `is_balanced`."""
+    """Is the sum of -w*1_F over the dropped (F, w) and of w*(0, u) over
+    the (w, u) normals constant on each block of the chain sub?"""
     total = [0] * (len(ground) + 1)  # at torus positions 1..n
-    for _, _, f, w in dropped:
+    for f, w in dropped:
         for i in f:
             total[i] -= w
     for w, u in normals:
         for i, x in enumerate(u, 2):
             total[i] += w * x
-    if normals:
-        blocks = zip((frozenset(),) + sub, sub + (ground,))
-    else:
-        blocks = {(lo, hi) for lo, hi, _, _ in dropped}
+    blocks = zip((frozenset(),) + sub, sub + (ground,))
     return all(len({total[i] for i in hi - lo}) == 1 for lo, hi in blocks)
 
 
@@ -596,10 +580,12 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
             complex_.n, complex_.cells, complex_.weights, validate=False
         )
     n = complex_.n
-    origin = (0,) * (n - 1)
+    origin, set_rays = (0,) * (n - 1), {}
     # a braid cone's recession cone is its chain's cone at the origin
     rec_cells = [
-        Cell(n, c.poly.recession()) if c.braid is None else Cell.from_braid(n, origin, c.braid[1])
+        Cell(n, c.poly.recession())
+        if c.braid is None
+        else Cell.from_braid(n, origin, c.braid[1], set_rays)
         for c in complex_.cells
     ]
     if all(c.chain is not None for c in rec_cells):
@@ -692,12 +678,12 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
         raise InvalidInputError("ambient size mismatch")
     n, q = complex_.n, to_quotient(p)
     point = None  # p lifted to integers, once it is needed
-    cones = []
+    cones, set_rays = [], {}
     for cell, weight in zip(complex_.cells, complex_.weights):
         braid = cell.braid
         if braid is not None and braid[0] == q:
             # at its apex a braid cone's star is its chain's cone
-            cones.append((Cell.from_braid(n, (0,) * (n - 1), braid[1]), weight))
+            cones.append((Cell.from_braid(n, (0,) * (n - 1), braid[1], set_rays), weight))
             continue
         point = point or _lift(p.coords + (1,))
         if not _cell_contains(cell, point):
@@ -711,7 +697,7 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
                 rays.append(primitive_direction(d))
         lifted = [lift_direction(r) for r in rays]
         lineality = [lift_direction(l) for l in poly.lineality]
-        cones.append((Cell.from_torus(n, [(0,) * n], lifted, lineality), weight))
+        cones.append((Cell.from_torus(n, [(0,) * n], lifted, lineality, set_rays), weight))
     if not cones:
         raise InvalidInputError("point outside the support")
     return _merged_fan(n, cones)

@@ -1,7 +1,9 @@
 """JSON schemas and the command-line interface."""
 
+import argparse
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +12,7 @@ import pytest
 
 from troplin import complexes
 from troplin import io as tio
-from troplin.cli import main
+from troplin.cli import build_parser, main
 from troplin.complexes import (
     Cell,
     WeightedComplex,
@@ -792,3 +794,105 @@ class TestCli:
                 rep = json.loads(capsys.readouterr().out)
                 assert code == 0
                 assert rep["matroid"] == tio.matroid_to_json(matroid)
+
+
+# name -> (help, [(option strings or dest, required, type, default)]), as
+# `troplin --help` and `troplin <name> --help` have always listed them
+COMMANDS = {
+    "bergman": ("chains-of-flats fan of a matroid", [("matroid", True, None, None)]),
+    "segment": (
+        "breakpoints of a tropical segment",
+        [(("--from",), True, None, None), (("--to",), True, None, None)],
+    ),
+    "member": (
+        "tropical linear space membership",
+        [("valuated", True, None, None), (("--point",), True, None, None)],
+    ),
+    "balanced": ("check the balancing equation", [("complex", True, None, None)]),
+    "recession": (
+        "recession fan with aggregated weights",
+        [("complex", True, None, None), (("--budget",), False, int, 20000)],
+    ),
+    "star": (
+        "star fan at a support point",
+        [("complex", True, None, None), (("--point",), True, None, None)],
+    ),
+    "chains": ("fan of chains in a subset family", [("family", True, None, None)]),
+    "recognize": (
+        "recognize a matroidal fan",
+        [("complex", True, None, None), (("--budget",), False, int, 20000)],
+    ),
+    "decide": (
+        "decide a complex via its recession fan",
+        [("complex", True, None, None), (("--budget",), False, int, 20000)],
+    ),
+    "local-check": (
+        "recognize the star at every vertex",
+        [("complex", True, None, None), (("--budget",), False, int, 20000)],
+    ),
+    "probe": (
+        "seeded convexity counterexample search",
+        [
+            ("complex", True, None, None),
+            (("--samples",), False, int, 200),
+            (("--seed",), False, int, 0),
+        ],
+    ),
+    "enumerate": ("all loopfree matroids on n elements", [(("--n",), True, int, None)]),
+}
+
+
+class TestParser:
+    @staticmethod
+    def subcommands():
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return parser, sub
+
+    def test_every_subcommand_is_pinned(self):
+        parser, sub = self.subcommands()
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [
+            (name, help_text) for name, (help_text, _) in COMMANDS.items()
+        ]
+        for name, (_, arguments) in COMMANDS.items():
+            got = [
+                (tuple(a.option_strings) or a.dest, a.required, a.type, a.default)
+                for a in sub.choices[name]._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            assert got == arguments, name
+        top = [(a.option_strings, a.default) for a in parser._actions[1:] if a is not sub]
+        assert top == [(["--pretty"], False)]
+
+    def test_help_lists_every_subcommand_and_its_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        helps = []
+        for argv in [["--help"]] + [[name, "--help"] for name in COMMANDS]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        top, *subs = helps
+        for name, (help_text, _) in COMMANDS.items():
+            assert re.search(rf"^ +{name} +{help_text}$", top, re.M), name
+        assert [text.splitlines()[0] for text in subs] == [
+            "usage: troplin bergman [-h] matroid",
+            "usage: troplin segment [-h] --from FROM --to TO",
+            "usage: troplin member [-h] --point POINT valuated",
+            "usage: troplin balanced [-h] complex",
+            "usage: troplin recession [-h] [--budget BUDGET] complex",
+            "usage: troplin star [-h] --point POINT complex",
+            "usage: troplin chains [-h] family",
+            "usage: troplin recognize [-h] [--budget BUDGET] complex",
+            "usage: troplin decide [-h] [--budget BUDGET] complex",
+            "usage: troplin local-check [-h] [--budget BUDGET] complex",
+            "usage: troplin probe [-h] [--samples SAMPLES] [--seed SEED] complex",
+            "usage: troplin enumerate [-h] --n N",
+        ]
+
+    def test_bare_troplin_exits_two_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage: troplin")
+        assert "the following arguments are required: command" in err
