@@ -144,7 +144,8 @@ def _ray_chain(rays: Iterable[tuple], ray_sets: dict) -> tuple[GroundSet, ...] |
 
 
 class Cell:
-    """A rational polyhedron in the torus."""
+    """A rational polyhedron in the torus, equal to another when their
+    `key`s are; a `from_braid` cell writes its `generators` with no polyhedron."""
 
     # (apex, chain, set_rays) of a cell made by `from_braid`
     _built_from: tuple | None = None
@@ -193,9 +194,9 @@ class Cell:
         """The braid cone apex + cone(-e_F over an ascending chain of proper
         nonempty sets), for a canonical apex in quotient coordinates.
 
-        The cell keeps its apex and chain, and `braid` and `chain` are set
-        from them; it has no polyhedron until `poly` is read, which builds
-        it from `chain_rays`, given `set_rays`.  So nothing is derived from
+        The cell keeps its apex and chain, and `braid`, `chain` and, with
+        `chain_rays` given `set_rays`, `generators` are read off them; it has
+        no polyhedron until `poly` is read.  So nothing is derived from
         generators, and a fan read and written by its chains builds none.
         """
         cell = cls.__new__(cls)
@@ -211,6 +212,19 @@ class Cell:
         if any(apex):
             return Polyhedron._canonical(self.n - 1, (apex,), chain_rays(self.n, chain, set_rays))
         return chain_cone(self.n, chain, set_rays)
+
+    @property
+    def generators(self) -> tuple[tuple[Vec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
+        """`poly`'s vertices, rays and lineality, or a `from_braid` cell's apex and rays."""
+        if self._built_from is None:
+            return self.poly.vertices, self.poly.rays, self.poly.lineality
+        apex, chain, set_rays = self._built_from
+        return (apex,), chain_rays(self.n, chain, set_rays), ()
+
+    @cached_property
+    def key(self) -> tuple:
+        """`(n - 1, *generators)`, which is `poly.canonical_key`."""
+        return (self.n - 1, *self.generators)
 
     @cached_property
     def braid(self) -> tuple[Vec, tuple[GroundSet, ...]] | None:
@@ -289,25 +303,21 @@ class Cell:
 
     @property
     def vertices(self) -> list[TropPoint]:
-        return [from_quotient(self.n, v) for v in self.poly.vertices]
+        return [from_quotient(self.n, v) for v in self.generators[0]]
 
     @property
     def rays(self) -> list[tuple]:
-        return [lift_direction(r) for r in self.poly.rays]
+        return [lift_direction(r) for r in self.generators[1]]
 
     @property
     def lineality(self) -> list[tuple]:
-        return [lift_direction(l) for l in self.poly.lineality]
+        return [lift_direction(l) for l in self.generators[2]]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cell)
-            and self.n == other.n
-            and self.poly.canonical_key == other.poly.canonical_key
-        )
+        return isinstance(other, Cell) and self.n == other.n and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash((self.n, self.poly.canonical_key))
+        return hash((self.n, self.key))
 
     def __repr__(self) -> str:
         return f"Cell(n={self.n}, dim={self.dim}, vertices={self.vertices}, rays={self.rays})"
@@ -615,7 +625,7 @@ def _merged_fan(n: int, weighted: list[tuple[Cell, int]]) -> WeightedComplex:
     copies summed."""
     totals: dict = {}
     for cell, weight in weighted:
-        key = cell.poly.canonical_key
+        key = cell.key
         totals[key] = (cell, totals[key][1] + weight if key in totals else weight)
     kept = [totals[key] for key in sorted(totals)]
     return WeightedComplex(n, [c for c, _ in kept], [w for _, w in kept], validate=False)

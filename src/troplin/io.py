@@ -9,9 +9,8 @@ against the Pluecker relations; a complex's braid cones at the origin are
 read off their representatives as written, with no point made, each
 distinct vector of a document parsed once and each distinct ray's set read
 once.  One writer, `cell_to_json`, writes every cell, alone or in a
-complex, as its generators lifted as (0,) + v: a cell built from a chain
-from its apex and sets, with no polyhedron, and any other from its
-polyhedron's generators.
+complex, as its `Cell.generators` lifted as (0,) + v, which a cell built
+from a chain writes from its apex and sets, with no polyhedron.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .complexes import Cell, WeightedComplex, chain_rays
+from .complexes import Cell, WeightedComplex
 from .errors import InvalidInputError, ResourceLimitError
 from .matroids import ChainFamily, Matroid, _sorted_sets
 from .points import Rational, TropPoint, _frac
@@ -133,6 +132,8 @@ def valuated_from_json(data) -> ValuatedMatroid:
             elems = frozenset(int(x) for x in str(key).split(","))
         except ValueError as exc:
             raise InvalidInputError(f"bad basis key {key!r}") from exc
+        if elems in weights:
+            raise InvalidInputError(f"basis {sorted(elems)} named twice in 'weights'")
         weights[elems] = parse_frac(val)
     return ValuatedMatroid(matroid, weights)
 
@@ -155,23 +156,15 @@ def _lifted(vectors, text: dict) -> list[list[str]]:
 
 
 def cell_to_json(cell: Cell, weight: int | None = None, text: dict | None = None) -> dict:
-    """A cell from its generators v lifted as (0,) + v: the canonical
+    """A cell from its `Cell.generators` v lifted as (0,) + v: the canonical
     representatives of its vertices, and the length-n representatives of
-    its rays and lineality that `Cell.rays` and `Cell.lineality` give.  A
-    cell made by `Cell.from_braid` is written from its apex and the
-    `chain_rays` of its sets, with no polyhedron, as the same text.  `text`
+    its rays and lineality that `Cell.rays` and `Cell.lineality` give, so a
+    cell made by `Cell.from_braid` is written with no polyhedron.  `text`
     maps vectors to their JSON; a caller writing many cells passes one, so
     each distinct vector is converted once and equal ones share a list."""
     text = {} if text is None else text
-    if cell._built_from is not None:
-        apex, chain, set_rays = cell._built_from
-        rays = chain_rays(cell.n, chain, set_rays)
-        out = {"vertices": _lifted((apex,), text), "rays": _lifted(rays, text)}
-        lineality = ()
-    else:
-        poly = cell.poly
-        out = {"vertices": _lifted(poly.vertices, text), "rays": _lifted(poly.rays, text)}
-        lineality = poly.lineality
+    vertices, rays, lineality = cell.generators
+    out = {"vertices": _lifted(vertices, text), "rays": _lifted(rays, text)}
     if weight is not None:
         out["weight"] = weight
     if lineality:

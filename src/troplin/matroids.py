@@ -1,10 +1,10 @@
 """Loopfree matroids given by bases, plus flat-family verification.
 
-Ground sets are {1..n}.  Closures are computed by direct enumeration over
-the bases.  Circuits are the fundamental circuits of the bases, and flats
-are found from the empty flat upwards, one cover at a time, since the
-covers of a flat F are the closures of F + e and partition the complement
-of F (Oxley, *Matroid Theory*, ch. 1), so neither walks the 2^n subsets.
+Ground sets are {1..n}.  One bitmask closure gives ranks, closures and
+flats.  Circuits are the fundamental circuits of the bases, each with its
+first (basis, element) pair, and flats are found from the empty flat up, one
+cover at a time, since the covers of a flat F are the closures of F + e and
+partition E - F (Oxley, *Matroid Theory*, ch. 1): neither walks 2^n subsets.
 A `ChainFamily` builds one integer lattice, once: its members as bitmasks
 and each member's covers as indices.  The flat axioms, the rank, the
 maximal chains and their number all read it, and so do the bases of a flat
@@ -142,29 +142,41 @@ class Matroid:
         return f"Matroid(n={self.n}, bases={basis_list})"
 
     def rank_of(self, subset: Iterable[int]) -> int:
-        s = frozenset(subset)
-        return max(len(b & s) for b in self.bases)
+        return self._closure(_mask(self.ground.intersection(subset)))[0]
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
         return self.rank_of(s) == len(s)
 
     def closure(self, subset: Iterable[int]) -> GroundSet:
+        """The closure of the subset's elements in 1..n, with the others kept."""
         s = frozenset(subset)
-        r = self.rank_of(s)
-        return s | frozenset(
-            g for g in self.ground - s if self.rank_of(s | {g}) == r
-        )
+        return s | _members(self._closure(_mask(s & self.ground))[1])
 
     @cached_property
-    def circuits(self) -> frozenset[GroundSet]:
-        """Minimal dependent sets: the fundamental circuits e + {b in B :
-        B - b + e is a basis} over every basis B and every e outside it, on
-        bitmask bases.  Every circuit C is one: for e in C, C - e extends to
-        a basis B, and C is the only circuit in B + e."""
-        family = {_mask(b) for b in self.bases}
-        found = set()
-        for b in family:
+    def _masks(self) -> list[int]:
+        return [_mask(b) for b in self.bases]
+
+    def _closure(self, s: int) -> tuple[int, int]:
+        """The rank and the closure of a bitmask within the ground set: an
+        element outside s raises the rank exactly when a basis meeting s
+        most holds it."""
+        r = max((b & s).bit_count() for b in self._masks)
+        raising = 0
+        for b in self._masks:
+            if (b & s).bit_count() == r:
+                raising |= b
+        return r, s | (((1 << self.n) - 1) & ~raising)
+
+    @cached_property
+    def _circuit_pairs(self) -> dict[int, tuple[GroundSet, int]]:
+        """Each circuit's bitmask, with the first (B, e) pair found whose
+        fundamental circuit e + {b in B : B - b + e is a basis} it is, over
+        every basis B and every e outside it.  Every circuit C is one: for e
+        in C, C - e extends to a basis B, and C is the only circuit in B + e."""
+        family = set(self._masks)
+        found: dict[int, tuple[GroundSet, int]] = {}
+        for basis, b in zip(self.bases, self._masks):
             for e in range(self.n):
                 bit = 1 << e
                 if b & bit:
@@ -175,32 +187,26 @@ class Matroid:
                     rest ^= low
                     if b ^ low ^ bit in family:
                         c |= low
-                found.add(c)
-        return frozenset(map(_members, found))
+                found.setdefault(c, (basis, e + 1))
+        return found
+
+    @cached_property
+    def circuits(self) -> frozenset[GroundSet]:
+        """Minimal dependent sets: the circuits of `_circuit_pairs`."""
+        return frozenset(map(_members, self._circuit_pairs))
 
     @cached_property
     def flats(self) -> frozenset[GroundSet]:
         """All closed sets, including the empty set and the ground set: the
-        empty flat and its covers, theirs, and so on, on bitmask bases.  The
+        empty flat and its covers, theirs, and so on, by `_closure`.  The
         covers of F are the closures of F + e, and they partition E - F."""
-        masks = [_mask(b) for b in self.bases]
         full = (1 << self.n) - 1
-
-        def closure(s: int) -> int:
-            # e outside s raises the rank exactly when a basis meeting s most holds e
-            r = max((b & s).bit_count() for b in masks)
-            raising = 0
-            for b in masks:
-                if (b & s).bit_count() == r:
-                    raising |= b
-            return s | (full & ~raising)
-
         seen, todo = {0}, [0]
         while todo:
             f = todo.pop()
             rest = full & ~f
             while rest:
-                g = closure(f | (rest & -rest))
+                g = self._closure(f | (rest & -rest))[1]
                 rest &= ~g
                 if g not in seen:
                     seen.add(g)

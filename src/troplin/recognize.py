@@ -257,9 +257,9 @@ class LocalCheckReport:
 def _components(complex_: WeightedComplex) -> int:
     """Connected components of the support.  Two cells meet when they share
     a vertex generator, or else when their intersection is nonempty.  All
-    shared vertices are joined first, so only the pairs that they leave in
-    different components are intersected, and of those only the pairs whose
-    extents do not show them disjoint (`_apart`)."""
+    shared vertices are joined first, read off `Cell.generators`, so only
+    the pairs they leave in different components read their polyhedra, and
+    only those whose extents do not show them disjoint (`_apart`) meet."""
     cells = complex_.cells
     parent = list(range(len(cells)))
 
@@ -271,12 +271,11 @@ def _components(complex_: WeightedComplex) -> int:
 
     first_cell = {}
     for i, cell in enumerate(cells):
-        for v in cell.poly.vertices:
+        for v in cell.generators[0]:
             parent[find(i)] = find(first_cell.setdefault(v, i))
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            a, b = cells[i].poly, cells[j].poly
-            if find(i) != find(j) and not _apart(a, b) and a.intersection(b) is not None:
+    for (i, a), (j, b) in combinations(enumerate(cells), 2):
+        if find(i) != find(j) and not _apart(a.poly, b.poly):
+            if a.poly.intersection(b.poly) is not None:
                 parent[find(i)] = find(j)
     return len({find(i) for i in range(len(cells))})
 

@@ -4,7 +4,9 @@ A valuation assigns a rational to every basis and has to satisfy the exchange
 form of the tropical Pluecker relations.  Each circuit then carries a
 valuation vector whose finite support is exactly the circuit; the minus
 infinity entries are stored as None rather than as a sentinel number.  The
-vectors are derived once, as integers over one denominator (`_circuits`).
+vectors are derived once, as integers over one denominator, each from the
+(basis, element) pair that its matroid records, which gives the same vector
+as any other pair (Dress & Wenzel 1992; Murota 2003) (`_circuits`).
 Membership in the associated tropical linear space is the requirement that,
 for every circuit, the maximum of x_i + (v_C)_i is attained at least twice:
 x lies in no open sector in which one element of a circuit attains it
@@ -20,14 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
-from math import gcd, lcm
+from math import gcd
 from operator import or_
-from typing import Collection, Mapping
+from typing import Mapping
 
 from .complexes import coordinate_difference
 from .errors import InvalidInputError
-from .linalg import vec_dot
-from .matroids import GroundSet, Matroid, _sorted_sets
+from .linalg import _lift, vec_dot
+from .matroids import GroundSet, Matroid, _mask, _sorted_sets
 from .points import Rational, TropPoint, _frac
 from .polyhedra import _from_rows
 
@@ -52,14 +54,13 @@ def check_pluecker(matroid: Matroid, weights: Mapping[GroundSet, Rational]) -> P
     the witness is the first violating (B1, B2, u) with B1 and B2 in
     `_sorted_sets` order and u ascending.
     """
-    witness = _pluecker_witness(_normalized_weights(matroid, weights))
+    witness = _pluecker_witness(_integral(_normalized_weights(matroid, weights))[1])
     return PlueckerCheck(witness is None, witness)
 
 
-def _pluecker_witness(weights: dict[GroundSet, Rational]):
-    """None if the validated weights satisfy the exchange form, else the first
-    violation; both checks read the weights as integers (`_scaled`)."""
-    w = dict(zip(weights, _scaled(weights.values())[1]))
+def _pluecker_witness(w: dict[GroundSet, int]):
+    """None if the weights, as integers (`_integral`), satisfy the exchange
+    form, else the first violation."""
     if _locally_exchangeable(w):
         return None
     # a local pair fails, so the scan finds a violation
@@ -117,10 +118,10 @@ def _normalized_weights(
     return {b: _frac(weights[b]) for b in matroid.bases}
 
 
-def _scaled(values: Collection[Rational]) -> tuple[int, list[int]]:
-    """(L, [L * x for x in values]) for L the least common denominator."""
-    scale = lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
+def _integral(weights: dict[GroundSet, Rational]) -> tuple[int, dict[GroundSet, int]]:
+    """(L, {B: L*w(B)}) for L the least common denominator of the weights."""
+    *values, scale = _lift((*weights.values(), 1))
+    return scale, dict(zip(weights, values))
 
 
 class ValuatedMatroid:
@@ -129,7 +130,8 @@ class ValuatedMatroid:
     def __init__(self, matroid: Matroid, weights: Mapping[GroundSet, Rational]):
         self.matroid = matroid
         self.weights = _normalized_weights(matroid, weights)
-        witness = _pluecker_witness(self.weights)
+        self._integer_weights = _integral(self.weights)
+        witness = _pluecker_witness(self._integer_weights[1])
         if witness is not None:
             b1, b2, u = witness
             where = f"B1={sorted(b1)}, B2={sorted(b2)}, u={u}"
@@ -155,29 +157,18 @@ class ValuatedMatroid:
             for c, vec in circuits.items()
         }
 
-    def _fundamental_pairs(self):
-        """Each circuit, in sorted order, with its first (basis, element)
-        pair whose fundamental circuit it is, with elements of the circuit
-        ascending, then bases in sorted order."""
-        bases = _sorted_sets(self.matroid.bases)
-        for c in _sorted_sets(self.matroid.circuits):
-            basis, element = next(
-                (b, i) for i in sorted(c) for b in bases if c - {i} <= b and i not in b
-            )
-            yield c, basis, element
-
     @cached_property
     def _circuits(self) -> tuple[int, dict[GroundSet, tuple[int | None, ...]]]:
         """(B, {C: B*v_C}) over the circuits in sorted order, with None off
-        C.  Each vector comes from the circuit's `_fundamental_pairs` pair on
-        the weights as integers over their common denominator W: for the
-        pair (A, e), W*v_C is 0 at e and W*(w(A - j + e) - w(A)) at each
+        C.  Each vector comes from the circuit's `Matroid._circuit_pairs`
+        pair on the weights as integers over their common denominator W: for
+        the pair (A, e), W*v_C is 0 at e and W*(w(A - j + e) - w(A)) at each
         other j in C, less its least entry, and B is W over the gcd of W and
         all those entries, the least common denominator of the v_C."""
-        big, values = _scaled(self.weights.values())
-        w = dict(zip(self.weights, values))
+        big, w = self._integer_weights
         vecs = {}
-        for circuit, basis, element in self._fundamental_pairs():
+        for circuit in _sorted_sets(self.matroid.circuits):
+            basis, element = self.matroid._circuit_pairs[_mask(circuit)]
             entries = [None] * self.n
             entries[element - 1] = 0
             for j in circuit - {element}:
@@ -242,7 +233,7 @@ def member(valuated: ValuatedMatroid, x: TropPoint) -> bool:
     the differences of x as integers over their common denominator)."""
     if x.n != valuated.n:
         raise InvalidInputError("ambient size mismatch")
-    scale, coords = _scaled(x.coords)
+    *coords, scale = _lift(x.coords + (1,))
     return not valuated._open_sectors(scale, [[a - b for b in coords] for a in coords])
 
 

@@ -40,8 +40,12 @@ sample drawn with `randint` off a vertex, which drawing with `randrange`
 off its generator replaced, the Fraction circuit vector of a (basis,
 element) pair and membership by the maxima on each circuit, which the
 integer circuit table and the sector index of a valuated matroid replaced,
-and the support and elimination axioms of a circuit valuation, the oracle
-of `circuit_valuations`."""
+the support and elimination axioms of a circuit valuation, the oracle
+of `circuit_valuations`, the rank and closure of a matroid by a scan of its
+bases, which one bitmask closure replaced, and each circuit's vector from
+the first pair a search over every basis finds, on the weights scaled to
+integers apart, which the pairs `Matroid` records with its circuits and
+one integer weight table replaced."""
 
 import importlib.util
 import random
@@ -1144,6 +1148,51 @@ def derivations(valuated, circuit):
                 # b + i holds this circuit, the only circuit it holds
                 pairs.append((b, i))
     return pairs
+
+
+def fundamental_pairs(valuated):
+    """Each circuit, in sorted order, with its first pair in `derivations`:
+    elements of the circuit ascending, then bases in sorted order."""
+    for c in _sorted_sets(valuated.matroid.circuits):
+        yield c, *derivations(valuated, c)[0]
+
+
+def scaled(values):
+    """(L, [L * x for x in values]) for L the least common denominator."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def circuit_valuations_by_search(valuated):
+    """`circuit_valuations` with each vector from its `fundamental_pairs`
+    pair, on the weights `scaled` to integers: 0 at the element and
+    w(B - j + e) - w(B) at each other j of the circuit, less the least
+    entry, over the scale, an int where integral."""
+    big, values = scaled(list(valuated.weights.values()))
+    w = dict(zip(valuated.weights, values))
+    out = {}
+    for circuit, basis, element in fundamental_pairs(valuated):
+        entries = [None] * valuated.n
+        entries[element - 1] = 0
+        for j in circuit - {element}:
+            entries[j - 1] = w[(basis - {j}) | {element}] - w[basis]
+        low = min(x for x in entries if x is not None)
+        out[circuit] = tuple(None if x is None else _frac(Fraction(x - low, big)) for x in entries)
+    return out
+
+
+def rank_by_bases(matroid, subset) -> int:
+    """The most elements of the subset that one basis holds."""
+    s = frozenset(subset)
+    return max(len(b & s) for b in matroid.bases)
+
+
+def closure_by_rank_scan(matroid, subset):
+    """The subset with every element of the ground set outside it whose
+    addition keeps the rank (`rank_by_bases`)."""
+    s = frozenset(subset)
+    r = rank_by_bases(matroid, s)
+    return s | frozenset(g for g in matroid.ground - s if rank_by_bases(matroid, s | {g}) == r)
 
 
 def fundamental_circuit(matroid, basis, element):

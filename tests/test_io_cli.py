@@ -25,7 +25,7 @@ from troplin.errors import InvalidInputError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import TropPoint
 from troplin.polyhedra import Polyhedron
-from troplin.recognize import RecognitionReport, recognize_fan
+from troplin.recognize import RecognitionReport, convexity_probe, local_check, recognize_fan
 
 from conftest import (
     benchmark_tree_line,
@@ -442,9 +442,11 @@ class TestCli:
         }
 
     def test_bergman_then_recognize_build_no_polyhedron(self, capsys, tmp_path, monkeypatch):
-        """A Bergman fan goes through `bergman`, `recognize` and `decide` as
-        chains: with every way to build a polyhedron refused, they print
-        what the writer through torus points and the source matroid give."""
+        """A Bergman fan goes through `bergman`, `recognize`, `decide`,
+        `local-check` and `probe --samples 0` as chains: with every way to
+        build a polyhedron refused, they print what the writer through torus
+        points, the source matroid, and the checks on the fan of cells
+        reduced from their generators give."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a polyhedron was built")
@@ -461,6 +463,13 @@ class TestCli:
             fan_text = tio.dumps({"n": m.n, "cells": cells}) + "\n"
             flats = sorted((f for f in m.flats | {m.ground} if f), key=lambda f: (len(f), sorted(f)))
             report = RecognitionReport("accepted", matroid=m, flats=tuple(flats))
+            reduced = WeightedComplex(
+                m.n, [reference_cell(m.n, c.vertices, c.rays) for c in fan.cells], fan.weights
+            )
+            checks = [
+                tio.local_check_to_json(local_check(reduced)),
+                tio.probe_to_json(convexity_probe(reduced, samples=0)),
+            ]
             matroid_path, fan_path = tmp_path / f"matroid-{k}.json", tmp_path / f"fan-{k}.json"
             matroid_path.write_text(json.dumps(tio.matroid_to_json(m)))
             with monkeypatch.context() as patch:
@@ -470,7 +479,13 @@ class TestCli:
                 assert self.run(capsys, "bergman", str(matroid_path)) == (0, fan_text)
                 fan_path.write_text(fan_text)
                 got = [self.run(capsys, command, str(fan_path)) for command in ("recognize", "decide")]
-            assert got == [(0, tio.dumps(tio.report_to_json(report)) + "\n")] * 2
+                got += [
+                    self.run(capsys, "local-check", str(fan_path)),
+                    self.run(capsys, "probe", "--samples", "0", str(fan_path)),
+                ]
+            assert got == [(0, tio.dumps(tio.report_to_json(report)) + "\n")] * 2 + [
+                (0, tio.dumps(check) + "\n") for check in checks
+            ]
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_bergman_of_a_uniform_matroid_on_thirty_elements(self, capsys, tmp_path, rank):
@@ -678,6 +693,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "[1, 4]" in captured.err
+
+    @pytest.mark.parametrize(
+        "first, second", [("1,2", "2,1"), ("2,1", "1,2"), ("1,2", "1,1,2")]
+    )
+    def test_a_basis_named_twice_is_exit_two(self, capsys, tmp_path, first, second):
+        # keeping either value would make the verdict depend on key order:
+        # w(12) = 0 puts (0, 0, 0) in the space, and w(12) = 5 does not
+        weights = {first: "0", second: "5", "1,3": "0", "2,3": "0"}
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps({"n": 3, "bases": [[1, 2], [1, 3], [2, 3]], "weights": weights}))
+        assert main(["member", str(bad), "--point", "0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: basis [1, 2] named twice in 'weights'\n"
 
     def test_nested_braid_cones_are_exit_two(self, capsys, tmp_path):
         cells = [

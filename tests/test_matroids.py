@@ -20,7 +20,7 @@ from troplin.matroids import (
     verify_flat_family,
 )
 
-from conftest import all_chains
+from conftest import all_chains, closure_by_rank_scan, fundamental_circuit, rank_by_bases
 
 fs = frozenset
 
@@ -89,6 +89,29 @@ class TestDerivedData:
     def test_closure_is_a_closure_operator(self, u23):
         assert u23.closure({1}) == fs({1})
         assert u23.closure({1, 2}) == fs({1, 2, 3})
+
+    def test_rank_and_closure_match_the_scan_of_the_bases(self):
+        # every subset of 1..n+1: n + 1 lies outside the ground set, where
+        # the closure keeps it and the rank ignores it
+        seen = 0
+        for n in range(1, 6):
+            for m in enumerate_matroids(n):
+                for size in range(n + 2):
+                    for s in map(fs, combinations(range(1, n + 2), size)):
+                        r = rank_by_bases(m, s)
+                        assert m.rank_of(s) == r
+                        assert m.is_independent(s) == (r == len(s))
+                        assert m.closure(s) == closure_by_rank_scan(m, s)
+                        seen += 1
+        assert seen == sum(LOOPFREE_COUNTS[n] << n + 1 for n in range(1, 6))
+
+    def test_each_circuit_is_the_fundamental_circuit_of_its_pair(self):
+        for n in range(1, 6):
+            for m in enumerate_matroids(n):
+                assert m.circuits == fs(map(matroids._members, m._circuit_pairs))
+                for mask, (basis, e) in m._circuit_pairs.items():
+                    assert basis in m.bases and e not in basis
+                    assert fundamental_circuit(m, basis, e) == matroids._members(mask)
 
 
 class TestFlatFamilies:

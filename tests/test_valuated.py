@@ -21,6 +21,7 @@ from conftest import (
     certify_cell_by_sector_scan,
     check_circuit_axioms,
     check_pluecker_all_pairs,
+    circuit_valuations_by_search,
     circuit_vector_from_pair,
     comparison_hyperplanes,
     derivations,
@@ -205,6 +206,20 @@ class TestCircuitValuation:
                 expected = circuit_vector_from_pair(vm, c, *derivations(vm, c)[0])
                 assert vec == expected
                 assert list(map(type, vec)) == list(map(type, expected))
+
+    def test_vectors_match_the_search_over_every_basis(self):
+        # each circuit's recorded pair gives the vector that the first pair
+        # a search finds gives, with the same types and in the same order
+        rng = random.Random(30)
+        valuations = [vm for seed in (301, 302, 305) for vm in benchmark_valuated_matroids(seed)]
+        for rank, n in [(2, 4), (2, 5), (3, 5), (3, 6), (4, 6)]:
+            valuations += [v2_det_valuated(random_v2_matrix(rng, rank, n)) for _ in range(4)]
+        for vm in valuations:
+            got, expected = vm.circuit_valuations, circuit_valuations_by_search(vm)
+            assert list(got.items()) == list(expected.items())
+            assert [list(map(type, v)) for v in got.values()] == [
+                list(map(type, v)) for v in expected.values()
+            ]
 
     def test_comparison_hyperplanes_are_the_distinct_circuit_pairs(self):
         # the hyperplanes of the refinement oracle of `certify_cell`
