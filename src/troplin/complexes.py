@@ -586,9 +586,7 @@ def _constant_on_blocks(ground: GroundSet, sub: tuple[GroundSet, ...], dropped, 
 def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> WeightedComplex:
     """The fan of recession cones, with aggregated weights on maximal cones."""
     if complex_.is_fan:
-        return WeightedComplex(
-            complex_.n, complex_.cells, complex_.weights, validate=False
-        )
+        return complex_
     n = complex_.n
     origin, set_rays = (0,) * (n - 1), {}
     # a braid cone's recession cone is its chain's cone at the origin

@@ -61,11 +61,19 @@ def _arrays(raw, what: str) -> list[list]:
 
 
 def _int_sets(raw, what: str) -> list[list[int]]:
-    """Check that a JSON value is an array of arrays of integers."""
+    """Check that a JSON value is an array of arrays of distinct integers."""
     for s in _arrays(raw, what):
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in s):
             raise InvalidInputError(f"{what} must hold arrays of integers")
+        _distinct(s, what)
     return raw
+
+
+def _distinct(elems: list[int], what: str) -> None:
+    """Refuse a set of elements of `what` that names one twice."""
+    if len(set(elems)) < len(elems):
+        x = next(x for k, x in enumerate(elems) if x in elems[:k])
+        raise InvalidInputError(f"element {x} repeated in {elems} of {what}")
 
 
 def _size(n) -> int:
@@ -129,12 +137,14 @@ def valuated_from_json(data) -> ValuatedMatroid:
     weights = {}
     for key, val in raw.items():
         try:
-            elems = frozenset(int(x) for x in str(key).split(","))
+            elems = [int(x) for x in str(key).split(",")]
         except ValueError as exc:
             raise InvalidInputError(f"bad basis key {key!r}") from exc
-        if elems in weights:
-            raise InvalidInputError(f"basis {sorted(elems)} named twice in 'weights'")
-        weights[elems] = parse_frac(val)
+        basis = frozenset(elems)
+        if basis in weights:
+            raise InvalidInputError(f"basis {sorted(basis)} named twice in 'weights'")
+        _distinct(elems, "'weights'")
+        weights[basis] = parse_frac(val)
     return ValuatedMatroid(matroid, weights)
 
 
@@ -261,8 +271,6 @@ def _jsonable(obj):
         return sorted(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
     return number_to_json(obj)
 
 

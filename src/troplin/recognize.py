@@ -3,16 +3,15 @@
 A fan is cut once into braid pieces, and one pass reads the closed braid
 chamber of each: a braid cone's chain, or the chain of a relative interior
 point, which has the piece's largest heterogeneity.  A chamber longer than
-the fan's dimension breaks the heterogeneity bound.  Otherwise the chambers'
-members and the ground set are the candidate flat family, and after the
-flat axioms the support equals the fan of chains of that family exactly
-when every maximal chain is a chamber, by the lemma in `recognize_fan`.
-A fan of braid cones at the origin is accepted before balancing when that
-family is a flat family of rank d + 1 with as many maximal chains as the
-fan has cones, which makes it the whole, balanced, Bergman fan.  Complexes
-are decided through their recession fan; the local route recognizes the
-star at every vertex.  A seeded segment sampler provides sound (never
-complete) convexity rejection.
+the fan's dimension d breaks the heterogeneity bound.  Otherwise the
+chambers' members and the ground set are the candidate flat family, and
+every fan is accepted by one rule, the lemma in `recognize_fan`: the family
+is a flat family of rank d + 1 with as many maximal chains as there are
+chambers.  A fan of braid cones at the origin is tested before balancing,
+since the rule makes it the whole, balanced, Bergman fan.  Complexes are
+decided through their recession fan; the local route recognizes the star
+at every vertex.  A seeded segment sampler provides sound (never complete)
+convexity rejection.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ class RecognitionReport:
         return self.verdict == "accepted"
 
 
-def _accept(matroid: Matroid, flats, multiplier: int = 1) -> RecognitionReport:
+def _accept(matroid: Matroid, flats) -> RecognitionReport:
     """An acceptance with the flats given in `_sorted_sets` order."""
-    return RecognitionReport("accepted", matroid=matroid, multiplier=multiplier, flats=tuple(flats))
+    return RecognitionReport("accepted", matroid=matroid, flats=tuple(flats))
 
 
 def _reject(kind: str, witness=None) -> RecognitionReport:
@@ -149,17 +148,14 @@ def recognize_fan(
 ) -> RecognitionReport:
     """Decide whether a weighted fan is the chains-of-flats fan of a matroid.
 
-    Rejection reasons are checked in a fixed order: purity, unit weights,
-    balancing, the heterogeneity bound, the flat axioms for the recovered
-    family, and finally support equality with the chain fan.
-
-    A fan of braid cones at the origin is its own braid pieces, and no
-    piece breaks the bound, so its chains and their family are read first:
-    when the family is a flat family whose lattice has rank d + 1 and as
-    many maximal chains as the fan has cones, the fan is its Bergman fan,
-    and it is accepted without balancing (the lemma below).  Any other such
-    fan is balanced next and then goes on in the order above, so its
-    verdict and witness are the same as in that order.
+    Every fan is accepted by one test, the lemma below: the chambers'
+    family is a flat family of rank d + 1 with as many maximal chains as
+    there are chambers.  Rejection reasons are checked in a fixed order:
+    purity, unit weights, balancing, the heterogeneity bound, the flat
+    axioms for the recovered family, and finally support equality with the
+    chain fan.  A fan of braid cones at the origin is its own braid pieces,
+    so it meets the bound and is tested before balancing; when it fails,
+    it is balanced next, so its verdict and witness are those of that order.
     """
     tagged = complex_.chain_tagged  # braid cones at the origin are cones
     if not (tagged or complex_.is_fan):
@@ -187,39 +183,34 @@ def recognize_fan(
         chambers.add(chain)
     family = ChainFamily._of_chambers(n, frozenset({frozenset(range(1, n + 1))}.union(*chambers)))
     check = verify_flat_family(n, family)
+    # Lemma: each chamber is a chain of d members: a braid cone's, as the fan
+    # is pure, and a piece's, by the heterogeneity bound and its dimension d.
+    # In the geometric lattice of a flat family of rank d + 1 such a chain
+    # has d + 1 steps from the empty set to the ground set, so it is maximal;
+    # the chambers are distinct, so as many as the maximal chains are all of
+    # them.  The support is a union of closed d-dimensional braid cones: a
+    # braid cone is its own chamber, and any other cell lies in the
+    # d-dimensional braid flat L of the x_i = x_j that hold on it, where a
+    # wall inside an open chamber of L has points of heterogeneity d + 1, so
+    # each cell through it lies in L, and balancing puts one on each side.
+    # So the support is the family's Bergman fan exactly when every maximal
+    # chain is a chamber, and the point -sum(e_F) of one that is not lies
+    # outside it.  That fan is balanced with unit weights: the facet that
+    # drops the member between flats lo < hi of a chain is dropped from one
+    # cone for each cover of lo below hi, and these covers partition hi - lo,
+    # so the sum of their -e_F is constant on every block of the facet's
+    # chain, in its span.  Chambers are chains of nonempty sets, so the
+    # family is the lattice's members but the first, the empty set.
+    if check.ok and family.rank == d + 1 and family.count_maximal_chains() == len(chambers):
+        return _accept(_flat_matroid(family), family.lattice[0][1:])
     if tagged:
-        # Lemma: in the geometric lattice of a flat family of rank d + 1, a
-        # chain of d proper nonempty flats has d + 1 steps from the empty set
-        # to the ground set, so it is maximal.  The cones' chains are
-        # distinct, so as many of them as maximal chains are every maximal
-        # chain, and the fan is the family's whole Bergman fan.  That fan is
-        # balanced with unit weights: the facet that drops the member between
-        # flats lo < hi of a chain is dropped from one cone for each cover of
-        # lo below hi, and these covers partition hi - lo, so the sum of their
-        # -e_F is constant on every block of the facet's chain, which puts it
-        # in the facet's span.  Chambers are chains of nonempty sets, so the
-        # family is the lattice's members but the first, the empty set.
-        if check.ok and family.rank == d + 1 and family.count_maximal_chains() == len(chambers):
-            return _accept(_flat_matroid(family), family.lattice[0][1:])
         balance = is_balanced(complex_)
         if not balance.ok:
             return _reject(REASON_UNBALANCED, balance.witness)
     if not check.ok:
         return _reject(REASON_FLAT_AXIOM, (check.axiom, check.witness))
-    # Lemma: a pure fan of dimension d, balanced with unit weights and within
-    # the heterogeneity bound, has a union of closed d-dimensional braid
-    # cones as support.  Each cell lies in the d-dimensional braid flat L cut
-    # out by the x_i = x_j that hold on it.  A wall inside an open braid
-    # chamber of L has points of heterogeneity d + 1, so each cell through it
-    # lies in L, and balancing puts a cell on each side.  So the support holds
-    # every chamber it meets, and equals the chain fan's exactly when every
-    # maximal chain is a chamber; the point -sum(e_F) of the first that is
-    # not lies outside it.
-    for chain in family.maximal_chains():
-        if chain not in chambers:
-            witness = TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1))
-            return _reject(REASON_SUPPORT, witness)
-    return _accept(_flat_matroid(family), family.lattice[0][1:])
+    chain = next(c for c in family.maximal_chains() if c not in chambers)
+    return _reject(REASON_SUPPORT, TropPoint(-sum(i in f for f in chain) for i in range(1, n + 1)))
 
 
 def decide_complex(
@@ -238,9 +229,7 @@ def decide_complex(
         return _reject(REASON_UNBALANCED, balance.witness)
     rec = recession_fan(complex_, budget=budget)
     inner = recognize_fan(rec, budget=budget)
-    if not inner.accepted:
-        return _reject(REASON_RECESSION, inner.reason)
-    return _accept(inner.matroid, inner.flats)
+    return inner if inner.accepted else _reject(REASON_RECESSION, inner.reason)
 
 
 @dataclass(frozen=True)
@@ -281,12 +270,9 @@ def _components(complex_: WeightedComplex) -> int:
 
 
 def _structure_vertices(complex_: WeightedComplex) -> list[TropPoint]:
-    seen = []
-    for cell in complex_.cells:
-        for v in cell.vertices:
-            if v not in seen:
-                seen.append(v)
-    return sorted(seen, key=lambda p: p.coords)
+    """The vertices of the cells, each once, in the order of their coordinates."""
+    vertices = sorted({v for cell in complex_.cells for v in cell.generators[0]})
+    return [from_quotient(complex_.n, v) for v in vertices]
 
 
 def local_check(
@@ -318,20 +304,15 @@ def local_check(
         report = recognize_fan(normalized, budget=budget)
         vertex_reports.append((p, report))
         multipliers.append(g)
-    if all(r.accepted for _, r in vertex_reports) and len(set(multipliers)) == 1:
-        report = RecognitionReport(
-            "accepted", multiplier=multipliers[0] if multipliers else 1
-        )
-        return LocalCheckReport(report, tuple(vertex_reports), tuple(multipliers))
-    failing = next(
-        (r.reason for _, r in vertex_reports if not r.accepted),
-        Reason(REASON_SUPPORT, "multiplier mismatch"),
+    failing = next((r.reason for _, r in vertex_reports if not r.accepted), None)
+    if failing is None and len(set(multipliers)) != 1:
+        failing = Reason(REASON_SUPPORT, "multiplier mismatch")
+    report = RecognitionReport(
+        "accepted" if failing is None else "rejected",
+        reason=failing,
+        multiplier=multipliers[0] if failing is None and multipliers else 1,
     )
-    return LocalCheckReport(
-        RecognitionReport("rejected", reason=failing),
-        tuple(vertex_reports),
-        tuple(multipliers),
-    )
+    return LocalCheckReport(report, tuple(vertex_reports), tuple(multipliers))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,53 @@ from troplin.recognize import (
 from troplin.valuated import PlueckerCheck, ValuatedMatroid, _normalized_weights
 
 
+# (cells, message) of complex documents with n = 3 that ingest refuses
+MALFORMED_CELLS = [
+    ([{"vertices": [["0", "0"]], "rays": [["-1", "0", "0"]]}], "ambient size mismatch"),
+    ([{"vertices": [["0", "0", "0", "0"]]}], "ambient size mismatch"),
+    ([{"vertices": [[]]}], "a point is a nonempty array of rationals"),
+    ([{"vertices": [["1/0", "0", "0"], []]}], "not a rational: '1/0'"),
+    ([{"vertices": [["0", "0", "0"], []]}], "a point is a nonempty array of rationals"),
+    ([{"vertices": [["0", True, "0"]]}], "not a rational: True"),
+    ([{"vertices": [["0", "0", "0"]], "rays": [[True, 0, 0]]}], "not a rational: True"),
+    ([{"vertices": [[1, 1, 1]], "rays": [[0, True, 0]]}], "not a rational: True"),
+    ([{"vertices": [["0", "0", "0"]], "rays": [["1/0", "0", "0"]]}], "not a rational: '1/0'"),
+    ([{"vertices": [["0", "0", "0"]], "lineality": [["0", "1/0", "0"]]}], "not a rational: '1/0'"),
+    (
+        [{"vertices": [["0", "0", "0"]], "rays": [["-1", "0"]]}],
+        "direction vectors must have length n",
+    ),
+    (
+        [{"vertices": [["0", "0", "0"]], "lineality": [["1", "1"]]}],
+        "direction vectors must have length n",
+    ),
+    (
+        [{"vertices": [["0", "0"]], "rays": [["-1", "0"]], "weight": 0}],
+        "direction vectors must have length n",
+    ),
+    ([{"vertices": [["0", "0"]], "weight": 0}], "cell weights must be positive integers"),
+    (
+        [{"vertices": [["0", "0", "0"]], "rays": [["-1", "0", "0"]]}, {"vertices": [["1/0"]]}],
+        "not a rational: '1/0'",
+    ),
+]
+
+# (command, document) of inputs whose structure the command line refuses
+MALFORMED_STRUCTURES = [
+    ("recognize", {"n": 3, "cells": [[1]]}),
+    ("bergman", {"n": 3, "bases": [[1, "a"]]}),
+    ("bergman", {"n": 3, "bases": 5}),
+    ("recognize", {"n": 3, "cells": [{"vertices": [[0, 0, 0]], "weight": True}]}),
+    # 'n' is a JSON integer >= 1: no float, bool or string is rounded or cast
+    ("recognize", {"n": 3.9, "cells": [{"vertices": [[0, 0, 0]], "rays": [[-1, 0, 0]]}]}),
+    ("balanced", {"n": True, "cells": [{"vertices": [[0]]}]}),
+    ("bergman", {"n": "3", "bases": [[1, 2], [1, 3], [2, 3]]}),
+    ("bergman", {"n": 2.0, "bases": [[1], [2]]}),
+    ("chains", {"n": 0, "sets": [[]]}),
+    ("chains", {"n": -2, "sets": [[]]}),
+]
+
+
 @pytest.fixture(scope="session")
 def u23():
     return matroid_from_bases(3, [[1, 2], [1, 3], [2, 3]])
@@ -187,6 +234,14 @@ def plus_e_fan():
         Cell.from_torus(3, [TropPoint((0, 0, 0))], rays=[(0, 0, 1)]),
     ]
     return WeightedComplex(3, cells, [1, 1, 1], validate=False)
+
+
+def overlapping_cones() -> WeightedComplex:
+    """Two translated 2-dimensional cones whose recession cones overlap
+    non-facially, so that the recession fan needs two repair splits."""
+    a = Cell.from_torus(3, [TropPoint((0, 0, 0))], rays=[(0, -1, 0), (0, 0, -1)])
+    b = Cell.from_torus(3, [TropPoint((0, 9, 9))], rays=[(0, -1, -1), (0, 1, 0)])
+    return WeightedComplex(3, [a, b], [1, 1], validate=False)
 
 
 def braid_fan_corpus(max_n: int):

@@ -27,7 +27,7 @@ from troplin.complexes import (
     star_fan,
     to_quotient,
 )
-from troplin.errors import InvalidInputError
+from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.linalg import hermite_normal_form, in_span, saturate_rows, vec_sub
 from troplin.matroids import ChainFamily, enumerate_matroids
 from troplin.points import TropPoint, flat_direction, heterogeneity
@@ -46,6 +46,7 @@ from conftest import (
     holed_tree_line,
     is_balanced_by_rays,
     make_tree_cells,
+    overlapping_cones,
     primitive_normal_by_tight_rows,
     rand_rational,
     skeleton_fan_corpus,
@@ -397,15 +398,9 @@ class TestRecession:
                 assert rec_cones.count(key) == 1
 
     def test_overlapping_cones_get_repaired(self):
-        # two 2-dimensional cones overlapping non-facially: recession of
-        # translated copies; the repaired fan must cover the union exactly
-        a = Cell.from_torus(
-            3, [TropPoint((0, 0, 0))], rays=[(0, -1, 0), (0, 0, -1)]
-        )
-        b = Cell.from_torus(
-            3, [TropPoint((0, 9, 9))], rays=[(0, -1, -1), (0, 1, 0)]
-        )
-        complex_ = WeightedComplex(3, [a, b], [1, 1], validate=False)
+        # the repaired fan must cover the union exactly
+        complex_ = overlapping_cones()
+        a, b = complex_.cells
         rec = recession_fan(complex_)
         rng = random.Random(3)
         rec_cells = [c.poly for c in rec.cells]
@@ -417,6 +412,17 @@ class TestRecession:
                 assert in_union == in_rec
         # and it is now a genuine fan
         WeightedComplex(3, rec.cells, rec.weights, validate=True)
+
+    def test_repair_stays_within_its_budget(self):
+        # the overlap takes two splits to repair, and the budget bounds them
+        complex_ = overlapping_cones()
+        with pytest.raises(ResourceLimitError) as err:
+            recession_fan(complex_, budget=1)
+        assert str(err.value) == "fan repair exceeded its budget"
+        assert len(recession_fan(complex_, budget=2).cells) == 3
+
+    def test_a_fan_is_its_own_recession_fan(self, u23_fan):
+        assert recession_fan(u23_fan) is u23_fan
 
 
 class TestBraidRecessionAndStars:
@@ -907,6 +913,12 @@ class TestSegmentInSupport:
         assert check.gap_param is not None
         assert check.gap_point is not None
         assert point_in_support(plus_e_fan, check.gap_point) is None
+
+    def test_single_point_outside(self, u23_fan):
+        # a segment of one breakpoint off the fan has its gap at parameter 0
+        p = TropPoint((0, 1, 2))
+        check = segment_in_support(u23_fan, p, p)
+        assert (check.covered, check.gap_param, check.gap_point) == (False, 0, p)
 
     def test_gap_point_outside_witness_is_faithful(self, u23_fan):
         check = segment_in_support(

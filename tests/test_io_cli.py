@@ -28,6 +28,8 @@ from troplin.polyhedra import Polyhedron
 from troplin.recognize import RecognitionReport, convexity_probe, local_check, recognize_fan
 
 from conftest import (
+    MALFORMED_CELLS,
+    MALFORMED_STRUCTURES,
     benchmark_tree_line,
     benchmark_valuated_corpus,
     braid_fan_corpus,
@@ -41,6 +43,9 @@ from conftest import (
 
 F = Fraction
 fs = frozenset
+U23 = [[1, 2], [1, 3], [2, 3]]
+U24 = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+U24_KEYS = [f"{i},{j}" for i, j in U24]
 
 
 class TestSchemas:
@@ -281,38 +286,7 @@ class TestBraidFirstIngest:
         assert {b for b, braid in seen if not braid} == breaks
         assert (None, True) in seen and (None, False) not in seen
 
-    @pytest.mark.parametrize(
-        "cells, message",
-        [
-            ([{"vertices": [["0", "0"]], "rays": [["-1", "0", "0"]]}], "ambient size mismatch"),
-            ([{"vertices": [["0", "0", "0", "0"]]}], "ambient size mismatch"),
-            ([{"vertices": [[]]}], "a point is a nonempty array of rationals"),
-            ([{"vertices": [["1/0", "0", "0"], []]}], "not a rational: '1/0'"),
-            ([{"vertices": [["0", "0", "0"], []]}], "a point is a nonempty array of rationals"),
-            ([{"vertices": [["0", True, "0"]]}], "not a rational: True"),
-            ([{"vertices": [["0", "0", "0"]], "rays": [[True, 0, 0]]}], "not a rational: True"),
-            ([{"vertices": [[1, 1, 1]], "rays": [[0, True, 0]]}], "not a rational: True"),
-            ([{"vertices": [["0", "0", "0"]], "rays": [["1/0", "0", "0"]]}], "not a rational: '1/0'"),
-            ([{"vertices": [["0", "0", "0"]], "lineality": [["0", "1/0", "0"]]}], "not a rational: '1/0'"),
-            (
-                [{"vertices": [["0", "0", "0"]], "rays": [["-1", "0"]]}],
-                "direction vectors must have length n",
-            ),
-            (
-                [{"vertices": [["0", "0", "0"]], "lineality": [["1", "1"]]}],
-                "direction vectors must have length n",
-            ),
-            (
-                [{"vertices": [["0", "0"]], "rays": [["-1", "0"]], "weight": 0}],
-                "direction vectors must have length n",
-            ),
-            ([{"vertices": [["0", "0"]], "weight": 0}], "cell weights must be positive integers"),
-            (
-                [{"vertices": [["0", "0", "0"]], "rays": [["-1", "0", "0"]]}, {"vertices": [["1/0"]]}],
-                "not a rational: '1/0'",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("cells, message", MALFORMED_CELLS)
     def test_malformed_cells_keep_their_messages(self, cells, message):
         with pytest.raises(InvalidInputError) as err:
             tio.complex_from_json(json.loads(json.dumps({"n": 3, "cells": cells})))
@@ -628,22 +602,7 @@ class TestCli:
         bad.write_text(json.dumps({"n": 3, "cells": [{"rays": []}]}))
         assert main(["recognize", str(bad)]) == 2
 
-    @pytest.mark.parametrize(
-        "command, data",
-        [
-            ("recognize", {"n": 3, "cells": [[1]]}),
-            ("bergman", {"n": 3, "bases": [[1, "a"]]}),
-            ("bergman", {"n": 3, "bases": 5}),
-            ("recognize", {"n": 3, "cells": [{"vertices": [[0, 0, 0]], "weight": True}]}),
-            # 'n' is a JSON integer >= 1: no float, bool or string is rounded or cast
-            ("recognize", {"n": 3.9, "cells": [{"vertices": [[0, 0, 0]], "rays": [[-1, 0, 0]]}]}),
-            ("balanced", {"n": True, "cells": [{"vertices": [[0]]}]}),
-            ("bergman", {"n": "3", "bases": [[1, 2], [1, 3], [2, 3]]}),
-            ("bergman", {"n": 2.0, "bases": [[1], [2]]}),
-            ("chains", {"n": 0, "sets": [[]]}),
-            ("chains", {"n": -2, "sets": [[]]}),
-        ],
-    )
+    @pytest.mark.parametrize("command, data", MALFORMED_STRUCTURES)
     def test_malformed_structure_is_exit_two(self, capsys, tmp_path, command, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -707,6 +666,51 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: basis [1, 2] named twice in 'weights'\n"
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (
+                ["member", "--point", "0,0,0"],
+                {"n": 3, "bases": U23},
+                "valuated matroid JSON needs a 'weights' mapping",
+            ),
+            (
+                ["member", "--point", "0,0,0"],
+                {"n": 3, "bases": U23, "weights": {"1,x": "0", "1,3": "0", "2,3": "0"}},
+                "bad basis key '1,x'",
+            ),
+            (
+                ["member", "--point", "0,0,0,0"],
+                {"n": 4, "bases": U24, "weights": {k: str(5 * (k == "3,4")) for k in U24_KEYS}},
+                "tropical Pluecker relations fail for B1=[1, 2], B2=[3, 4], u=1",
+            ),
+            (["chains"], {"n": 3}, "family JSON needs fields 'n' and 'sets'"),
+            (["recognize"], {"cells": []}, "complex JSON needs fields 'n' and 'cells'"),
+            # a set that names an element twice is refused, not read as one
+            (
+                ["member", "--point", "0,0,0"],
+                {"n": 3, "bases": U23, "weights": {"1,1,2": "0", "1,3": "0", "2,3": "0"}},
+                "element 1 repeated in [1, 1, 2] of 'weights'",
+            ),
+            (
+                ["bergman"],
+                {"n": 3, "bases": [[1, 2, 2], [1, 3], [2, 3]]},
+                "element 2 repeated in [1, 2, 2] of 'bases'",
+            ),
+            (
+                ["chains"],
+                {"n": 3, "sets": [[1, 1], [1, 2, 3]]},
+                "element 1 repeated in [1, 1] of 'sets'",
+            ),
+        ],
+    )
+    def test_input_errors_keep_their_messages(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_nested_braid_cones_are_exit_two(self, capsys, tmp_path):
         cells = [
