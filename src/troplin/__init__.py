@@ -4,9 +4,10 @@ All arithmetic is exact rational.  The package recognizes, via balancing and
 chains-of-flats combinatorics, whether a weighted polyhedral fan or complex
 is supported on the tropical linear space of a (valuated) matroid.
 
-The exact simplex `troplin.lp` is not public API: it is the tests' hull
-oracle, loaded with the package for the benchmark's traced mode, which wraps
-`lp.lp_feasible` and then checks that every module binding is restored.
+The phase-one simplex `troplin.lp` is not public API: it is the tests'
+feasibility oracle for hulls, loaded with the package for the benchmark's
+traced mode, which wraps `lp.lp_feasible` and then checks that every module
+binding is restored.
 """
 
 from .complexes import (

@@ -86,8 +86,6 @@ def _render(data, pretty: bool, indent: int = 0) -> str:
 def _render_scalar(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, list):
-        return "[" + ", ".join(_render_scalar(v) for v in x) + "]"
     return tio.number_to_json(x)
 
 

@@ -601,21 +601,18 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
         # needs no repair; a cone goes when its chain lies in another
         contained = _contained_chains({c.chain for c in rec_cells})
         kept = zip(rec_cells, complex_.weights)
-        return _merged_fan(complex_.n, [(c, w) for c, w in kept if c.chain not in contained])
+        return _merged_fan(n, [(c, w) for c, w in kept if c.chain not in contained])
     rec_of_cell = [c.poly for c in rec_cells]
     cones = _drop_contained(_dedup(rec_of_cell))
-    cones = _repair_fan(cones, budget)
-    out_cells = []
-    out_weights = []
-    for poly in cones:
-        weight = 0
-        for rec_poly, w in zip(rec_of_cell, complex_.weights):
-            if rec_poly.dim == poly.dim and rec_poly.contains_polyhedron(poly):
-                weight += w
-        if weight > 0:
-            out_cells.append(Cell(complex_.n, poly))
-            out_weights.append(weight)
-    return WeightedComplex(complex_.n, out_cells, out_weights, validate=False)
+    # a repaired cone takes the weight of every recession cone of its
+    # dimension that contains it
+    weighted = [
+        (Cell(n, poly), w)
+        for poly in _repair_fan(cones, budget)
+        for rec_poly, w in zip(rec_of_cell, complex_.weights)
+        if rec_poly.dim == poly.dim and rec_poly.contains_polyhedron(poly)
+    ]
+    return _merged_fan(n, weighted)
 
 
 def _merged_fan(n: int, weighted: list[tuple[Cell, int]]) -> WeightedComplex:
@@ -711,12 +708,6 @@ def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:
     return _merged_fan(n, cones)
 
 
-def _level_sets(w: Sequence[Rational]) -> list[GroundSet]:
-    """The sets {i : w_i <= v} (1-based) for the values v of w in ascending
-    order; the last is the ground set."""
-    return [frozenset(i for i, x in enumerate(w, 1) if x <= v) for v in sorted(set(w))]
-
-
 def _cell_contains(cell: Cell, p: IntVec) -> bool:
     """Does the cell contain the torus point p[:-1] / p[-1], an integer
     vector p with p[0] = 0 and p[-1] > 0?  Its difference form is read at
@@ -746,7 +737,8 @@ def chn_cell_of(x: TropPoint) -> tuple[GroundSet, ...]:
     nested sets F_1 through F_{s-1} and then the full ground set; the cone of
     the chain has dimension het(x) - 1.
     """
-    return tuple(_level_sets(x.coords))
+    w = x.coords
+    return tuple(frozenset(i for i, c in enumerate(w, 1) if c <= v) for v in sorted(set(w)))
 
 
 class RowTable:

@@ -1,26 +1,19 @@
-"""Exact rational linear programming by two-phase simplex.
+"""Exact rational feasibility of linear systems by phase-one simplex.
 
 Variables are free; internally each is split into a difference of two
-nonnegative variables, inequalities get slacks and every row a phase-one
-artificial.  Pivoting uses Bland's rule throughout, which guarantees
-termination without any tolerance.  Infeasibility comes with a Farkas
-certificate: multipliers lam >= 0 on the inequalities and mu on the
-equalities with lam.A + mu.E = 0 and lam.b + mu.f < 0.  Every coefficient
-is coerced to a `Fraction`, so the pivot's true divisions stay exact.
+nonnegative variables, inequalities get slacks and every row an artificial.
+The sum of the artificials is minimized with Bland's rule, which terminates
+without any tolerance.  A zero minimum gives a witness point once the basic
+artificials are pivoted out; a positive one gives a Farkas certificate:
+multipliers lam >= 0 on the inequalities and mu on the equalities with
+lam.A + mu.E = 0 and lam.b + mu.f < 0.  Every coefficient is coerced to a
+`Fraction`, so the pivot's true divisions stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "unbounded" | "infeasible"
-    objective: Fraction | None
-    point: tuple[Fraction, ...] | None
-    certificate: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -72,18 +65,19 @@ class _Tableau:
                 self.rhs[i] -= f * self.rhs[row]
         self.basis[row] = col
 
-    def minimize(self, cost, allowed):
-        """Bland-rule simplex; returns 'optimal' or 'unbounded'."""
+    def minimize(self, cost):
+        """Bland-rule simplex.  Only the phase-one cost is minimized, and it
+        is bounded below by 0, so a ratio test always finds a leaving row."""
         while True:
             entering = None
             for j in range(self.cols):
-                if not allowed[j] or j in (self.basis[i] for i in self.live_rows):
+                if j in (self.basis[i] for i in self.live_rows):
                     continue
                 if self._reduced_cost(cost, j) < 0:
                     entering = j
                     break
             if entering is None:
-                return "optimal"
+                return
             leaving = None
             best = None
             for i in self.live_rows:
@@ -97,8 +91,6 @@ class _Tableau:
                     ):
                         best = ratio
                         leaving = i
-            if leaving is None:
-                return "unbounded"
             self._pivot(leaving, entering)
 
     def objective_value(self, cost):
@@ -111,40 +103,16 @@ class _Tableau:
         return tuple(values[j] - values[self.n + j] for j in range(self.n))
 
 
-def solve_lp(num_vars, objective, ineqs=(), eqs=(), maximize=False) -> LPResult:
-    """Optimize a linear functional over {x : a.x <= b for ineqs, a.x = b for eqs}."""
-    tab = _Tableau(num_vars, list(ineqs), list(eqs))
-    phase1 = [Fraction(0)] * tab.cols
-    for j in range(tab.art0, tab.cols):
-        phase1[j] = Fraction(1)
-    allowed = [True] * tab.cols
-    tab.minimize(phase1, allowed)
-    if tab.objective_value(phase1) > 0:
-        cert = _farkas(tab, phase1)
-        return LPResult("infeasible", None, None, cert)
-    _evict_artificials(tab)
-    for j in range(tab.art0, tab.cols):
-        allowed[j] = False
-    cost = [Fraction(0)] * tab.cols
-    obj = [Fraction(c) for c in objective]
-    for j, c in enumerate(obj):
-        sign = -1 if maximize else 1
-        cost[j] = sign * c
-        cost[num_vars + j] = -sign * c
-    status = tab.minimize(cost, allowed)
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
-    point = tab.solution()
-    value = sum(c * x for c, x in zip(obj, point))
-    return LPResult("optimal", value, point)
-
-
 def lp_feasible(num_vars, ineqs=(), eqs=()) -> Feasibility:
-    """Feasibility of a rational linear system, with witness or Farkas certificate."""
-    res = solve_lp(num_vars, [Fraction(0)] * num_vars, ineqs, eqs)
-    if res.status == "infeasible":
-        return Feasibility(False, None, res.certificate)
-    return Feasibility(True, res.point)
+    """Feasibility of {x : a.x <= b for ineqs, a.x = b for eqs}, with a
+    witness point or a Farkas certificate."""
+    tab = _Tableau(num_vars, list(ineqs), list(eqs))
+    phase1 = [Fraction(0)] * tab.art0 + [Fraction(1)] * (tab.cols - tab.art0)
+    tab.minimize(phase1)
+    if tab.objective_value(phase1) > 0:
+        return Feasibility(False, None, _farkas(tab, phase1))
+    _evict_artificials(tab)
+    return Feasibility(True, tab.solution())
 
 
 def _evict_artificials(tab: _Tableau):

@@ -292,9 +292,7 @@ def local_check(
     multipliers = []
     for p in _structure_vertices(complex_):
         star = star_fan(complex_, p)
-        g = 0
-        for w in star.weights:
-            g = gcd(g, w)
+        g = gcd(*star.weights)
         normalized = WeightedComplex(
             complex_.n,
             star.cells,

@@ -1,9 +1,9 @@
-"""Exact simplex: feasibility witnesses, Farkas certificates, optimization."""
+"""Exact phase-one simplex: feasibility witnesses and Farkas certificates."""
 
 import random
 from fractions import Fraction
 
-from troplin.lp import lp_feasible, solve_lp
+from troplin.lp import lp_feasible
 
 F = Fraction
 
@@ -25,19 +25,19 @@ def test_empty_interval_certificate():
 
 def test_point_in_cone_multiplier():
     # does (-2,-2) lie on the ray spanned by (-1,-1)?  One free multiplier.
-    res = solve_lp(
+    res = lp_feasible(
         1,
-        [F(0)],
         ineqs=[((F(-1),), F(0))],
         eqs=[((F(-1),), F(-2)), ((F(-1),), F(-2))],
     )
-    assert res.status == "optimal"
+    assert res.feasible
     assert res.point == (F(2),)
 
 
-def test_unbounded():
-    res = solve_lp(1, [F(1)], ineqs=[((F(-1),), F(0))], maximize=True)
-    assert res.status == "unbounded"
+def test_region_unbounded_above_is_feasible():
+    res = lp_feasible(1, ineqs=[((F(-1),), F(0))])
+    assert res.feasible
+    assert res.point[0] >= 0
 
 
 def test_degenerate_equalities():
@@ -75,31 +75,3 @@ def test_randomized_verdicts_are_certified():
             rhs = sum(l * b for l, (_, b) in zip(lam, ineqs))
             rhs += sum(m * b for m, (_, b) in zip(mu, eqs))
             assert rhs < 0
-
-
-def test_randomized_optimality_is_locally_maximal():
-    rng = random.Random(2)
-    for _ in range(150):
-        n = rng.randint(1, 3)
-        ineqs = [
-            (tuple(F(rng.randint(-3, 3)) for _ in range(n)), F(rng.randint(0, 5)))
-            for _ in range(5)
-        ]
-        for j in range(n):
-            e = [F(0)] * n
-            e[j] = F(1)
-            ineqs.append((tuple(e), F(10)))
-            e2 = [F(0)] * n
-            e2[j] = F(-1)
-            ineqs.append((tuple(e2), F(10)))
-        c = [F(rng.randint(-3, 3)) for _ in range(n)]
-        res = solve_lp(n, c, ineqs, maximize=True)
-        assert res.status == "optimal"
-        for _ in range(20):
-            cand = tuple(
-                x + F(rng.randint(-2, 2), rng.randint(1, 3)) for x in res.point
-            )
-            if all(
-                sum(a[j] * cand[j] for j in range(n)) <= b for a, b in ineqs
-            ):
-                assert sum(ci * xi for ci, xi in zip(c, cand)) <= res.objective

@@ -803,6 +803,21 @@ class TestLocalCheck:
         assert not report.accepted
         assert report.global_report.reason.kind == "flat-axiom"
 
+    def test_stars_with_different_multipliers_rejected(self):
+        # two crossing U(2,3) lines of weights 1 and 2: each star is
+        # recognized, but their multipliers differ
+        def line(apex):
+            rays = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+            return [Cell.from_torus(3, [TropPoint(apex)], rays=[r]) for r in rays]
+
+        cells, weights = line((0, 0, 0)) + line((0, 2, -1)), [1, 1, 1, 2, 2, 2]
+        with pytest.raises(InvalidInputError, match="cells do not intersect in a common face"):
+            WeightedComplex(3, cells, weights)
+        report = local_check(WeightedComplex(3, cells, weights, validate=False))
+        assert report.global_report.reason == Reason("support-mismatch", "multiplier mismatch")
+        assert report.multipliers == (1, 2)
+        assert all(r.accepted for _, r in report.vertex_reports)
+
 
 class TestRecessionPreservesConvexity:
     def test_probe_clean_on_recession_of_convex_corpus(
