@@ -27,20 +27,22 @@ read as one integer difference form (`Cell.differences`), of coordinate
 differences q*(x_i - x_j) + c read from two coordinates: a braid cone's
 come from its apex and chain with no double description, and any other
 cell's from its `extents` and facets.  Point containment reads the same
-form.  Which cells meet the segment, and which contain a whole piece, are
-set tests on the keys of the rows positive at each breakpoint; only the
-pieces that no cell contains are swept in intervals.
+form.  The cells holding each breakpoint are a bitmask read off the row
+values there.  An alcoved cell is a polytrope, so it holds the whole
+segment when it holds both ends (Develin & Sturmfels 2004), and a cell
+holding both ends of a piece holds the piece; only the pieces that no cell
+holds are swept in intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Sequence
 
+from .cache import cached_property
 from .errors import InvalidInputError, ResourceLimitError
 from .linalg import (
     _lift,
@@ -743,22 +745,33 @@ def chn_cell_of(x: TropPoint) -> tuple[GroundSet, ...]:
 
 class RowTable:
     """Distinct constraint rows of a complex's cells up to sign, as
-    functionals r(x, t) whose cell is {x : r(x, 1) <= 0}, and each cell's
-    rows.
+    functionals r(x, t) whose cell is {x : r(x, 1) <= 0}, each cell's rows,
+    and the cells that hold each row as bitmasks.
 
     An alcoved cell's rows are differences (i, j, q, c) in `diffs`, with
     torus positions i < j (0-based) and q > 0, for q*(x_i - x_j) + c*t; any
     other cell's are integer rows in quotient coordinates in `dense`, first
     nonzero entry positive, indexed after the differences.  Each cell's rows
-    are (index, sign) pairs, sign times the distinct row, and its `keys` the
-    same pairs as ints, index for sign 1 and ~index for -1.
+    are (index, sign) pairs, sign times the distinct row.  Bit c of
+    `plus[k]` (`minus[k]`) is set when cell c holds row k with sign 1 (-1),
+    so a point lies outside the cells in the `plus` of the rows positive
+    there and the `minus` of the rows negative there.  The bits of `alcoved`
+    are the cells whose rows are all differences.
     """
 
     def __init__(self, diffs: list, dense: list[IntVec], pairs: list[list[tuple[int, int]]]):
         self.diffs = diffs
         self.dense = dense
         self.pairs = pairs
-        self.keys = [frozenset(k if s > 0 else ~k for k, s in p) for p in pairs]
+        self.plus = [0] * (len(diffs) + len(dense))
+        self.minus = list(self.plus)
+        self.alcoved = 0
+        for c, rows in enumerate(pairs):
+            for k, s in rows:
+                (self.plus if s > 0 else self.minus)[k] |= 1 << c
+            if all(k < len(diffs) for k, _ in rows):
+                self.alcoved |= 1 << c
+        self.full = (1 << len(pairs)) - 1
 
     def values(self, b: Sequence[int], d: int) -> list[int]:
         """Every distinct row at the homogenised point (b, d) for a torus
@@ -769,10 +782,15 @@ class RowTable:
             vals += [vec_dot(r, h) for r in self.dense]
         return vals
 
-    @staticmethod
-    def positive(vals: Sequence[int]) -> set[int]:
-        """The keys of the rows positive at a point, from their values."""
-        return {k if v > 0 else ~k for k, v in enumerate(vals) if v}
+    def inside(self, vals: Sequence[int]) -> int:
+        """The mask of the cells that hold a point, from its row values."""
+        out = 0
+        for v, plus, minus in zip(vals, self.plus, self.minus):
+            if v > 0:
+                out |= plus
+            elif v < 0:
+                out |= minus
+        return self.full & ~out
 
 
 def _braid_differences(n: int, apex: Vec, chain: tuple[GroundSet, ...]) -> list:
@@ -838,30 +856,37 @@ def _uncovered_piece(table: RowTable, d: int, ends: list[list[int]]) -> tuple[in
     cells, and the parameter in [0, 1] of the first such point on it, or
     None; the breakpoints are the integer torus vectors of `ends` over d.
 
-    Each distinct row is evaluated once at every homogenised breakpoint, and
-    the keys of the rows positive there are collected.  A piece is the
-    convex hull of two breakpoints, so a cell meets the segment only when
-    none of its keys is positive at every breakpoint, and it contains the
-    piece when none is positive at either end.  Only on a piece that no
-    meeting cell contains are the cells' closed parameter subintervals read
-    off the row values at its ends and their union swept in integers.  A
-    single breakpoint is covered when some cell meets it.
+    Each distinct row is evaluated once at every homogenised breakpoint,
+    and the mask of the cells holding it (`RowTable.inside`) is read off
+    those values.  An alcoved cell is a polytrope, closed under max-plus
+    and min-plus combinations, so it contains every tropical segment
+    between two of its points (Develin & Sturmfels 2004; Joswig & Kulas
+    2010): the segment is covered when one holds both of its ends.  A
+    piece is the convex hull of two breakpoints, so a cell holding both
+    contains it.  Only on a piece that no cell contains are the closed
+    parameter subintervals of the cells that no row excludes at both of
+    its ends read off the row values there, and their union swept in
+    integers; any other cell's interval is empty.  A single breakpoint is
+    covered when some cell holds it.
     """
-    values = [table.values(b, d) for b in ends]
-    positive = [table.positive(v) for v in values]
-    everywhere = set.intersection(*positive)
-    meeting = [c for c, keys in enumerate(table.keys) if keys.isdisjoint(everywhere)]
+    first = table.values(ends[0], d)
+    inside_first = table.inside(first)
     if len(ends) == 1:
-        return None if meeting else (0, 0)
+        return None if inside_first else (0, 0)
+    last = table.values(ends[-1], d)
+    inside_last = table.inside(last)
+    if inside_first & inside_last & table.alcoved:
+        return None
+    values = [first, *(table.values(b, d) for b in ends[1:-1]), last]
+    inside = [inside_first, *map(table.inside, values[1:-1]), inside_last]
     for j in range(len(ends) - 1):
-        outside = positive[j] | positive[j + 1]
-        if any(table.keys[c].isdisjoint(outside) for c in meeting):
+        if inside[j] & inside[j + 1]:
             continue
-        intervals = []
-        for c in meeting:
-            iv = _cell_interval(table.pairs[c], values[j], values[j + 1])
-            if iv is not None:
-                intervals.append(iv)
+        start, end = values[j], values[j + 1]
+        # a row of one sign at both ends excludes its cells from the piece
+        cells = table.inside([a if a * b > 0 else 0 for a, b in zip(start, end)])
+        found = [_cell_interval(p, start, end) for c, p in enumerate(table.pairs) if cells >> c & 1]
+        intervals = [iv for iv in found if iv is not None]
         gap = _first_gap(intervals)
         if gap is not None:
             return j, gap

@@ -14,10 +14,10 @@ family, the rank-sized sets that no coatom contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
+from .cache import cached_property
 from .errors import (
     InvalidInputError,
     LoopyMatroidError,

@@ -28,12 +28,12 @@ floating point and no LP.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .cache import cached_property
 from .errors import InvalidInputError
 from .linalg import (
     IntVec,

@@ -248,9 +248,11 @@ def _components(complex_: WeightedComplex) -> int:
     a vertex generator, or else when their intersection is nonempty.  All
     shared vertices are joined first, read off `Cell.generators`, so only
     the pairs they leave in different components read their polyhedra, and
-    only those whose extents do not show them disjoint (`_apart`) meet."""
+    only those whose extents do not show them disjoint (`_apart`) meet.
+    The pairs are read until one component is left."""
     cells = complex_.cells
     parent = list(range(len(cells)))
+    count = len(cells)
 
     def find(i):
         while parent[i] != i:
@@ -258,15 +260,22 @@ def _components(complex_: WeightedComplex) -> int:
             i = parent[i]
         return i
 
+    def join(i, j):
+        nonlocal count
+        i, j = find(i), find(j)
+        parent[i], count = j, count - (i != j)
+
     first_cell = {}
     for i, cell in enumerate(cells):
         for v in cell.generators[0]:
-            parent[find(i)] = find(first_cell.setdefault(v, i))
+            join(i, first_cell.setdefault(v, i))
     for (i, a), (j, b) in combinations(enumerate(cells), 2):
+        if count == 1:
+            break
         if find(i) != find(j) and not _apart(a.poly, b.poly):
             if a.poly.intersection(b.poly) is not None:
-                parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(cells))})
+                join(i, j)
+    return count
 
 
 def _structure_vertices(complex_: WeightedComplex) -> list[TropPoint]:
@@ -359,7 +368,9 @@ def convexity_probe(
     over the lcm of the two scales, which changes no sign of a row value;
     they are tested with the complex's `RowTable` as in
     `segment_in_support`, which gives a counterexample's `SegmentCheck`.
-    With no samples only the vertex segments are checked.
+    An alcoved cell is a polytrope and tropically convex (Develin &
+    Sturmfels 2004), so a pair in one such cell, often drawn, is covered
+    at once.  With no samples only the vertex segments are checked.
     """
     if samples < 0:
         raise InvalidInputError("the number of samples must be >= 0")

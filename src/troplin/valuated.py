@@ -20,12 +20,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, combinations
 from math import gcd
 from operator import or_
 from typing import Mapping
 
+from .cache import cached_property
 from .complexes import coordinate_difference
 from .errors import InvalidInputError
 from .linalg import _lift, vec_dot

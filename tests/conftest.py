@@ -45,14 +45,17 @@ of `circuit_valuations`, the rank and closure of a matroid by a scan of its
 bases, which one bitmask closure replaced, and each circuit's vector from
 the first pair a search over every basis finds, on the weights scaled to
 integers apart, which the pairs `Matroid` records with its circuits and
-one integer weight table replaced."""
+one integer weight table replaced, and segment coverage by set tests on
+the keys of each cell's rows, which cell bitmasks and the polytrope lemma
+replaced; plus seeded complexes of cells mostly not alcoved, and seeded
+point pairs, for the coverage digests."""
 
 import importlib.util
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from pathlib import Path
 
@@ -65,6 +68,8 @@ from troplin.complexes import (
     RowTable,
     SegmentCheck,
     WeightedComplex,
+    _cell_interval,
+    _first_gap as _table_first_gap,
     _meet_in_common_face,
     chain_cone,
     chain_fan,
@@ -448,6 +453,52 @@ def holed_tree_line(n):
     gone = next(c for c in tree.cells if not c.poly.rays)
     keep = [c for c in tree.cells if c is not gone]
     return WeightedComplex(n, keep, [1] * len(keep), validate=False)
+
+
+def coverage_corpus():
+    """(name, complex) of seeded complexes whose cells are mostly not
+    alcoved: a random polytope alone; a box split along a hyperplane that
+    is no coordinate difference, so neither half is alcoved but their union
+    is a polytrope and tropically convex; a random polytope beside a far
+    box; and the classical segment from (0, 0, 0) to (0, 1, 2)."""
+    rng = random.Random(733)
+
+    def polytope(m):
+        verts = [tuple(rand_rational(rng, 3, 2) for _ in range(m)) for _ in range(rng.randint(1, 4))]
+        return Polyhedron(m, verts)
+
+    def box(m, corner, side):
+        return Polyhedron(m, list(product(*[(c, c + side) for c in corner])))
+
+    for k in range(6):
+        n = rng.randint(3, 4)
+        yield f"random polytope #{k}", WeightedComplex(n, [Cell(n, polytope(n - 1))], [1])
+    for k in range(4):
+        n = 3 + k % 2
+        a = (1, 2) if n == 3 else (2, -1, 1)
+        b = sum(a) + Fraction(rng.randint(-1, 1), 2)
+        pieces = box(n - 1, (0,) * (n - 1), 2).split(a, b)
+        yield f"split box #{k}", WeightedComplex(n, [Cell(n, p) for p in pieces], [1, 1])
+    for k in range(4):
+        n = rng.randint(3, 4)
+        cells = [Cell(n, polytope(n - 1)), Cell(n, box(n - 1, (9,) * (n - 1), rng.randint(1, 3)))]
+        yield f"polytope and far box #{k}", WeightedComplex(n, cells, [1, 1])
+    yield "classical segment", WeightedComplex(3, [Cell.from_torus(3, [(0, 0, 0), (0, 1, 2)])], [1])
+
+
+def coverage_pairs(complex_, seed):
+    """Seeded point pairs for segment coverage: the first ten pairs of
+    structure vertices, 30 pairs drawn from seeded cells by `_sample`, and
+    five pairs of random points, which mostly lie outside the support."""
+    rng = random.Random(seed)
+    pairs = list(combinations(_structure_vertices(complex_), 2))[:10]
+    for _ in range(30):
+        a, b = rng.choice(complex_.cells), rng.choice(complex_.cells)
+        pairs.append(
+            (_scaled_point(a.n, *_sample(a, rng)), _scaled_point(b.n, *_sample(b, rng)))
+        )
+    pairs += [(rand_point(rng, complex_.n, 3), rand_point(rng, complex_.n, 3)) for _ in range(5)]
+    return pairs
 
 
 def benchmark_valuated_matroids(seed):
@@ -1154,6 +1205,34 @@ def table_rows(table, c, n):
             r = table.dense[k - len(table.diffs)]
         rows.append(tuple(s * x for x in r))
     return rows
+
+
+def uncovered_piece_by_keys(table, d, ends):
+    """`complexes._uncovered_piece` on the keys of each cell's rows, index
+    for sign 1 and ~index for -1, with no polytrope lemma: a cell meets the
+    segment when none of its keys is positive at every breakpoint, contains
+    a piece when none is positive at either end, and the intervals of the
+    meeting cells are swept on every piece that none contains."""
+    keys = [frozenset(k if s > 0 else ~k for k, s in p) for p in table.pairs]
+    values = [table.values(b, d) for b in ends]
+    positive = [{k if v > 0 else ~k for k, v in enumerate(vals) if v} for vals in values]
+    everywhere = set.intersection(*positive)
+    meeting = [c for c, cell_keys in enumerate(keys) if cell_keys.isdisjoint(everywhere)]
+    if len(ends) == 1:
+        return None if meeting else (0, 0)
+    for j in range(len(ends) - 1):
+        outside = positive[j] | positive[j + 1]
+        if any(keys[c].isdisjoint(outside) for c in meeting):
+            continue
+        intervals = []
+        for c in meeting:
+            iv = _cell_interval(table.pairs[c], values[j], values[j + 1])
+            if iv is not None:
+                intervals.append(iv)
+        gap = _table_first_gap(intervals)
+        if gap is not None:
+            return j, gap
+    return None
 
 
 def sample_by_randint(cell, rng):

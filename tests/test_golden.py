@@ -2,11 +2,14 @@
 
 Each case runs `troplin.cli.main` in-process on a JSON document built from
 the corpora of `conftest.py` and hashes its stdout, its stderr and its exit
-code.  The documents are written to one file in a scratch working
-directory, so a file name in a message is the same on every run, and help
-is formatted 80 columns wide.  `golden_digests.json` maps each case, named
-by its input and its command line, to that SHA-256, so a change to any byte
-a command prints, or to an exit code, fails here.  After a change of output
+code.  Segment coverage, which no command prints on its own, has one case
+per complex of `coverage_complexes`: the `segment_in_support` result of
+every seeded pair of `coverage_pairs`, hashed with the pair.  The documents
+are written to one file in a scratch working directory, so a file name in a
+message is the same on every run, and help is formatted 80 columns wide.
+`golden_digests.json` maps each case, named by its input and its command
+line, to that SHA-256, so a change to any byte a command prints, to an exit
+code or to a coverage result, fails here.  After a change of output
 that is meant, regenerate the file from the repository root with
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from troplin import io as tio
 from troplin.cli import _COMMANDS, main
-from troplin.complexes import WeightedComplex
+from troplin.complexes import WeightedComplex, segment_in_support
 from troplin.matroids import enumerate_matroids
 from troplin.points import TropPoint
 
@@ -35,6 +38,8 @@ from conftest import (
     benchmark_tree_line,
     braid_fan_corpus,
     coarse_uniform_corpus,
+    coverage_corpus,
+    coverage_pairs,
     het_bound_fans,
     holed_tree_line,
     overlapping_cones,
@@ -52,6 +57,8 @@ FAN_COMMANDS = (
 )
 COMPLEX_COMMANDS = (*FAN_COMMANDS, ["balanced", INPUT], ["recession", INPUT])
 MUTANT_COMMANDS = (["decide", INPUT], ["local-check", INPUT], ["balanced", INPUT])
+PROBE_50 = ["probe", INPUT, "--samples", "50", "--seed", "7"]
+SEGMENT_CASE = "segment_in_support on seeded pairs"
 
 U23 = [[1, 2], [1, 3], [2, 3]]
 U24 = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
@@ -168,6 +175,28 @@ def _cases():
             yield f"complex of {name}", cx, COMPLEX_COMMANDS
             yield f"mutant of {name}", workloads.mutate(cx, recipe.mutant), MUTANT_COMMANDS
     yield "matroid U(2,3)", {"n": 3, "bases": U23}, [["--pretty", "bergman", INPUT]]
+    for name, cx in coverage_complexes():
+        yield name, cx, [PROBE_50]
+
+
+def coverage_complexes():
+    """(name, complex) of every complex whose probe with 50 samples and
+    seed 7 and whose segment coverage are pinned: the seeded complexes of
+    `coverage_corpus`, mostly of cells that are not alcoved, and the tree
+    lines and holed tree lines n = 4..7, whose cells all are."""
+    yield from coverage_corpus()
+    for n in range(4, 8):
+        yield f"tree line n={n}", benchmark_tree_line(n)
+        yield f"holed tree line n={n}", holed_tree_line(n)
+
+
+def _segment_digest(cx) -> str:
+    checks = []
+    for a, b in coverage_pairs(cx, 7):
+        check = segment_in_support(cx, a, b)
+        gap = check.gap_point and _point(check.gap_point)
+        checks.append([_point(a), _point(b), check.covered, str(check.gap_param), gap])
+    return hashlib.sha256(json.dumps(checks).encode()).hexdigest()
 
 
 def digests() -> dict[str, str]:
@@ -191,6 +220,8 @@ def digests() -> dict[str, str]:
             assert key not in found, key
             found[key] = hashlib.sha256(json.dumps([out, err, code]).encode()).hexdigest()
             printed = out
+    for name, cx in coverage_complexes():
+        found[f"{name} :: {SEGMENT_CASE}"] = _segment_digest(cx)
     return found
 
 

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -23,7 +24,13 @@ from troplin.complexes import (
 )
 from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
-from troplin.points import TropPoint, flat_direction, trop_combine
+from troplin.points import (
+    TropPoint,
+    _breakpoints,
+    _integer_breakpoints,
+    flat_direction,
+    trop_combine,
+)
 from troplin.polyhedra import Polyhedron
 from troplin.recognize import (
     Reason,
@@ -37,12 +44,15 @@ from troplin.recognize import (
 )
 
 from conftest import (
+    benchmark_tree_line,
     benchmark_valuated_corpus,
+    benchmark_valuated_mutants,
     braid_fan_corpus,
     coarse_uniform_corpus,
     coarse_uniform_fan,
     constraint_row_table,
     coordinate_classes,
+    coverage_pairs,
     dropped_cones,
     het_bound_fans,
     holed_tree_line,
@@ -56,6 +66,7 @@ from conftest import (
     sample_by_randint,
     skeleton_fan_corpus,
     support_equal_by_coverage,
+    uncovered_piece_by_keys,
 )
 
 F = Fraction
@@ -792,6 +803,30 @@ class TestLocalCheck:
         crossing = WeightedComplex(3, cells + [far], [1, 1, 1], validate=False)
         assert _components(crossing) == 2
 
+    def test_components_stop_reading_pairs_at_one_component(self, monkeypatch):
+        read = []
+
+        def counted(items, r):
+            for pair in combinations(items, r):
+                read.append(pair)
+                yield pair
+
+        monkeypatch.setattr(recognize, "combinations", counted)
+        # the 60 cones of a translated U(4,5) fan share their apex: the loop
+        # stops at the first pair it reads
+        fan = next(cx for cx in benchmark_valuated_corpus(301) if len(cx.cells) == 60)
+        assert _components(fan) == 1 and len(read) == 1
+        # two segments crossing at the origin, then one sharing a vertex with
+        # the first: the crossing pair joins the last two components
+        cells = [
+            Cell.from_torus(3, [TropPoint((0, -1, 0)), TropPoint((0, 1, 0))]),
+            Cell.from_torus(3, [TropPoint((0, 0, -1)), TropPoint((0, 0, 1))]),
+            Cell.from_torus(3, [TropPoint((0, 1, 0)), TropPoint((0, 2, 0))]),
+        ]
+        read.clear()
+        assert _components(WeightedComplex(3, cells, [1, 1, 1], validate=False)) == 1
+        assert [(i, j) for (i, _), (j, _) in read] == [(0, 1), (0, 2)]
+
     def test_agrees_with_decide_on_connected_corpus(
         self, tree_complex, tripod_complex, u23_fan
     ):
@@ -1005,6 +1040,110 @@ class TestProbeAgainstDrawFirstOracle:
         start = time.perf_counter()
         assert convexity_probe(cx, samples=10**6) == expected
         assert time.perf_counter() - start < 1
+
+
+def _random_complexes(seed, count):
+    """Seeded complexes of one to three random cells, mostly not alcoved,
+    overlapping as they fall: cells are compared by neither validation nor
+    segment coverage."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        cells = {}
+        for _ in range(rng.randint(1, 3)):
+            verts = [
+                tuple(rand_rational(rng, 3, 2) for _ in range(n - 1))
+                for _ in range(rng.randint(1, 4))
+            ]
+            dirs = [tuple(rng.randint(-1, 1) for _ in range(n - 1)) for _ in range(3)]
+            rays = [t for t in dirs[: rng.randint(0, 2)] if any(t)]
+            lin = [t for t in dirs[2:] if any(t) and rng.random() < 0.2]
+            cell = Cell(n, Polyhedron(n - 1, verts, rays, lin))
+            cells.setdefault(cell.key, cell)
+        yield WeightedComplex(n, list(cells.values()), [1] * len(cells), validate=False)
+
+
+def _ends(cell_a, cell_b, rng):
+    """The scale and integer breakpoints of the segment between two points
+    drawn as the probe draws them."""
+    (sa, qa), (sb, qb) = recognize._sample(cell_a, rng), recognize._sample(cell_b, rng)
+    d = lcm(sa, sb)
+    return d, _integer_breakpoints([0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb])
+
+
+@pytest.fixture(scope="module")
+def seeded_mutants():
+    """The seed-301, 302 and 305 valuated_complexes cases and their mutants."""
+    return [cx for seed in (301, 302, 305) for cx in benchmark_valuated_mutants(seed)]
+
+
+class TestCellMaskKernel:
+    """The segment kernel on cell bitmasks, with the polytrope lemma, finds
+    the first uncovered piece and its gap that the kernel on the key sets
+    of each cell's rows finds (`uncovered_piece_by_keys`), on every segment
+    the probe and `segment_in_support` test."""
+
+    def test_every_tested_segment_matches_the_key_oracle(self, monkeypatch, seeded_mutants):
+        kinds = set()
+        kernel = complexes._uncovered_piece
+
+        def checked(table, d, ends):
+            got = kernel(table, d, ends)
+            assert got == uncovered_piece_by_keys(table, d, ends), ends
+            first, last = (table.inside(table.values(b, d)) for b in (ends[0], ends[-1]))
+            lemma = len(ends) > 2 and first & last & table.alcoved
+            kinds.add("lemma" if lemma else "covered" if got is None else "gap")
+            kinds.add(("all alcoved", table.alcoved == table.full))
+            return got
+
+        monkeypatch.setattr(complexes, "_uncovered_piece", checked)
+        monkeypatch.setattr(recognize, "_uncovered_piece", checked)
+        cases = [*seeded_mutants, *(benchmark_tree_line(n) for n in range(4, 13))]
+        cases += _random_complexes(337, 300)
+        for k, cx in enumerate(cases):
+            convexity_probe(cx, samples=20, seed=k)
+            for a, b in coverage_pairs(cx, k)[::3]:
+                segment_in_support(cx, a, b)
+        assert kinds == {"lemma", "covered", "gap", ("all alcoved", True), ("all alcoved", False)}
+
+    def test_pairs_in_one_alcoved_cell_are_covered_by_it_alone(self, seeded_mutants):
+        cells = {}
+        for cx in [
+            *seeded_mutants,
+            *(benchmark_tree_line(n) for n in (4, 8)),
+            *_random_complexes(347, 200),
+        ]:
+            for cell in cx.cells:
+                if cell.differences is not None:
+                    cells.setdefault(cell.key, cell)
+        rng = random.Random(349)
+        bent = 0
+        for cell in cells.values():
+            table = WeightedComplex(cell.n, [cell], [1], validate=False)._row_table
+            assert table.alcoved == 1
+            for _ in range(3):
+                d, ends = _ends(cell, cell, rng)
+                assert uncovered_piece_by_keys(table, d, ends) is None, (cell, ends)
+                bent += len(ends) > 2
+        assert len(cells) > 100 and bent > 100
+
+    def test_classical_segment_bends_out_of_its_cell(self):
+        # conv{(0,0,0), (0,1,2)} is not alcoved, so the lemma must not cover
+        # the tropical segment between its ends, which bends at (0,1,1)
+        x, y = TropPoint((0, 0, 0)), TropPoint((0, 1, 2))
+        cx = WeightedComplex(3, [Cell.from_torus(3, [x, y])], [1])
+        table = cx._row_table
+        assert cx.cells[0].differences is None and table.alcoved == 0
+        d, ends = _breakpoints(x, y)
+        assert len(ends) == 3
+        assert table.inside(table.values(ends[0], d)) & table.inside(table.values(ends[-1], d))
+        got = complexes._uncovered_piece(table, d, ends)
+        assert got is not None and got == uncovered_piece_by_keys(table, d, ends)
+        result = convexity_probe(cx, samples=0)
+        assert result.pair == (x, y) and not result.segment_check.covered
+        # had the cell been taken for a polytrope, the bend would be covered
+        table.alcoved = table.full
+        assert complexes._uncovered_piece(table, d, ends) is None
 
 
 class TestEdgeCases:
