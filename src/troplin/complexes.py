@@ -19,17 +19,19 @@ generators.  A cell built from a chain has no polyhedron until `Cell.poly`
 is read, and is written to JSON from its apex and sets, so a Bergman fan
 goes through the CLI as chains.  Balancing reads each braid facet's dropped
 sets, and dimension reads the chain, instead of an H-representation.
-Segment coverage reads one `RowTable` per complex of the cells' distinct
-constraint rows, each evaluated once at every integer breakpoint of the
-segment.  An alcoved cell, one cut out by bounds x_i - x_j <= c, as every
+Segment coverage, for `segment_in_support` and the convexity probe alike,
+is one integer kernel, `_segment_check`, on one `RowTable` per complex of
+the cells' distinct constraint rows, each evaluated once at each point it
+tests.  An alcoved cell, one cut out by bounds x_i - x_j <= c, as every
 cell of a tropical linear space is (Lam & Postnikov 2007), has its rows
 read as one integer difference form (`Cell.differences`), of coordinate
 differences q*(x_i - x_j) + c read from two coordinates: a braid cone's
 come from its apex and chain with no double description, and any other
 cell's from its `extents` and facets.  Point containment reads the same
-form.  The cells holding each breakpoint are a bitmask read off the row
-values there.  An alcoved cell is a polytrope, so it holds the whole
-segment when it holds both ends (Develin & Sturmfels 2004), and a cell
+form.  The cells holding a point are a bitmask read off the row values
+there.  An alcoved cell is a polytrope, so it holds the whole segment when
+it holds both ends (Develin & Sturmfels 2004): the ends are read first, and
+the breakpoints are built only when no alcoved cell holds both.  A cell
 holding both ends of a piece holds the piece; only the pieces that no cell
 holds are swept in intervals.
 """
@@ -54,7 +56,7 @@ from .linalg import (
     vec_sub,
 )
 from .matroids import ChainFamily, GroundSet
-from .points import Rational, TropPoint, _breakpoints, _frac
+from .points import Rational, TropPoint, _frac, _integer_breakpoints, _integer_ends
 from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _apart, _neg
 
 
@@ -830,67 +832,54 @@ def _add_difference(index: dict, i: int, j: int, q: int, c: int) -> tuple[int, i
 def segment_in_support(
     complex_: WeightedComplex, x: TropPoint, y: TropPoint
 ) -> SegmentCheck:
-    """Is the tropical segment between two points inside the support?
-
-    The integer breakpoints b over one common denominator d come from
-    `points._breakpoints`, as for `points.segment`, and `_uncovered_piece`
-    tests them against the complex's `RowTable`.  On failure a rational
-    parameter in the first uncovered gap (measured along the whole segment,
-    scaled to [0, 1]) is returned with its point.
-    """
+    """Is the tropical segment between two points inside the support?  The
+    points go to `_segment_check` with the complex's `RowTable`, as integer
+    vectors over one common denominator (`points._integer_ends`)."""
     if x.n != complex_.n or y.n != complex_.n:
         raise InvalidInputError("ambient size mismatch")
-    d, ends = _breakpoints(x, y)
-    found = _uncovered_piece(complex_._row_table, d, ends)
-    if found is None:
-        return SegmentCheck(True)
-    if len(ends) == 1:
-        return SegmentCheck(False, 0, x)
-    j, gap = found
-    witness = TropPoint(Fraction(s + gap * (e - s), d) for s, e in zip(ends[j], ends[j + 1]))
-    return SegmentCheck(False, _frac(Fraction(j + gap, len(ends) - 1)), witness)
+    return _segment_check(complex_._row_table, *_integer_ends(x, y))
 
 
-def _uncovered_piece(table: RowTable, d: int, ends: list[list[int]]) -> tuple[int, Rational] | None:
-    """The first piece j of a tropical segment with a point outside the
-    cells, and the parameter in [0, 1] of the first such point on it, or
-    None; the breakpoints are the integer torus vectors of `ends` over d.
+def _segment_check(table: RowTable, d: int, a: list[int], b: list[int]) -> SegmentCheck:
+    """Is the tropical segment between the torus points a/d and b/d, for
+    integer vectors a and b, in the cells of a row table?  On failure, also
+    the parameter in [0, 1] along it of its first point outside them, and
+    that point.
 
-    Each distinct row is evaluated once at every homogenised breakpoint,
-    and the mask of the cells holding it (`RowTable.inside`) is read off
-    those values.  An alcoved cell is a polytrope, closed under max-plus
-    and min-plus combinations, so it contains every tropical segment
+    Each distinct row is evaluated once at each homogenised point, and the
+    mask of the cells holding it (`RowTable.inside`) is read off the values.
+    The ends come first: an alcoved cell is a polytrope, closed under
+    max-plus and min-plus combinations, so it contains the tropical segment
     between two of its points (Develin & Sturmfels 2004; Joswig & Kulas
-    2010): the segment is covered when one holds both of its ends.  A
-    piece is the convex hull of two breakpoints, so a cell holding both
-    contains it.  Only on a piece that no cell contains are the closed
-    parameter subintervals of the cells that no row excludes at both of
-    its ends read off the row values there, and their union swept in
-    integers; any other cell's interval is empty.  A single breakpoint is
-    covered when some cell holds it.
+    2010), and when one holds both ends no breakpoint is built.  Otherwise
+    a cell holding both breakpoints of a piece contains it (one point is
+    the piece from it to itself), and only on a piece that none contains
+    are the parameter intervals of the cells that no row excludes at both
+    of its ends swept in integers.  Scaling a, b and d by one positive
+    integer scales every row value and breakpoint, and changes neither the
+    parameter nor the point.
     """
-    first = table.values(ends[0], d)
-    inside_first = table.inside(first)
-    if len(ends) == 1:
-        return None if inside_first else (0, 0)
-    last = table.values(ends[-1], d)
-    inside_last = table.inside(last)
+    first, last = table.values(a, d), table.values(b, d)
+    inside_first, inside_last = table.inside(first), table.inside(last)
     if inside_first & inside_last & table.alcoved:
-        return None
-    values = [first, *(table.values(b, d) for b in ends[1:-1]), last]
+        return SegmentCheck(True)
+    ends = _integer_breakpoints(a, b)
+    if len(ends) == 1:
+        ends.append(a)
+    values = [first, *(table.values(e, d) for e in ends[1:-1]), last]
     inside = [inside_first, *map(table.inside, values[1:-1]), inside_last]
     for j in range(len(ends) - 1):
         if inside[j] & inside[j + 1]:
             continue
         start, end = values[j], values[j + 1]
         # a row of one sign at both ends excludes its cells from the piece
-        cells = table.inside([a if a * b > 0 else 0 for a, b in zip(start, end)])
+        cells = table.inside([u if u * v > 0 else 0 for u, v in zip(start, end)])
         found = [_cell_interval(p, start, end) for c, p in enumerate(table.pairs) if cells >> c & 1]
-        intervals = [iv for iv in found if iv is not None]
-        gap = _first_gap(intervals)
+        gap = _first_gap([iv for iv in found if iv is not None])
         if gap is not None:
-            return j, gap
-    return None
+            point = TropPoint(Fraction(s + gap * (e - s), d) for s, e in zip(ends[j], ends[j + 1]))
+            return SegmentCheck(False, _frac(Fraction(j + gap, len(ends) - 1)), point)
+    return SegmentCheck(True)
 
 
 def _cell_interval(pairs, start: Sequence[int], end: Sequence[int]):

@@ -159,12 +159,10 @@ def partition(x: TropPoint) -> Partition:
     )
 
 
-def _breakpoints(x: TropPoint, y: TropPoint) -> tuple[int, list[list[int]]]:
-    """The common denominator d of x and y, and the breakpoints b of the
-    tropical segment from x to y as the integer vectors d*b, from d*x on."""
+def _integer_ends(x: TropPoint, y: TropPoint) -> tuple[int, list[int], list[int]]:
+    """The common denominator d of x and y, and the integer vectors d*x and d*y."""
     d = lcm(*(c.denominator for c in x.coords + y.coords))
-    point = [c.numerator * (d // c.denominator) for c in x.coords]
-    return d, _integer_breakpoints(point, [c.numerator * (d // c.denominator) for c in y.coords])
+    return d, *([c.numerator * (d // c.denominator) for c in p.coords] for p in (x, y))
 
 
 def _integer_breakpoints(point: list[int], target: Sequence[int]) -> list[list[int]]:
@@ -193,8 +191,8 @@ def segment(x: TropPoint, y: TropPoint) -> list[TropPoint]:
     """
     if x.n != y.n:
         raise InvalidInputError("ambient size mismatch")
-    d, ends = _breakpoints(x, y)
-    return [TropPoint(Fraction(c, d) for c in b) for b in ends]
+    d, a, b = _integer_ends(x, y)
+    return [TropPoint(Fraction(c, d) for c in e) for e in _integer_breakpoints(a, b)]
 
 
 def tconv_contains(generators: Sequence[TropPoint], z: TropPoint) -> bool:

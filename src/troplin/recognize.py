@@ -27,7 +27,7 @@ from .complexes import (
     Cell,
     SegmentCheck,
     WeightedComplex,
-    _uncovered_piece,
+    _segment_check,
     chn_cell_of,
     coordinate_difference,
     from_quotient,
@@ -45,7 +45,7 @@ from .matroids import (
     _flat_matroid,
     verify_flat_family,
 )
-from .points import TropPoint, _integer_breakpoints
+from .points import TropPoint
 from .polyhedra import Polyhedron, _apart
 
 REASON_NON_PURE = "non-pure"
@@ -362,15 +362,15 @@ def convexity_probe(
 
     Any failure certifies that the support is not tropically convex; running
     clean only reports that no counterexample was found.  The segments
-    between vertex generators are checked first, then one pair of points
-    drawn from seeded cells at a time.  A drawn point stays an integer
-    vector over its scale (`_sample`), and the pair's breakpoints are taken
-    over the lcm of the two scales, which changes no sign of a row value;
-    they are tested with the complex's `RowTable` as in
-    `segment_in_support`, which gives a counterexample's `SegmentCheck`.
-    An alcoved cell is a polytrope and tropically convex (Develin &
-    Sturmfels 2004), so a pair in one such cell, often drawn, is covered
-    at once.  With no samples only the vertex segments are checked.
+    between vertex generators are checked first, with `segment_in_support`,
+    then one pair of points drawn from seeded cells at a time.  A drawn
+    point stays an integer vector over its scale (`_sample`), and the pair,
+    lifted over the lcm of the two scales, goes to the kernel of
+    `segment_in_support`, `_segment_check`, whose `SegmentCheck` a
+    counterexample keeps: that lcm is a multiple of the pair's common
+    denominator, and the kernel's result does not change with the scale.  A
+    pair in one alcoved cell, often drawn, is covered from its two ends.
+    With no samples only the vertex segments are checked.
     """
     if samples < 0:
         raise InvalidInputError("the number of samples must be >= 0")
@@ -386,10 +386,10 @@ def convexity_probe(
         cb = cells[rng.randrange(len(cells))]
         (sa, qa), (sb, qb) = _sample(ca, rng), _sample(cb, rng)
         d = lcm(sa, sb)
-        ends = _integer_breakpoints(
-            [0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb]
+        check = _segment_check(
+            table, d, [0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb]
         )
-        if _uncovered_piece(table, d, ends) is not None:
+        if not check.covered:
             pair = (_scaled_point(complex_.n, sa, qa), _scaled_point(complex_.n, sb, qb))
-            return ProbeResult(True, pair, segment_in_support(complex_, *pair))
+            return ProbeResult(True, pair, check)
     return ProbeResult(False)

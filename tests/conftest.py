@@ -48,7 +48,8 @@ integers apart, which the pairs `Matroid` records with its circuits and
 one integer weight table replaced, and segment coverage by set tests on
 the keys of each cell's rows, which cell bitmasks and the polytrope lemma
 replaced; plus seeded complexes of cells mostly not alcoved, and seeded
-point pairs, for the coverage digests."""
+point pairs, for the coverage digests, and seeded complexes of disjoint
+translated cones whose recession fan is repaired."""
 
 import importlib.util
 import random
@@ -61,6 +62,7 @@ from pathlib import Path
 
 import pytest
 
+from troplin import complexes
 from troplin.complexes import (
     DEFAULT_BUDGET,
     BalanceCheck,
@@ -79,6 +81,7 @@ from troplin.complexes import (
     from_quotient,
     is_balanced,
     lift_direction,
+    recession_fan,
     to_quotient,
 )
 from troplin.errors import InvalidInputError, ResourceLimitError
@@ -247,6 +250,54 @@ def overlapping_cones() -> WeightedComplex:
     a = Cell.from_torus(3, [TropPoint((0, 0, 0))], rays=[(0, -1, 0), (0, 0, -1)])
     b = Cell.from_torus(3, [TropPoint((0, 9, 9))], rays=[(0, -1, -1), (0, 1, 0)])
     return WeightedComplex(3, [a, b], [1, 1], validate=False)
+
+
+def repaired_fan_corpus():
+    """(name, complex) of 40 seeded complexes of two to four pairwise
+    disjoint translated cones of dimension n - 2, n = 3 or 4, weights 1-3,
+    which validate.  Their recession cones overlap: two are equal, one lies
+    in another, or two meet in no common face; and one is no braid cone at
+    the origin, so `recession_fan` repairs their fan, as a spy on
+    `complexes._repair_fan` checks for each.  The rays of a complex come
+    from one seeded pool: two vectors when n = 3, and when n = 4 four
+    vectors of one plane in angular order, u, u + v, v and v - u, whose
+    wedges overlap."""
+    rng = random.Random(32)
+    repair, calls = complexes._repair_fan, []
+
+    def spy(cones, budget):
+        calls.append(cones)
+        return repair(cones, budget)
+
+    found = []
+    complexes._repair_fan = spy
+    try:
+        while len(found) < 40:
+            n = rng.randint(3, 4)
+            u, v = (tuple(rng.randint(-2, 2) for _ in range(n - 1)) for _ in range(2))
+            pool = [u, v]
+            if n == 4:
+                pool = [u, tuple(a + b for a, b in zip(u, v)), v, tuple(b - a for a, b in zip(u, v))]
+            pool = [r for r in pool if any(r)]
+            cells = []
+            for _ in range(rng.randint(2, 4)):
+                apex = tuple(rng.randint(-6, 6) for _ in range(n - 1))
+                poly = Polyhedron(n - 1, [apex], rng.sample(pool, min(len(pool), n - 2)))
+                if poly.dim == n - 2 and all(poly.intersection(c.poly) is None for c in cells):
+                    cells.append(Cell(n, poly))
+            rec = [c.poly.recession() for c in cells]
+            if len(cells) < 2 or all(Cell(n, r).chain is not None for r in rec):
+                continue
+            if all(a != b and _meet_in_common_face(a, b) for a, b in combinations(rec, 2)):
+                continue
+            cx = WeightedComplex(n, cells, [rng.randint(1, 3) for _ in cells])
+            before = len(calls)
+            recession_fan(cx)
+            assert len(calls) == before + 1, cx
+            found.append((f"repaired fan #{len(found)}", cx))
+    finally:
+        complexes._repair_fan = repair
+    return found
 
 
 def braid_fan_corpus(max_n: int):
@@ -484,6 +535,17 @@ def coverage_corpus():
         cells = [Cell(n, polytope(n - 1)), Cell(n, box(n - 1, (9,) * (n - 1), rng.randint(1, 3)))]
         yield f"polytope and far box #{k}", WeightedComplex(n, cells, [1, 1])
     yield "classical segment", WeightedComplex(3, [Cell.from_torus(3, [(0, 0, 0), (0, 1, 2)])], [1])
+
+
+def coverage_complexes():
+    """(name, complex) of every complex whose probe with 50 samples and
+    seed 7 and whose segment coverage are pinned: the seeded complexes of
+    `coverage_corpus`, mostly of cells that are not alcoved, and the tree
+    lines and holed tree lines n = 4..7, whose cells all are."""
+    yield from coverage_corpus()
+    for n in range(4, 8):
+        yield f"tree line n={n}", benchmark_tree_line(n)
+        yield f"holed tree line n={n}", holed_tree_line(n)
 
 
 def coverage_pairs(complex_, seed):
@@ -1208,11 +1270,15 @@ def table_rows(table, c, n):
 
 
 def uncovered_piece_by_keys(table, d, ends):
-    """`complexes._uncovered_piece` on the keys of each cell's rows, index
-    for sign 1 and ~index for -1, with no polytrope lemma: a cell meets the
-    segment when none of its keys is positive at every breakpoint, contains
-    a piece when none is positive at either end, and the intervals of the
-    meeting cells are swept on every piece that none contains."""
+    """The first piece j of a tropical segment, given by its integer
+    breakpoints over d, with a point outside the cells of a row table, and
+    the parameter in [0, 1] of the first such point on it, or None: the
+    piece search that `complexes._segment_check` replaced, on the keys of
+    each cell's rows, index for sign 1 and ~index for -1, with no polytrope
+    lemma.  A cell meets the segment when none of its keys is positive at
+    every breakpoint, contains a piece when none is positive at either end,
+    and the intervals of the meeting cells are swept on every piece that
+    none contains."""
     keys = [frozenset(k if s > 0 else ~k for k, s in p) for p in table.pairs]
     values = [table.values(b, d) for b in ends]
     positive = [{k if v > 0 else ~k for k, v in enumerate(vals) if v} for vals in values]

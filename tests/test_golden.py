@@ -14,7 +14,8 @@ that is meant, regenerate the file from the repository root with
 
     PYTHONPATH=src:tests python tests/test_golden.py
 
-and name every entry that changed, with its reason, in CHANGES.md.
+which prints every entry it adds, removes or changes against the committed
+file, and name each of them, with its reason, in CHANGES.md.
 """
 
 import hashlib
@@ -38,11 +39,12 @@ from conftest import (
     benchmark_tree_line,
     braid_fan_corpus,
     coarse_uniform_corpus,
-    coverage_corpus,
+    coverage_complexes,
     coverage_pairs,
     het_bound_fans,
     holed_tree_line,
     overlapping_cones,
+    repaired_fan_corpus,
     skeleton_fan_corpus,
 )
 
@@ -136,6 +138,8 @@ def _cases():
         ["decide", INPUT, "--budget", "1"],
         ["decide", INPUT],
     ]
+    for name, cx in repaired_fan_corpus():
+        yield name, cx, [["recession", INPUT], ["decide", INPUT]]
     for n in range(1, 6):
         for k, matroid in enumerate(enumerate_matroids(n)):
             yield f"matroid n={n} #{k}", tio.matroid_to_json(matroid), [["bergman", INPUT]]
@@ -177,17 +181,6 @@ def _cases():
     yield "matroid U(2,3)", {"n": 3, "bases": U23}, [["--pretty", "bergman", INPUT]]
     for name, cx in coverage_complexes():
         yield name, cx, [PROBE_50]
-
-
-def coverage_complexes():
-    """(name, complex) of every complex whose probe with 50 samples and
-    seed 7 and whose segment coverage are pinned: the seeded complexes of
-    `coverage_corpus`, mostly of cells that are not alcoved, and the tree
-    lines and holed tree lines n = 4..7, whose cells all are."""
-    yield from coverage_corpus()
-    for n in range(4, 8):
-        yield f"tree line n={n}", benchmark_tree_line(n)
-        yield f"holed tree line n={n}", holed_tree_line(n)
 
 
 def _segment_digest(cx) -> str:
@@ -241,5 +234,13 @@ if __name__ == "__main__":
         os.chdir(scratch)
         table = digests()
         os.chdir(here)
+    committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for key in sorted(committed.keys() | table.keys()):
+        if key not in table:
+            print(f"removed: {key}")
+        elif key not in committed:
+            print(f"added: {key}")
+        elif committed[key] != table[key]:
+            print(f"changed: {key}")
     DIGESTS.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGESTS}")

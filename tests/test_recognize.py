@@ -1,6 +1,7 @@
 """Fan recognition, complex decision, local checks, and the convexity probe."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -8,11 +9,12 @@ from math import lcm
 
 import pytest
 
-from troplin import complexes, matroids, polyhedra, recognize
+from troplin import complexes, matroids, points, polyhedra, recognize
 from troplin import io as tio
 from troplin.complexes import (
     BalanceCheck,
     Cell,
+    SegmentCheck,
     WeightedComplex,
     chain_fan,
     chn_cell_of,
@@ -26,8 +28,8 @@ from troplin.errors import InvalidInputError, ResourceLimitError
 from troplin.matroids import ChainFamily, enumerate_matroids, matroid_from_bases
 from troplin.points import (
     TropPoint,
-    _breakpoints,
     _integer_breakpoints,
+    _integer_ends,
     flat_direction,
     trop_combine,
 )
@@ -52,6 +54,7 @@ from conftest import (
     coarse_uniform_fan,
     constraint_row_table,
     coordinate_classes,
+    coverage_complexes,
     coverage_pairs,
     dropped_cones,
     het_bound_fans,
@@ -1064,11 +1067,26 @@ def _random_complexes(seed, count):
 
 
 def _ends(cell_a, cell_b, rng):
-    """The scale and integer breakpoints of the segment between two points
-    drawn as the probe draws them."""
+    """The scale d and the integer vectors d*x and d*y of two points x and
+    y drawn as the probe draws them."""
     (sa, qa), (sb, qb) = recognize._sample(cell_a, rng), recognize._sample(cell_b, rng)
     d = lcm(sa, sb)
-    return d, _integer_breakpoints([0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb])
+    return d, [0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb]
+
+
+def segment_check_by_keys(table, d, a, b):
+    """The `SegmentCheck` of the segment between a/d and b/d by
+    `uncovered_piece_by_keys` on its `_integer_breakpoints`: the gap
+    parameter (j + gap)/pieces and its point on piece j, or the point
+    itself when the segment is one point."""
+    ends = _integer_breakpoints(a, b)
+    found = uncovered_piece_by_keys(table, d, ends)
+    if found is None:
+        return SegmentCheck(True)
+    j, gap = found
+    start, end = ends[j], ends[min(j + 1, len(ends) - 1)]
+    point = TropPoint(Fraction(s + gap * (e - s), d) for s, e in zip(start, end))
+    return SegmentCheck(False, Fraction(j + gap, max(len(ends) - 1, 1)), point)
 
 
 @pytest.fixture(scope="module")
@@ -1077,27 +1095,44 @@ def seeded_mutants():
     return [cx for seed in (301, 302, 305) for cx in benchmark_valuated_mutants(seed)]
 
 
+@pytest.fixture(scope="module")
+def alcoved_cells(seeded_mutants):
+    """The distinct alcoved cells of the seeded mutants, two tree lines
+    and seeded random complexes."""
+    cells = {}
+    for cx in [
+        *seeded_mutants,
+        *(benchmark_tree_line(n) for n in (4, 8)),
+        *_random_complexes(347, 200),
+    ]:
+        for cell in cx.cells:
+            if cell.differences is not None:
+                cells.setdefault(cell.key, cell)
+    return list(cells.values())
+
+
 class TestCellMaskKernel:
-    """The segment kernel on cell bitmasks, with the polytrope lemma, finds
-    the first uncovered piece and its gap that the kernel on the key sets
-    of each cell's rows finds (`uncovered_piece_by_keys`), on every segment
-    the probe and `segment_in_support` test."""
+    """The one segment kernel, `_segment_check`, on cell bitmasks with the
+    polytrope lemma, gives the coverage, gap parameter and gap point that
+    the kernel on the key sets of each cell's rows gives
+    (`uncovered_piece_by_keys`) on every segment the probe and
+    `segment_in_support` test."""
 
     def test_every_tested_segment_matches_the_key_oracle(self, monkeypatch, seeded_mutants):
         kinds = set()
-        kernel = complexes._uncovered_piece
+        kernel = complexes._segment_check
 
-        def checked(table, d, ends):
-            got = kernel(table, d, ends)
-            assert got == uncovered_piece_by_keys(table, d, ends), ends
-            first, last = (table.inside(table.values(b, d)) for b in (ends[0], ends[-1]))
-            lemma = len(ends) > 2 and first & last & table.alcoved
-            kinds.add("lemma" if lemma else "covered" if got is None else "gap")
+        def checked(table, d, a, b):
+            got = kernel(table, d, a, b)
+            assert got == segment_check_by_keys(table, d, a, b), (a, b, d)
+            first, last = (table.inside(table.values(e, d)) for e in (a, b))
+            lemma = len(_integer_breakpoints(a, b)) > 2 and first & last & table.alcoved
+            kinds.add("lemma" if lemma else "covered" if got.covered else "gap")
             kinds.add(("all alcoved", table.alcoved == table.full))
             return got
 
-        monkeypatch.setattr(complexes, "_uncovered_piece", checked)
-        monkeypatch.setattr(recognize, "_uncovered_piece", checked)
+        monkeypatch.setattr(complexes, "_segment_check", checked)
+        monkeypatch.setattr(recognize, "_segment_check", checked)
         cases = [*seeded_mutants, *(benchmark_tree_line(n) for n in range(4, 13))]
         cases += _random_complexes(337, 300)
         for k, cx in enumerate(cases):
@@ -1106,44 +1141,76 @@ class TestCellMaskKernel:
                 segment_in_support(cx, a, b)
         assert kinds == {"lemma", "covered", "gap", ("all alcoved", True), ("all alcoved", False)}
 
-    def test_pairs_in_one_alcoved_cell_are_covered_by_it_alone(self, seeded_mutants):
-        cells = {}
-        for cx in [
-            *seeded_mutants,
-            *(benchmark_tree_line(n) for n in (4, 8)),
-            *_random_complexes(347, 200),
-        ]:
-            for cell in cx.cells:
-                if cell.differences is not None:
-                    cells.setdefault(cell.key, cell)
+    def test_pairs_in_one_alcoved_cell_are_covered_by_it_alone(self, alcoved_cells):
         rng = random.Random(349)
         bent = 0
-        for cell in cells.values():
+        for cell in alcoved_cells:
             table = WeightedComplex(cell.n, [cell], [1], validate=False)._row_table
             assert table.alcoved == 1
             for _ in range(3):
-                d, ends = _ends(cell, cell, rng)
+                d, a, b = _ends(cell, cell, rng)
+                ends = _integer_breakpoints(a, b)
                 assert uncovered_piece_by_keys(table, d, ends) is None, (cell, ends)
                 bent += len(ends) > 2
-        assert len(cells) > 100 and bent > 100
+        assert len(alcoved_cells) > 100 and bent > 100
+
+    def test_pairs_in_one_alcoved_cell_build_no_breakpoint(self, monkeypatch, alcoved_cells):
+        build, calls = points._integer_breakpoints, []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return build(a, b)
+
+        bound = [
+            m
+            for name, m in sys.modules.items()
+            if name.startswith("troplin") and hasattr(m, "_integer_breakpoints")
+        ]
+        assert points in bound
+        for module in bound:
+            monkeypatch.setattr(module, "_integer_breakpoints", counted)
+        rng = random.Random(349)
+        bent = 0
+        for k, cell in enumerate(alcoved_cells):
+            cx = WeightedComplex(cell.n, [cell], [1], validate=False)
+            for _ in range(3):
+                d, a, b = _ends(cell, cell, rng)
+                x, y = (TropPoint(Fraction(c, d) for c in v) for v in (a, b))
+                assert segment_in_support(cx, x, y).covered
+                bent += len(build(a, b)) > 2
+            assert convexity_probe(cx, samples=3, seed=k).ok
+        assert calls == [] and bent > 100
+
+    def test_probe_counterexamples_are_the_segment_checks_of_their_pairs(self, seeded_mutants):
+        found = sampled = 0
+        cases = [cx for _, cx in coverage_complexes()] + seeded_mutants
+        for cx in cases:
+            result = convexity_probe(cx, samples=50)
+            if result.counterexample_found:
+                assert result.segment_check == segment_in_support(cx, *result.pair), cx
+                found += 1
+                sampled += result.pair not in combinations(recognize._structure_vertices(cx), 2)
+        assert found > 20 and sampled > 5
 
     def test_classical_segment_bends_out_of_its_cell(self):
         # conv{(0,0,0), (0,1,2)} is not alcoved, so the lemma must not cover
-        # the tropical segment between its ends, which bends at (0,1,1)
+        # the tropical segment between its ends, which bends at (0,0,1) and
+        # leaves the cell at once: the gap is the middle of the first piece
         x, y = TropPoint((0, 0, 0)), TropPoint((0, 1, 2))
         cx = WeightedComplex(3, [Cell.from_torus(3, [x, y])], [1])
         table = cx._row_table
         assert cx.cells[0].differences is None and table.alcoved == 0
-        d, ends = _breakpoints(x, y)
-        assert len(ends) == 3
-        assert table.inside(table.values(ends[0], d)) & table.inside(table.values(ends[-1], d))
-        got = complexes._uncovered_piece(table, d, ends)
-        assert got is not None and got == uncovered_piece_by_keys(table, d, ends)
+        d, a, b = _integer_ends(x, y)
+        assert len(_integer_breakpoints(a, b)) == 3
+        assert table.inside(table.values(a, d)) & table.inside(table.values(b, d))
+        got = complexes._segment_check(table, d, a, b)
+        assert not got.covered and got == segment_check_by_keys(table, d, a, b)
+        assert (got.gap_param, got.gap_point) == (Fraction(1, 4), TropPoint((0, 0, Fraction(1, 2))))
         result = convexity_probe(cx, samples=0)
-        assert result.pair == (x, y) and not result.segment_check.covered
+        assert result.pair == (x, y) and result.segment_check == got
         # had the cell been taken for a polytrope, the bend would be covered
         table.alcoved = table.full
-        assert complexes._uncovered_piece(table, d, ends) is None
+        assert complexes._segment_check(table, d, a, b).covered
 
 
 class TestEdgeCases:
