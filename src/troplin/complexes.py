@@ -16,9 +16,11 @@ at the origin given by generators, which `Cell.from_torus` reads off the
 representatives as written, with no point made, for JSON ingest and for the
 other stars) is given them, and any other cell has them read off its
 generators.  A cell built from a chain has no polyhedron until `Cell.poly`
-is read, and is written to JSON from its apex and sets, so a Bergman fan
-goes through the CLI as chains.  Balancing reads each braid facet's dropped
-sets, and dimension reads the chain, instead of an H-representation.
+is read, when it is built from the apex and rays, and is written to JSON
+from its apex and sets, so a Bergman fan goes through the CLI as chains.
+Cells are told apart and ordered by `Cell.key`, their generators, which
+needs no polyhedron.  Balancing reads each braid facet's dropped sets, and
+dimension reads the chain, instead of an H-representation.
 Segment coverage, for `segment_in_support` and the convexity probe alike,
 is one integer kernel, `_segment_check`, on one `RowTable` per complex of
 the cells' distinct constraint rows, each evaluated once at each point it
@@ -57,7 +59,9 @@ from .linalg import (
 )
 from .matroids import ChainFamily, GroundSet
 from .points import Rational, TropPoint, _frac, _integer_breakpoints, _integer_ends
-from .polyhedra import DEFAULT_BUDGET, IntVec, Polyhedron, Vec, _apart, _neg
+from .polyhedra import IntVec, Polyhedron, Vec, _apart, _neg
+
+DEFAULT_BUDGET = 20000
 
 
 def to_quotient(x: TropPoint) -> Vec:
@@ -65,7 +69,7 @@ def to_quotient(x: TropPoint) -> Vec:
     return x.coords[1:]
 
 
-def from_quotient(n: int, q: Sequence) -> TropPoint:
+def from_quotient(q: Sequence) -> TropPoint:
     return TropPoint((0,) + tuple(q))
 
 
@@ -87,14 +91,6 @@ def coordinate_difference(n: int, i: int, j: int) -> tuple[int, ...]:
     if j > 1:
         a[j - 2] -= 1
     return tuple(a)
-
-
-def chain_cone(n: int, chain: tuple[GroundSet, ...], set_rays: dict | None = None) -> Polyhedron:
-    """The cone on the negated indicator vectors of a chain's members, which
-    are proper nonempty sets: its `chain_rays`, which are primitive and
-    pairwise distinct and no one redundant, set as they are, with no
-    reduction."""
-    return Polyhedron._canonical(n - 1, ((0,) * (n - 1),), chain_rays(n, chain, set_rays))
 
 
 def chain_rays(n: int, chain: tuple[GroundSet, ...], set_rays: dict | None = None) -> tuple:
@@ -211,11 +207,8 @@ class Cell:
     @cached_property
     def poly(self) -> Polyhedron:
         """The cell's polyhedron, given to `Cell`, or built on first read
-        from the apex and chain a `from_braid` cell keeps."""
-        apex, chain, set_rays = self._built_from
-        if any(apex):
-            return Polyhedron._canonical(self.n - 1, (apex,), chain_rays(self.n, chain, set_rays))
-        return chain_cone(self.n, chain, set_rays)
+        from the `generators` of a `from_braid` cell, none of them redundant."""
+        return Polyhedron._minimal(self.n - 1, *self.generators)
 
     @property
     def generators(self) -> tuple[tuple[Vec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
@@ -307,7 +300,7 @@ class Cell:
 
     @property
     def vertices(self) -> list[TropPoint]:
-        return [from_quotient(self.n, v) for v in self.generators[0]]
+        return [from_quotient(v) for v in self.generators[0]]
 
     @property
     def rays(self) -> list[tuple]:
@@ -364,7 +357,7 @@ class WeightedComplex:
         # equal exactly when their chains are; any others by their keys
         keys = [vars(c).get("chain") for c in cells]
         if None in keys:
-            keys = [c.poly.canonical_key for c in cells]
+            keys = [c.key for c in cells]
         if len(set(keys)) != len(keys):
             raise InvalidInputError("duplicate maximal cells")
         self.n = n
@@ -420,7 +413,7 @@ class WeightedComplex:
         for c in self.cells:
             for f in c.poly.all_faces():
                 seen.setdefault(f.canonical_key, Cell(self.n, f))
-        return sorted(seen.values(), key=lambda c: (c.dim, c.poly.canonical_key))
+        return sorted(seen.values(), key=lambda c: (c.dim, c.key))
 
     def support_contains(self, x: TropPoint) -> bool:
         if x.n != self.n:
@@ -503,8 +496,8 @@ def primitive_normal(sigma: Cell, tau: Cell) -> tuple:
     """
     if sigma.n != tau.n:
         raise InvalidInputError("ambient size mismatch")
-    sp, key = sigma.poly, tau.poly.canonical_key
-    row = next((r for face, r in sp.faces_of_facets() if face.canonical_key == key), None)
+    sp = sigma.poly
+    row = next((r for face, r in sp.faces_of_facets() if face.canonical_key == tau.key), None)
     if row is None:
         raise InvalidInputError("second argument is not a facet of the first")
     return lift_direction(lattice_quotient_generator(sp.lattice_basis, row[:-1]))
@@ -526,8 +519,8 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
     partition that G cuts out, so the group is balanced exactly when the
     sum of -w*1_F and the lifted normals is constant on each block of G.
 
-    The witness is the failing face with the least canonical key, which is
-    computed for failing faces only.
+    The witness is the failing face with the least `Cell.key`, which is
+    computed for failing faces only, and builds no polyhedron for a braid cone.
     """
     if not complex_.is_pure:
         raise InvalidInputError("balancing is defined for pure complexes")
@@ -570,7 +563,7 @@ def is_balanced(complex_: WeightedComplex) -> BalanceCheck:
             failing.append(facet)
     if not failing:
         return BalanceCheck(True)
-    return BalanceCheck(False, min(failing, key=lambda c: c.poly.canonical_key))
+    return BalanceCheck(False, min(failing, key=lambda c: c.key))
 
 
 def _constant_on_blocks(ground: GroundSet, sub: tuple[GroundSet, ...], dropped, normals) -> bool:
@@ -607,7 +600,7 @@ def recession_fan(complex_: WeightedComplex, budget: int = DEFAULT_BUDGET) -> We
         kept = zip(rec_cells, complex_.weights)
         return _merged_fan(n, [(c, w) for c, w in kept if c.chain not in contained])
     rec_of_cell = [c.poly for c in rec_cells]
-    cones = _drop_contained(_dedup(rec_of_cell))
+    cones = _maximal(rec_of_cell)
     # a repaired cone takes the weight of every recession cone of its
     # dimension that contains it
     weighted = [
@@ -630,16 +623,15 @@ def _merged_fan(n: int, weighted: list[tuple[Cell, int]]) -> WeightedComplex:
     return WeightedComplex(n, [c for c, _ in kept], [w for _, w in kept], validate=False)
 
 
-def _drop_contained(cones: list[Polyhedron]) -> list[Polyhedron]:
-    """The cones that no other cone contains.  Every cone holds the origin,
-    so no two are `_apart`, and no extent prefilter is tried."""
-    kept = []
+def _maximal(cones: list[Polyhedron]) -> list[Polyhedron]:
+    """The distinct cones that no other cone contains, in canonical order,
+    each the first of its equals.  Every cone holds the origin, so no two
+    are `_apart`, and no extent prefilter is tried."""
+    seen: dict = {}
     for p in cones:
-        if not any(
-            q is not p and q.contains_polyhedron(p) for q in cones
-        ):
-            kept.append(p)
-    return kept
+        seen.setdefault(p.canonical_key, p)
+    cones = [seen[k] for k in sorted(seen)]
+    return [p for p in cones if not any(q is not p and q.contains_polyhedron(p) for q in cones)]
 
 
 def _repair_fan(cones: list[Polyhedron], budget: int) -> list[Polyhedron]:
@@ -652,7 +644,7 @@ def _repair_fan(cones: list[Polyhedron], budget: int) -> list[Polyhedron]:
             None,
         )
         if violation is None:
-            return _drop_contained(_dedup(work))
+            return _maximal(work)
         a, b = violation
         steps += 1
         if steps > budget:
@@ -672,13 +664,6 @@ def _repair_fan(cones: list[Polyhedron], budget: int) -> list[Polyhedron]:
         first, row = cut
         work.remove(first)
         work.extend(p for p in (first._cut(row), first._cut(_neg(row))) if p is not None)
-
-
-def _dedup(cones: list[Polyhedron]) -> list[Polyhedron]:
-    seen: dict = {}
-    for p in cones:
-        seen.setdefault(p.canonical_key, p)
-    return [seen[k] for k in sorted(seen)]
 
 
 def star_fan(complex_: WeightedComplex, p: TropPoint) -> WeightedComplex:

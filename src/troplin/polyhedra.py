@@ -51,8 +51,6 @@ from .points import Rational, _frac
 
 HalfSpace = tuple[IntVec, Rational]  # (a, b) meaning a.x <= b
 
-DEFAULT_BUDGET = 20000
-
 
 def _fvec(v) -> Vec:
     return tuple(_frac(x) for x in v)
@@ -183,15 +181,6 @@ class Polyhedron:
         """Build from generators no one of which is redundant; skips reduction."""
         poly = cls.__new__(cls)
         poly._set(m, vertices, rays, lineality)
-        return poly
-
-    @classmethod
-    def _canonical(cls, m: int, vertices: tuple[Vec, ...], rays: tuple[IntVec, ...]) -> Polyhedron:
-        """Build with no lineality from the form `_set` gives, taken as is:
-        distinct canonical vertices and distinct primitive rays, each sorted,
-        none of them redundant."""
-        poly = cls.__new__(cls)
-        poly.m, poly.vertices, poly.rays, poly.lineality = m, vertices, rays, ()
         return poly
 
     def _set(self, m: int, vertices, rays, lineality) -> None:

@@ -176,7 +176,7 @@ def recognize_fan(
         if chain is None:
             # no hyperplane x_i = x_j cuts the piece, so its relative interior
             # point has the piece's largest heterogeneity, len(chain) + 1
-            point = from_quotient(n, piece.poly.relative_interior_point())
+            point = from_quotient(piece.poly.relative_interior_point())
             chain = chn_cell_of(point)[:-1]
             if len(chain) > d:
                 return _reject(REASON_HET, point)
@@ -281,7 +281,7 @@ def _components(complex_: WeightedComplex) -> int:
 def _structure_vertices(complex_: WeightedComplex) -> list[TropPoint]:
     """The vertices of the cells, each once, in the order of their coordinates."""
     vertices = sorted({v for cell in complex_.cells for v in cell.generators[0]})
-    return [from_quotient(complex_.n, v) for v in vertices]
+    return [from_quotient(v) for v in vertices]
 
 
 def local_check(
@@ -351,8 +351,8 @@ def _sample(cell: Cell, rng: random.Random) -> tuple[int, list[int]]:
     return 6 * d, q
 
 
-def _scaled_point(n: int, scale: int, q: list[int]) -> TropPoint:
-    return from_quotient(n, [Fraction(a, scale) for a in q])
+def _scaled_point(scale: int, q: list[int]) -> TropPoint:
+    return from_quotient([Fraction(a, scale) for a in q])
 
 
 def convexity_probe(
@@ -390,6 +390,6 @@ def convexity_probe(
             table, d, [0] + [x * (d // sa) for x in qa], [0] + [x * (d // sb) for x in qb]
         )
         if not check.covered:
-            pair = (_scaled_point(complex_.n, sa, qa), _scaled_point(complex_.n, sb, qb))
+            pair = (_scaled_point(sa, qa), _scaled_point(sb, qb))
             return ProbeResult(True, pair, check)
     return ProbeResult(False)

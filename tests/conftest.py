@@ -73,7 +73,6 @@ from troplin.complexes import (
     _cell_interval,
     _first_gap as _table_first_gap,
     _meet_in_common_face,
-    chain_cone,
     chain_fan,
     chn_cell_of,
     coordinate_difference,
@@ -367,7 +366,7 @@ def skeleton_fan_corpus():
                 chains = [
                     c for c in combinations(proper, d) if all(a < b for a, b in zip(c, c[1:]))
                 ]
-                cells = [Cell(n, chain_cone(n, c)) for c in chains]
+                cells = [Cell(n, Cell.from_braid(n, (0,) * (n - 1), c).poly) for c in chains]
                 for kept in (cells, cells[1:]):
                     yield WeightedComplex(n, kept, [1] * len(kept), validate=False)
 
@@ -401,7 +400,7 @@ def off_chain_point(complex_, pieces, family) -> TropPoint | None:
     cone and does not sit on a chain of the family, or None."""
     for piece in pieces:
         if piece.chain is None:
-            point = from_quotient(complex_.n, piece.poly.relative_interior_point())
+            point = from_quotient(piece.poly.relative_interior_point())
             if any(f not in family.sets for f in chn_cell_of(point)):
                 return point
     return None
@@ -444,9 +443,10 @@ def support_equal_by_coverage(complex_, pieces, family, budget=20000) -> TropPoi
     for chain in family.maximal_chains():
         if chain in covered:
             continue
-        witness = _uncovered_witness(chain_cone(n, chain), cell_polys, [0], budget)
+        cone = Cell.from_braid(n, (0,) * (n - 1), chain).poly
+        witness = _uncovered_witness(cone, cell_polys, [0], budget)
         if witness is not None:
-            return from_quotient(n, witness.relative_interior_point())
+            return from_quotient(witness.relative_interior_point())
     return None
 
 
@@ -557,7 +557,7 @@ def coverage_pairs(complex_, seed):
     for _ in range(30):
         a, b = rng.choice(complex_.cells), rng.choice(complex_.cells)
         pairs.append(
-            (_scaled_point(a.n, *_sample(a, rng)), _scaled_point(b.n, *_sample(b, rng)))
+            (_scaled_point(*_sample(a, rng)), _scaled_point(*_sample(b, rng)))
         )
     pairs += [(rand_point(rng, complex_.n, 3), rand_point(rng, complex_.n, 3)) for _ in range(5)]
     return pairs
@@ -723,7 +723,7 @@ def certify_cell_by_refinement(valuated, cell, budget=DEFAULT_BUDGET) -> bool:
     interior point per piece decides it, and membership is a closed
     condition, which settles the piece boundaries as well."""
     for piece in refine(cell.poly, comparison_hyperplanes(valuated), budget):
-        x = from_quotient(valuated.n, piece.relative_interior_point())
+        x = from_quotient(piece.relative_interior_point())
         if not member_by_circuit_maxima(valuated, x):
             return False
     return True
@@ -1212,10 +1212,7 @@ def segment_in_support_per_cell(complex_, x, y) -> SegmentCheck:
         if gap is not None:
             direction = tuple(e - s for s, e in zip(start, end))
             global_param = Fraction(j, pieces) + gap / pieces
-            witness = from_quotient(
-                complex_.n,
-                tuple(s + gap * d for s, d in zip(start, direction)),
-            )
+            witness = from_quotient(tuple(s + gap * d for s, d in zip(start, direction)))
             return SegmentCheck(False, global_param, witness)
     return SegmentCheck(True)
 
@@ -1326,8 +1323,8 @@ def probe_drawing_first(complex_, samples, seed):
     for _ in range(samples):
         ca = complex_.cells[rng.randrange(len(complex_.cells))]
         cb = complex_.cells[rng.randrange(len(complex_.cells))]
-        a = _scaled_point(ca.n, *_sample(ca, rng))
-        pairs.append((a, _scaled_point(cb.n, *_sample(cb, rng))))
+        a = _scaled_point(*_sample(ca, rng))
+        pairs.append((a, _scaled_point(*_sample(cb, rng))))
     for a, b in pairs:
         check = segment_in_support_per_cell(complex_, a, b)
         if not check.covered:
@@ -1604,7 +1601,7 @@ def recognize_fan_balancing_first(complex_, budget=DEFAULT_BUDGET):
     for piece in _braid_pieces(complex_, budget):
         chain = piece.chain
         if chain is None:
-            point = from_quotient(n, piece.poly.relative_interior_point())
+            point = from_quotient(piece.poly.relative_interior_point())
             chain = chn_cell_of(point)[:-1]
             if len(chain) > d:
                 return _reject(REASON_HET, point)

@@ -13,7 +13,6 @@ from troplin import complexes
 from troplin.complexes import (
     Cell,
     WeightedComplex,
-    chain_cone,
     chain_fan,
     chn_cell_of,
     coordinate_difference,
@@ -89,19 +88,21 @@ class TestChainFan:
             assert len(rays) == cell.dim
 
     def test_each_chain_cone_is_built_once(self, u24, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cone's generators were reduced")
+
         built = []
-        real = complexes.chain_cone
+        real = Polyhedron._minimal
+        monkeypatch.setattr(Polyhedron, "__init__", refuse)
         monkeypatch.setattr(
-            complexes,
-            "chain_cone",
-            lambda n, chain, *rays: built.append(chain) or real(n, chain, *rays),
+            Polyhedron, "_minimal", lambda m, *gens: built.append(gens) or real(m, *gens)
         )
         family = ChainFamily(4, u24.flats | {u24.ground})
         fan = chain_fan(family)
         assert built == [], "a cone was built before its polyhedron was read"
         polys = [c.poly for c in fan.cells]
-        assert built == family.maximal_chains()
-        assert [c.chain for c in fan.cells] == built
+        assert [c.chain for c in fan.cells] == family.maximal_chains()
+        assert built == [c.generators for c in fan.cells]
         # a second read builds nothing
         assert all(c.poly is p for c, p in zip(fan.cells, polys))
         assert len(built) == len(polys)
@@ -215,6 +216,13 @@ class TestBalancing:
         check = is_balanced(WeightedComplex(3, cells, [1, 1], validate=False))
         assert not check.ok
         assert check.witness.dim == 0
+
+    def test_witness_is_chosen_by_key_with_no_polyhedron(self, u24):
+        fan = chain_fan(ChainFamily(4, u24.flats | {u24.ground}))
+        weights = [2] + [1] * (len(fan.cells) - 1)
+        check = is_balanced(WeightedComplex(4, fan.cells, weights, validate=False))
+        assert not check.ok
+        assert "poly" not in vars(check.witness)
 
     def test_doubling_weights_preserves_verdict(self, u23_fan):
         doubled = WeightedComplex(3, u23_fan.cells, [2, 2, 2], validate=False)
@@ -483,7 +491,7 @@ class TestBraidRecessionAndStars:
                 q = list(cell.poly.vertices[0])
                 for r in cell.poly.rays:
                     q = [a + F(rng.randint(0, 3), rng.randint(1, 2)) * x for a, x in zip(q, r)]
-                ps.add(from_quotient(cx.n, q))
+                ps.add(from_quotient(q))
             ps.add(TropPoint([F(rng.randint(-4, 4), 3) for _ in range(cx.n)]))
             points.append(sorted(ps, key=lambda p: p.coords))
         return points
@@ -557,7 +565,7 @@ class TestBraidRowsFromChains:
             sizes = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
             chain = tuple(fs(order[:k]) for k in sizes)
             apex = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 1))
-            cell = Cell(n, chain_cone(n, chain).translate(apex))
+            cell = Cell(n, Cell.from_braid(n, (0,) * (n - 1), chain).poly.translate(apex))
             assert cell.braid == (apex, chain)
             cx = WeightedComplex(n, [cell], [1], validate=False)
             assert cx._row_table.dense == []
@@ -669,7 +677,7 @@ class TestChainBuiltCells:
             translated = self.from_generators(n, apex, chain)
             cx = WeightedComplex(n, [translated], [1], validate=False)
             cone = self.from_generators(n, origin, chain)
-            for fan in (recession_fan(cx), star_fan(cx, from_quotient(n, apex))):
+            for fan in (recession_fan(cx), star_fan(cx, from_quotient(apex))):
                 assert fan.weights == (1,)
                 self.assert_same(fan.cells[0], cone)
             count += 1
@@ -959,6 +967,14 @@ class TestComplexValidation:
             with pytest.raises(InvalidInputError, match="duplicate maximal cells"):
                 WeightedComplex(3, [*u23_fan.cells, extra], [1] * 4, validate=False)
         assert "chain" not in vars(bare)
+
+    def test_mixed_cells_are_compared_by_key_with_no_polyhedron(self, u24):
+        # a cell that carries no chain makes every cell compared by its key,
+        # which a braid cell reads off its apex and chain
+        fan = chain_fan(ChainFamily(4, u24.flats | {u24.ground}))
+        cells = [*fan.cells[:2], Cell.from_torus(4, [(0, 1, 2, 3)])]
+        WeightedComplex(4, cells, [1, 1, 1], validate=False)
+        assert all("poly" not in vars(c) for c in cells[:2])
 
     def test_nonpositive_weights_rejected(self, u23_fan):
         with pytest.raises(InvalidInputError):

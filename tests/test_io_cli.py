@@ -10,7 +10,6 @@ from itertools import combinations
 
 import pytest
 
-from troplin import complexes
 from troplin import io as tio
 from troplin.cli import build_parser, main
 from troplin.complexes import (
@@ -447,8 +446,7 @@ class TestCli:
             matroid_path, fan_path = tmp_path / f"matroid-{k}.json", tmp_path / f"fan-{k}.json"
             matroid_path.write_text(json.dumps(tio.matroid_to_json(m)))
             with monkeypatch.context() as patch:
-                patch.setattr(complexes, "chain_cone", refuse)
-                for name in ("__init__", "_canonical", "_minimal"):
+                for name in ("__init__", "_minimal"):
                     patch.setattr(Polyhedron, name, refuse)
                 assert self.run(capsys, "bergman", str(matroid_path)) == (0, fan_text)
                 fan_path.write_text(fan_text)

@@ -291,7 +291,7 @@ class TestIntegerFormAgainstFractionOracle:
         for _ in range(40):
             m = rng.randint(1, 4)
             poly = self.random_polyhedron(rng, m)
-            inner = from_quotient(m + 1, poly.relative_interior_point())
+            inner = from_quotient(poly.relative_interior_point())
             for _ in range(4):
                 x = rand_point(rng, m + 1, span=3)
                 y = rng.choice([inner, rand_point(rng, m + 1, span=3)])
@@ -372,7 +372,7 @@ class TestSegmentCoverageAgainstPerCellOracle:
         for r in cell.poly.rays + cell.poly.lineality:
             c = F(rng.randint(-2 if r in cell.poly.lineality else 0, 4), rng.randint(1, 4))
             q = [a + c * x for a, x in zip(q, r)]
-        return from_quotient(cell.n, q)
+        return from_quotient(q)
 
     def test_first_gap_matches_the_fraction_sweep(self):
         rng = random.Random(79)

@@ -986,8 +986,8 @@ class TestProbeAgainstPolyhedronRows:
             pairs = list(combinations(verts, 2))[:4]
             for _ in range(6):
                 a, b = rng.choice(cx.cells), rng.choice(cx.cells)
-                x = recognize._scaled_point(a.n, *recognize._sample(a, rng))
-                pairs.append((x, recognize._scaled_point(b.n, *recognize._sample(b, rng))))
+                x = recognize._scaled_point(*recognize._sample(a, rng))
+                pairs.append((x, recognize._scaled_point(*recognize._sample(b, rng))))
 
             def results():
                 probe = convexity_probe(cx, samples=10, seed=len(cx.cells))
